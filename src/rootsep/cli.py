@@ -3,6 +3,8 @@
 Subcommands `solve`, `limit`, `verify`, `all` drive the pipeline
 family -> layer solve -> barrier extraction -> refinement limit -> Monte
 Carlo verification, writing reproducible artifacts to the output directory.
+Each command writes only its own artifacts; the stages it needs come from a
+shared `Run`, so `all` computes every stage once for its three commands.
 Numeric parameters live in the config file only; flags select the
 subcommand, config path, output directory, thread count, and raw dumps.
 
@@ -17,7 +19,8 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +58,6 @@ class RunConfig:
     raw: dict
     base_dir: Path
     family: object = None
-    flags: dict = field(default_factory=dict)
 
     def get(self, section: str, key: str) -> str:
         return self.raw[section][key]
@@ -135,59 +137,110 @@ def _build_family(cfg: RunConfig):
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
-def _echo_config(cfg: RunConfig, out: Path) -> None:
-    lines = []
-    for section in _SCHEMA:
-        lines.append(f"[{section}]")
-        for key in _SCHEMA[section]:
-            lines.append(f"{key} = {cfg.raw[section][key]}")
-        lines.append("")
-    (out / "config.resolved.ini").write_text("\n".join(lines), encoding="utf-8")
+def _threads(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
-def _finish(out: Path, produced: list, t_start: float) -> None:
-    hashes = {name: art.sha256_file(out / name) for name in sorted(produced)}
-    art.write_json(hashes, out / "hashes.json")
-    art.write_json({"runtime_s": time.time() - t_start,
-                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                    "versions": {"numpy": np.__version__,
-                                 "python": sys.version.split()[0]}},
-                   out / "run_info.json")
+class Run:
+    """One pass of the pipeline over a config.
+
+    The stages grid, partition, surface, barriers and limit are computed on
+    first use and then kept, so `all` solves each layered surface and each
+    refinement ladder once for all three of its commands.
+    """
+
+    def __init__(self, cfg: RunConfig, threads: int = 1, dump_raw: bool = False):
+        self.cfg = cfg
+        self.family = cfg.family
+        self.threads = threads
+        self.dump_raw = dump_raw
+        self.style = cfg.get("partition", "style")
+        # "both" solves uniform layers and checks them against a geometric ladder
+        self.layer_style = "uniform" if self.style == "both" else self.style
+        self.ladder = {"T": cfg.getfloat("grid", "t_horizon"),
+                       "dx": cfg.getfloat("grid", "dx"),
+                       "n0": cfg.getint("partition", "n0"),
+                       "levels": cfg.getint("partition", "levels"),
+                       "refine_dx": cfg.getbool("partition", "refine_dx"),
+                       "node_budget": cfg.getint("grid", "node_budget")}
+        self.probe_times = cfg.getlist("simulation", "probe_times")
+
+    @cached_property
+    def grid(self):
+        lad, cfg = self.ladder, self.cfg
+        return make_grid(self.family, lad["T"], lad["dx"], lam=cfg.getfloat("grid", "lam"),
+                         binary_steps=cfg.getbool("grid", "binary_steps"),
+                         node_budget=lad["node_budget"])
+
+    @cached_property
+    def partition(self):
+        return make_partition(self.ladder["n0"], self.layer_style)
+
+    @cached_property
+    def surface(self):
+        grid = self.grid
+        idx = np.unique(np.round(np.linspace(0.0, grid.T, 9) / grid.dt).astype(int))
+        keep = set((idx * grid.dt).tolist())
+        for t in self.probe_times:
+            m = round(t / grid.dt)
+            if abs(m * grid.dt - t) > 1e-9:
+                raise ConfigError(f"probe time {t} is not a grid time (dt={grid.dt})")
+            keep.add(m * grid.dt)
+        return solve_layers(self.family, self.partition, grid,
+                            keep_times=np.array(sorted(keep)))
+
+    @cached_property
+    def barrier(self):
+        return bar.extract(self.surface)
+
+    @cached_property
+    def limit(self):
+        return solve_limit(self.family, **self.ladder, style=self.layer_style)
+
+    @cached_property
+    def h_sim(self) -> float:
+        return self.cfg.getfloat("simulation", "h_sim", default=self.grid.dt)
+
+    def check_simulation(self) -> None:
+        """Reject the simulation settings that simulate_root would refuse
+        only after the solve: a step coarser than the solver's, or probe
+        times off the monitoring grid."""
+        if self.h_sim > self.grid.dt + 1e-15:
+            raise ConfigError(f"h_sim={self.h_sim} exceeds the solver step {self.grid.dt}")
+        for t in self.probe_times:
+            if abs(round(t / self.h_sim) * self.h_sim - t) > 1e-9:
+                raise ConfigError(f"probe time {t} is not a multiple of h_sim={self.h_sim}")
+
+    def finish(self, out: Path, produced: list, t_start: float) -> None:
+        """Echo the resolved config, hash the artifacts, record the run info."""
+        lines = []
+        for section in _SCHEMA:
+            lines.append(f"[{section}]")
+            lines.extend(f"{key} = {self.cfg.raw[section][key]}" for key in _SCHEMA[section])
+            lines.append("")
+        (out / "config.resolved.ini").write_text("\n".join(lines), encoding="utf-8")
+        produced = sorted(["config.resolved.ini", *produced])
+        art.write_json({name: art.sha256_file(out / name) for name in produced},
+                       out / "hashes.json")
+        art.write_json({"runtime_s": time.time() - t_start,
+                        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                        "versions": {"numpy": np.__version__,
+                                     "python": sys.version.split()[0]}},
+                       out / "run_info.json")
 
 
-def _grid_for(cfg: RunConfig):
-    return make_grid(cfg.family, cfg.getfloat("grid", "t_horizon"),
-                     cfg.getfloat("grid", "dx"),
-                     lam=cfg.getfloat("grid", "lam"),
-                     binary_steps=cfg.getbool("grid", "binary_steps"),
-                     node_budget=cfg.getint("grid", "node_budget"))
-
-
-def _keep_times(cfg: RunConfig, grid) -> np.ndarray:
-    idx = np.unique(np.round(np.linspace(0.0, grid.T, 9) / grid.dt).astype(int))
-    keep = set((idx * grid.dt).tolist())
-    for t in cfg.getlist("simulation", "probe_times"):
-        m = round(t / grid.dt)
-        if abs(m * grid.dt - t) > 1e-9:
-            raise ConfigError(f"probe time {t} is not a grid time (dt={grid.dt})")
-        keep.add(m * grid.dt)
-    return np.array(sorted(keep))
-
-
-def cmd_solve(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = False) -> int:
+def cmd_solve(run: Run, out: Path) -> int:
     t0 = time.time()
-    grid = _grid_for(cfg)
-    part = make_partition(cfg.getint("partition", "n0"),
-                          "uniform" if cfg.get("partition", "style") == "both"
-                          else cfg.get("partition", "style"))
-    surface = solve_layers(cfg.family, part, grid, keep_times=_keep_times(cfg, grid))
-    sc = cfg.getfloat("tolerances", "scheme_c")
+    surface, grid = run.surface, run.grid
+    sc = run.cfg.getfloat("tolerances", "scheme_c")
     tol = None if sc is None else sc * (grid.dx + grid.dt)
     report = complementarity_check(surface, tol=tol)
-    barrier = bar.extract(surface)
+    barrier = run.barrier
 
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
     art.write_surface_csv(surface, out / "surface.csv")
     bar.write_barriers_csv(barrier, out / "barriers.csv")
     meta = {"grid": grid.descriptor(), "partition": surface.partition.points.tolist(),
@@ -201,8 +254,7 @@ def cmd_solve(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = Fals
             "csv_sha256": {"surface.csv": art.sha256_file(out / "surface.csv"),
                            "barriers.csv": art.sha256_file(out / "barriers.csv")}}
     art.write_json(art.jsonable(meta), out / "surface.meta.json")
-    _finish(out, ["config.resolved.ini", "surface.csv", "barriers.csv",
-                  "surface.meta.json"], t0)
+    run.finish(out, ["surface.csv", "barriers.csv", "surface.meta.json"], t0)
     if not report.passed:
         print(f"complementarity check failed: max residual "
               f"{report.max_min_residual:.3e} > tol {report.tol:.3e}")
@@ -210,40 +262,27 @@ def cmd_solve(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = Fals
     return 0
 
 
-def cmd_limit(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = False) -> int:
+def cmd_limit(run: Run, out: Path) -> int:
     t0 = time.time()
-    levels = cfg.getint("partition", "levels")
-    style = cfg.get("partition", "style")
-    T = cfg.getfloat("grid", "t_horizon")
-    dx = cfg.getfloat("grid", "dx")
-    n0 = cfg.getint("partition", "n0")
-    refine_dx = cfg.getbool("partition", "refine_dx")
-    budget = cfg.getint("grid", "node_budget")
-
-    limit = solve_limit(cfg.family, T, dx, n0, levels,
-                        style="uniform" if style == "both" else style,
-                        refine_dx=refine_dx, node_budget=budget)
+    limit = run.limit
     pde = pde_residual(limit)
-    pc = cfg.getfloat("tolerances", "pde_c")
+    pc = run.cfg.getfloat("tolerances", "pde_c")
     if pc is not None:
         g = limit.finest_grid
         pde["bound"] = pc * (g.dx + g.dt + limit.finest_partition.mesh)
         pde["passed"] = pde["max"] <= pde["bound"]
-    bounds = bounds_check(limit, cfg.family)
+    bounds = bounds_check(limit, run.family)
     reg = regularity_report(limit)
-    indep = None
-    if style == "both":
-        indep = partition_independence(cfg.family, T, dx, n0, levels, threads=threads)
+    indep = partition_independence(run.family, limit) if run.style == "both" else None
 
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
     art.write_limit_csv(limit, out / "limit.csv")
     # wall-clock readings go to the unhashed run info so identical runs
     # produce identical artifact bytes
     levels = [{k: v for k, v in h.items() if k != "runtime_ms"} for h in limit.history]
     conv = {"levels": levels, "pde_residual": pde, "bounds": bounds,
             "regularity": reg, "outside_standing_assumptions": limit.outside_assumptions,
-            "style": style,
+            "style": run.style,
             "partition_independence": None if indep is None else
             {"sup_distance": indep["sup_distance"], "bound": indep["bound"],
              "passed": indep["passed"]}}
@@ -251,7 +290,7 @@ def cmd_limit(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = Fals
     art.write_json(art.jsonable({"level_runtimes_ms":
                                  [h["runtime_ms"] for h in limit.history]}),
                    out / "level_runtimes.json")
-    _finish(out, ["config.resolved.ini", "limit.csv", "convergence.json"], t0)
+    run.finish(out, ["limit.csv", "convergence.json"], t0)
 
     failed = []
     # the residual and independence claims are underwritten by the standing
@@ -270,23 +309,18 @@ def cmd_limit(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = Fals
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = False) -> int:
+def cmd_verify(run: Run, out: Path) -> int:
     t0 = time.time()
-    grid = _grid_for(cfg)
-    part = make_partition(cfg.getint("partition", "n0"),
-                          "uniform" if cfg.get("partition", "style") == "both"
-                          else cfg.get("partition", "style"))
-    surface = solve_layers(cfg.family, part, grid, keep_times=_keep_times(cfg, grid))
-    barrier = bar.extract(surface)
-
+    run.check_simulation()
+    cfg, threads, h_sim = run.cfg, run.threads, run.h_sim
     M = cfg.getint("simulation", "paths")
-    h_sim = cfg.getfloat("simulation", "h_sim", default=grid.dt)
     seed = cfg.getint("simulation", "seed")
-    horizon = cfg.getfloat("simulation", "horizon", default=grid.T)
-    probe_t = cfg.getlist("simulation", "probe_times")
+    horizon = cfg.getfloat("simulation", "horizon", default=run.grid.T)
+    probe_t = run.probe_times
     probe_x = np.array(cfg.getlist("simulation", "probe_x"))
+    surface = run.surface
 
-    ensemble = simulate_root(cfg.family, barrier, M, h_sim, seed,
+    ensemble = simulate_root(run.family, run.barrier, M, h_sim, seed,
                              horizon=horizon, snapshot_times=probe_t, threads=threads)
     failures = []
 
@@ -304,7 +338,7 @@ def cmd_verify(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = Fal
             if not ok:
                 failures.append(f"representation at j={j}, t={t}")
 
-    fit = marginal_fit(ensemble, cfg.family)
+    fit = marginal_fit(ensemble, run.family)
     if not fit.passed:
         for m in fit.marginals:
             if not m["passed"]:
@@ -337,7 +371,6 @@ def cmd_verify(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = Fal
                 failures.append(f"optimality direction for weight {name}")
 
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
     payload = {"paths": M, "h_sim": h_sim, "seed": seed,
                "censored_fraction": ensemble.censored_fraction,
                "representation": repr_rows,
@@ -345,22 +378,21 @@ def cmd_verify(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = Fal
                "functionals": functionals, "alternative": alternative,
                "failures": failures}
     art.write_json(art.jsonable(payload), out / "embedding.json")
-    produced = ["config.resolved.ini", "embedding.json"]
-    if dump_raw:
+    produced = ["embedding.json"]
+    if run.dump_raw:
         art.write_paths_csv(ensemble, out / "paths.csv")
         produced.append("paths.csv")
-    _finish(out, produced, t0)
+    run.finish(out, produced, t0)
     if failures:
         print("verification failures: " + "; ".join(failures))
         return 2
     return 0
 
 
-def cmd_all(cfg: RunConfig, out: Path, threads: int = 1, dump_raw: bool = False) -> int:
-    code = 0
-    for sub, fn in (("solve", cmd_solve), ("limit", cmd_limit), ("verify", cmd_verify)):
-        code = max(code, fn(cfg, out / sub, threads=threads, dump_raw=dump_raw))
-    return code
+def cmd_all(run: Run, out: Path) -> int:
+    run.check_simulation()
+    commands = (("solve", cmd_solve), ("limit", cmd_limit), ("verify", cmd_verify))
+    return max([fn(run, out / sub) for sub, fn in commands])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,7 +406,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["solve", "limit", "verify", "all"])
     parser.add_argument("--config", required=True, help="path to the run config (INI)")
     parser.add_argument("--out", required=True, help="artifact output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_threads, default=1)
     parser.add_argument("--dump-raw", action="store_true",
                         help="also write per-path stopping data (large)")
     try:
@@ -382,7 +414,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         fn = {"solve": cmd_solve, "limit": cmd_limit,
               "verify": cmd_verify, "all": cmd_all}[args.command]
-        return fn(cfg, Path(args.out), threads=args.threads, dump_raw=args.dump_raw)
+        return fn(Run(cfg, threads=args.threads, dump_raw=args.dump_raw), Path(args.out))
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,6 +39,7 @@ class LimitSurface:
     outside_assumptions: bool
     finest_partition: Partition
     finest_grid: SpaceTimeGrid
+    ladder: dict                    # solve_limit arguments that fix the levels
     finest_stats: list = field(default_factory=list)
     assumption: Optional[object] = None
 
@@ -157,6 +157,8 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
                         family_desc=family.descriptor(), outside_assumptions=outside,
                         finest_partition=finest_surface.partition,
                         finest_grid=finest_surface.grid,
+                        ladder={"T": T, "dx": dx, "n0": n0, "levels": levels,
+                                "refine_dx": refine_dx, "node_budget": node_budget},
                         finest_stats=finest_surface.layer_stats,
                         assumption=report)
 
@@ -242,32 +244,24 @@ def regularity_report(limit: LimitSurface) -> dict:
             "s_rate_under_envelope": env_ok, "tol": limit.tol}
 
 
-def partition_independence(family: MarginalFamily, T: float, dx: float,
-                           n0: int, levels: int, threads: int = 1,
-                           x_halfwidth: float = 4.0) -> dict:
-    """Compare uniform- and geometric-seeded refinement limits on one lattice.
+def partition_independence(family: MarginalFamily, uniform: LimitSurface) -> dict:
+    """Compare a solved uniform-seeded refinement limit with the
+    geometric-seeded one.
 
+    Only the geometric ladder is solved, with the uniform ladder's arguments
+    (horizon, space step, levels, refine_dx, node budget) on its lattice.
     The limits must agree up to the two finest Cauchy differences plus twice
     the finest scheme tolerance.
     """
-    dx_coarse = dx * 2 ** (levels - 1)
-    grid_c = make_grid(family, T, dx_coarse)
-    lattice = default_lattice(family, grid_c, n0, x_halfwidth)
-
-    def run(style):
-        return solve_limit(family, T, dx, n0, levels, style=style, lattice=lattice,
-                           x_halfwidth=x_halfwidth)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fu, fg = pool.submit(run, "uniform"), pool.submit(run, "geometric")
-            uni, geo = fu.result(), fg.result()
-    else:
-        uni, geo = run("uniform"), run("geometric")
-
-    dist = float(np.abs(uni.values - geo.values).max())
-    cauchy_u = uni.cauchy_history[-1] if uni.cauchy_history else 0.0
+    if uniform.style != "uniform":
+        raise ValidationError("partition independence compares against a uniform ladder")
+    if family.descriptor() != uniform.family_desc:
+        raise ValidationError("family does not match the solved surface")
+    lattice = (uniform.lattice_s, uniform.lattice_t, uniform.lattice_x)
+    geo = solve_limit(family, **uniform.ladder, style="geometric", lattice=lattice)
+    dist = float(np.abs(uniform.values - geo.values).max())
+    cauchy_u = uniform.cauchy_history[-1] if uniform.cauchy_history else 0.0
     cauchy_g = geo.cauchy_history[-1] if geo.cauchy_history else 0.0
-    bound = cauchy_u + cauchy_g + 2.0 * uni.tol
+    bound = cauchy_u + cauchy_g + 2.0 * uniform.tol
     return {"sup_distance": dist, "bound": bound, "passed": dist <= bound,
-            "uniform": uni, "geometric": geo}
+            "uniform": uniform, "geometric": geo}

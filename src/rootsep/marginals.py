@@ -6,10 +6,9 @@ non-decreasing in convex order is handled entirely through
     potential(s, x)  =  -E_{Y ~ mu_s} |x - Y|,
 
 which is concave, 1-Lipschitz in x, and pointwise non-increasing in s.
-All shipped kinds have closed-form potentials; a quadrature fallback covers
-bases given only by a CDF.  Every operation is pure, families are immutable
-after construction, and sampling takes an explicit (seed, stream) pair so
-parallel callers never share generator state.
+All shipped kinds have closed-form potentials.  Every operation is pure,
+families are immutable after construction, and sampling takes an explicit
+(seed, stream) pair so parallel callers never share generator state.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .errors import SingularityError, ValidationError
@@ -163,71 +161,6 @@ class NormalBase:
 
     def descriptor(self):
         return {"base": "normal"}
-
-
-class CdfBase:
-    """Base law given only through its CDF; potentials by adaptive quadrature.
-
-    Uses -E|X - x| = -( int_{-inf}^x F + int_x^inf (1 - F) ), extending the
-    integration window outward until the tail contribution drops below 1e-12.
-    """
-
-    kind = "cdf"
-
-    def __init__(self, cdf: Callable[[np.ndarray], np.ndarray], radius_hint: float = 8.0):
-        self._cdf = cdf
-        self._radius = float(radius_hint)
-
-    def potential(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([self._potential_one(float(xi)) for xi in x])
-
-    def _potential_one(self, x: float) -> float:
-        total = 0.0
-        # left side: integral of F below x
-        a, b = x - self._radius, x
-        while True:
-            seg, _ = integrate.quad(lambda y: self._cdf(y), a, b, epsabs=1e-12, limit=200)
-            total += seg
-            if abs(seg) < 1e-12 and b < x:
-                break
-            if b == x and abs(float(self._cdf(a))) * (b - a) < 1e-14:
-                break
-            b, a = a, a - (b - a) * 2.0
-            if b <= x - 1e6:
-                break
-        a, b = x, x + self._radius
-        while True:
-            seg, _ = integrate.quad(lambda y: 1.0 - self._cdf(y), a, b, epsabs=1e-12, limit=200)
-            total += seg
-            if abs(seg) < 1e-12 and a > x:
-                break
-            if a == x and abs(1.0 - float(self._cdf(b))) * (b - a) < 1e-14:
-                break
-            a, b = b, b + (b - a) * 2.0
-            if a >= x + 1e6:
-                break
-        return -total
-
-    def potential_dx(self, x):
-        return 1.0 - 2.0 * np.asarray(self._cdf(np.asarray(x, dtype=float)), dtype=float)
-
-    def cdf(self, x):
-        return np.asarray(self._cdf(np.asarray(x, dtype=float)), dtype=float)
-
-    def quantile_radius(self, eps: float = TAIL_MASS) -> float:
-        r = self._radius
-        while self._cdf(-r) > eps / 2 or self._cdf(r) < 1 - eps / 2:
-            r *= 2.0
-            if r > 1e9:
-                raise ValidationError("cdf base has no usable quantile radius")
-        return float(r)
-
-    def sample(self, rng, count):
-        raise ValidationError("cdf bases do not support sampling")
-
-    def descriptor(self):
-        return {"base": "cdf", "radius_hint": self._radius}
 
 
 # ---------------------------------------------------------------------------

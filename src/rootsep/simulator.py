@@ -68,8 +68,23 @@ class PathEnsemble:
         raise ValidationError(f"no snapshot recorded at t={t}")
 
 
-def _block_ranges(M: int, block: int):
-    return [(lo, min(lo + block, M)) for lo in range(0, M, block)]
+def _run_blocks(run_block, M: int, seed: int, threads: int, block_size: int) -> None:
+    """Call run_block(rng, lo, hi) on each fixed block of the M paths.
+
+    Block b draws from its own stream keyed by (seed, b), so the results do
+    not depend on how many threads share the blocks.
+    """
+    def one(bid):
+        lo = bid * block_size
+        run_block(make_stream(seed, bid), lo, min(lo + block_size, M))
+
+    blocks = range(-(-M // block_size))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(one, blocks))
+    else:
+        for bid in blocks:
+            one(bid)
 
 
 def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
@@ -148,8 +163,7 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
             if not progressed:
                 break
 
-    def run_block(bid, lo, hi):
-        rng = make_stream(seed, bid)
+    def run_block(rng, lo, hi):
         bs = hi - lo
         x = np.asarray(family.sample_initial_rng(rng, bs), dtype=float)
         x0[lo:hi] = x
@@ -198,14 +212,7 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
                             bg[n, rows[fin]], P[fin, mm - done - 1])
             done += m
 
-    ranges = _block_ranges(M, block_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda args: run_block(*args),
-                          [(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]))
-    else:
-        for i, (lo, hi) in enumerate(ranges):
-            run_block(i, lo, hi)
+    _run_blocks(run_block, M, seed, threads, block_size)
 
     censored = ~np.isfinite(sigma[n])
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=T,
@@ -388,8 +395,7 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
     steps_total = int(round(horizon / h_sim))
     sqrt_h = math.sqrt(h_sim)
 
-    def run_block(bid, lo, hi):
-        rng = make_stream(seed, bid)
+    def run_block(rng, lo, hi):
         bs = hi - lo
         a = np.abs(rng.standard_normal(bs))
         x = np.zeros(bs)
@@ -413,14 +419,7 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
             alive = alive[~anyhit]
             done_steps += m
 
-    ranges = _block_ranges(M, block_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda args: run_block(*args),
-                          [(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]))
-    else:
-        for i, (lo, hi) in enumerate(ranges):
-            run_block(i, lo, hi)
+    _run_blocks(run_block, M, seed, threads, block_size)
 
     censored = ~np.isfinite(sigma[1])
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=horizon,

@@ -38,7 +38,8 @@ def gauss_family():
 @pytest.fixture(scope="module")
 def gauss_independence(gauss_family):
     # uniform and geometric ladders to (n, dx) = (32, 0.02) on T = 2
-    return rs.partition_independence(gauss_family, 2.0, 0.02, 4, 4)
+    return rs.partition_independence(gauss_family,
+                                     rs.solve_limit(gauss_family, 2.0, 0.02, 4, 4))
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,8 @@ def three_point_run():
 
 @pytest.fixture(scope="module")
 def three_point_independence():
-    return rs.partition_independence(rs.ThreePointFamily(0.1, 0.3), 3.0, 0.05, 4, 3)
+    fam = rs.ThreePointFamily(0.1, 0.3)
+    return rs.partition_independence(fam, rs.solve_limit(fam, 3.0, 0.05, 4, 3))
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rootsep import GaussianShiftFamily, cli, solve_limit
 from rootsep.cli import load_config, main
 
 SMALL_GAUSS = """
@@ -180,3 +182,66 @@ def test_resolved_config_echo(gauss_config, tmp_path):
     resolved = load_config(out / "config.resolved.ini")
     assert resolved.get("family", "kind") == "gaussian_shift"
     assert resolved.getint("partition", "n0") == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(gauss_config, tmp_path, threads):
+    out = tmp_path / "o"
+    assert main(["all", "--config", str(gauss_config), "--out", str(out),
+                 "--threads", threads]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "all"])
+@pytest.mark.parametrize("simulation", [
+    "h_sim = 0.02",                  # coarser than the solver step dt = 0.01
+    "h_sim = 0.004",                 # probe time 0.25 is not a multiple of it
+])
+def test_simulation_inputs_rejected_before_solve(tmp_path, monkeypatch, command, simulation):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the simulation inputs were checked")
+
+    monkeypatch.setattr(cli, "solve_layers", no_solve)
+    monkeypatch.setattr(cli, "solve_limit", no_solve)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_GAUSS.replace("h_sim = 0.01", simulation), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.fixture()
+def both_config(tmp_path):
+    p = tmp_path / "both.ini"
+    p.write_text(SMALL_GAUSS.replace("levels = 2", "levels = 2\nstyle = both"),
+                 encoding="utf-8")
+    return p
+
+
+def test_all_shares_stages_with_identical_artifacts(both_config, tmp_path):
+    out = tmp_path / "all"
+    assert main(["all", "--config", str(both_config), "--out", str(out)]) == 0
+    for sub in ("solve", "limit", "verify"):
+        alone = tmp_path / sub
+        assert main([sub, "--config", str(both_config), "--out", str(alone)]) == 0
+        assert _hashes(out / sub) == _hashes(alone), sub
+
+
+def test_partition_independence_uses_the_written_ladder(both_config, tmp_path):
+    cfg = tmp_path / "fixed_dx.ini"
+    cfg.write_text(both_config.read_text().replace("style = both",
+                                                   "style = both\nrefine_dx = false"),
+                   encoding="utf-8")
+    out = tmp_path / "lim"
+    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "limit.csv", delimiter=",", skiprows=1)
+    lattice = [np.unique(rows[:, k]) for k in range(3)]
+    uniform = rows[:, 3].reshape([a.size for a in lattice])
+    geometric = solve_limit(GaussianShiftFamily(1.0), 1.25, 0.1, 2, 2, style="geometric",
+                            refine_dx=False, lattice=lattice)
+    conv = json.loads((out / "convergence.json").read_text())
+    indep = conv["partition_independence"]
+    assert indep["sup_distance"] == float(np.abs(uniform - geometric.values).max())
+    # both finest levels share one grid, hence one scheme tolerance
+    assert indep["bound"] == (conv["levels"][-1]["cauchy_diff"]
+                              + geometric.cauchy_history[-1] + 2.0 * geometric.tol)

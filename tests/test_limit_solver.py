@@ -98,7 +98,8 @@ def test_outside_assumptions_flag():
 
 
 def test_partition_independence_small(gauss_family):
-    rep = rs.partition_independence(gauss_family, 1.0, 0.05, 2, 3)
+    uniform = rs.solve_limit(gauss_family, 1.0, 0.05, 2, 3)
+    rep = rs.partition_independence(gauss_family, uniform)
     assert rep["passed"]
     assert rep["sup_distance"] <= 5e-2
     assert rep["uniform"].style == "uniform" and rep["geometric"].style == "geometric"
@@ -106,8 +107,15 @@ def test_partition_independence_small(gauss_family):
 
 def test_partition_independence_two_atom(two_atom_family):
     # single substantive marginal: partition choice barely matters
-    rep = rs.partition_independence(two_atom_family, 2.0, 0.1, 2, 2)
+    uniform = rs.solve_limit(two_atom_family, 2.0, 0.1, 2, 2)
+    rep = rs.partition_independence(two_atom_family, uniform)
     assert rep["passed"]
+
+
+def test_partition_independence_needs_a_uniform_ladder(gauss_family):
+    geometric = rs.solve_limit(gauss_family, 1.0, 0.1, 2, 1, style="geometric")
+    with pytest.raises(ValidationError):
+        rs.partition_independence(gauss_family, geometric)
 
 
 def test_levels_validation(gauss_family):
