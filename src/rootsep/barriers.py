@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ExtractionUnstableError, ValidationError
-from .stop_solver import SENTINEL, ValueSurface
+from .errors import ExtractionUnstableError
+from .stop_solver import SENTINEL, ValueSurface, rescan
 from .tolerances import EXTRACT_FLAG_FRACTION
 
 
@@ -117,8 +117,8 @@ def extract(surface: ValueSurface, eps_b: Optional[float] = None) -> BarrierFami
     By default a node belongs to the region exactly when the scheme's own
     update chose the obstacle branch (ties stop); this matches the region
     definition without a resolution-dependent threshold.  Passing eps_b
-    re-thresholds the stored obstacle gaps instead, which requires a surface
-    with every time row kept.
+    rescans the stored layers with the stop set `gap <= eps_b` instead,
+    which requires a surface with every time row kept.
     """
     grid = surface.grid
     ts = grid.t_nodes()
@@ -127,22 +127,7 @@ def extract(surface: ValueSurface, eps_b: Optional[float] = None) -> BarrierFami
         flagged = surface.flagged.copy()
         region = surface.region_nodes.copy()
     else:
-        if not surface.full_rows:
-            raise ValidationError("threshold extraction needs a surface with all rows kept")
-        gap = surface.obstacle_gap()
-        stopped = gap <= eps_b
-        nt1 = stopped.shape[1]
-        first = np.full((surface.n, stopped.shape[2]), SENTINEL, dtype=np.int32)
-        flagged = np.zeros(surface.n, dtype=np.int64)
-        region = np.zeros(surface.n, dtype=np.int64)
-        for j in range(surface.n):
-            any_hit = stopped[j].any(axis=0)
-            fm = np.where(any_hit, stopped[j].argmax(axis=0), SENTINEL)
-            first[j] = fm
-            rows = np.arange(nt1)[:, None]
-            above = rows >= fm[None, :]
-            flagged[j] = int(np.count_nonzero(above & ~stopped[j] & any_hit[None, :]))
-            region[j] = int(np.where(any_hit, nt1 - fm, 0).sum())
+        first, flagged, region, _ = rescan(surface, eps=eps_b)
 
     r = np.where(first == SENTINEL, np.inf, ts[np.minimum(first, len(ts) - 1)])
     # boundary columns inherit their interior neighbour: the Dirichlet rows

@@ -62,14 +62,20 @@ class RunConfig:
     def get(self, section: str, key: str) -> str:
         return self.raw[section][key]
 
-    def getfloat(self, section, key, default=None):
+    def _parse(self, section, key, convert, what):
         v = self.get(section, key)
-        if v == "":
+        try:
+            return convert(v)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: not {what}: {v!r}") from None
+
+    def getfloat(self, section, key, default=None):
+        if self.get(section, key) == "":
             return default
-        return float(v)
+        return self._parse(section, key, float, "a number")
 
     def getint(self, section, key):
-        return int(self.get(section, key))
+        return self._parse(section, key, int, "an integer")
 
     def getbool(self, section, key):
         v = self.get(section, key).strip().lower()
@@ -80,8 +86,9 @@ class RunConfig:
         raise ConfigError(f"[{section}] {key}: not a boolean: {v!r}")
 
     def getlist(self, section, key):
-        v = self.get(section, key).strip()
-        return [float(p) for p in v.split(",")] if v else []
+        return self._parse(section, key,
+                           lambda v: [float(p) for p in v.split(",")] if v.strip() else [],
+                           "a comma-separated list of numbers")
 
 
 def load_config(path) -> RunConfig:

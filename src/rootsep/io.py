@@ -13,38 +13,39 @@ import json
 import numpy as np
 
 
-def _fmt(v: float) -> str:
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(float(v), ".17g")
+def _fmt_all(values) -> list:
+    """`.17g` text of each value; non-finite values read `inf`, `-inf`, `nan`."""
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
 
 
 def write_surface_csv(surface, path) -> None:
     """Rows `j,s,t,x,u,obstacle_gap`, row-major in (j, t, x), kept rows only."""
-    xs = surface.x_nodes()
+    xs = _fmt_all(surface.x_nodes())
+    ts = _fmt_all(surface.t_kept)
     gaps = surface.obstacle_gap()
+    zeros = ["0"] * len(xs)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,s,t,x,u,obstacle_gap\n")
-        for j in range(surface.n + 1):
-            s = surface.partition.points[j]
-            for ti, t in enumerate(surface.t_kept):
-                u_row = surface.layers[j, ti]
-                g_row = gaps[j - 1, ti] if j >= 1 else np.zeros_like(u_row)
-                for xi, x in enumerate(xs):
-                    fh.write(f"{j},{_fmt(s)},{_fmt(t)},{_fmt(x)},"
-                             f"{_fmt(u_row[xi])},{_fmt(g_row[xi])}\n")
+        for j, s in enumerate(_fmt_all(surface.partition.points)):
+            for ti, t in enumerate(ts):
+                head = f"{j},{s},{t},"
+                g_row = _fmt_all(gaps[j - 1, ti]) if j >= 1 else zeros
+                fh.writelines(f"{head}{x},{u},{g}\n" for x, u, g
+                              in zip(xs, _fmt_all(surface.layers[j, ti]), g_row))
 
 
 def write_limit_csv(limit, path) -> None:
     """Rows `s,t,x,u,level` for the finest refinement level."""
     level = limit.history[-1]["n"]
+    xs = _fmt_all(limit.lattice_x)
+    ts = _fmt_all(limit.lattice_t)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s,t,x,u,level\n")
-        for a, s in enumerate(limit.lattice_s):
-            for b, t in enumerate(limit.lattice_t):
-                for c, x in enumerate(limit.lattice_x):
-                    fh.write(f"{_fmt(s)},{_fmt(t)},{_fmt(x)},"
-                             f"{_fmt(limit.values[a, b, c])},{level}\n")
+        for a, s in enumerate(_fmt_all(limit.lattice_s)):
+            for b, t in enumerate(ts):
+                head = f"{s},{t},"
+                fh.writelines(f"{head}{x},{u},{level}\n" for x, u
+                              in zip(xs, _fmt_all(limit.values[a, b])))
 
 
 def write_paths_csv(ensemble, path) -> None:
@@ -52,11 +53,8 @@ def write_paths_csv(ensemble, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("path,j,sigma,b_sigma\n")
         for j in range(1, ensemble.n + 1):
-            sg = ensemble.sigma[j]
-            bg = ensemble.b_sigma[j]
-            for i in range(ensemble.M):
-                bs = "nan" if np.isnan(bg[i]) else _fmt(bg[i])
-                fh.write(f"{i},{j},{_fmt(sg[i])},{bs}\n")
+            fh.writelines(f"{i},{j},{sg},{bs}\n" for i, (sg, bs) in enumerate(
+                zip(_fmt_all(ensemble.sigma[j]), _fmt_all(ensemble.b_sigma[j]))))
 
 
 def write_json(obj, path) -> None:

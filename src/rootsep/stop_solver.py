@@ -11,12 +11,17 @@ continuation branch is the symmetric random-walk average, so the scheme is
 monotone and consistent; the stop branch realizes the sup over stopping with
 the early-collection bonus active strictly before the budget runs out.
 
-The solve records, online and per layer:
+After each layer, `scan_layer` reads the two finished full panels (layer
+j and layer j-1) in fixed row chunks and derives, from the stored values
+alone:
+  * the stop set, which equals the scheme's own stop choice,
   * the first stopped time index per space column (the raw barrier),
   * later un-stopped nodes above that first hit (monotonicity flags),
   * complementarity residuals with a centred-in-x, backward-in-t stencil,
     which is deliberately *not* the scheme's own update stencil so the
     report measures genuine discretization error instead of zeros.
+The same kernel rescans a stored full-row surface for the complementarity
+check and thresholds stored gaps for barrier extraction.
 
 Ties between stopping and continuing are marked as stopped: barriers are
 closed sets.
@@ -33,10 +38,12 @@ import numpy as np
 from .errors import GridBudgetError, ValidationError
 from .grid import Partition, SpaceTimeGrid
 from .marginals import MarginalFamily, convex_order_error, convex_order_validate, make_stream
-from .tolerances import (INTERIOR_T_FRACTION, KINK_GUARD, SCHEME_C,
-                         STOP_DECISION_GAP)
+from .tolerances import INTERIOR_T_FRACTION, KINK_GUARD, SCHEME_C
 
 SENTINEL = np.iinfo(np.int32).max
+
+# time rows per block in scan_layer; bounds its temporaries to O(rows * nx)
+CHUNK_ROWS = 64
 
 
 def scheme_tolerance(grid: SpaceTimeGrid) -> float:
@@ -59,7 +66,7 @@ class LayerStats:
 
 @dataclass
 class ValueSurface:
-    """Solved layer values on kept time rows plus online solve records."""
+    """Solved layer values on kept time rows plus the solve's scan records."""
 
     partition: Partition
     grid: SpaceTimeGrid
@@ -74,7 +81,7 @@ class ValueSurface:
     layer_stats: list
     tol: float
     full_rows: bool                    # True when every time row is kept
-    resid_mask: np.ndarray = None      # interior columns used for residual maxima
+    resid_mask: np.ndarray             # interior columns used for residual maxima
 
     @property
     def n(self) -> int:
@@ -123,14 +130,15 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
 
     keep_times: time values whose rows are retained in the result (None keeps
     every row).  The previous layer is always held at full resolution while
-    the next one is computed, so memory stays at two full (t, x) panels.
+    the next one is computed, so memory stays at two full (t, x) panels plus
+    the row-chunk temporaries of `scan_layer`, which reads both panels once a
+    layer is done.
     """
     report = convex_order_validate(family, s_probes=partition.points)
     if not report.passed:
         raise convex_order_error(report)
 
     xs = grid.x_nodes()
-    ts = grid.t_nodes()
     nt, nx = grid.nt, grid.nx
     dt, dx = grid.dt, grid.dx
     lam = grid.lam
@@ -159,10 +167,6 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
         if not np.allclose(kept_index * dt, np.unique(np.asarray(keep_times, dtype=float)),
                            atol=1e-9):
             raise ValidationError("keep_times must be grid times")
-    t_kept = ts[kept_index]
-    keep_mask = np.zeros(nt + 1, dtype=bool)
-    keep_mask[kept_index] = True
-    keep_slot = np.cumsum(keep_mask) - 1
 
     tol = scheme_tolerance(grid)
     U0 = pots[0]
@@ -187,105 +191,146 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     prev[:] = U0[None, :]
     cur = np.empty_like(prev)
 
-    stop_first = np.full((n, nx + 1), SENTINEL, dtype=np.int32)
-    flagged = np.zeros(n, dtype=np.int64)
-    stats_all = []
-
+    scans = []
     for j in range(1, n + 1):
         duj = du[j - 1]
-        st = LayerStats(s_prev=float(svals[j - 1]), s_val=float(svals[j]))
-        ds_j = float(svals[j] - svals[j - 1])
-        first = stop_first[j - 1]
-        # t = 0 row: prescribed data; a node is in the stopping region only
-        # where the obstacle increment already vanishes (relative float scale,
-        # so potentials coinciding on half-lines register exactly)
+        du_int = duj[1:-1]
         cur[0] = U0
-        tie0 = 1e-12 * (1.0 + np.abs(U0))
-        first[np.abs(duj) <= tie0] = 0
-        b_lo, b_hi = float(pots[j][0]), float(pots[j][-1])
-
+        cur[1:, 0] = pots[j][0]
+        cur[1:, -1] = pots[j][-1]
         v = cur[0]
-        fl = 0
-        m_min = max(1, int(math.ceil(INTERIOR_T_FRACTION * nt)))
         for m in range(1, nt + 1):
             if lam >= 1.0 - 1e-12:
                 cont = 0.5 * (v[:-2] + v[2:])
             else:
                 cont = 0.5 * lam * (v[:-2] + v[2:]) + (1.0 - lam) * v[1:-1]
-            obs_row = prev[m] + duj
-            obs_int = obs_row[1:-1]
+            obs_int = prev[m, 1:-1] + du_int
             # ties stop; the relative slack keeps float dust from unmarking
             # tail columns whose obstacle increment underflows
             stop_dec = obs_int >= cont - 1e-12 * (1.0 + np.abs(cont))
             row = cur[m]
             row[1:-1] = np.where(stop_dec, obs_int, cont)
-            row[0] = b_lo
-            row[-1] = b_hi
-
-            interior_first = first[1:-1]
-            newly = stop_dec & (interior_first == SENTINEL)
-            if newly.any():
-                interior_first[newly] = m
-            # monotonicity flags: un-stopped above the first hit, ignoring
-            # sub-resolution hover where the gap sits at float scale
-            material = (cont - obs_int) > 1e-9 * (1.0 + np.abs(cont))
-            fl += int(np.count_nonzero(~stop_dec & material & (interior_first < m)))
-            if first[0] == SENTINEL:
-                first[0] = m
-            if first[-1] == SENTINEL:
-                first[-1] = m
-
-            gap = row[1:-1] - obs_int
-            st.min_gap = min(st.min_gap, float(gap.min()))
-            if m >= m_min:
-                heat = (row[1:-1] - v[1:-1]) / dt \
-                    - (row[2:] - 2.0 * row[1:-1] + row[:-2]) / (2.0 * dx * dx)
-                unstopped = ~stop_dec & resid_mask
-                if unstopped.any():
-                    st.max_heat_unstopped = max(st.max_heat_unstopped,
-                                                float(np.abs(heat[unstopped]).max()))
-                minres = np.abs(np.minimum(heat, gap))[resid_mask]
-                st.max_min_residual = max(st.max_min_residual, float(minres.max()))
-                st.both_exceed += int(np.count_nonzero(
-                    (heat > tol) & (gap > tol) & resid_mask))
-                st.interior_nodes += int(resid_mask.sum())
-                pde = np.abs(np.minimum(heat, gap / ds_j))
-                pde[~resid_mask] = 0.0
-                k = int(pde.argmax())
-                if pde[k] > st.pde_max:
-                    st.pde_max = float(pde[k])
-                    st.pde_loc = (float(ts[m]), float(xs[k + 1]))
-            if keep_mask[m]:
-                layers[j, keep_slot[m]] = row
             v = row
-
-        if keep_mask[0]:
-            layers[j, keep_slot[0]] = U0
-        flagged[j - 1] = fl
-        stats_all.append(st)
+        layers[j] = cur[kept_index]
+        scans.append(scan_layer(cur, prev, duj, grid, resid_mask, tol,
+                                float(svals[j - 1]), float(svals[j])))
         prev, cur = cur, prev
 
-    region = np.where(stop_first == SENTINEL, 0, nt + 1 - stop_first).sum(axis=1)
+    stop_first, flagged, region, stats = _stack_scans(scans, nt)
     return ValueSurface(partition=partition, grid=grid, family_desc=family.descriptor(),
-                        t_kept=t_kept, kept_index=kept_index, layers=layers, du=du,
-                        stop_first=stop_first, flagged=flagged, region_nodes=region,
-                        layer_stats=stats_all, tol=tol,
+                        t_kept=grid.t_nodes()[kept_index], kept_index=kept_index,
+                        layers=layers, du=du, stop_first=stop_first, flagged=flagged,
+                        region_nodes=region, layer_stats=stats, tol=tol,
                         full_rows=kept_index.size == nt + 1, resid_mask=resid_mask)
+
+
+def scan_layer(u: np.ndarray, u_prev: np.ndarray, duj: np.ndarray, grid: SpaceTimeGrid,
+               resid_mask: np.ndarray, tol: float, s_prev: float, s_val: float,
+               eps: float = 0.0):
+    """Stop set, first hits, monotonicity flags and residual statistics of
+    one layer, from the full (nt+1, nx+1) panels u (layer j) and u_prev
+    (layer j-1).
+
+    An interior node at time index m >= 1 is stopped when its obstacle gap
+    u - (u_prev + dU_j) is at most eps.  With eps = 0 this is the scheme's
+    own choice, bit for bit: a stopped node stores the obstacle exactly and
+    a continuing node a value strictly above it.  The panels are read in
+    blocks of CHUNK_ROWS rows, so temporaries stay O(CHUNK_ROWS * nx).
+
+    Returns (first, flagged, stats): the first stopped time index per column
+    (SENTINEL: never), the count of un-stopped nodes above the first hit, and
+    the layer's LayerStats.
+    """
+    nt = grid.nt
+    dt, dx = grid.dt, grid.dx
+    ts, xs = grid.t_nodes(), grid.x_nodes()
+    st = LayerStats(s_prev=s_prev, s_val=s_val)
+    ds_j = s_val - s_prev
+    # t = 0 row: prescribed data; a node is in the stopping region only
+    # where the obstacle increment already vanishes (relative float scale,
+    # so potentials coinciding on half-lines register exactly)
+    first = np.full(u.shape[1], SENTINEL, dtype=np.int32)
+    first[np.abs(duj) <= 1e-12 * (1.0 + np.abs(u[0]))] = 0
+    # boundary columns carry Dirichlet data from the first step on
+    first[[0, -1]] = np.minimum(first[[0, -1]], 1)
+    inner = first[1:-1]
+    m_min = max(1, int(math.ceil(INTERIOR_T_FRACTION * nt)))
+    flagged = 0
+    for a in range(1, nt + 1, CHUNK_ROWS):
+        b = min(a + CHUNK_ROWS, nt + 1)
+        rows = u[a:b, 1:-1]
+        gap = rows - (u_prev[a:b, 1:-1] + duj[1:-1])
+        stop = gap <= eps
+        hit = stop.any(axis=0)
+        np.minimum(inner, np.where(hit, a + stop.argmax(axis=0), SENTINEL), out=inner)
+        # monotonicity flags: un-stopped above the first hit, ignoring
+        # sub-resolution hover where the gap sits at float scale
+        above = ~stop & (np.arange(a, b)[:, None] > inner)
+        if above.any():
+            flagged += int(np.count_nonzero(gap[above] > 1e-9 * (1.0 + np.abs(rows[above]))))
+        st.min_gap = min(st.min_gap, float(gap.min()))
+
+        c = max(a, m_min)
+        if c >= b:
+            continue
+        row = u[c:b]
+        heat = (row[:, 1:-1] - u[c - 1:b - 1, 1:-1]) / dt \
+            - (row[:, 2:] - 2.0 * row[:, 1:-1] + row[:, :-2]) / (2.0 * dx * dx)
+        g = gap[c - a:]
+        st.max_heat_unstopped = max(st.max_heat_unstopped, float(np.abs(heat).max(
+            where=~stop[c - a:] & resid_mask, initial=0.0)))
+        both = np.minimum(heat, g)
+        st.max_min_residual = max(st.max_min_residual,
+                                  float(np.abs(both).max(where=resid_mask, initial=0.0)))
+        st.both_exceed += int(np.count_nonzero((both > tol) & resid_mask))
+        st.interior_nodes += (b - c) * int(resid_mask.sum())
+        pde = np.abs(np.minimum(heat, g / ds_j))
+        pde[:, ~resid_mask] = 0.0
+        k = int(pde.argmax())
+        # strict > keeps the first occurrence in (t, x) order
+        if pde.flat[k] > st.pde_max:
+            r, i = divmod(k, pde.shape[1])
+            st.pde_max = float(pde.flat[k])
+            st.pde_loc = (float(ts[c + r]), float(xs[i + 1]))
+    return first, flagged, st
+
+
+def _stack_scans(scans: list, nt: int):
+    """Per-layer scan_layer results as (stop_first, flagged, region_nodes, stats)."""
+    stop_first = np.stack([sc[0] for sc in scans])
+    flagged = np.array([sc[1] for sc in scans], dtype=np.int64)
+    region = np.where(stop_first == SENTINEL, 0, nt + 1 - stop_first).sum(axis=1)
+    return stop_first, flagged, region, [sc[2] for sc in scans]
+
+
+def rescan(surface: ValueSurface, eps: float = 0.0, tol: Optional[float] = None):
+    """Run scan_layer over the stored layers of a full-row surface.
+
+    Returns (stop_first, flagged, region_nodes, stats) as solve_layers
+    records them; eps = 0 reproduces the solve's records from the stored
+    values, so corrupted values show up in the statistics.
+    """
+    if not surface.full_rows:
+        raise ValidationError("rescanning needs a surface with all rows kept")
+    tol = surface.tol if tol is None else tol
+    pts = surface.partition.points
+    scans = [scan_layer(surface.layers[j], surface.layers[j - 1], surface.du[j - 1],
+                        surface.grid, surface.resid_mask, tol,
+                        float(pts[j - 1]), float(pts[j]), eps)
+             for j in range(1, surface.n + 1)]
+    return _stack_scans(scans, surface.grid.nt)
 
 
 def complementarity_check(surface: ValueSurface, tol: Optional[float] = None) -> ComplementarityReport:
     """Discrete complementarity diagnostics.
 
-    With every time row present the residuals are recomputed from the stored
+    With every time row present the statistics are rescanned from the stored
     values (so injected corruption is caught); otherwise the statistics
     gathered during the solve are used.  Layer 0 carries prescribed data and
     is excluded.
     """
     tol = surface.tol if tol is None else tol
-    if surface.full_rows:
-        per_layer = _recompute_stats(surface, tol)
-    else:
-        per_layer = surface.layer_stats
+    per_layer = rescan(surface, tol=tol)[3] if surface.full_rows else surface.layer_stats
     max_heat = max((st.max_heat_unstopped for st in per_layer), default=0.0)
     max_viol = max((max(0.0, -st.min_gap) for st in per_layer), default=0.0)
     max_minres = max((st.max_min_residual for st in per_layer), default=0.0)
@@ -296,43 +341,6 @@ def complementarity_check(surface: ValueSurface, tol: Optional[float] = None) ->
                                  frac_both_exceed=both / total if total else 0.0,
                                  max_min_residual=max_minres,
                                  tol=tol, per_layer=per_layer)
-
-
-def _recompute_stats(surface: ValueSurface, tol: float) -> list:
-    grid = surface.grid
-    dt, dx = grid.dt, grid.dx
-    ts = grid.t_nodes()
-    xs = grid.x_nodes()
-    resid_mask = surface.resid_mask if surface.resid_mask is not None \
-        else np.ones(grid.nx - 1, dtype=bool)
-    out = []
-    for j in range(1, surface.n + 1):
-        st = LayerStats(s_prev=float(surface.partition.points[j - 1]),
-                        s_val=float(surface.partition.points[j]))
-        ds_j = st.s_val - st.s_prev
-        uj = surface.layers[j]
-        obs = surface.layers[j - 1] + surface.du[j - 1][None, :]
-        m_min = max(1, int(math.ceil(INTERIOR_T_FRACTION * grid.nt)))
-        heat = (uj[m_min:, 1:-1] - uj[m_min - 1:-1, 1:-1]) / dt \
-            - (uj[m_min:, 2:] - 2.0 * uj[m_min:, 1:-1] + uj[m_min:, :-2]) / (2.0 * dx * dx)
-        gap = uj[m_min:, 1:-1] - obs[m_min:, 1:-1]
-        stopped = gap <= STOP_DECISION_GAP
-        unstopped = ~stopped & resid_mask[None, :]
-        if unstopped.any():
-            st.max_heat_unstopped = float(np.abs(heat[unstopped]).max())
-        st.min_gap = float(gap.min())
-        minres = np.abs(np.minimum(heat, gap))[:, resid_mask]
-        st.max_min_residual = float(minres.max())
-        st.both_exceed = int(np.count_nonzero((heat > tol) & (gap > tol)
-                                              & resid_mask[None, :]))
-        st.interior_nodes = int(heat.shape[0] * resid_mask.sum())
-        pde = np.abs(np.minimum(heat, gap / ds_j))
-        pde[:, ~resid_mask] = 0.0
-        k = np.unravel_index(int(pde.argmax()), pde.shape)
-        st.pde_max = float(pde[k])
-        st.pde_loc = (float(ts[k[0] + m_min]), float(xs[k[1] + 1]))
-        out.append(st)
-    return out
 
 
 # ---------------------------------------------------------------------------

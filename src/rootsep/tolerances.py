@@ -12,11 +12,6 @@ SCHEME_C = 0.25
 # full-marginal residual tolerance is PDE_C * (dx + dt + partition mesh)
 PDE_C = 0.2
 
-# a node counts as stopped when its obstacle gap falls below this; the
-# explicit scheme writes exact zeros at stopped nodes so this only guards
-# float dust
-STOP_DECISION_GAP = 1e-11
-
 # convex-order slack on potentials
 CONVEX_TOL = 1e-9
 

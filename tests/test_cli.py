@@ -210,6 +210,28 @@ def test_simulation_inputs_rejected_before_solve(tmp_path, monkeypatch, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, bad", [
+    ("levels = 2", "levels = three"),
+    ("t0 = 1.0", "t0 = abc"),
+    ("probe_times = 0.25,1.0", "probe_times = a,b"),
+])
+def test_unparsable_values_rejected(tmp_path, capsys, setting, bad):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_GAUSS.replace(setting, bad), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["all", "--config", str(cfg), "--out", str(out)]) == 1
+    key, value = bad.split(" = ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", sorted((Path(__file__).parents[1] / "configs").glob("*.ini")),
+                         ids=lambda p: p.name)
+def test_shipped_config_simulation_settings(config):
+    cli.Run(load_config(config)).check_simulation()
+
+
 @pytest.fixture()
 def both_config(tmp_path):
     p = tmp_path / "both.ini"

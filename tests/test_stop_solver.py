@@ -6,7 +6,7 @@ import pytest
 import rootsep as rs
 from rootsep.errors import ConvexOrderError, GridBudgetError, ValidationError
 from rootsep.marginals import gaussian_potential
-from rootsep.stop_solver import rule_count, scheme_tolerance
+from rootsep.stop_solver import rescan, rule_count, scheme_tolerance
 
 SQRT_3_OVER_PI = math.sqrt(3.0 / math.pi)
 SQRT_4_OVER_PI = math.sqrt(4.0 / math.pi)
@@ -178,6 +178,22 @@ def test_complementarity_detects_corruption(gauss_family):
     rep = rs.complementarity_check(surf)
     assert not rep.passed
     assert rep.max_min_residual > clean.max_min_residual + 0.05
+
+
+@pytest.mark.parametrize("fixture", ["gauss_surface_small", "two_atom_surface"])
+def test_complementarity_rescan_matches_solve_stats(request, fixture):
+    surf = request.getfixturevalue(fixture)
+    assert surf.full_rows
+    assert rs.complementarity_check(surf).per_layer == surf.layer_stats
+
+
+@pytest.mark.parametrize("fixture", ["gauss_surface_small", "two_atom_surface"])
+def test_rescan_reproduces_stop_records(request, fixture):
+    surf = request.getfixturevalue(fixture)
+    stop_first, flagged, region_nodes, _ = rescan(surf)
+    assert np.array_equal(stop_first, surf.stop_first)
+    assert np.array_equal(flagged, surf.flagged)
+    assert np.array_equal(region_nodes, surf.region_nodes)
 
 
 # ---------------------------------------------------------------------------
