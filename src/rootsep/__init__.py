@@ -15,7 +15,7 @@ from .errors import (CheckError, ConfigError, ConvexOrderError,
 from .grid import Partition, SpaceTimeGrid, make_grid, make_partition, refine
 from .limit_solver import (LimitSurface, bounds_check, partition_independence,
                            pde_residual, regularity_report, solve_limit)
-from .marginals import (AtomicMeasure, AtomicTableFamily, GaussianShiftFamily,
+from .marginals import (AtomicMeasure, AtomicTableFamily, GaussianShiftFamily, Law,
                         MarginalFamily, PathologicalGrowthFamily, ScaledFamily,
                         ThreePointFamily, assumption_check, build_pathological_family,
                         call_price, convex_order_validate, load_atomic_family_csv,

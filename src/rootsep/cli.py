@@ -196,8 +196,10 @@ class Run:
             if abs(m * grid.dt - t) > 1e-9:
                 raise ConfigError(f"probe time {t} is not a grid time (dt={grid.dt})")
             keep.add(m * grid.dt)
+        sc = self.cfg.getfloat("tolerances", "scheme_c")
         return solve_layers(self.family, self.partition, grid,
-                            keep_times=np.array(sorted(keep)))
+                            keep_times=np.array(sorted(keep)),
+                            tol=None if sc is None else sc * (grid.dx + grid.dt))
 
     @cached_property
     def barrier(self):
@@ -242,9 +244,7 @@ class Run:
 def cmd_solve(run: Run, out: Path) -> int:
     t0 = time.time()
     surface, grid = run.surface, run.grid
-    sc = run.cfg.getfloat("tolerances", "scheme_c")
-    tol = None if sc is None else sc * (grid.dx + grid.dt)
-    report = complementarity_check(surface, tol=tol)
+    report = complementarity_check(surface)
     barrier = run.barrier
 
     out.mkdir(parents=True, exist_ok=True)

@@ -111,17 +111,18 @@ def make_grid(family, T: float, dx: float, *, L: float | None = None,
 
     L defaults to max_s support_radius(s) + 3 sqrt(T), rounded up to a grid
     node.  dt = lam * dx^2; lam defaults to 1 (symmetric random-walk
-    average), except for families with atomic marginals, whose kinked data
-    would keep an undamped checkerboard mode at lam = 1, so they default to
-    the damped ratio 0.8.  With binary_steps the space step is snapped to
-    the nearest power of two so every node is an exact binary fraction.
+    average), except when the initial law mu_0 has atoms (a point start
+    included): its kinked data would keep an undamped checkerboard mode at
+    lam = 1, so it defaults to the damped ratio 0.8.  With binary_steps the
+    space step is snapped to the nearest power of two so every node is an
+    exact binary fraction.
     """
     if T <= 0 or dx <= 0:
         raise ValidationError("grid requires T > 0 and dx > 0")
     if binary_steps:
         dx = 2.0 ** round(math.log2(dx))
     if lam is None:
-        lam = 1.0 if family.atoms(0.0) is None else DAMPED_LAMBDA
+        lam = DAMPED_LAMBDA if family.law(0.0).positions.size else 1.0
     if not 0.0 < lam <= 1.0:
         raise ValidationError("parabolic ratio must lie in (0, 1]")
     if L is None:

@@ -118,12 +118,15 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
     x_probe = np.linspace(-L, L, 33)
     du_total = float(np.abs(family.potential(1.0, x_probe)
                             - family.potential(0.0, x_probe)).max())
-    constant_family = du_total < 1e-14
+    if du_total < 1e-14:
+        # the obstacle never binds and every level reproduces U(0, .), so
+        # one level on the requested space step is the limit
+        dx_steps = dx_steps[-1:]
 
-    for k in range(levels):
+    for k, dx_k in enumerate(dx_steps):
         t0 = time.perf_counter()
         # share the coarse level's rounded horizon so kept rows exist everywhere
-        grid_k = make_grid(family, grid_coarse.T, dx_steps[k], L=L, **kwargs)
+        grid_k = make_grid(family, grid_coarse.T, dx_k, L=L, **kwargs)
         surface = solve_layers(family, part, grid_k, keep_times=lattice_t)
         vals = _lattice_values(surface, lattice_s, lattice_x)
         ms = (time.perf_counter() - t0) * 1e3
@@ -146,11 +149,8 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
                     f"cauchy difference stalled: {prev_c:.3e} -> {cauchy:.3e} at n={part.n}")
         prev_vals = vals
         finest_surface = surface
-        if k < levels - 1:
+        if k < len(dx_steps) - 1:
             part = refine(part)
-        if constant_family:
-            # the obstacle never binds and every level reproduces U(0, .)
-            break
 
     return LimitSurface(lattice_s=lattice_s, lattice_t=lattice_t, lattice_x=lattice_x,
                         values=prev_vals, history=history, style=style,

@@ -1,12 +1,16 @@
-"""Peacock marginal families represented through their potential functions.
+"""Peacock marginal families: closed-form potentials plus one law description.
 
 A family (mu_s), s in [0,1], of centred probability measures that is
-non-decreasing in convex order is handled entirely through
+non-decreasing in convex order is given through
 
     potential(s, x)  =  -E_{Y ~ mu_s} |x - Y|,
 
 which is concave, 1-Lipschitz in x, and pointwise non-increasing in s.
-All shipped kinds have closed-form potentials.  Every operation is pure,
+A family kind defines `potential`, `potential_ds`, `support_radius`, `law`
+and `descriptor`.  `law(s)` describes mu_s as atoms plus a centred Gaussian
+part; the CDF, call price, Gaussian floor and initial sampling derive from
+it, and so do the grid's damping default, the solver's kink guard and
+off-grid rule, and the simulator's fit metric.  Every operation is pure,
 families are immutable after construction, and sampling takes an explicit
 (seed, stream) pair so parallel callers never share generator state.
 """
@@ -74,7 +78,34 @@ def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# atomic measures
+# laws
+
+
+@dataclass(frozen=True)
+class Law:
+    """One marginal mu_s as atoms plus a centred Gaussian part.
+
+    The atoms carry `weights` at `positions`; the remaining mass
+    1 - sum(weights) is N(0, normal_var).  normal_var is None when that
+    continuous part is not Gaussian.  Atoms of zero weight are dropped.
+    """
+
+    positions: np.ndarray = ()
+    weights: np.ndarray = ()
+    normal_var: Optional[float] = 0.0
+
+    def __post_init__(self):
+        pos = np.asarray(self.positions, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        keep = w > 0.0
+        object.__setattr__(self, "positions", pos[keep])
+        object.__setattr__(self, "weights", w[keep])
+
+    @property
+    def normal_mass(self) -> float:
+        """Mass of the continuous part; 0 for a purely atomic law."""
+        rest = 1.0 - float(self.weights.sum())
+        return rest if rest > WEIGHT_TOL else 0.0
 
 
 @dataclass(frozen=True)
@@ -105,19 +136,7 @@ class AtomicMeasure:
 
     def potential(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = -(np.abs(x[..., None] - self.positions) @ self.weights)
-        return out
-
-    def potential_dx(self, x):
-        # subgradient 1 - 2 F(x) with right-continuous F
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return 1.0 - 2.0 * self.cdf(x)
-
-    def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.searchsorted(self.positions, x, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        return cum[idx]
+        return -(np.abs(x[..., None] - self.positions) @ self.weights)
 
     def quantile_radius(self, eps: float = TAIL_MASS) -> float:
         # smallest radius keeping all but <= eps/2 tail mass on each side
@@ -127,40 +146,8 @@ class AtomicMeasure:
         right = max(int(np.searchsorted(cum, 1.0 - eps / 2.0, side="left")), 0)
         return float(max(abs(self.positions[left]), abs(self.positions[right])))
 
-    def sample(self, rng: np.random.Generator, count: int):
-        cum = np.cumsum(self.weights)
-        u = rng.random(count)
-        return self.positions[np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1)]
-
-    def variance(self) -> float:
-        return float(self.weights @ self.positions ** 2)
-
     def descriptor(self):
         return {"positions": self.positions.tolist(), "weights": self.weights.tolist()}
-
-
-class NormalBase:
-    """Standard normal base law for scaled families."""
-
-    kind = "normal"
-
-    def potential(self, x):
-        return gaussian_potential(1.0, x)
-
-    def potential_dx(self, x):
-        return 1.0 - 2.0 * ndtr(np.asarray(x, dtype=float))
-
-    def cdf(self, x):
-        return ndtr(np.asarray(x, dtype=float))
-
-    def quantile_radius(self, eps: float = TAIL_MASS) -> float:
-        return float(ndtri(1.0 - eps))
-
-    def sample(self, rng, count):
-        return rng.standard_normal(count)
-
-    def descriptor(self):
-        return {"base": "normal"}
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +155,12 @@ class NormalBase:
 
 
 class MarginalFamily:
-    """Interface shared by all family kinds.  Values are immutable."""
+    """Interface shared by all family kinds.  Values are immutable.
+
+    A kind defines potential, potential_ds, support_radius, law and
+    descriptor; the CDF, call price, Gaussian floor and initial sampling
+    are derived from the law.
+    """
 
     kind = "abstract"
     mean = 0.0
@@ -182,36 +174,61 @@ class MarginalFamily:
     def support_radius(self, s: float) -> float:
         raise NotImplementedError
 
+    def law(self, s: float) -> Law:
+        raise NotImplementedError
+
+    def atoms(self, s: float) -> Law:
+        # former name of law(); perfbench/workloads.py still reads it
+        return self.law(s)
+
     def sample_initial(self, count: int, seed: int, stream: int = 0) -> np.ndarray:
         return self.sample_initial_rng(make_stream(seed, stream), count)
 
     def sample_initial_rng(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        raise NotImplementedError
+        law = self.law(0.0)
+        if law.normal_mass == 0.0:
+            cum = np.cumsum(law.weights)
+            idx = np.searchsorted(cum, rng.random(count), side="right")
+            return law.positions[idx.clip(0, len(cum) - 1)]
+        if law.positions.size or law.normal_var is None:
+            raise ValidationError(f"{self.kind}: no sampler for the initial law")
+        return math.sqrt(law.normal_var) * rng.standard_normal(count)
 
-    def cdf(self, s: float, x) -> Optional[np.ndarray]:
-        return None
+    def cdf(self, s: float, x) -> np.ndarray:
+        """Right-continuous distribution function of mu_s."""
+        law = self.law(s)
+        if law.normal_var is None:
+            raise ValidationError(f"{self.kind}: no closed-form CDF")
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = (x[..., None] >= law.positions) @ law.weights
+        if law.normal_mass:
+            out = out + law.normal_mass * ndtr(x / math.sqrt(law.normal_var))
+        return out
 
-    def atoms(self, s: float) -> Optional[AtomicMeasure]:
-        return None
-
-    def snapped(self, x_nodes: np.ndarray) -> "MarginalFamily":
-        """Family copy with atoms snapped to grid nodes when within dx/2."""
-        return self
+    def call_price(self, s: float, x) -> np.ndarray:
+        """E (Y - x)+ for Y ~ mu_s; equals -(potential + x)/2 for centred laws."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return -(self.potential(s, x) + x) / 2.0
 
     def initial_gaussian_floor(self, t: float, x) -> np.ndarray:
         """Potential of mu_0 * N(0, t), the Jensen floor for running values.
 
-        For a point-mass start this is the plain Gaussian potential; in
-        general the initial spread enters the floor.
+        Each atom p spreads to N(p, t) and the Gaussian part to
+        N(0, normal_var + t); a law without atoms gives the plain Gaussian
+        potential.
         """
-        m = self.atoms(0.0)
-        if m is None:
+        law = self.law(0.0)
+        if law.normal_var is None:
             raise ValidationError(
                 f"{self.kind}: no closed form for the initial-law Gaussian floor")
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if law.positions.size == 0:
+            return gaussian_potential(law.normal_var + t, x)
         out = np.zeros_like(x)
-        for p, w in zip(m.positions, m.weights):
+        for p, w in zip(law.positions, law.weights):
             out += w * gaussian_potential(t, x - p)
+        if law.normal_mass:
+            out += law.normal_mass * gaussian_potential(law.normal_var + t, x)
         return out
 
     def descriptor(self) -> dict:
@@ -254,33 +271,26 @@ class GaussianShiftFamily(MarginalFamily):
     def support_radius(self, s):
         return math.sqrt(self.t0 + s) * _NORMAL_RADIUS
 
-    def cdf(self, s, x):
-        return ndtr(np.asarray(x, dtype=float) / math.sqrt(self.t0 + s))
-
-    def initial_gaussian_floor(self, t, x):
-        return gaussian_potential(self.t0 + t, x)
-
-    def sample_initial_rng(self, rng, count):
-        return math.sqrt(self.t0) * rng.standard_normal(count)
+    def law(self, s):
+        return Law(normal_var=self.t0 + s)
 
     def descriptor(self):
         return {"kind": self.kind, "t0": self.t0}
 
 
 class ScaledFamily(MarginalFamily):
-    """mu_s = law of (s + s0) X for a centred base law X; s0 >= 0.
+    """mu_s = law of (s + s0) Z for a standard normal Z; s0 >= 0.
 
-    With s0 = 0 the index derivative of the potential blows up at s = 0,
-    which potential_ds reports as a singularity.
+    With s0 = 0, mu_0 is the point mass at 0 and the index derivative of the
+    potential blows up at s = 0, which potential_ds reports as a singularity.
     """
 
     kind = "scaled"
 
-    def __init__(self, s0: float, base=None):
+    def __init__(self, s0: float):
         if s0 < 0:
             raise ValidationError("scaled family requires s0 >= 0")
         self.s0 = float(s0)
-        self.base = base if base is not None else NormalBase()
 
     def _scale(self, s):
         return self.s0 + s
@@ -290,44 +300,30 @@ class ScaledFamily(MarginalFamily):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if c == 0.0:
             return -np.abs(x)
-        return c * self.base.potential(x / c)
+        return c * gaussian_potential(1.0, x / c)
 
     def potential_ds(self, s, x):
         c = self._scale(s)
         if c == 0.0:
             raise SingularityError("scaled family with s0 = 0 has a singular index derivative at s = 0")
         xi = np.atleast_1d(np.asarray(x, dtype=float)) / c
-        return self.base.potential(xi) - xi * self.base.potential_dx(xi)
+        return gaussian_potential(1.0, xi) - xi * (1.0 - 2.0 * ndtr(xi))
 
     def support_radius(self, s):
-        return self._scale(s) * self.base.quantile_radius()
+        return self._scale(s) * _NORMAL_RADIUS
 
-    def cdf(self, s, x):
+    def law(self, s):
         c = self._scale(s)
-        if c == 0.0:
-            return (np.atleast_1d(np.asarray(x, dtype=float)) >= 0.0).astype(float)
-        return self.base.cdf(np.asarray(x, dtype=float) / c)
-
-    def atoms(self, s):
-        if isinstance(self.base, AtomicMeasure):
-            c = self._scale(s)
-            if c == 0.0:
-                return AtomicMeasure(np.array([0.0]), np.array([1.0]))
-            return AtomicMeasure(c * self.base.positions, self.base.weights)
-        return None
-
-    def initial_gaussian_floor(self, t, x):
-        if isinstance(self.base, NormalBase):
-            return gaussian_potential(self.s0 ** 2 + t, x)
-        return super().initial_gaussian_floor(t, x)
+        return Law([0.0], [1.0]) if c == 0.0 else Law(normal_var=c * c)
 
     def sample_initial_rng(self, rng, count):
+        # the point start draws nothing, so path increments keep their stream
         if self.s0 == 0.0:
             return np.zeros(count)
-        return self.s0 * self.base.sample(rng, count)
+        return self.s0 * rng.standard_normal(count)
 
     def descriptor(self):
-        return {"kind": self.kind, "s0": self.s0, **self.base.descriptor()}
+        return {"kind": self.kind, "s0": self.s0, "base": "normal"}
 
 
 class ThreePointFamily(MarginalFamily):
@@ -357,16 +353,10 @@ class ThreePointFamily(MarginalFamily):
     def support_radius(self, s):
         return 1.0
 
-    def atoms(self, s):
+    def law(self, s):
         p = self.p(s)
-        if p == 0.0:
-            return AtomicMeasure(np.array([0.0]), np.array([1.0]))
-        if abs(1.0 - 2.0 * p) < 1e-15:
-            return AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-        return AtomicMeasure(np.array([-1.0, 0.0, 1.0]), np.array([p, 1.0 - 2.0 * p, p]))
-
-    def sample_initial_rng(self, rng, count):
-        return self.atoms(0.0).sample(rng, count)
+        mid = 1.0 - 2.0 * p
+        return Law([-1.0, 0.0, 1.0], [p, mid if mid >= 1e-15 else 0.0, p])
 
     def descriptor(self):
         return {"kind": self.kind, "p0": self.p0, "p1": self.p1}
@@ -410,30 +400,9 @@ class AtomicTableFamily(MarginalFamily):
     def support_radius(self, s):
         return self._measure(s).quantile_radius()
 
-    def cdf(self, s, x):
-        return self._measure(s).cdf(x)
-
-    def atoms(self, s):
-        return self._measure(s)
-
-    def snapped(self, x_nodes):
-        x_nodes = np.asarray(x_nodes, dtype=float)
-        dx = float(x_nodes[1] - x_nodes[0])
-        new_entries = []
-        for s, m in self.entries:
-            idx = np.clip(np.round((m.positions - x_nodes[0]) / dx).astype(int), 0, len(x_nodes) - 1)
-            cand = x_nodes[idx]
-            near = np.abs(cand - m.positions) <= dx / 2 + 1e-12
-            pos = np.where(near, cand, m.positions)
-            # snapping may break exact centering; re-balance only if it stays tiny
-            shift = float(m.weights @ pos)
-            if abs(shift) <= dx:
-                pos = pos - shift
-            new_entries.append((s, AtomicMeasure(pos, m.weights)))
-        return AtomicTableFamily(new_entries)
-
-    def sample_initial_rng(self, rng, count):
-        return self._measure(0.0).sample(rng, count)
+    def law(self, s):
+        m = self._measure(s)
+        return Law(m.positions, m.weights)
 
     def descriptor(self):
         return {"kind": self.kind,
@@ -557,6 +526,19 @@ class PathologicalGrowthFamily(MarginalFamily):
         dv = (1.0 - lam) * self._piece_call_dx(j, x) + lam * self._piece_call_dx(j + 1, x)
         return 1.0 + dv
 
+    def law(self, s):
+        # piece j puts the mass beyond x_j at x_{j+1}, where its tangent
+        # reaches zero; the continuous part is a truncated Gaussian
+        _check_index(s)
+        if s >= 1.0:
+            return Law(normal_var=1.0)
+        j = self._locate(s)
+        lam = self._ramp(j, s)
+        k = 2 if j + 1 < len(self.t_knots) else 1
+        tails = 1.0 - ndtr(self.x_knots[j:j + k])
+        return Law(self.x_knots[j + 1:j + 1 + k], np.array([1.0 - lam, lam])[:k] * tails,
+                   normal_var=None)
+
     def support_radius(self, s):
         return float(max(_NORMAL_RADIUS, self.x_knots[-1]))
 
@@ -592,12 +574,9 @@ def potential_ds(family: MarginalFamily, s: float, x):
 
 
 def call_price(family: MarginalFamily, s: float, x):
-    """E (Y - x)+ for Y ~ mu_s; equals -(potential + x)/2 for centred laws."""
+    """E (Y - x)+ for Y ~ mu_s; scalar in, scalar out."""
     _check_index(s)
-    if isinstance(family, PathologicalGrowthFamily):
-        return _shaped(family.call_price(s, x), x)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return _shaped(-(family.potential(s, x_arr) + x_arr) / 2.0, x)
+    return _shaped(family.call_price(s, x), x)
 
 
 @dataclass

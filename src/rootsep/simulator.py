@@ -268,15 +268,15 @@ def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily,
                  potential_probes=None) -> EmbeddingResult:
     """Per-marginal goodness of fit of the stopped values.
 
-    Atomic marginals are scored by nearest-atom masses; continuous ones by
-    the one-sample KS distance against the exact CDF.  Both also report the
+    Purely atomic laws are scored by nearest-atom masses; every other law by
+    the one-sample KS distance against its CDF.  Both also report the
     sup distance between empirical and exact potentials on probe points.
     """
     out = []
     for j in range(1, ensemble.n + 1):
         s_j = float(ensemble.s_values[j - 1])
         vals = ensemble.b_sigma[j][~ensemble.censored]
-        meas = family.atoms(s_j)
+        law = family.law(s_j)
         entry = {"j": j, "s": s_j, "count": int(vals.size)}
         if potential_probes is None:
             r = family.support_radius(s_j) + 1.0
@@ -289,12 +289,12 @@ def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily,
         entry["potential_curve"] = {"x": probes.tolist(), "empirical": emp.tolist(),
                                     "exact": np.asarray(ref).tolist()}
         pot_ok = entry["potential_distance"] <= POTENTIAL_THRESHOLD
-        if meas is not None:
-            nearest = np.argmin(np.abs(vals[:, None] - meas.positions[None, :]), axis=1)
-            masses = np.bincount(nearest, minlength=len(meas.positions)) / vals.size
+        if law.normal_mass == 0.0:
+            nearest = np.argmin(np.abs(vals[:, None] - law.positions[None, :]), axis=1)
+            masses = np.bincount(nearest, minlength=len(law.positions)) / vals.size
             entry["atom_masses"] = masses.tolist()
-            entry["atom_mass_error"] = float(np.abs(masses - meas.weights).max())
-            entry["atom_displacement"] = float(np.abs(vals - meas.positions[nearest]).max())
+            entry["atom_mass_error"] = float(np.abs(masses - law.weights).max())
+            entry["atom_displacement"] = float(np.abs(vals - law.positions[nearest]).max())
             entry["passed"] = bool(entry["atom_mass_error"] <= ATOM_MASS_THRESHOLD and pot_ok)
         else:
             order = np.argsort(vals, kind="stable")

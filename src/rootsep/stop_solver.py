@@ -125,14 +125,18 @@ class ComplementarityReport:
 
 
 def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGrid,
-                 keep_times=None) -> ValueSurface:
+                 keep_times=None, tol: Optional[float] = None) -> ValueSurface:
     """March the layered obstacle scheme across all marginal layers.
 
     keep_times: time values whose rows are retained in the result (None keeps
     every row).  The previous layer is always held at full resolution while
     the next one is computed, so memory stays at two full (t, x) panels plus
     the row-chunk temporaries of `scan_layer`, which reads both panels once a
-    layer is done.
+    layer is done.  tol: complementarity tolerance of the recorded
+    statistics (default `scheme_tolerance(grid)`).
+
+    Every atom of the partition's marginal laws must sit on an x-node;
+    an atom more than 1e-9 off the grid raises ValidationError.
     """
     report = convex_order_validate(family, s_probes=partition.points)
     if not report.passed:
@@ -142,7 +146,6 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     nt, nx = grid.nt, grid.nx
     dt, dx = grid.dt, grid.dx
     lam = grid.lam
-    family = family.snapped(xs)
 
     svals = partition.points
     n = partition.n
@@ -168,22 +171,23 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
                            atol=1e-9):
             raise ValidationError("keep_times must be grid times")
 
-    tol = scheme_tolerance(grid)
+    tol = scheme_tolerance(grid) if tol is None else tol
     U0 = pots[0]
     # atom columns of the marginals are kink lines of the value surface
     # (absorbed point masses) with onset transients of node-scale width;
     # centred stencils are pointwise inconsistent there, so residual maxima
-    # stay a fixed guard band away from every atom column
+    # stay a fixed guard band away from every atom column.  An atom between
+    # nodes would be solved as a different law, so it is rejected.
     resid_mask = np.ones(nx - 1, dtype=bool)
-    atom_pos = set()
-    for s in svals:
-        meas = family.atoms(float(s))
-        if meas is not None:
-            atom_pos.update(float(p) for p in meas.positions)
     guard = max(KINK_GUARD, 6 * dx)
-    for ppos in atom_pos:
-        near = np.abs(xs[1:-1] - ppos) <= guard
-        resid_mask[near] = False
+    for s in svals:
+        for p in family.law(float(s)).positions:
+            off = float(np.abs(xs - p).min())
+            if off > 1e-9:
+                raise ValidationError(
+                    f"atom at x={p:.12g} of the marginal at s={s:g} is {off:.3g} off "
+                    f"the grid (dx={dx:g}); atoms must sit on x-nodes")
+            resid_mask[np.abs(xs[1:-1] - p) <= guard] = False
     layers = np.empty((n + 1, kept_index.size, nx + 1))
     layers[0] = U0[None, :]
 
@@ -303,7 +307,7 @@ def _stack_scans(scans: list, nt: int):
     return stop_first, flagged, region, [sc[2] for sc in scans]
 
 
-def rescan(surface: ValueSurface, eps: float = 0.0, tol: Optional[float] = None):
+def rescan(surface: ValueSurface, eps: float = 0.0):
     """Run scan_layer over the stored layers of a full-row surface.
 
     Returns (stop_first, flagged, region_nodes, stats) as solve_layers
@@ -312,25 +316,23 @@ def rescan(surface: ValueSurface, eps: float = 0.0, tol: Optional[float] = None)
     """
     if not surface.full_rows:
         raise ValidationError("rescanning needs a surface with all rows kept")
-    tol = surface.tol if tol is None else tol
     pts = surface.partition.points
     scans = [scan_layer(surface.layers[j], surface.layers[j - 1], surface.du[j - 1],
-                        surface.grid, surface.resid_mask, tol,
+                        surface.grid, surface.resid_mask, surface.tol,
                         float(pts[j - 1]), float(pts[j]), eps)
              for j in range(1, surface.n + 1)]
     return _stack_scans(scans, surface.grid.nt)
 
 
-def complementarity_check(surface: ValueSurface, tol: Optional[float] = None) -> ComplementarityReport:
-    """Discrete complementarity diagnostics.
+def complementarity_check(surface: ValueSurface) -> ComplementarityReport:
+    """Discrete complementarity diagnostics at the solve's tolerance.
 
     With every time row present the statistics are rescanned from the stored
     values (so injected corruption is caught); otherwise the statistics
     gathered during the solve are used.  Layer 0 carries prescribed data and
     is excluded.
     """
-    tol = surface.tol if tol is None else tol
-    per_layer = rescan(surface, tol=tol)[3] if surface.full_rows else surface.layer_stats
+    per_layer = rescan(surface)[3] if surface.full_rows else surface.layer_stats
     max_heat = max((st.max_heat_unstopped for st in per_layer), default=0.0)
     max_viol = max((max(0.0, -st.min_gap) for st in per_layer), default=0.0)
     max_minres = max((st.max_min_residual for st in per_layer), default=0.0)
@@ -340,7 +342,7 @@ def complementarity_check(surface: ValueSurface, tol: Optional[float] = None) ->
                                  max_obstacle_violation=max_viol,
                                  frac_both_exceed=both / total if total else 0.0,
                                  max_min_residual=max_minres,
-                                 tol=tol, per_layer=per_layer)
+                                 tol=surface.tol, per_layer=per_layer)
 
 
 # ---------------------------------------------------------------------------

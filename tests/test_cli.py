@@ -267,3 +267,37 @@ def test_partition_independence_uses_the_written_ladder(both_config, tmp_path):
     # both finest levels share one grid, hence one scheme tolerance
     assert indep["bound"] == (conv["levels"][-1]["cauchy_diff"]
                               + geometric.cauchy_history[-1] + 2.0 * geometric.tol)
+
+
+# centred two-atom law whose atoms at -1.01 and 1.03 miss every node of a
+# dx = 0.05 grid
+OFF_GRID_CSV = ("s,position,weight\n0.0,0.0,1.0\n"
+                f"1.0,-1.01,{1.03 / 2.04!r}\n1.0,1.03,{1.01 / 2.04!r}\n")
+
+
+@pytest.mark.parametrize("command, family, dx, code", [
+    ("solve", "kind = gaussian_shift\nt0 = 1.0", 0.1, 0),
+    ("solve", "kind = scaled\ns0 = 0.0", 0.05, 0),
+    ("limit", "kind = scaled\ns0 = 0.0", 0.05, 0),
+    ("solve", "kind = three_point\np0 = 0.1\np1 = 0.3", 0.05, 0),
+    ("solve", "kind = three_point\np0 = 0.1\np1 = 0.3", 0.03, 1),
+    ("solve", "kind = atomic_csv\npath = fam.csv", 0.05, 1),
+    ("solve", "kind = pathological", 0.05, 1),
+], ids=["gaussian_shift", "scaled_point_start", "scaled_point_start_limit",
+        "three_point", "three_point_off_grid", "atomic_csv_off_grid", "pathological"])
+def test_verdict_for_every_family_kind(tmp_path, capsys, command, family, dx, code):
+    (tmp_path / "fam.csv").write_text(OFF_GRID_CSV, encoding="utf-8")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[family]\n{family}\n\n[grid]\nt_horizon = 1.25\ndx = {dx}\n\n"
+                   "[partition]\nn0 = 4\nlevels = 2\n\n[simulation]\nprobe_times =\n",
+                   encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert ("off the grid" in err) == (code == 1), err
+
+
+def test_scheme_c_sets_the_solve_tolerance(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_GAUSS + "\n[tolerances]\nscheme_c = 0.0005\n", encoding="utf-8")
+    run = cli.Run(load_config(cfg))
+    assert run.surface.tol == 0.0005 * (run.grid.dx + run.grid.dt)

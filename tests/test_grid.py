@@ -45,11 +45,12 @@ def test_refine_halves_mesh(style):
 
 
 def test_make_grid_normal_target():
-    fam = rs.ScaledFamily(0.0)           # single marginal N(0,1)
+    fam = rs.ScaledFamily(0.0)           # point start delta_0 spreading to N(0,1)
     g = rs.make_grid(fam, 2.0, 0.05)
     assert g.L >= 4.75 + 3 * np.sqrt(2.0) - 1e-9
-    assert g.dt == pytest.approx(0.0025)
-    assert g.lam == pytest.approx(1.0)
+    # the point start is an atom of mu_0, so the damped ratio applies
+    assert g.dt == pytest.approx(0.002)
+    assert g.lam == pytest.approx(0.8)
 
 
 def test_make_grid_two_atom(two_atom_family):
@@ -77,7 +78,7 @@ def test_binary_steps_snap():
     fam = rs.ScaledFamily(0.0)
     g = rs.make_grid(fam, 1.0, 0.05, binary_steps=True)
     assert g.dx == 0.0625          # nearest power of two
-    assert g.lam == 1.0
+    assert g.lam == 0.8
 
 
 def test_node_budget():

@@ -8,7 +8,7 @@ from scipy import integrate, stats
 
 import rootsep as rs
 from rootsep.errors import SingularityError, ValidationError
-from rootsep.marginals import gaussian_call, gaussian_call_dx
+from rootsep.marginals import gaussian_call, gaussian_call_dx, gaussian_potential
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -314,3 +314,55 @@ def test_initial_gaussian_floor(gauss_family, two_atom_family):
     # point start: plain Gaussian potential
     assert np.allclose(two_atom_family.initial_gaussian_floor(0.7, xs),
                        gaussian_potential(0.7, xs), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# law description
+
+LAW_FAMILIES = {
+    "gaussian_shift": lambda: rs.GaussianShiftFamily(0.7),
+    "scaled_point_start": lambda: rs.ScaledFamily(0.0),
+    "scaled": lambda: rs.ScaledFamily(0.5),
+    "three_point": lambda: rs.ThreePointFamily(0.1, 0.3),
+    "two_atom": lambda: rs.ThreePointFamily(0.0, 0.5),
+    "atomic_table": lambda: rs.AtomicTableFamily([
+        (0.0, rs.AtomicMeasure(np.array([0.0]), np.array([1.0]))),
+        (0.5, rs.AtomicMeasure(np.array([-1.0, 2.0]), np.array([2.0 / 3.0, 1.0 / 3.0])))]),
+    "pathological": lambda: rs.build_pathological_family(lambda x: abs(x) ** 3, pieces=6),
+}
+LAW_S = (0.0, 0.1, 0.3, 0.5, 0.77, 0.99, 1.0)
+LAW_X = np.linspace(-4.0, 4.0, 33)
+
+
+@pytest.mark.parametrize("kind", sorted(LAW_FAMILIES))
+def test_law_reproduces_potential(kind):
+    fam = LAW_FAMILIES[kind]()
+    checked = 0
+    for s in LAW_S:
+        law = fam.law(s)
+        if law.normal_var is None:
+            continue
+        rebuilt = (-(np.abs(LAW_X[:, None] - law.positions) @ law.weights)
+                   + law.normal_mass * gaussian_potential(law.normal_var, LAW_X))
+        assert np.max(np.abs(rebuilt - fam.potential(s, LAW_X))) <= 1e-12, s
+        checked += 1
+    # the tangent-chord family is Gaussian only at s = 1
+    assert checked >= 1
+
+
+@pytest.mark.parametrize("kind", sorted(LAW_FAMILIES))
+def test_atom_masses_are_cdf_jumps(kind):
+    fam = LAW_FAMILIES[kind]()
+    for s in LAW_S:
+        law = fam.law(s)
+        assert np.all(law.weights > 0.0) and law.weights.sum() <= 1.0 + 1e-12
+        for p, w in zip(law.positions, law.weights):
+            jump = fam.cdf(s, [p + 1e-9])[0] - fam.cdf(s, [p - 1e-9])[0]
+            assert jump == pytest.approx(w, abs=1e-8), (s, p)
+
+
+def test_pathological_floor_has_no_closed_form():
+    fam = rs.build_pathological_family(lambda x: abs(x) ** 3, pieces=6)
+    assert fam.law(0.0).normal_var is None
+    with pytest.raises(ValidationError):
+        fam.initial_gaussian_floor(0.5, np.zeros(3))

@@ -260,3 +260,13 @@ def test_lower_bound_rules(gauss_surface_small, gauss_family):
     est, se, ref = rs.lower_bound_mc(surf, gauss_family, rule, 20_000, seed=7, t=t)
     assert est <= ref + 3.0 * se + 2.0 * math.sqrt(h)
     assert abs(est - ref) <= 3.0 * se + 2.0 * math.sqrt(h)
+
+
+def test_kept_row_stats_use_the_solve_tolerance(gauss_family):
+    part = rs.make_partition(2, "uniform")
+    grid = rs.make_grid(gauss_family, 1.25, 0.1)
+    full = rs.complementarity_check(rs.solve_layers(gauss_family, part, grid, tol=1e-4))
+    kept = rs.complementarity_check(
+        rs.solve_layers(gauss_family, part, grid, keep_times=[0.0, grid.T], tol=1e-4))
+    assert full.tol == kept.tol == 1e-4
+    assert kept.frac_both_exceed == full.frac_both_exceed > 0.0
