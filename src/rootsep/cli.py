@@ -29,14 +29,14 @@ from . import barriers as bar
 from . import io as art
 from .errors import CheckError, ConfigError, ValidationError
 from .grid import DEFAULT_NODE_BUDGET, make_grid, make_partition
-from .limit_solver import (bounds_check, partition_independence, pde_residual,
-                           regularity_report, solve_limit)
+from .limit_solver import (bounds_check, ladder_levels, partition_independence,
+                           pde_residual, regularity_report, solve_limit)
 from .marginals import (GaussianShiftFamily, ScaledFamily, ThreePointFamily,
                         build_pathological_family, load_atomic_family_csv)
 from .simulator import (MonotonePiecewisePoly, alternative_embedding,
                         empirical_potential, marginal_fit, optimality_functional,
                         simulate_root)
-from .stop_solver import complementarity_check, solve_layers
+from .stop_solver import complementarity_check, grid_atoms, solve_layers
 
 _SCHEMA = {
     "family": {"kind": None, "t0": "1.0", "s0": "0.0", "base": "normal",
@@ -223,6 +223,15 @@ class Run:
             if abs(round(t / self.h_sim) * self.h_sim - t) > 1e-9:
                 raise ConfigError(f"probe time {t} is not a multiple of h_sim={self.h_sim}")
 
+    def check_ladder(self) -> None:
+        """Reject atoms that a refinement ladder grid misses, before any
+        solve: with refine_dx the coarsest step dx 2^(levels-1) can miss
+        atoms that the configured dx holds."""
+        styles = ("uniform", "geometric") if self.style == "both" else (self.style,)
+        for style in styles:
+            for part, grid in ladder_levels(self.family, **self.ladder, style=style)[1]:
+                grid_atoms(self.family, part.points, grid)
+
     def finish(self, out: Path, produced: list, t_start: float) -> None:
         """Echo the resolved config, hash the artifacts, record the run info."""
         lines = []
@@ -271,6 +280,7 @@ def cmd_solve(run: Run, out: Path) -> int:
 
 def cmd_limit(run: Run, out: Path) -> int:
     t0 = time.time()
+    run.check_ladder()
     limit = run.limit
     pde = pde_residual(limit)
     pc = run.cfg.getfloat("tolerances", "pde_c")
@@ -398,6 +408,7 @@ def cmd_verify(run: Run, out: Path) -> int:
 
 def cmd_all(run: Run, out: Path) -> int:
     run.check_simulation()
+    run.check_ladder()
     commands = (("solve", cmd_solve), ("limit", cmd_limit), ("verify", cmd_verify))
     return max([fn(run, out / sub) for sub, fn in commands])
 

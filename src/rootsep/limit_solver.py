@@ -86,6 +86,34 @@ def default_lattice(family: MarginalFamily, grid_coarse: SpaceTimeGrid,
     return lattice_s, lattice_t, lattice_x
 
 
+def ladder_levels(family: MarginalFamily, T: float, dx: float, n0: int, levels: int,
+                  style: str = "uniform", refine_dx: bool = True,
+                  node_budget: Optional[int] = None):
+    """The coarsest grid and the (partition, grid) pair of each ladder level.
+
+    Level k solves n0 2^k layers on the space step dx 2^(levels-1-k) (dx on
+    every level without refine_dx), with the coarsest grid's horizon and
+    domain.  A family whose marginals never change gets one level on dx: the
+    obstacle never binds and every level reproduces U(0, .).
+    """
+    if levels < 1:
+        raise ValidationError("need at least one refinement level")
+    dx_steps = [dx * 2 ** (levels - 1 - k) if refine_dx else dx for k in range(levels)]
+    kwargs = {} if node_budget is None else {"node_budget": node_budget}
+    coarse = make_grid(family, T, dx_steps[0], **kwargs)
+    x_probe = np.linspace(-coarse.L, coarse.L, 33)
+    du_total = float(np.abs(family.potential(1.0, x_probe)
+                            - family.potential(0.0, x_probe)).max())
+    if du_total < 1e-14:
+        dx_steps = dx_steps[-1:]
+    parts = [make_partition(n0, style)]
+    while len(parts) < len(dx_steps):
+        parts.append(refine(parts[-1]))
+    # share the coarse level's rounded horizon so kept rows exist everywhere
+    return coarse, [(part, make_grid(family, coarse.T, dx_k, L=coarse.L, **kwargs))
+                    for part, dx_k in zip(parts, dx_steps)]
+
+
 def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: int,
                 style: str = "uniform", refine_dx: bool = True,
                 lattice=None, x_halfwidth: float = 4.0,
@@ -93,16 +121,13 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
     """Refine the layered solve until the finest level (n0 2^(levels-1), dx).
 
     dx is the finest space step; coarser levels use dx 2^(levels-1-k) when
-    refine_dx is set, so the Cauchy contraction reflects the joint limit.
+    refine_dx is set, so the Cauchy contraction reflects the joint limit
+    (`ladder_levels`).
     """
-    if levels < 1:
-        raise ValidationError("need at least one refinement level")
+    grid_coarse, ladder = ladder_levels(family, T, dx, n0, levels, style, refine_dx,
+                                        node_budget)
     report = assumption_check(family)
     outside = not report.satisfied
-
-    dx_steps = [dx * 2 ** (levels - 1 - k) if refine_dx else dx for k in range(levels)]
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    grid_coarse = make_grid(family, T, dx_steps[0], **kwargs)
     L = grid_coarse.L
 
     if lattice is None:
@@ -111,22 +136,12 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
     if np.abs(lattice_x).max() > L:
         raise ValidationError("lattice x values outside the solver domain")
 
-    part = make_partition(n0, style)
     history = []
     prev_vals = None
     finest_surface = None
-    x_probe = np.linspace(-L, L, 33)
-    du_total = float(np.abs(family.potential(1.0, x_probe)
-                            - family.potential(0.0, x_probe)).max())
-    if du_total < 1e-14:
-        # the obstacle never binds and every level reproduces U(0, .), so
-        # one level on the requested space step is the limit
-        dx_steps = dx_steps[-1:]
 
-    for k, dx_k in enumerate(dx_steps):
+    for part, grid_k in ladder:
         t0 = time.perf_counter()
-        # share the coarse level's rounded horizon so kept rows exist everywhere
-        grid_k = make_grid(family, grid_coarse.T, dx_k, L=L, **kwargs)
         surface = solve_layers(family, part, grid_k, keep_times=lattice_t)
         vals = _lattice_values(surface, lattice_s, lattice_x)
         ms = (time.perf_counter() - t0) * 1e3
@@ -149,8 +164,6 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
                     f"cauchy difference stalled: {prev_c:.3e} -> {cauchy:.3e} at n={part.n}")
         prev_vals = vals
         finest_surface = surface
-        if k < len(dx_steps) - 1:
-            part = refine(part)
 
     return LimitSurface(lattice_s=lattice_s, lattice_t=lattice_t, lattice_x=lattice_x,
                         values=prev_vals, history=history, style=style,

@@ -3,9 +3,11 @@
 Paths start from the initial marginal and advance by Gaussian increments of
 size h_sim, monitored at multiples of h_sim with no bridge correction, so
 hitting times carry an O(sqrt(h_sim)) overshoot bias that the verification
-tolerances absorb.  Paths are processed in fixed-size blocks, each block on
-its own counter-based stream keyed by (seed, block index); results are
-therefore bit-identical for any thread count.
+tolerances absorb.  The randomized alternative embedding takes no time steps:
+its stopping time and stopped value are sampled exactly, from one normal and
+one uniform draw per path.  Paths are processed in fixed-size blocks, each
+block on its own counter-based stream keyed by (seed, block index); results
+are therefore bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import erfc
 
 from .barriers import BarrierFamily
 from .errors import HorizonError, ValidationError
@@ -368,63 +371,116 @@ class MonotonePiecewisePoly:
 
 
 def optimality_functional(ensemble: PathEnsemble, f: MonotonePiecewisePoly):
-    """Estimate E integral_0^sigma_n f(t) dt with exact inner integration."""
+    """Estimate E integral_0^sigma_n f(t) dt with exact inner integration.
+
+    A censored path contributes integral_0^horizon f, so with censored paths
+    the estimate is a lower bound (f >= 0).  More than the tolerated
+    fraction of censored paths raises HorizonError, as in `simulate_root`.
+    """
     if not isinstance(f, MonotonePiecewisePoly):
         raise ValidationError("functional weight must be a MonotonePiecewisePoly")
-    if ensemble.censored.any():
-        raise HorizonError("ensemble contains censored paths; functional undefined")
-    vals = f.antiderivative(ensemble.sigma[ensemble.n])
+    if ensemble.censored_fraction > CENSOR_FRACTION:
+        raise HorizonError(
+            f"{ensemble.censored_fraction:.2%} of paths censored at T={ensemble.horizon} "
+            f"(tolerated {CENSOR_FRACTION:.1%}); functional undefined")
+    vals = f.antiderivative(np.minimum(ensemble.sigma[ensemble.n], ensemble.horizon))
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(ensemble.M))
     return est, stderr
 
 
+# Exit time tau_1 of [-1, 1] by a Brownian motion from 0.  Its CDF is the
+# reflection series 2 sum_k (-1)^k erfc((2k+1)/sqrt(2t)) for t <= 1 and the
+# theta series 1 - (4/pi) sum_k (-1)^k/(2k+1) exp(-(2k+1)^2 pi^2 t/8) above;
+# the first omitted term is below 1e-18 on each side of the switch.
+_EXIT_SWITCH = 1.0
+_REFLECTION_K = np.arange(4)
+_THETA_K = np.arange(3)
+
+
+def _exit_cdf_reflection(t: np.ndarray):
+    """Exit-time CDF and density from the reflection series (t <= 1)."""
+    a = (2.0 * _REFLECTION_K + 1.0) / np.sqrt(2.0 * t[:, None])
+    sign = (-1.0) ** _REFLECTION_K
+    cdf = 2.0 * (sign * erfc(a)).sum(axis=1)
+    density = 2.0 * (sign * a * np.exp(-a * a)).sum(axis=1) / (math.sqrt(math.pi) * t)
+    return cdf, density
+
+
+def _exit_cdf_theta(t: np.ndarray):
+    """Exit-time CDF and density from the theta series (t >= 1)."""
+    odd = 2.0 * _THETA_K + 1.0
+    sign = (-1.0) ** _THETA_K
+    decay = np.exp(-(odd * odd * (math.pi ** 2 / 8.0)) * t[:, None])
+    survival = (4.0 / math.pi) * (sign / odd * decay).sum(axis=1)
+    density = (math.pi / 2.0) * (sign * odd * decay).sum(axis=1)
+    return 1.0 - survival, density
+
+
+def exit_time_cdf(t):
+    """P(tau_1 <= t) and its density, tau_1 the exit time of [-1, 1] from 0."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    cdf, density = np.empty_like(t), np.empty_like(t)
+    small = t <= _EXIT_SWITCH
+    cdf[small], density[small] = _exit_cdf_reflection(t[small])
+    cdf[~small], density[~small] = _exit_cdf_theta(t[~small])
+    return cdf, density
+
+
+# Newton starts from a log-t table; 1024 nodes leave a start close enough
+# that two steps reach rounding level from u = 2^-53 to 1 - 2^-53, whose
+# quantiles lie in [0.014, 30].
+_EXIT_LOG_T = np.linspace(math.log(0.01), math.log(32.0), 1024)
+_EXIT_TABLE = exit_time_cdf(np.exp(_EXIT_LOG_T))[0]
+_EXIT_ROWS = np.concatenate([[True], np.diff(_EXIT_TABLE) > 0])
+_EXIT_LOG_T, _EXIT_TABLE = _EXIT_LOG_T[_EXIT_ROWS], _EXIT_TABLE[_EXIT_ROWS]
+_NEWTON_STEPS = 2
+
+
+def exit_time_quantile(u):
+    """Inverse exit-time CDF: the tau with P(tau_1 <= tau) = u, for u in [0, 1)."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    tau = np.exp(np.interp(u, _EXIT_TABLE, _EXIT_LOG_T))
+    for _ in range(_NEWTON_STEPS):
+        cdf, density = exit_time_cdf(tau)
+        tau -= (cdf - u) / density
+    return np.where(u > 0.0, tau, 0.0)
+
+
 def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
                           horizon: float = 25.0, threads: int = 1,
-                          block_size: int = 1 << 14, segment: int = 512) -> PathEnsemble:
+                          block_size: int = BLOCK_SIZE) -> PathEnsemble:
     """Randomized non-barrier embedding of N(0,1) from a point start.
 
     Each path draws an independent level |G|, G standard normal, and stops at
-    the first monitored time with |B_t| >= |G|.  The stopped law is N(0,1)
-    by symmetry and E sigma = 1, but the time profile is far from optimal
-    for increasing weights.
+    sigma = inf{t : |B_t| >= |G|}.  The stopped law is N(0,1) by symmetry and
+    E sigma = 1, but the time profile is far from optimal for increasing
+    weights.
+
+    The stop is sampled exactly, without time steps.  By Brownian scaling
+    sigma = G^2 tau_1, with tau_1 the exit time of [-1, 1] from 0, drawn by
+    inverting its CDF.  The exit side is a fair sign independent of |G| and
+    of tau_1, so sign(G) serves for it and B_sigma = G.  Each block draws its
+    normals and then its uniforms from its own stream.  Paths with
+    sigma > horizon are censored.  h_sim only sets the monitoring allowance
+    that `marginal_fit` reads from the ensemble.
     """
     sigma = np.full((2, M), np.inf)
     b_sigma = np.full((2, M), np.nan)
-    x0 = np.zeros(M)
-    steps_total = int(round(horizon / h_sim))
-    sqrt_h = math.sqrt(h_sim)
 
     def run_block(rng, lo, hi):
-        bs = hi - lo
-        a = np.abs(rng.standard_normal(bs))
-        x = np.zeros(bs)
-        alive = np.arange(bs)
-        sg = sigma[1, lo:hi]
-        bg = b_sigma[1, lo:hi]
-        done_steps = 0
-        while alive.size and done_steps < steps_total:
-            m = min(segment, steps_total - done_steps)
-            inc = rng.standard_normal((alive.size, m))
-            np.multiply(inc, sqrt_h, out=inc)
-            np.cumsum(inc, axis=1, out=inc)
-            inc += x[alive, None]
-            hit = np.abs(inc) >= a[alive, None]
-            anyhit = hit.any(axis=1)
-            first = hit.argmax(axis=1)
-            rows = alive[anyhit]
-            sg[rows] = (done_steps + first[anyhit] + 1) * h_sim
-            bg[rows] = inc[anyhit, first[anyhit]]
-            x[alive] = inc[:, -1]
-            alive = alive[~anyhit]
-            done_steps += m
+        level = rng.standard_normal(hi - lo)
+        stop = level * level * exit_time_quantile(rng.random(hi - lo))
+        inside = stop <= horizon
+        sigma[1, lo:hi] = np.where(inside, stop, np.inf)
+        b_sigma[1, lo:hi] = np.where(inside, level, np.nan)
 
     _run_blocks(run_block, M, seed, threads, block_size)
 
     censored = ~np.isfinite(sigma[1])
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=horizon,
-                       s_values=np.array([1.0]), x0=x0, sigma=sigma, b_sigma=b_sigma,
-                       snapshots={}, censored=censored,
+                       s_values=np.array([1.0]), x0=np.zeros(M), sigma=sigma,
+                       b_sigma=b_sigma, snapshots={}, censored=censored,
                        family_desc={"kind": "gaussian_target_randomized_level"},
                        barrier_desc={"rule": "stop at |B| >= |G|"})
     if ens.censored_fraction > CENSOR_FRACTION:

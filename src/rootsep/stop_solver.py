@@ -124,6 +124,25 @@ class ComplementarityReport:
                 and self.max_obstacle_violation <= self.tol)
 
 
+def grid_atoms(family: MarginalFamily, s_values, grid: SpaceTimeGrid) -> np.ndarray:
+    """Positions of the atoms of the laws at s_values, each an x-node of grid.
+
+    An atom between nodes would be solved as a different law, so an atom
+    more than 1e-9 from every x-node raises ValidationError.
+    """
+    xs = grid.x_nodes()
+    positions = []
+    for s in s_values:
+        for p in family.law(float(s)).positions:
+            off = float(np.abs(xs - p).min())
+            if off > 1e-9:
+                raise ValidationError(
+                    f"atom at x={p:.12g} of the marginal at s={s:g} is {off:.3g} off "
+                    f"the grid (dx={grid.dx:g}); atoms must sit on x-nodes")
+            positions.append(float(p))
+    return np.array(positions)
+
+
 def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGrid,
                  keep_times=None, tol: Optional[float] = None) -> ValueSurface:
     """March the layered obstacle scheme across all marginal layers.
@@ -135,8 +154,8 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     layer is done.  tol: complementarity tolerance of the recorded
     statistics (default `scheme_tolerance(grid)`).
 
-    Every atom of the partition's marginal laws must sit on an x-node;
-    an atom more than 1e-9 off the grid raises ValidationError.
+    Every atom of the partition's marginal laws must sit on an x-node
+    (`grid_atoms`).
     """
     report = convex_order_validate(family, s_probes=partition.points)
     if not report.passed:
@@ -176,18 +195,11 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     # atom columns of the marginals are kink lines of the value surface
     # (absorbed point masses) with onset transients of node-scale width;
     # centred stencils are pointwise inconsistent there, so residual maxima
-    # stay a fixed guard band away from every atom column.  An atom between
-    # nodes would be solved as a different law, so it is rejected.
+    # stay a fixed guard band away from every atom column
     resid_mask = np.ones(nx - 1, dtype=bool)
     guard = max(KINK_GUARD, 6 * dx)
-    for s in svals:
-        for p in family.law(float(s)).positions:
-            off = float(np.abs(xs - p).min())
-            if off > 1e-9:
-                raise ValidationError(
-                    f"atom at x={p:.12g} of the marginal at s={s:g} is {off:.3g} off "
-                    f"the grid (dx={dx:g}); atoms must sit on x-nodes")
-            resid_mask[np.abs(xs[1:-1] - p) <= guard] = False
+    for p in grid_atoms(family, svals, grid):
+        resid_mask[np.abs(xs[1:-1] - p) <= guard] = False
     layers = np.empty((n + 1, kept_index.size, nx + 1))
     layers[0] = U0[None, :]
 

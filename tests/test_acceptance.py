@@ -80,7 +80,9 @@ def root_ensemble():
 
 @pytest.fixture(scope="module")
 def alternative_ensemble():
-    return rs.alternative_embedding(100_000, 12, h_sim=5e-5, horizon=120.0, threads=4)
+    # at 4e6 paths the 0.05 gate on E sigma^2/2 is about 5.4 stderr and the
+    # 0.01 gate on E sigma about 10; at 1e5 the first was 0.9 stderr
+    return rs.alternative_embedding(4_000_000, 12, h_sim=5e-5, horizon=120.0, threads=4)
 
 
 @pytest.fixture(scope="module")

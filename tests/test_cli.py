@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rootsep import GaussianShiftFamily, cli, solve_limit
+from rootsep import GaussianShiftFamily, cli, limit_solver, solve_limit
 from rootsep.cli import load_config, main
 
 SMALL_GAUSS = """
@@ -294,6 +294,42 @@ def test_verdict_for_every_family_kind(tmp_path, capsys, command, family, dx, co
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert ("off the grid" in err) == (code == 1), err
+
+
+def test_ladder_atoms_checked_before_any_solve(tmp_path, monkeypatch, capsys):
+    # dx = 0.1 holds the atoms at -1, 0 and 1, but the coarsest ladder step
+    # 0.1 * 2^(3-1) = 0.4 does not
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[family]\nkind = three_point\np0 = 0.1\np1 = 0.3\n\n"
+                   "[grid]\nt_horizon = 1.25\ndx = 0.1\n\n"
+                   "[partition]\nn0 = 4\nlevels = 3\n\n[simulation]\nprobe_times =\n",
+                   encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the ladder atoms were checked")
+
+    monkeypatch.setattr(cli, "solve_layers", no_solve)
+    monkeypatch.setattr(limit_solver, "solve_layers", no_solve)
+    capsys.readouterr()
+    for command in ("limit", "all"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "off the grid (dx=0.4)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    "gaussian.ini", "three_point.ini",
+    pytest.param("two_atom.ini", marks=pytest.mark.xfail(
+        strict=True, reason="marginal fit at j=1: the O(sqrt(h_sim)) overshoot of discrete "
+                            "monitoring at h_sim = 1e-3 puts the potential distance "
+                            "0.0204 over its 0.02 gate")),
+])
+def test_shipped_config_verdict(tmp_path, config):
+    path = Path(__file__).parents[1] / "configs" / config
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--threads", "2"]) == 0
 
 
 def test_scheme_c_sets_the_solve_tolerance(tmp_path):

@@ -5,8 +5,11 @@ import pytest
 from scipy import integrate
 
 import rootsep as rs
+from rootsep import simulator as sim
 from rootsep.barriers import BarrierFamily
 from rootsep.errors import HorizonError, ValidationError
+from rootsep.marginals import make_stream
+from rootsep.tolerances import CENSOR_FRACTION
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +189,34 @@ def test_functional_rejects_non_poly(gauss_run):
         rs.optimality_functional(ens, lambda t: t)
 
 
+def _ensemble_with_censored(M: int, censored: int, horizon: float) -> rs.PathEnsemble:
+    stops = np.linspace(0.1, 0.9 * horizon, M)
+    stops[:censored] = np.inf
+    return rs.PathEnsemble(M=M, h_sim=1e-3, seed=0, horizon=horizon,
+                           s_values=np.array([1.0]), x0=np.zeros(M),
+                           sigma=np.vstack([np.full(M, np.inf), stops]),
+                           b_sigma=np.vstack([np.full(M, np.nan), np.zeros(M)]),
+                           snapshots={}, censored=~np.isfinite(stops))
+
+
+def test_functional_counts_censored_paths_at_the_horizon():
+    # 5 of 10^4 censored, under the tolerated fraction: each contributes
+    # the integral of f up to the horizon, a lower bound of its own value
+    ens = _ensemble_with_censored(10_000, 5, horizon=2.0)
+    assert 0.0 < ens.censored_fraction <= CENSOR_FRACTION
+    est, se = rs.optimality_functional(ens, rs.MonotonePiecewisePoly.poly(0.0, 1.0))
+    clipped = np.minimum(ens.sigma[1], 2.0)
+    assert est == pytest.approx(float((clipped ** 2 / 2).mean()), rel=1e-14)
+    assert se == pytest.approx(float((clipped ** 2 / 2).std(ddof=1)) / 100.0, rel=1e-12)
+
+
+def test_functional_rejects_censoring_above_tolerance():
+    ens = _ensemble_with_censored(10_000, 11, horizon=2.0)
+    assert ens.censored_fraction > CENSOR_FRACTION
+    with pytest.raises(HorizonError):
+        rs.optimality_functional(ens, rs.MonotonePiecewisePoly.poly(1.0))
+
+
 # ---------------------------------------------------------------------------
 # alternative embedding (smoke scale; pinned-scale checks live in acceptance)
 
@@ -197,6 +228,48 @@ def test_alternative_embedding_smoke():
     assert est_t == pytest.approx(2.5, abs=5 * se_t + 0.3)
     again = rs.alternative_embedding(4000, seed=21, h_sim=1e-3, horizon=120.0, threads=4)
     assert np.array_equal(ens.sigma, again.sigma)
+    assert np.array_equal(ens.b_sigma, again.b_sigma, equal_nan=True)
+
+
+def test_exit_time_series_agree_at_the_switch():
+    t = np.array([1.0])
+    for reflection, theta in zip(sim._exit_cdf_reflection(t), sim._exit_cdf_theta(t)):
+        assert abs(float(reflection[0] - theta[0])) <= 1e-14
+
+
+def test_exit_time_quantile_inverts_the_cdf():
+    u = np.concatenate([np.logspace(-12, -1, 500), np.linspace(0.1, 0.9, 500),
+                        1.0 - np.logspace(-1, -12, 500)])
+    tau = sim.exit_time_quantile(u)
+    assert np.all(np.diff(tau) >= 0.0)
+    assert np.abs(sim.exit_time_cdf(tau)[0] - u).max() <= 1e-13
+
+
+def test_exit_time_moments():
+    # E tau_1 = 1 and E tau_1^2 = 5/3 for the exit time of [-1, 1]
+    tau = sim.exit_time_quantile(make_stream(5, 0).random(1_000_000))
+    for k, exact in ((1, 1.0), (2, 5.0 / 3.0)):
+        moment = tau ** k
+        se = float(moment.std(ddof=1)) / math.sqrt(tau.size)
+        assert abs(float(moment.mean()) - exact) <= 5.0 * se, k
+
+
+def test_alternative_stops_at_the_drawn_level():
+    # block b draws its levels G and then its uniforms from stream (seed, b);
+    # sigma = G^2 tau_1(u) and B_sigma = G on every uncensored path
+    M, block, seed, horizon = 20_000, 1024, 4, 25.0
+    ens = rs.alternative_embedding(M, seed, horizon=horizon, block_size=block)
+    level, tau = np.empty(M), np.empty(M)
+    for b, lo in enumerate(range(0, M, block)):
+        rng = make_stream(seed, b)
+        hi = min(lo + block, M)
+        level[lo:hi] = rng.standard_normal(hi - lo)
+        tau[lo:hi] = sim.exit_time_quantile(rng.random(hi - lo))
+    done = ~ens.censored
+    assert 0 < np.count_nonzero(ens.censored) <= CENSOR_FRACTION * M
+    assert np.array_equal(ens.b_sigma[1][done], level[done])
+    assert np.array_equal(ens.sigma[1][done], (level * level * tau)[done])
+    assert np.all((level * level * tau)[ens.censored] > horizon)
 
 
 # ---------------------------------------------------------------------------
