@@ -18,13 +18,11 @@ from .limit_solver import (LimitSurface, bounds_check, partition_independence,
 from .marginals import (AtomicMeasure, AtomicTableFamily, GaussianShiftFamily, Law,
                         MarginalFamily, PathologicalGrowthFamily, ScaledFamily,
                         ThreePointFamily, assumption_check, build_pathological_family,
-                        call_price, convex_order_validate, load_atomic_family_csv,
-                        potential_ds, potential_eval, sample_initial)
+                        convex_order_validate, load_atomic_family_csv)
 from .simulator import (EmbeddingResult, MonotonePiecewisePoly, PathEnsemble,
-                        alternative_embedding, continuity_check, empirical_potential,
-                        marginal_fit, optimality_functional, simulate_root)
+                        alternative_embedding, empirical_potential, marginal_fit,
+                        optimality_functional, simulate_root)
 from .stop_solver import (ComplementarityReport, ValueSurface, complementarity_check,
-                          lower_bound_mc, make_barrier_rule, rule_stop_at_horizon,
-                          rule_stop_now, solve_layers, tree_oracle)
+                          solve_layers, tree_oracle)
 
 __version__ = "0.1.0"

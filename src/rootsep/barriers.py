@@ -10,12 +10,12 @@ first hit are numerical noise, counted and overridden.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ExtractionUnstableError
-from .stop_solver import SENTINEL, ValueSurface, rescan
+from .io import _fmt_all
+from .stop_solver import SENTINEL, ValueSurface
 from .tolerances import EXTRACT_FLAG_FRACTION
 
 
@@ -26,11 +26,9 @@ class BarrierFamily:
     s_values: np.ndarray          # layer indices s_1..s_n
     x_nodes: np.ndarray
     r: np.ndarray                 # (n, nx+1), +inf sentinel
-    eps_b: Optional[float]        # None: the scheme's own stop decision
     flagged: np.ndarray
     region_nodes: np.ndarray
     grid_desc: dict
-    family_desc: dict
 
     _HUGE = 1e18   # stands in for the +inf sentinel during interpolation
 
@@ -107,28 +105,22 @@ class BarrierFamily:
         return out
 
     def descriptor(self) -> dict:
-        return {"eps_b": self.eps_b, "flagged": self.flagged.tolist(),
+        return {"flagged": self.flagged.tolist(),
                 "region_nodes": self.region_nodes.tolist()}
 
 
-def extract(surface: ValueSurface, eps_b: Optional[float] = None) -> BarrierFamily:
+def extract(surface: ValueSurface) -> BarrierFamily:
     """Extract the per-layer stopping regions from a solved surface.
 
-    By default a node belongs to the region exactly when the scheme's own
-    update chose the obstacle branch (ties stop); this matches the region
-    definition without a resolution-dependent threshold.  Passing eps_b
-    rescans the stored layers with the stop set `gap <= eps_b` instead,
-    which requires a surface with every time row kept.
+    A node belongs to the region exactly when the scheme's own update chose
+    the obstacle branch (ties stop), as the solve recorded it; this matches
+    the region definition without a resolution-dependent threshold.
     """
     grid = surface.grid
     ts = grid.t_nodes()
-    if eps_b is None:
-        first = surface.stop_first
-        flagged = surface.flagged.copy()
-        region = surface.region_nodes.copy()
-    else:
-        first, flagged, region, _ = rescan(surface, eps=eps_b)
-
+    first = surface.stop_first
+    flagged = surface.flagged.copy()
+    region = surface.region_nodes.copy()
     r = np.where(first == SENTINEL, np.inf, ts[np.minimum(first, len(ts) - 1)])
     # boundary columns inherit their interior neighbour: the Dirichlet rows
     # are prescribed data, not a stopping decision
@@ -141,9 +133,8 @@ def extract(surface: ValueSurface, eps_b: Optional[float] = None) -> BarrierFami
             f"layer {worst + 1}: {flagged[worst]} non-monotone nodes over "
             f"{region[worst]} region nodes ({frac[worst]:.2%}); grid too coarse")
     return BarrierFamily(s_values=surface.partition.points[1:].copy(),
-                         x_nodes=surface.x_nodes(), r=r,
-                         eps_b=eps_b, flagged=flagged, region_nodes=region,
-                         grid_desc=grid.descriptor(), family_desc=surface.family_desc)
+                         x_nodes=surface.x_nodes(), r=r, flagged=flagged,
+                         region_nodes=region, grid_desc=grid.descriptor())
 
 
 @dataclass
@@ -155,8 +146,7 @@ class OrderingReport:
         return self.ordered
 
 
-def ordering_check(barrier_family: BarrierFamily, tol: float = 0.0,
-                   x_window=None) -> OrderingReport:
+def ordering_check(barrier_family: BarrierFamily, x_window=None) -> OrderingReport:
     """Regions shrink with the layer index iff r_j <= r_{j+1} everywhere.
 
     An x_window restricts the check to columns where the layer increments
@@ -170,7 +160,7 @@ def ordering_check(barrier_family: BarrierFamily, tol: float = 0.0,
         else (xs >= x_window[0]) & (xs <= x_window[1])
     for j in range(barrier_family.n - 1):
         a, b = r[j], r[j + 1]
-        bad = (a > b + tol) & ~(np.isinf(a) & np.isinf(b)) & mask
+        bad = (a > b) & ~(np.isinf(a) & np.isinf(b)) & mask
         for i in np.nonzero(bad)[0]:
             viol.append((j + 1, float(xs[i])))
     return OrderingReport(ordered=not viol, violations=viol)
@@ -197,10 +187,9 @@ def analytic_compare(barrier_family: BarrierFamily, analytic, x_window=None) -> 
 
 def write_barriers_csv(barrier_family: BarrierFamily, path) -> None:
     """Dump `j,s,x,r` rows; the sentinel is written as `inf`."""
+    xs = _fmt_all(barrier_family.x_nodes)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,s,x,r\n")
-        for j in range(barrier_family.n):
-            s = barrier_family.s_values[j]
-            for x, rv in zip(barrier_family.x_nodes, barrier_family.r[j]):
-                rs = "inf" if np.isinf(rv) else format(rv, ".17g")
-                fh.write(f"{j + 1},{s:.17g},{x:.17g},{rs}\n")
+        for j, s in enumerate(_fmt_all(barrier_family.s_values), start=1):
+            fh.writelines(f"{j},{s},{x},{r}\n"
+                          for x, r in zip(xs, _fmt_all(barrier_family.r[j - 1])))

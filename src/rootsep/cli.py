@@ -32,23 +32,22 @@ from .grid import DEFAULT_NODE_BUDGET, make_grid, make_partition
 from .limit_solver import (bounds_check, ladder_levels, partition_independence,
                            pde_residual, regularity_report, solve_limit)
 from .marginals import (GaussianShiftFamily, ScaledFamily, ThreePointFamily,
-                        build_pathological_family, load_atomic_family_csv)
+                        load_atomic_family_csv)
 from .simulator import (MonotonePiecewisePoly, alternative_embedding,
                         empirical_potential, marginal_fit, optimality_functional,
                         simulate_root)
 from .stop_solver import complementarity_check, grid_atoms, solve_layers
 
 _SCHEMA = {
-    "family": {"kind": None, "t0": "1.0", "s0": "0.0", "base": "normal",
-               "p0": "0.1", "p1": "0.3", "path": "", "growth_power": "3.0",
-               "pieces": "6"},
+    "family": {"kind": None, "t0": "1.0", "s0": "0.0", "p0": "0.1", "p1": "0.3",
+               "path": ""},
     "grid": {"t_horizon": None, "dx": None, "lam": "", "binary_steps": "false",
              "node_budget": str(DEFAULT_NODE_BUDGET)},
     "partition": {"n0": "4", "levels": "2", "style": "uniform", "refine_dx": "true"},
     "simulation": {"paths": "100000", "h_sim": "", "seed": "20260811",
                    "horizon": "", "probe_times": "0.25,0.5,1.0",
                    "probe_x": "-1.0,0.0,1.0", "alternative": "false",
-                   "alt_h_sim": "5e-5", "alt_horizon": "25.0"},
+                   "alt_horizon": "25.0"},
     "tolerances": {"scheme_c": "", "pde_c": ""},
 }
 
@@ -126,9 +125,6 @@ def _build_family(cfg: RunConfig):
     if kind == "gaussian_shift":
         return GaussianShiftFamily(cfg.getfloat("family", "t0"))
     if kind == "scaled":
-        base = cfg.get("family", "base")
-        if base != "normal":
-            raise ConfigError("config-declared scaled families support base=normal only")
         return ScaledFamily(cfg.getfloat("family", "s0"))
     if kind == "three_point":
         return ThreePointFamily(cfg.getfloat("family", "p0"), cfg.getfloat("family", "p1"))
@@ -137,10 +133,6 @@ def _build_family(cfg: RunConfig):
         if not rel:
             raise ConfigError("atomic_csv family needs 'path'")
         return load_atomic_family_csv(cfg.base_dir / rel)
-    if kind == "pathological":
-        k = cfg.getfloat("family", "growth_power")
-        return build_pathological_family(lambda x: abs(x) ** k,
-                                         pieces=cfg.getint("family", "pieces"))
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -213,15 +205,33 @@ class Run:
     def h_sim(self) -> float:
         return self.cfg.getfloat("simulation", "h_sim", default=self.grid.dt)
 
+    @cached_property
+    def horizon(self) -> float:
+        return self.cfg.getfloat("simulation", "horizon", default=self.grid.T)
+
     def check_simulation(self) -> None:
-        """Reject the simulation settings that simulate_root would refuse
-        only after the solve: a step coarser than the solver's, or probe
-        times off the monitoring grid."""
+        """Reject the simulation settings that the simulators would refuse
+        only after the solve, or not at all: no paths, a step that is not
+        positive or is coarser than the solver's, a horizon that is not
+        positive or ends before a probe time, probe times off the
+        monitoring grid, and a non-positive horizon for the alternative."""
+        cfg = self.cfg
+        if cfg.getint("simulation", "paths") < 1:
+            raise ConfigError("paths must be at least 1")
+        if not self.h_sim > 0:
+            raise ConfigError(f"h_sim={self.h_sim} must be positive")
         if self.h_sim > self.grid.dt + 1e-15:
             raise ConfigError(f"h_sim={self.h_sim} exceeds the solver step {self.grid.dt}")
+        if not self.horizon > 0:
+            raise ConfigError(f"horizon={self.horizon} must be positive")
         for t in self.probe_times:
             if abs(round(t / self.h_sim) * self.h_sim - t) > 1e-9:
                 raise ConfigError(f"probe time {t} is not a multiple of h_sim={self.h_sim}")
+            if t > self.horizon + 1e-9:
+                raise ConfigError(f"probe time {t} is beyond the horizon {self.horizon}")
+        if cfg.getbool("simulation", "alternative") \
+                and not cfg.getfloat("simulation", "alt_horizon") > 0:
+            raise ConfigError("alt_horizon must be positive")
 
     def check_ladder(self) -> None:
         """Reject atoms that a refinement ladder grid misses, before any
@@ -332,13 +342,12 @@ def cmd_verify(run: Run, out: Path) -> int:
     cfg, threads, h_sim = run.cfg, run.threads, run.h_sim
     M = cfg.getint("simulation", "paths")
     seed = cfg.getint("simulation", "seed")
-    horizon = cfg.getfloat("simulation", "horizon", default=run.grid.T)
     probe_t = run.probe_times
     probe_x = np.array(cfg.getlist("simulation", "probe_x"))
     surface = run.surface
 
     ensemble = simulate_root(run.family, run.barrier, M, h_sim, seed,
-                             horizon=horizon, snapshot_times=probe_t, threads=threads)
+                             horizon=run.horizon, snapshot_times=probe_t, threads=threads)
     failures = []
 
     repr_rows = []
@@ -360,7 +369,7 @@ def cmd_verify(run: Run, out: Path) -> int:
         for m in fit.marginals:
             if not m["passed"]:
                 failures.append(f"marginal fit at j={m['j']}")
-        if fit.ui_proxy and not fit.ui_proxy["passed"]:
+        if not fit.ui_proxy["passed"]:
             failures.append("uniform integrability proxy")
 
     weights = {"t": MonotonePiecewisePoly.poly(0.0, 1.0),
@@ -370,12 +379,10 @@ def cmd_verify(run: Run, out: Path) -> int:
     for name, f in weights.items():
         est, se = optimality_functional(ensemble, f)
         functionals[name] = {"estimate": est, "stderr": se}
-    fit.functionals = functionals
 
     alternative = None
     if cfg.getbool("simulation", "alternative"):
         alt = alternative_embedding(M, seed + 1,
-                                    h_sim=cfg.getfloat("simulation", "alt_h_sim"),
                                     horizon=cfg.getfloat("simulation", "alt_horizon"),
                                     threads=threads)
         alt_fit = marginal_fit(alt, ScaledFamily(0.0))

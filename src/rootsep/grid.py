@@ -37,9 +37,6 @@ class Partition:
     def mesh(self) -> float:
         return float(np.diff(self.points).max())
 
-    def gaps(self) -> np.ndarray:
-        return np.diff(self.points)
-
 
 def make_partition(n: int, style: str = "uniform") -> Partition:
     """Uniform points j/n, or gaps proportional to 1.2^j for `geometric`."""

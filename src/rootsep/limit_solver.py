@@ -71,17 +71,16 @@ def _lattice_values(surface: ValueSurface, lattice_s, lattice_x) -> np.ndarray:
     return out
 
 
-def default_lattice(family: MarginalFamily, grid_coarse: SpaceTimeGrid,
-                    n0: int, x_halfwidth: float = 4.0):
+def default_lattice(grid_coarse: SpaceTimeGrid, n0: int):
     """Evaluation lattice sliced from the coarsest grid: uniform s values,
-    roughly eighth-of-horizon t values, x nodes within the probe window."""
+    roughly eighth-of-horizon t values, x nodes with |x| <= 4."""
     ts = grid_coarse.t_nodes()
     targets = np.linspace(0.0, grid_coarse.T, 9)
     idx = np.unique(np.clip(np.round(targets / grid_coarse.dt).astype(int),
                             0, grid_coarse.nt))
     lattice_t = ts[idx]
     xs = grid_coarse.x_nodes()
-    lattice_x = xs[np.abs(xs) <= x_halfwidth + 1e-12]
+    lattice_x = xs[np.abs(xs) <= 4.0 + 1e-12]
     lattice_s = np.linspace(0.0, 1.0, n0 + 1)
     return lattice_s, lattice_t, lattice_x
 
@@ -116,8 +115,7 @@ def ladder_levels(family: MarginalFamily, T: float, dx: float, n0: int, levels: 
 
 def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: int,
                 style: str = "uniform", refine_dx: bool = True,
-                lattice=None, x_halfwidth: float = 4.0,
-                node_budget: Optional[int] = None) -> LimitSurface:
+                lattice=None, node_budget: Optional[int] = None) -> LimitSurface:
     """Refine the layered solve until the finest level (n0 2^(levels-1), dx).
 
     dx is the finest space step; coarser levels use dx 2^(levels-1-k) when
@@ -131,7 +129,7 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
     L = grid_coarse.L
 
     if lattice is None:
-        lattice = default_lattice(family, grid_coarse, n0, x_halfwidth)
+        lattice = default_lattice(grid_coarse, n0)
     lattice_s, lattice_t, lattice_x = (np.asarray(a, dtype=float) for a in lattice)
     if np.abs(lattice_x).max() > L:
         raise ValidationError("lattice x values outside the solver domain")
@@ -194,17 +192,17 @@ def pde_residual(limit: LimitSurface, family: Optional[MarginalFamily] = None) -
             "bound": bound, "passed": worst <= bound}
 
 
-def bounds_check(limit: LimitSurface, family: MarginalFamily,
-                 tol: Optional[float] = None) -> dict:
+def bounds_check(limit: LimitSurface, family: MarginalFamily) -> dict:
     """Linear-growth sandwich on every lattice node.
 
     The running value dominates the potential of (mu_0 convolved with a
     t-variance Gaussian), which itself sits above the linear floor
     U(0,0) - |x| - sqrt(t) E|N(0,1)|.  For a point-mass start the middle
     term is the plain Gaussian potential of variance t.  From above, values
-    never exceed the initial potential, and layers fall with s.
+    never exceed the initial potential, and layers fall with s.  Both
+    one-sided checks allow twice the finest scheme tolerance.
     """
-    tol = 2.0 * limit.tol if tol is None else tol
+    tol = 2.0 * limit.tol
     t = limit.lattice_t
     x = limit.lattice_x
     u = limit.values

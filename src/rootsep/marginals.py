@@ -26,14 +26,13 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import SingularityError, ValidationError
+from .tolerances import CONVEX_TOL
 
 TAIL_MASS = 1e-6          # quantile level defining support_radius
 WEIGHT_TOL = 1e-12        # atomic weight-sum tolerance (direct construction)
 CSV_WEIGHT_TOL = 1e-9     # weight-sum gate for file input
 MEAN_TOL = 1e-12          # centering tolerance
-CONVEX_TOL = 1e-9         # allowed convex-order slack on potentials
 
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _NORMAL_RADIUS = float(ndtri(1.0 - TAIL_MASS))   # ~4.7534
 
 
@@ -138,12 +137,12 @@ class AtomicMeasure:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return -(np.abs(x[..., None] - self.positions) @ self.weights)
 
-    def quantile_radius(self, eps: float = TAIL_MASS) -> float:
-        # smallest radius keeping all but <= eps/2 tail mass on each side
+    def quantile_radius(self) -> float:
+        # smallest radius keeping all but <= TAIL_MASS/2 tail mass on each side
         cum = np.cumsum(self.weights)
         hi = self.positions.size - 1
-        left = min(int(np.searchsorted(cum, eps / 2.0, side="right")), hi)
-        right = max(int(np.searchsorted(cum, 1.0 - eps / 2.0, side="left")), 0)
+        left = min(int(np.searchsorted(cum, TAIL_MASS / 2.0, side="right")), hi)
+        right = max(int(np.searchsorted(cum, 1.0 - TAIL_MASS / 2.0, side="left")), 0)
         return float(max(abs(self.positions[left]), abs(self.positions[right])))
 
     def descriptor(self):
@@ -163,7 +162,6 @@ class MarginalFamily:
     """
 
     kind = "abstract"
-    mean = 0.0
 
     def potential(self, s: float, x) -> np.ndarray:
         raise NotImplementedError
@@ -180,9 +178,6 @@ class MarginalFamily:
     def atoms(self, s: float) -> Law:
         # former name of law(); perfbench/workloads.py still reads it
         return self.law(s)
-
-    def sample_initial(self, count: int, seed: int, stream: int = 0) -> np.ndarray:
-        return self.sample_initial_rng(make_stream(seed, stream), count)
 
     def sample_initial_rng(self, rng: np.random.Generator, count: int) -> np.ndarray:
         law = self.law(0.0)
@@ -392,9 +387,9 @@ class AtomicTableFamily(MarginalFamily):
     def potential(self, s, x):
         return self._measure(s).potential(x)
 
-    def potential_ds(self, s, x, step: float = 1e-5):
-        # central difference, one-sided at the endpoints
-        lo, hi = max(0.0, s - step), min(1.0, s + step)
+    def potential_ds(self, s, x):
+        # central difference of step 1e-5, one-sided at the endpoints
+        lo, hi = max(0.0, s - 1e-5), min(1.0, s + 1e-5)
         return (self.potential(hi, x) - self.potential(lo, x)) / (hi - lo)
 
     def support_radius(self, s):
@@ -555,30 +550,6 @@ class PathologicalGrowthFamily(MarginalFamily):
 # operations
 
 
-def _shaped(out, x):
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(np.asarray(out).reshape(-1)[0])
-    return np.asarray(out)
-
-
-def potential_eval(family: MarginalFamily, s: float, x):
-    """U(s, x) = -E|x - Y| for Y ~ mu_s; scalar in, scalar out."""
-    _check_index(s)
-    return _shaped(family.potential(s, x), x)
-
-
-def potential_ds(family: MarginalFamily, s: float, x):
-    """Index derivative of the potential; non-positive wherever it exists."""
-    _check_index(s)
-    return _shaped(family.potential_ds(s, x), x)
-
-
-def call_price(family: MarginalFamily, s: float, x):
-    """E (Y - x)+ for Y ~ mu_s; scalar in, scalar out."""
-    _check_index(s)
-    return _shaped(family.call_price(s, x), x)
-
-
 @dataclass
 class ConvexOrderReport:
     passed: bool
@@ -589,16 +560,14 @@ class ConvexOrderReport:
         return self.passed
 
 
-def convex_order_validate(family: MarginalFamily, s_probes=None, x_probes=None,
-                          tol: float = CONVEX_TOL) -> ConvexOrderReport:
-    """Check that s -> potential(s, x) is non-increasing on a probe grid."""
+def convex_order_validate(family: MarginalFamily, s_probes=None) -> ConvexOrderReport:
+    """Check that s -> potential(s, x) is non-increasing on a probe grid:
+    41 x values across the support of mu_1, CONVEX_TOL slack."""
     if s_probes is None:
         s_probes = np.linspace(0.0, 1.0, 21)
-    if x_probes is None:
-        r = max(family.support_radius(1.0), 1.0)
-        x_probes = np.linspace(-r, r, 41)
+    r = max(family.support_radius(1.0), 1.0)
+    x_probes = np.linspace(-r, r, 41)
     s_probes = np.asarray(s_probes, dtype=float)
-    x_probes = np.asarray(x_probes, dtype=float)
     vals = np.stack([family.potential(float(s), x_probes) for s in s_probes])
     drops = vals[:-1] - vals[1:]          # should be >= 0
     worst = float(drops.min())
@@ -606,7 +575,7 @@ def convex_order_validate(family: MarginalFamily, s_probes=None, x_probes=None,
     if drops.size:
         k, i = np.unravel_index(int(drops.argmin()), drops.shape)
         where = (float(s_probes[k]), float(s_probes[k + 1]), float(x_probes[i]))
-    return ConvexOrderReport(passed=worst >= -tol, worst_violation=worst, where=where)
+    return ConvexOrderReport(passed=worst >= -CONVEX_TOL, worst_violation=worst, where=where)
 
 
 @dataclass
@@ -621,22 +590,22 @@ class AssumptionReport:
         return self.continuous and self.growth_degree is not None
 
 
-def assumption_check(family: MarginalFamily, x_range=(-8.0, 8.0), degrees=range(6),
-                     jump_tol: float = 1e-3) -> AssumptionReport:
+def assumption_check(family: MarginalFamily) -> AssumptionReport:
     """Diagnose the standing regularity assumption on the index derivative.
 
-    Continuity: paired probes (s, s + 1e-6) at 21 anchors must not jump by
-    more than jump_tol, and the derivative must exist at every anchor.
-    Growth: the smallest degree p such that sup_s |dU/ds| / (1 + |x|^p),
-    scanned along increasing |x|, never exceeds 1.25x its max over the first
-    quartile of probes.  Degree None means no tested degree bounds it.
+    Continuity: paired probes (s, s + 1e-6) at 21 anchors, on 9 points of
+    x in [-8, 8], must not jump by more than 1e-3, and the derivative must
+    exist at every anchor.  Growth: the smallest degree p in 0..5 such that
+    sup_s |dU/ds| / (1 + |x|^p), scanned along increasing |x| on 161 points
+    of [-8, 8], never exceeds 1.25x its max over the first quartile of
+    probes.  Degree None means no tested degree bounds it.
     """
-    x_probes = np.linspace(x_range[0], x_range[1], 161)
+    x_probes = np.linspace(-8.0, 8.0, 161)
     anchors = np.linspace(0.0, 1.0, 21)
     delta = 1e-6
     continuous = True
     singular_at = []
-    x_small = np.linspace(x_range[0], x_range[1], 9)
+    x_small = np.linspace(-8.0, 8.0, 9)
     for s in anchors:
         lo = min(float(s), 1.0 - delta)
         try:
@@ -646,7 +615,7 @@ def assumption_check(family: MarginalFamily, x_range=(-8.0, 8.0), degrees=range(
             continuous = False
             singular_at.append(float(s))
             continue
-        if np.max(np.abs(a - b)) > jump_tol:
+        if np.max(np.abs(a - b)) > 1e-3:
             continuous = False
             singular_at.append(float(s))
 
@@ -660,7 +629,7 @@ def assumption_check(family: MarginalFamily, x_range=(-8.0, 8.0), degrees=range(
     degree = None
     constant = math.inf
     quart = max(2, len(gx) // 4)
-    for p in degrees:
+    for p in range(6):
         ratio = gx / (1.0 + ax ** p)
         head = float(ratio[:quart].max())
         if not np.isfinite(head):
@@ -693,13 +662,6 @@ def convex_order_error(report: ConvexOrderReport):
     from .errors import ConvexOrderError
     return ConvexOrderError(
         f"convex order violated: drop {report.worst_violation:.3e} at {report.where}")
-
-
-def sample_initial(family: MarginalFamily, count: int, seed: int, stream: int = 0):
-    """Draw `count` i.i.d. samples of the initial marginal on stream (seed, stream)."""
-    if count < 1:
-        raise ValidationError("sample count must be >= 1")
-    return family.sample_initial(count, seed, stream)
 
 
 def load_atomic_family_csv(path) -> AtomicTableFamily:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,8 +45,6 @@ class PathEnsemble:
     b_sigma: np.ndarray             # (n+1, M); nan where censored
     snapshots: dict                 # t -> (M,) path values at monitored time t
     censored: np.ndarray            # (M,) bool
-    family_desc: dict = field(default_factory=dict)
-    barrier_desc: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -94,7 +92,7 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
                   M: int, h_sim: float, seed: int, *,
                   horizon: Optional[float] = None,
                   snapshot_times: Sequence[float] = (),
-                  threads: int = 1, block_size: int = BLOCK_SIZE) -> PathEnsemble:
+                  threads: int = 1) -> PathEnsemble:
     """Realize the barrier-hitting stopping times on M simulated paths.
 
     sigma_j is the first monitored time >= sigma_{j-1} at which the path sits
@@ -215,16 +213,14 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
                             bg[n, rows[fin]], P[fin, mm - done - 1])
             done += m
 
-    _run_blocks(run_block, M, seed, threads, block_size)
+    _run_blocks(run_block, M, seed, threads, BLOCK_SIZE)
 
     censored = ~np.isfinite(sigma[n])
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=T,
                        s_values=np.asarray(barrier_family.s_values, dtype=float),
                        x0=x0, sigma=sigma, b_sigma=b_sigma,
                        snapshots={float(t): snaps[i] for i, t in enumerate(snap_times)},
-                       censored=censored,
-                       family_desc=family.descriptor(),
-                       barrier_desc=barrier_family.descriptor())
+                       censored=censored)
     if ens.censored_fraction > CENSOR_FRACTION:
         raise HorizonError(
             f"{ens.censored_fraction:.2%} of paths censored at T={T} "
@@ -242,7 +238,7 @@ def empirical_potential(ensemble: PathEnsemble, j: int, t: float, x_probes):
     return est, stderr
 
 
-def ks_statistic(sample: np.ndarray, cdf_values_sorted: np.ndarray) -> float:
+def ks_statistic(cdf_values_sorted: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance given CDF values at the sorted sample."""
     m = len(cdf_values_sorted)
     grid_hi = np.arange(1, m + 1) / m
@@ -252,28 +248,21 @@ def ks_statistic(sample: np.ndarray, cdf_values_sorted: np.ndarray) -> float:
 
 @dataclass
 class EmbeddingResult:
-    M: int
-    h_sim: float
     marginals: list
-    functionals: dict = field(default_factory=dict)
-    censored_fraction: float = 0.0
-    ui_proxy: Optional[dict] = None
+    ui_proxy: dict
 
     @property
     def passed(self) -> bool:
-        ok = all(m["passed"] for m in self.marginals)
-        if self.ui_proxy is not None:
-            ok = ok and self.ui_proxy["passed"]
-        return ok
+        return all(m["passed"] for m in self.marginals) and self.ui_proxy["passed"]
 
 
-def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily,
-                 potential_probes=None) -> EmbeddingResult:
+def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily) -> EmbeddingResult:
     """Per-marginal goodness of fit of the stopped values.
 
     Purely atomic laws are scored by nearest-atom masses; every other law by
     the one-sample KS distance against its CDF.  Both also report the
-    sup distance between empirical and exact potentials on probe points.
+    sup distance between empirical and exact potentials on 17 probe points
+    spanning the support radius plus one.
     """
     out = []
     for j in range(1, ensemble.n + 1):
@@ -281,11 +270,8 @@ def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily,
         vals = ensemble.b_sigma[j][~ensemble.censored]
         law = family.law(s_j)
         entry = {"j": j, "s": s_j, "count": int(vals.size)}
-        if potential_probes is None:
-            r = family.support_radius(s_j) + 1.0
-            probes = np.linspace(-r, r, 17)
-        else:
-            probes = np.asarray(potential_probes, dtype=float)
+        r = family.support_radius(s_j) + 1.0
+        probes = np.linspace(-r, r, 17)
         emp = np.array([-np.abs(vals - xp).mean() for xp in probes])
         ref = family.potential(s_j, probes)
         entry["potential_distance"] = float(np.abs(emp - ref).max())
@@ -302,7 +288,7 @@ def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily,
         else:
             order = np.argsort(vals, kind="stable")
             cdf_sorted = np.asarray(family.cdf(s_j, vals[order]), dtype=float)
-            entry["ks"] = ks_statistic(vals, cdf_sorted)
+            entry["ks"] = ks_statistic(cdf_sorted)
             entry["passed"] = bool(entry["ks"] <= KS_THRESHOLD and pot_ok)
         out.append(entry)
 
@@ -314,21 +300,20 @@ def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily,
     ui = {"mean_abs": mean_abs, "stderr": se, "target": target,
           "max_abs": float(np.abs(vals_n).max()),
           "passed": bool(abs(mean_abs - target) <= 3.0 * se + 2.0 * math.sqrt(ensemble.h_sim))}
-    return EmbeddingResult(M=ensemble.M, h_sim=ensemble.h_sim, marginals=out,
-                           censored_fraction=ensemble.censored_fraction, ui_proxy=ui)
+    return EmbeddingResult(marginals=out, ui_proxy=ui)
 
 
 class MonotonePiecewisePoly:
     """Non-decreasing, non-negative piecewise polynomial on [0, inf)."""
 
-    def __init__(self, breakpoints, coefficients, check_to: float = 100.0):
+    def __init__(self, breakpoints, coefficients):
         self.breaks = np.asarray(breakpoints, dtype=float)
         if self.breaks[0] != 0.0 or np.any(np.diff(self.breaks) <= 0):
             raise ValidationError("breakpoints must start at 0 and increase")
         self.coeffs = [np.asarray(c, dtype=float) for c in coefficients]
         if len(self.coeffs) != len(self.breaks):
             raise ValidationError("need one coefficient list per piece")
-        t = np.linspace(0.0, check_to, 2001)
+        t = np.linspace(0.0, 100.0, 2001)
         ft = self(t)
         if np.any(ft < -1e-12) or np.any(np.diff(ft) < -1e-12):
             raise ValidationError("functional weight must be non-decreasing and non-negative")
@@ -480,47 +465,8 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
     censored = ~np.isfinite(sigma[1])
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=horizon,
                        s_values=np.array([1.0]), x0=np.zeros(M), sigma=sigma,
-                       b_sigma=b_sigma, snapshots={}, censored=censored,
-                       family_desc={"kind": "gaussian_target_randomized_level"},
-                       barrier_desc={"rule": "stop at |B| >= |G|"})
+                       b_sigma=b_sigma, snapshots={}, censored=censored)
     if ens.censored_fraction > CENSOR_FRACTION:
         raise HorizonError(f"{ens.censored_fraction:.2%} of alternative paths censored")
     return ens
 
-
-def continuity_check(family: MarginalFamily, ensemble: PathEnsemble,
-                     s_anchor: float = 0.5,
-                     deltas: Sequence[float] = (1 / 8, 1 / 16, 1 / 32)) -> dict:
-    """Estimate E[sigma_s - sigma_(s-delta)] for shrinking delta.
-
-    The anchor and every s - delta must be layer indices of the ensemble.
-    The differences must head to zero: each estimate should drop below its
-    predecessor plus joint noise.
-    """
-    svals = ensemble.s_values
-    from .marginals import assumption_check as _ac
-    assumption = _ac(family)
-
-    def layer_of(s):
-        idx = np.nonzero(np.abs(svals - s) <= 1e-12)[0]
-        if idx.size == 0:
-            raise ValidationError(f"s={s} is not a simulated layer index")
-        return int(idx[0]) + 1
-
-    j_hi = layer_of(s_anchor)
-    rows = []
-    for d in deltas:
-        j_lo = layer_of(s_anchor - d)
-        diff = ensemble.sigma[j_hi] - ensemble.sigma[j_lo]
-        diff = diff[~ensemble.censored]
-        est = float(diff.mean())
-        se = float(diff.std(ddof=1) / math.sqrt(diff.size)) if diff.size > 1 else 0.0
-        rows.append({"delta": float(d), "mean": est, "stderr": se})
-    decreasing = all(rows[i + 1]["mean"] <= rows[i]["mean"]
-                     + 3.0 * (rows[i]["stderr"] + rows[i + 1]["stderr"]) + 1e-12
-                     for i in range(len(rows) - 1))
-    toward_zero = rows[-1]["mean"] <= rows[0]["mean"] + 3.0 * (
-        rows[0]["stderr"] + rows[-1]["stderr"]) and rows[-1]["mean"] >= -3.0 * rows[-1]["stderr"]
-    return {"anchor": s_anchor, "rows": rows, "decreasing": decreasing,
-            "toward_zero": toward_zero,
-            "assumption_satisfied": assumption.satisfied}

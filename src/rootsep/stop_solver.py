@@ -21,7 +21,7 @@ alone:
     which is deliberately *not* the scheme's own update stencil so the
     report measures genuine discretization error instead of zeros.
 The same kernel rescans a stored full-row surface for the complementarity
-check and thresholds stored gaps for barrier extraction.
+check.
 
 Ties between stopping and continuing are marked as stopped: barriers are
 closed sets.
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import GridBudgetError, ValidationError
 from .grid import Partition, SpaceTimeGrid
-from .marginals import MarginalFamily, convex_order_error, convex_order_validate, make_stream
+from .marginals import MarginalFamily, convex_order_error, convex_order_validate
 from .tolerances import INTERIOR_T_FRACTION, KINK_GUARD, SCHEME_C
 
 SENTINEL = np.iinfo(np.int32).max
@@ -241,16 +241,15 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
 
 
 def scan_layer(u: np.ndarray, u_prev: np.ndarray, duj: np.ndarray, grid: SpaceTimeGrid,
-               resid_mask: np.ndarray, tol: float, s_prev: float, s_val: float,
-               eps: float = 0.0):
+               resid_mask: np.ndarray, tol: float, s_prev: float, s_val: float):
     """Stop set, first hits, monotonicity flags and residual statistics of
     one layer, from the full (nt+1, nx+1) panels u (layer j) and u_prev
     (layer j-1).
 
     An interior node at time index m >= 1 is stopped when its obstacle gap
-    u - (u_prev + dU_j) is at most eps.  With eps = 0 this is the scheme's
-    own choice, bit for bit: a stopped node stores the obstacle exactly and
-    a continuing node a value strictly above it.  The panels are read in
+    u - (u_prev + dU_j) is at most 0.  This is the scheme's own choice, bit
+    for bit: a stopped node stores the obstacle exactly and a continuing
+    node a value strictly above it.  The panels are read in
     blocks of CHUNK_ROWS rows, so temporaries stay O(CHUNK_ROWS * nx).
 
     Returns (first, flagged, stats): the first stopped time index per column
@@ -276,7 +275,7 @@ def scan_layer(u: np.ndarray, u_prev: np.ndarray, duj: np.ndarray, grid: SpaceTi
         b = min(a + CHUNK_ROWS, nt + 1)
         rows = u[a:b, 1:-1]
         gap = rows - (u_prev[a:b, 1:-1] + duj[1:-1])
-        stop = gap <= eps
+        stop = gap <= 0.0
         hit = stop.any(axis=0)
         np.minimum(inner, np.where(hit, a + stop.argmax(axis=0), SENTINEL), out=inner)
         # monotonicity flags: un-stopped above the first hit, ignoring
@@ -319,19 +318,19 @@ def _stack_scans(scans: list, nt: int):
     return stop_first, flagged, region, [sc[2] for sc in scans]
 
 
-def rescan(surface: ValueSurface, eps: float = 0.0):
+def rescan(surface: ValueSurface):
     """Run scan_layer over the stored layers of a full-row surface.
 
     Returns (stop_first, flagged, region_nodes, stats) as solve_layers
-    records them; eps = 0 reproduces the solve's records from the stored
-    values, so corrupted values show up in the statistics.
+    records them, recomputed from the stored values, so corrupted values
+    show up in the statistics.
     """
     if not surface.full_rows:
         raise ValidationError("rescanning needs a surface with all rows kept")
     pts = surface.partition.points
     scans = [scan_layer(surface.layers[j], surface.layers[j - 1], surface.du[j - 1],
                         surface.grid, surface.resid_mask, surface.tol,
-                        float(pts[j - 1]), float(pts[j]), eps)
+                        float(pts[j - 1]), float(pts[j]))
              for j in range(1, surface.n + 1)]
     return _stack_scans(scans, surface.grid.nt)
 
@@ -419,89 +418,3 @@ def tree_oracle(family: MarginalFamily, partition: Partition, depth: int,
 
     return [value(j, depth, x0) for j in range(n + 1)]
 
-
-# ---------------------------------------------------------------------------
-# Monte Carlo lower bounds
-
-def rule_stop_now(k, elapsed, b):
-    return np.ones_like(b, dtype=bool)
-
-
-def rule_stop_at_horizon(k, elapsed, b):
-    return np.zeros_like(b, dtype=bool)
-
-
-def make_barrier_rule(barrier_family, j: int, budget: float):
-    """Stop the k-th time once the remaining budget enters barrier j-k+1."""
-
-    def rule(k, elapsed, b):
-        r = barrier_family.lookup(j - k + 1, b)
-        return (budget - elapsed) >= r
-
-    return rule
-
-
-def lower_bound_mc(surface: ValueSurface, family: MarginalFamily,
-                   rule: Callable, samples: int, seed: int, *,
-                   j: Optional[int] = None, t: Optional[float] = None,
-                   x: float = 0.0):
-    """Estimate the multiple-stopping payoff of an admissible rule.
-
-    Any adapted rule is suboptimal, so the estimate must stay below the
-    solved surface value up to Monte Carlo noise and monitoring bias.
-    Returns (estimate, stderr, surface_value).
-    """
-    j = surface.n if j is None else j
-    t = float(surface.grid.T) if t is None else float(t)
-    h = surface.grid.dt
-    steps = int(round(t / h))
-    if abs(steps * h - t) > 1e-9:
-        raise ValidationError("budget t must be a multiple of the grid time step")
-    svals = surface.partition.points
-    xs = surface.x_nodes()
-    du_at = [None] + [lambda b, jj=jj: np.interp(b, xs, surface.du[jj - 1])
-                      for jj in range(1, j + 1)]
-
-    rng = make_stream(seed, 0)
-    b = np.full(samples, float(x))
-    k_cur = np.ones(samples, dtype=np.int64)
-    stop_x = np.zeros((j + 1, samples))
-    stop_bonus = np.zeros((j + 1, samples), dtype=bool)
-    for m in range(steps):
-        elapsed = m * h
-        while True:
-            active = k_cur <= j
-            if not active.any():
-                break
-            decide = np.zeros(samples, dtype=bool)
-            for kv in np.unique(k_cur[active]):
-                mask = active & (k_cur == kv)
-                decide[mask] = rule(int(kv), elapsed, b[mask])
-            if not decide.any():
-                break
-            idx = np.nonzero(decide)[0]
-            stop_x[k_cur[decide], idx] = b[decide]
-            stop_bonus[k_cur[decide], idx] = True
-            k_cur[decide] += 1
-        alive = k_cur <= j
-        if not alive.any():
-            break
-        b[alive] += math.sqrt(h) * rng.standard_normal(int(alive.sum()))
-    # budget exhausted: remaining stops are forced at t, bonus indicator off
-    while True:
-        active = k_cur <= j
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        stop_x[k_cur[active], idx] = b[active]
-        k_cur[active] += 1
-
-    # payoff: terminal potential at the last stop plus collected increments
-    payoff = family.potential(float(svals[0]), stop_x[j])
-    for k in range(1, j + 1):
-        inc = du_at[j - k + 1](stop_x[k])
-        payoff = payoff + inc * stop_bonus[k]
-    est = float(payoff.mean())
-    stderr = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    ref = surface.value_at(j, t, x)
-    return est, stderr, ref

@@ -70,11 +70,9 @@ def root_ensemble():
     h = 0.0025
     xs = np.arange(-200, 201) * 0.05
     barrier = BarrierFamily(s_values=np.array([1.0]), x_nodes=xs,
-                            r=np.ones((1, xs.size)), eps_b=None,
-                            flagged=np.zeros(1, dtype=int),
+                            r=np.ones((1, xs.size)), flagged=np.zeros(1, dtype=int),
                             region_nodes=np.ones(1, dtype=int),
-                            grid_desc={"dt": h, "T": 1.5, "dx": 0.05, "L": 10.0},
-                            family_desc=fam.descriptor())
+                            grid_desc={"dt": h, "T": 1.5, "dx": 0.05, "L": 10.0})
     return fam, rs.simulate_root(fam, barrier, 100_000, h, SEED, horizon=1.5)
 
 

@@ -192,22 +192,72 @@ def test_threads_below_one_rejected(gauss_config, tmp_path, threads):
     assert not out.exists()
 
 
+def _with_simulation(settings: str) -> str:
+    """SMALL_GAUSS with each `key = value` of settings ("; "-separated)
+    replacing that key in [simulation], or added to it."""
+    lines = SMALL_GAUSS.splitlines()
+    for setting in settings.split("; "):
+        key = setting.split(" = ")[0]
+        lines = [ln for ln in lines if not ln.startswith(f"{key} =")] + [setting]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "all"])
 @pytest.mark.parametrize("simulation", [
     "h_sim = 0.02",                  # coarser than the solver step dt = 0.01
     "h_sim = 0.004",                 # probe time 0.25 is not a multiple of it
+    "h_sim = 0",
+    "h_sim = -0.0025",
+    "paths = 0",
+    "paths = -5",
+    "horizon = -1",
+    "horizon = 0.5",                 # probe time 1.0 lies beyond it
+    "alternative = true; alt_horizon = 0",
 ])
-def test_simulation_inputs_rejected_before_solve(tmp_path, monkeypatch, command, simulation):
+def test_simulation_inputs_rejected_before_solve(tmp_path, monkeypatch, capsys, command,
+                                                 simulation):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the simulation inputs were checked")
 
     monkeypatch.setattr(cli, "solve_layers", no_solve)
     monkeypatch.setattr(cli, "solve_limit", no_solve)
     cfg = tmp_path / "run.ini"
-    cfg.write_text(SMALL_GAUSS.replace("h_sim = 0.01", simulation), encoding="utf-8")
+    cfg.write_text(_with_simulation(simulation), encoding="utf-8")
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_alternative_embedding_run(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_with_simulation("alternative = true"), encoding="utf-8")
+    outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+    for out, threads in zip(outs, ("1", "2")):
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+    emb = [(out / "embedding.json").read_bytes() for out in outs]
+    assert emb[0] == emb[1]
+    payload = json.loads(emb[0])
+    alt = payload["alternative"]["functionals"]
+    assert sorted(alt) == ["one", "t", "t_sq"]
+    for name, f in alt.items():
+        assert np.isfinite(f["estimate"]) and f["stderr"] > 0.0, name
+    # the randomized embedding pays more than Root for increasing weights
+    for name in ("t", "t_sq"):
+        assert alt[name]["estimate"] > payload["functionals"][name]["estimate"]
+
+
+@pytest.mark.parametrize("section, key", [
+    ("family", "base"), ("family", "growth_power"), ("family", "pieces"),
+    ("simulation", "alt_h_sim"),
+])
+def test_removed_keys_rejected(tmp_path, capsys, section, key):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_GAUSS.replace(f"[{section}]", f"[{section}]\n{key} = 1"),
+                   encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting, bad", [
@@ -275,17 +325,19 @@ OFF_GRID_CSV = ("s,position,weight\n0.0,0.0,1.0\n"
                 f"1.0,-1.01,{1.03 / 2.04!r}\n1.0,1.03,{1.01 / 2.04!r}\n")
 
 
-@pytest.mark.parametrize("command, family, dx, code", [
-    ("solve", "kind = gaussian_shift\nt0 = 1.0", 0.1, 0),
-    ("solve", "kind = scaled\ns0 = 0.0", 0.05, 0),
-    ("limit", "kind = scaled\ns0 = 0.0", 0.05, 0),
-    ("solve", "kind = three_point\np0 = 0.1\np1 = 0.3", 0.05, 0),
-    ("solve", "kind = three_point\np0 = 0.1\np1 = 0.3", 0.03, 1),
-    ("solve", "kind = atomic_csv\npath = fam.csv", 0.05, 1),
-    ("solve", "kind = pathological", 0.05, 1),
+# the tangent-chord family is library-only: its chord points are atoms that
+# no uniform grid holds, so the config schema does not offer it
+@pytest.mark.parametrize("command, family, dx, code, message", [
+    ("solve", "kind = gaussian_shift\nt0 = 1.0", 0.1, 0, ""),
+    ("solve", "kind = scaled\ns0 = 0.0", 0.05, 0, ""),
+    ("limit", "kind = scaled\ns0 = 0.0", 0.05, 0, ""),
+    ("solve", "kind = three_point\np0 = 0.1\np1 = 0.3", 0.05, 0, ""),
+    ("solve", "kind = three_point\np0 = 0.1\np1 = 0.3", 0.03, 1, "off the grid"),
+    ("solve", "kind = atomic_csv\npath = fam.csv", 0.05, 1, "off the grid"),
+    ("solve", "kind = pathological", 0.05, 1, "unknown family kind 'pathological'"),
 ], ids=["gaussian_shift", "scaled_point_start", "scaled_point_start_limit",
         "three_point", "three_point_off_grid", "atomic_csv_off_grid", "pathological"])
-def test_verdict_for_every_family_kind(tmp_path, capsys, command, family, dx, code):
+def test_verdict_for_every_family_kind(tmp_path, capsys, command, family, dx, code, message):
     (tmp_path / "fam.csv").write_text(OFF_GRID_CSV, encoding="utf-8")
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[family]\n{family}\n\n[grid]\nt_horizon = 1.25\ndx = {dx}\n\n"
@@ -293,7 +345,7 @@ def test_verdict_for_every_family_kind(tmp_path, capsys, command, family, dx, co
                    encoding="utf-8")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
-    assert ("off the grid" in err) == (code == 1), err
+    assert ("error: " in err) == (code == 1) and message in err, err
 
 
 def test_ladder_atoms_checked_before_any_solve(tmp_path, monkeypatch, capsys):

@@ -16,7 +16,7 @@ def test_geometric_partition():
     p = rs.make_partition(4, "geometric")
     assert p.points[0] == 0.0 and p.points[-1] == 1.0
     assert p.mesh > 0.25
-    gaps = p.gaps()
+    gaps = np.diff(p.points)
     assert np.allclose(gaps[1:] / gaps[:-1], 1.2)
 
 

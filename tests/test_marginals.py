@@ -8,7 +8,7 @@ from scipy import integrate, stats
 
 import rootsep as rs
 from rootsep.errors import SingularityError, ValidationError
-from rootsep.marginals import gaussian_call, gaussian_call_dx, gaussian_potential
+from rootsep.marginals import gaussian_call, gaussian_call_dx, gaussian_potential, make_stream
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -21,24 +21,24 @@ def quad_potential(pdf, x, lo=-40.0, hi=40.0):
 
 
 # ---------------------------------------------------------------------------
-# potential_eval
+# potential
 
 def test_point_mass_potential():
     fam = rs.ScaledFamily(0.0)      # mu_0 = delta_0
-    assert rs.potential_eval(fam, 0.0, 2.0) == -2.0
+    assert fam.potential(0.0, 2.0) == -2.0
 
 
 def test_two_atom_potential(two_atom_family):
-    assert rs.potential_eval(two_atom_family, 1.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
+    assert two_atom_family.potential(1.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_standard_normal_potential_against_quadrature():
     fam = rs.ScaledFamily(0.0)      # mu_1 = N(0,1)
     for x in (0.0, 3.0, -1.7, 0.4):
         oracle = quad_potential(stats.norm.pdf, x)
-        assert rs.potential_eval(fam, 1.0, x) == pytest.approx(oracle, abs=1e-10)
-    assert rs.potential_eval(fam, 1.0, 0.0) == pytest.approx(-0.7978845608028654, abs=1e-12)
-    assert rs.potential_eval(fam, 1.0, 3.0) == pytest.approx(-3.0007643086340955, abs=1e-10)
+        assert fam.potential(1.0, x) == pytest.approx(oracle, abs=1e-10)
+    assert fam.potential(1.0, 0.0) == pytest.approx(-0.7978845608028654, abs=1e-12)
+    assert fam.potential(1.0, 3.0) == pytest.approx(-3.0007643086340955, abs=1e-10)
 
 
 def test_gaussian_shift_matches_quadrature(gauss_family):
@@ -46,56 +46,57 @@ def test_gaussian_shift_matches_quadrature(gauss_family):
         v = 1.0 + s
         pdf = lambda y: stats.norm.pdf(y, scale=math.sqrt(v))
         for x in (0.0, 1.3, -2.6):
-            assert rs.potential_eval(gauss_family, s, x) == pytest.approx(
+            assert gauss_family.potential(s, x) == pytest.approx(
                 quad_potential(pdf, x), abs=1e-10)
 
 
-def test_potential_index_domain(gauss_family):
+def test_potential_index_domain(constant_family):
+    # a table family looks mu_s up by its index and refuses s outside [0, 1]
     with pytest.raises(ValidationError):
-        rs.potential_eval(gauss_family, 1.5, 0.0)
+        constant_family.potential(1.5, 0.0)
     with pytest.raises(ValidationError):
-        rs.potential_ds(gauss_family, -0.1, 0.0)
+        constant_family.potential_ds(-0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # potential_ds
 
 def test_gaussian_shift_ds_closed_form(gauss_family):
-    assert rs.potential_ds(gauss_family, 0.0, 0.0) == pytest.approx(-0.3989422804014327, abs=1e-12)
+    assert gauss_family.potential_ds(0.0, 0.0) == pytest.approx(-0.3989422804014327, abs=1e-12)
     # finite-difference oracle at several points
     for s, x in ((0.25, 0.0), (0.6, 1.1), (1.0 - 1e-6, -2.0)):
         h = 1e-6
-        fd = (rs.potential_eval(gauss_family, s + h, x)
-              - rs.potential_eval(gauss_family, s - h, x)) / (2 * h)
-        assert rs.potential_ds(gauss_family, s, x) == pytest.approx(fd, abs=1e-7)
+        fd = (gauss_family.potential(s + h, x)
+              - gauss_family.potential(s - h, x)) / (2 * h)
+        assert gauss_family.potential_ds(s, x) == pytest.approx(fd, abs=1e-7)
 
 
 def test_constant_family_ds_zero(constant_family):
     for s in (0.0, 0.33, 1.0):
-        assert rs.potential_ds(constant_family, s, 0.7) == pytest.approx(0.0, abs=1e-12)
+        assert constant_family.potential_ds(s, 0.7) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scaled_ds_matches_finite_difference():
     fam = rs.ScaledFamily(0.5)
     h = 1e-6
     for s, x in ((0.5, 0.0), (0.2, 1.0), (0.9, -2.3)):
-        fd = (rs.potential_eval(fam, s + h, x) - rs.potential_eval(fam, s - h, x)) / (2 * h)
-        assert rs.potential_ds(fam, s, x) == pytest.approx(fd, abs=1e-6)
+        fd = (fam.potential(s + h, x) - fam.potential(s - h, x)) / (2 * h)
+        assert fam.potential_ds(s, x) == pytest.approx(fd, abs=1e-6)
 
 
 def test_scaled_zero_offset_singular_at_origin():
     fam = rs.ScaledFamily(0.0)
     with pytest.raises(SingularityError):
-        rs.potential_ds(fam, 0.0, 1.0)
+        fam.potential_ds(0.0, 1.0)
     # away from the origin the derivative exists
-    assert rs.potential_ds(fam, 0.5, 1.0) < 0
+    assert fam.potential_ds(0.5, 1.0) < 0
 
 
 def test_ds_nonpositive_everywhere(gauss_family, three_point_family):
     xs = np.linspace(-6, 6, 41)
     for fam in (gauss_family, three_point_family, rs.ScaledFamily(0.3)):
         for s in np.linspace(0, 1, 9):
-            assert np.all(rs.potential_ds(fam, float(s), xs) <= 1e-9)
+            assert np.all(fam.potential_ds(float(s), xs) <= 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +105,25 @@ def test_ds_nonpositive_everywhere(gauss_family, three_point_family):
 def test_call_price_normal():
     fam = rs.ScaledFamily(0.0)
     oracle, _ = integrate.quad(lambda y: max(y, 0.0) * stats.norm.pdf(y), 0, 40)
-    assert rs.call_price(fam, 1.0, 0.0) == pytest.approx(oracle, abs=1e-10)
-    assert rs.call_price(fam, 1.0, 0.0) == pytest.approx(0.3989422804014327, abs=1e-12)
+    assert fam.call_price(1.0, 0.0) == pytest.approx(oracle, abs=1e-10)
+    assert fam.call_price(1.0, 0.0) == pytest.approx(0.3989422804014327, abs=1e-12)
 
 
 def test_call_price_two_atoms(two_atom_family):
-    assert rs.call_price(two_atom_family, 1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+    assert two_atom_family.call_price(1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_call_price_vanishes_far_right(gauss_family, three_point_family):
     for fam in (gauss_family, three_point_family):
-        assert rs.call_price(fam, 1.0, 60.0) == pytest.approx(0.0, abs=1e-9)
+        assert fam.call_price(1.0, 60.0) == pytest.approx(0.0, abs=1e-9)
 
 
 @given(s=st.floats(0.0, 1.0), x=st.floats(-8.0, 8.0))
 @settings(max_examples=60, deadline=None)
 def test_centred_identity(s, x):
     fam = rs.GaussianShiftFamily(0.7)
-    u = rs.potential_eval(fam, s, x)
-    v = rs.call_price(fam, s, x)
+    u = fam.potential(s, x)
+    v = fam.call_price(s, x)
     assert 2.0 * v + u + x == pytest.approx(0.0, abs=1e-10)
 
 
@@ -130,8 +131,8 @@ def test_centred_identity(s, x):
 @settings(max_examples=60, deadline=None)
 def test_potential_one_lipschitz(s, x1, x2):
     fam = rs.ThreePointFamily(0.05, 0.4)
-    a = rs.potential_eval(fam, s, x1)
-    b = rs.potential_eval(fam, s, x2)
+    a = fam.potential(s, x1)
+    b = fam.potential(s, x2)
     assert abs(a - b) <= abs(x1 - x2) + 1e-9
 
 
@@ -228,37 +229,32 @@ def test_pathological_convex_order():
 
 def test_sample_point_mass():
     fam = rs.ScaledFamily(0.0)
-    assert np.array_equal(rs.sample_initial(fam, 3, seed=1), np.zeros(3))
+    assert np.array_equal(fam.sample_initial_rng(make_stream(1), 3), np.zeros(3))
 
 
 def test_sample_gaussian_moments(gauss_family):
-    x = rs.sample_initial(gauss_family, 1_000_000, seed=2024)
+    x = gauss_family.sample_initial_rng(make_stream(2024), 1_000_000)
     assert abs(x.mean()) < 0.004
     assert abs(x.var() - 1.0) < 0.01
 
 
 def test_sample_determinism(gauss_family):
-    a = rs.sample_initial(gauss_family, 1000, seed=7, stream=3)
-    b = rs.sample_initial(gauss_family, 1000, seed=7, stream=3)
-    c = rs.sample_initial(gauss_family, 1000, seed=7, stream=4)
+    a = gauss_family.sample_initial_rng(make_stream(7, 3), 1000)
+    b = gauss_family.sample_initial_rng(make_stream(7, 3), 1000)
+    c = gauss_family.sample_initial_rng(make_stream(7, 4), 1000)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def test_sample_count_validation(gauss_family):
-    with pytest.raises(ValidationError):
-        rs.sample_initial(gauss_family, 0, seed=1)
-
-
 def test_sample_three_point(three_point_family):
-    x = rs.sample_initial(three_point_family, 200_000, seed=5)
+    x = three_point_family.sample_initial_rng(make_stream(5), 200_000)
     assert set(np.unique(x)) <= {-1.0, 0.0, 1.0}
     assert abs((x == 0.0).mean() - 0.8) < 0.01
 
 
 def test_pathological_initial_sampling():
     fam = rs.build_pathological_family(lambda x: abs(x), pieces=4)
-    x = rs.sample_initial(fam, 200_000, seed=9)
+    x = fam.sample_initial_rng(make_stream(9), 200_000)
     # half the mass sits at the first chord point, the rest is half-Gaussian
     at_atom = x == fam.x_knots[1]
     assert abs(at_atom.mean() - 0.5) < 0.01
@@ -285,8 +281,8 @@ def test_csv_loader_round_trip(tmp_path):
                  "1.0,-1.0,0.5\n"
                  "1.0,1.0,0.5\n", encoding="utf-8")
     fam = rs.load_atomic_family_csv(p)
-    assert rs.potential_eval(fam, 0.0, 2.0) == -2.0
-    assert rs.potential_eval(fam, 1.0, 0.0) == -1.0
+    assert fam.potential(0.0, 2.0) == -2.0
+    assert fam.potential(1.0, 0.0) == -1.0
     assert rs.convex_order_validate(fam).passed
 
 

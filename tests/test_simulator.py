@@ -24,15 +24,13 @@ def gauss_run(gauss_family):
     return surf, barrier, ens
 
 
-def analytic_vertical_barrier(level_time: float, h: float, horizon: float,
-                              family) -> BarrierFamily:
+def analytic_vertical_barrier(level_time: float, h: float, horizon: float) -> BarrierFamily:
     xs = (np.arange(-200, 201)) * 0.05
     return BarrierFamily(s_values=np.array([1.0]), x_nodes=xs,
                          r=np.full((1, xs.size), level_time),
-                         eps_b=None, flagged=np.zeros(1, dtype=int),
+                         flagged=np.zeros(1, dtype=int),
                          region_nodes=np.ones(1, dtype=int),
-                         grid_desc={"dt": h, "T": horizon, "dx": 0.05, "L": 10.0},
-                         family_desc=family.descriptor())
+                         grid_desc={"dt": h, "T": horizon, "dx": 0.05, "L": 10.0})
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def test_antiderivative_against_quadrature():
 def test_root_functional_exact(gauss_family):
     fam = rs.ScaledFamily(0.0)
     h = 0.0025
-    barrier = analytic_vertical_barrier(1.0, h, 1.5, fam)
+    barrier = analytic_vertical_barrier(1.0, h, 1.5)
     ens = rs.simulate_root(fam, barrier, 5000, h, seed=3)
     assert np.all(ens.sigma[1] == 1.0)
     est, se = rs.optimality_functional(ens, rs.MonotonePiecewisePoly.poly(0.0, 1.0))
@@ -275,13 +273,49 @@ def test_alternative_stops_at_the_drawn_level():
 # ---------------------------------------------------------------------------
 # continuity of the stopping clock
 
+def continuity_check(family, ensemble, s_anchor: float = 0.5,
+                     deltas=(1 / 8, 1 / 16, 1 / 32)) -> dict:
+    """Estimate E[sigma_s - sigma_(s-delta)] for shrinking delta.
+
+    The anchor and every s - delta must be layer indices of the ensemble.
+    The differences must head to zero: each estimate should drop below its
+    predecessor plus joint noise.
+    """
+    svals = ensemble.s_values
+    assumption = rs.assumption_check(family)
+
+    def layer_of(s):
+        idx = np.nonzero(np.abs(svals - s) <= 1e-12)[0]
+        if idx.size == 0:
+            raise ValidationError(f"s={s} is not a simulated layer index")
+        return int(idx[0]) + 1
+
+    j_hi = layer_of(s_anchor)
+    rows = []
+    for d in deltas:
+        j_lo = layer_of(s_anchor - d)
+        diff = ensemble.sigma[j_hi] - ensemble.sigma[j_lo]
+        diff = diff[~ensemble.censored]
+        est = float(diff.mean())
+        se = float(diff.std(ddof=1) / math.sqrt(diff.size)) if diff.size > 1 else 0.0
+        rows.append({"delta": float(d), "mean": est, "stderr": se})
+    decreasing = all(rows[i + 1]["mean"] <= rows[i]["mean"]
+                     + 3.0 * (rows[i]["stderr"] + rows[i + 1]["stderr"]) + 1e-12
+                     for i in range(len(rows) - 1))
+    toward_zero = rows[-1]["mean"] <= rows[0]["mean"] + 3.0 * (
+        rows[0]["stderr"] + rows[-1]["stderr"]) and rows[-1]["mean"] >= -3.0 * rows[-1]["stderr"]
+    return {"anchor": s_anchor, "rows": rows, "decreasing": decreasing,
+            "toward_zero": toward_zero,
+            "assumption_satisfied": assumption.satisfied}
+
+
 def test_continuity_gaussian(gauss_family):
     part = rs.make_partition(32, "uniform")
     grid = rs.make_grid(gauss_family, 1.25, 0.1)
     surf = rs.solve_layers(gauss_family, part, grid, keep_times=[0.0, 1.25])
     barrier = rs.extract(surf)
     ens = rs.simulate_root(gauss_family, barrier, 20_000, grid.dt, seed=13)
-    rep = rs.continuity_check(gauss_family, ens)
+    rep = continuity_check(gauss_family, ens)
     assert rep["assumption_satisfied"]
     assert rep["decreasing"] and rep["toward_zero"]
     for row in rep["rows"]:
@@ -295,7 +329,7 @@ def test_continuity_constant(constant_family):
     surf = rs.solve_layers(constant_family, part, grid, keep_times=[0.0, 1.0])
     barrier = rs.extract(surf)
     ens = rs.simulate_root(constant_family, barrier, 2000, grid.dt, seed=2)
-    rep = rs.continuity_check(constant_family, ens)
+    rep = continuity_check(constant_family, ens)
     for row in rep["rows"]:
         assert row["mean"] == 0.0
 
@@ -306,5 +340,5 @@ def test_continuity_three_point(three_point_family):
     surf = rs.solve_layers(three_point_family, part, grid, keep_times=[0.0, 3.0])
     barrier = rs.extract(surf)
     ens = rs.simulate_root(three_point_family, barrier, 20_000, 1e-3, seed=17)
-    rep = rs.continuity_check(three_point_family, ens)
+    rep = continuity_check(three_point_family, ens)
     assert rep["decreasing"]
