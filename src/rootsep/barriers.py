@@ -36,42 +36,37 @@ class BarrierFamily:
     def n(self) -> int:
         return len(self.s_values)
 
-    def _table(self, j: int):
-        """Clamped interpolation table and isolated finite columns, cached."""
-        cache = getattr(self, "_tables", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_tables", cache)
-        if j not in cache:
-            r = self.r[j - 1]
-            clamped = np.where(np.isfinite(r), r, self._HUGE)
+    def __post_init__(self):
+        # per layer: the isolated finite columns, and the sparse range-min
+        # table T[k, i] = min of clamped[i : i + 2^k], whose row 0 is the
+        # clamped interpolation table
+        self._iso, self._tables = [], []
+        for r in self.r:
             fin = np.isfinite(r)
+            clamped = np.where(fin, r, self._HUGE)
             inner = fin[1:-1] & ~fin[:-2] & ~fin[2:]
-            iso = [(float(self.x_nodes[i + 1]), float(r[i + 1]))
-                   for i in np.nonzero(inner)[0]]
-            # sparse range-min table: T[k, i] = min of clamped[i : i + 2^k]
+            self._iso.append([(float(self.x_nodes[i + 1]), float(r[i + 1]))
+                              for i in np.nonzero(inner)[0]])
             n = clamped.size
-            levels = max(1, int(np.log2(max(n, 2))) + 1)
-            T = np.full((levels, n), self._HUGE)
+            T = np.full((max(1, int(np.log2(max(n, 2))) + 1), n), self._HUGE)
             T[0] = clamped
-            for k in range(1, levels):
+            for k in range(1, T.shape[0]):
                 span, half = 1 << k, 1 << (k - 1)
                 m = n - span + 1
                 if m <= 0:
                     break
                 T[k, :m] = np.minimum(T[k - 1, :m], T[k - 1, half:half + m])
-            cache[j] = (clamped, iso, T)
-        return cache[j]
+            self._tables.append(T)
 
     def range_min(self, j: int, x_lo, x_hi) -> np.ndarray:
         """Lower bound of the barrier time over position spans [x_lo, x_hi].
 
         Exact minimum over the grid nodes touching the span, which bounds the
         interpolated barrier from below; used to prune hit tests."""
-        clamped, _, T = self._table(j)
+        T = self._tables[j - 1]
         xs = self.x_nodes
         dx = xs[1] - xs[0]
-        n = clamped.size
+        n = T.shape[1]
         lo = np.clip(np.floor((np.asarray(x_lo) - xs[0]) / dx), 0, n - 1).astype(np.int64)
         hi = np.clip(np.ceil((np.asarray(x_hi) - xs[0]) / dx), 0, n - 1).astype(np.int64)
         length = hi - lo + 1
@@ -89,7 +84,7 @@ class BarrierFamily:
         finite column (a single-node stopping line, e.g. an atom of the
         target), which keeps its own finite value so paths can reach it.
         """
-        clamped, iso, _ = self._table(j)
+        clamped, iso = self._tables[j - 1][0], self._iso[j - 1]
         xs = self.x_nodes
         dx = xs[1] - xs[0]
         x = np.asarray(x, dtype=float)

@@ -181,8 +181,7 @@ class Run:
     @cached_property
     def surface(self):
         grid = self.grid
-        idx = np.unique(np.round(np.linspace(0.0, grid.T, 9) / grid.dt).astype(int))
-        keep = set((idx * grid.dt).tolist())
+        keep = set((grid.eighth_rows() * grid.dt).tolist())
         for t in self.probe_times:
             m = round(t / grid.dt)
             if abs(m * grid.dt - t) > 1e-9:
@@ -214,7 +213,8 @@ class Run:
         only after the solve, or not at all: no paths, a step that is not
         positive or is coarser than the solver's, a horizon that is not
         positive or ends before a probe time, probe times off the
-        monitoring grid, and a non-positive horizon for the alternative."""
+        monitoring grid, probe points off the solver's x-grid, and a
+        non-positive horizon for the alternative."""
         cfg = self.cfg
         if cfg.getint("simulation", "paths") < 1:
             raise ConfigError("paths must be at least 1")
@@ -229,6 +229,10 @@ class Run:
                 raise ConfigError(f"probe time {t} is not a multiple of h_sim={self.h_sim}")
             if t > self.horizon + 1e-9:
                 raise ConfigError(f"probe time {t} is beyond the horizon {self.horizon}")
+        xs = self.grid.x_nodes()
+        for x in cfg.getlist("simulation", "probe_x"):
+            if np.abs(xs - x).min() > 1e-9:
+                raise ConfigError(f"probe x {x} is not a grid node (dx={self.grid.dx})")
         if cfg.getbool("simulation", "alternative") \
                 and not cfg.getfloat("simulation", "alt_horizon") > 0:
             raise ConfigError("alt_horizon must be positive")

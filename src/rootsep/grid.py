@@ -89,6 +89,10 @@ class SpaceTimeGrid:
     def t_nodes(self) -> np.ndarray:
         return np.arange(self.nt + 1) * self.dt
 
+    def eighth_rows(self) -> np.ndarray:
+        """Time-row indices nearest to 0, T/8, ..., T, without repeats."""
+        return np.unique(np.round(np.linspace(0.0, self.T, 9) / self.dt).astype(int))
+
     def x_nodes(self) -> np.ndarray:
         # (k - center) * dx keeps node floats identical across ladders whose
         # steps differ by powers of two

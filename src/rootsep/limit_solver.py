@@ -74,11 +74,7 @@ def _lattice_values(surface: ValueSurface, lattice_s, lattice_x) -> np.ndarray:
 def default_lattice(grid_coarse: SpaceTimeGrid, n0: int):
     """Evaluation lattice sliced from the coarsest grid: uniform s values,
     roughly eighth-of-horizon t values, x nodes with |x| <= 4."""
-    ts = grid_coarse.t_nodes()
-    targets = np.linspace(0.0, grid_coarse.T, 9)
-    idx = np.unique(np.clip(np.round(targets / grid_coarse.dt).astype(int),
-                            0, grid_coarse.nt))
-    lattice_t = ts[idx]
+    lattice_t = grid_coarse.t_nodes()[grid_coarse.eighth_rows()]
     xs = grid_coarse.x_nodes()
     lattice_x = xs[np.abs(xs) <= 4.0 + 1e-12]
     lattice_s = np.linspace(0.0, 1.0, n0 + 1)

@@ -3,7 +3,9 @@
 Paths start from the initial marginal and advance by Gaussian increments of
 size h_sim, monitored at multiples of h_sim with no bridge correction, so
 hitting times carry an O(sqrt(h_sim)) overshoot bias that the verification
-tolerances absorb.  The randomized alternative embedding takes no time steps:
+tolerances absorb.  Each path's stops are found segment by segment, with
+one ascending sweep over the layers per segment; a snapshot at time t holds
+B_(t ^ sigma_n).  The randomized alternative embedding takes no time steps:
 its stopping time and stopped value are sampled exactly, from one normal and
 one uniform draw per path.  Paths are processed in fixed-size blocks, each
 block on its own counter-based stream keyed by (seed, block index); results
@@ -43,7 +45,7 @@ class PathEnsemble:
     x0: np.ndarray                  # (M,)
     sigma: np.ndarray               # (n+1, M); row 0 unused, inf = censored
     b_sigma: np.ndarray             # (n+1, M); nan where censored
-    snapshots: dict                 # t -> (M,) path values at monitored time t
+    snapshots: dict                 # t -> (M,) B_(t ^ sigma_n) at monitored time t
     censored: np.ndarray            # (M,) bool
 
     @property
@@ -53,6 +55,14 @@ class PathEnsemble:
     @property
     def censored_fraction(self) -> float:
         return float(self.censored.mean())
+
+    def check_censoring(self, what: str) -> None:
+        """Raise HorizonError for `what` when more than the tolerated
+        fraction of the paths is censored at the horizon."""
+        if self.censored_fraction > CENSOR_FRACTION:
+            raise HorizonError(
+                f"{what}: {self.censored_fraction:.2%} of paths censored at "
+                f"T={self.horizon} (tolerated {CENSOR_FRACTION:.1%})")
 
     def values_at(self, j: int, t: float) -> np.ndarray:
         """Per-path stopped-or-running value B_(t ^ sigma_j)."""
@@ -69,17 +79,17 @@ class PathEnsemble:
         raise ValidationError(f"no snapshot recorded at t={t}")
 
 
-def _run_blocks(run_block, M: int, seed: int, threads: int, block_size: int) -> None:
-    """Call run_block(rng, lo, hi) on each fixed block of the M paths.
+def _run_blocks(run_block, M: int, seed: int, threads: int) -> None:
+    """Call run_block(rng, lo, hi) on each BLOCK_SIZE block of the M paths.
 
     Block b draws from its own stream keyed by (seed, b), so the results do
     not depend on how many threads share the blocks.
     """
     def one(bid):
-        lo = bid * block_size
-        run_block(make_stream(seed, bid), lo, min(lo + block_size, M))
+        lo = bid * BLOCK_SIZE
+        run_block(make_stream(seed, bid), lo, min(lo + BLOCK_SIZE, M))
 
-    blocks = range(-(-M // block_size))
+    blocks = range(-(-M // BLOCK_SIZE))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(one, blocks))
@@ -97,6 +107,10 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
 
     sigma_j is the first monitored time >= sigma_{j-1} at which the path sits
     inside barrier j (time at or past the interpolated first-hit curve).
+    Paths advance in segments of monitored steps; in each segment the layers
+    are swept once in increasing order, so a path can stop in several
+    layers within one segment.  The snapshot at time t is B_(t ^ sigma_n):
+    the running position, or B_sigma_n for a path that stopped by t.
     Requires h_sim no larger than the solver time step the barriers came
     from.  Raises HorizonError when more than the tolerated fraction of
     paths fails to complete all stops before the horizon.
@@ -121,48 +135,37 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     # short segments when many layers overlap, long ones for fine monitoring
     segment = int(np.clip(steps // (2 * n) if n else steps, 16, 256))
 
-    def cascade(j_cur, rows, P, times, start, sg, bg):
+    def cascade(j_cur, rows, P, times, sg, bg):
         """Advance layers for paths `rows` along segment positions P.
 
-        A range-min prune skips paths whose whole position span cannot enter
-        the layer's region before the segment ends; survivors get the full
-        per-step interpolated test.
+        One ascending sweep over the layers: a path that stops in layer j is
+        tested for layer j + 1 from its stop column.  A range-min prune skips
+        paths whose whole position span cannot enter the layer's region
+        before the segment ends; survivors get the full per-step
+        interpolated test.
         """
         m = P.shape[1]
         col = np.arange(m)
         t_last = float(times[-1]) + 1e-12
         span_lo = P.min(axis=1) if m > 4 else None
         span_hi = P.max(axis=1) if m > 4 else None
-        while True:
-            progressed = False
-            active = j_cur[rows] <= n
-            if not active.any():
-                break
-            for jv in np.unique(j_cur[rows][active]):
-                mask = active & (j_cur[rows] == jv)
-                if span_lo is not None:
-                    reachable = barrier_family.range_min(
-                        int(jv), span_lo[mask], span_hi[mask]) <= t_last
-                    if not reachable.any():
-                        continue
-                    mask[np.nonzero(mask)[0][~reachable]] = False
-                Pm = P[mask]
-                rbar = barrier_family.lookup(int(jv), Pm)
-                ok = times[None, :] + 1e-12 >= rbar
-                ok &= col[None, :] >= start[mask, None]
-                anyh = ok.any(axis=1)
-                if not anyh.any():
-                    continue
-                first = ok.argmax(axis=1)
-                sel = np.nonzero(mask)[0][anyh]
-                rsel = rows[sel]
-                sg[jv, rsel] = times[first[anyh]]
-                bg[jv, rsel] = P[sel, first[anyh]]
-                j_cur[rsel] += 1
-                start[sel] = first[anyh]
-                progressed = True
-            if not progressed:
-                break
+        at = j_cur[rows]
+        start = np.zeros(rows.size, dtype=np.int64)
+        for j in range(1, n + 1):
+            idx = np.nonzero(at == j)[0]
+            if span_lo is not None and idx.size:
+                idx = idx[barrier_family.range_min(j, span_lo[idx], span_hi[idx]) <= t_last]
+            if idx.size == 0:
+                continue
+            ok = times[None, :] + 1e-12 >= barrier_family.lookup(j, P[idx])
+            ok &= col[None, :] >= start[idx, None]
+            hit = ok.any(axis=1)
+            idx, first = idx[hit], ok.argmax(axis=1)[hit]
+            sg[j, rows[idx]] = times[first]
+            bg[j, rows[idx]] = P[idx, first]
+            at[idx] += 1
+            start[idx] = first
+        j_cur[rows] = at
 
     def run_block(rng, lo, hi):
         bs = hi - lo
@@ -170,15 +173,13 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
         x0[lo:hi] = x
         sg = sigma[:, lo:hi]
         bg = b_sigma[:, lo:hi]
+        snap = snaps[:, lo:hi]
         j_cur = np.ones(bs, dtype=np.int64)
-        snap_lookup = {int(k): i for i, k in enumerate(snap_steps)}
         sqrt_h = math.sqrt(h_sim)
 
         # stops allowed at time zero (initial atoms already inside a barrier)
-        cascade(j_cur, np.arange(bs), x[:, None], np.array([0.0]),
-                np.zeros(bs, dtype=np.int64), sg, bg)
-        if 0 in snap_lookup:
-            snaps[snap_lookup[0], lo:hi] = x
+        cascade(j_cur, np.arange(bs), x[:, None], np.array([0.0]), sg, bg)
+        snap[snap_steps == 0] = x
 
         done = 0
         while done < steps:
@@ -186,45 +187,29 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
             times = (done + 1 + np.arange(m)) * h_sim
             rows = np.nonzero(j_cur <= n)[0]
             if rows.size == 0:
-                for mm, slot in snap_lookup.items():
-                    if mm > done:
-                        snaps[slot, lo:hi] = x
                 break
             inc = rng.standard_normal((rows.size, m))
             np.multiply(inc, sqrt_h, out=inc)
             np.cumsum(inc, axis=1, out=inc)
             P = inc
             P += x[rows, None]
-            start = np.zeros(rows.size, dtype=np.int64)
-            cascade(j_cur, rows, P, times, start, sg, bg)
+            cascade(j_cur, rows, P, times, sg, bg)
             x[rows] = P[:, -1]
-            fin = j_cur[rows] > n
-            if fin.any():
-                x[rows[fin]] = bg[n, rows[fin]]
-            for mm, slot in snap_lookup.items():
-                if done < mm <= done + m:
-                    # frozen paths keep their stopped value; running paths
-                    # take the segment column at that monitored time
-                    snaps[slot, lo:hi] = x
-                    snaps[slot, lo:hi][rows] = P[:, mm - done - 1]
-                    if fin.any():
-                        snaps[slot, lo:hi][rows[fin]] = np.where(
-                            sg[n, rows[fin]] <= mm * h_sim + 1e-12,
-                            bg[n, rows[fin]], P[fin, mm - done - 1])
+            # running positions; stopped paths take B_sigma_n below
+            for slot in np.nonzero((snap_steps > done) & (snap_steps <= done + m))[0]:
+                snap[slot, rows] = P[:, snap_steps[slot] - done - 1]
             done += m
+        # B_(t ^ sigma_n): a path stopped by a snapshot time keeps its stop value
+        snap[:] = np.where(sg[n] <= snap_steps[:, None] * h_sim + 1e-12, bg[n], snap)
 
-    _run_blocks(run_block, M, seed, threads, BLOCK_SIZE)
+    _run_blocks(run_block, M, seed, threads)
 
-    censored = ~np.isfinite(sigma[n])
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=T,
                        s_values=np.asarray(barrier_family.s_values, dtype=float),
                        x0=x0, sigma=sigma, b_sigma=b_sigma,
                        snapshots={float(t): snaps[i] for i, t in enumerate(snap_times)},
-                       censored=censored)
-    if ens.censored_fraction > CENSOR_FRACTION:
-        raise HorizonError(
-            f"{ens.censored_fraction:.2%} of paths censored at T={T} "
-            f"(tolerated {CENSOR_FRACTION:.1%})")
+                       censored=~np.isfinite(sigma[n]))
+    ens.check_censoring("Root embedding")
     return ens
 
 
@@ -364,10 +349,7 @@ def optimality_functional(ensemble: PathEnsemble, f: MonotonePiecewisePoly):
     """
     if not isinstance(f, MonotonePiecewisePoly):
         raise ValidationError("functional weight must be a MonotonePiecewisePoly")
-    if ensemble.censored_fraction > CENSOR_FRACTION:
-        raise HorizonError(
-            f"{ensemble.censored_fraction:.2%} of paths censored at T={ensemble.horizon} "
-            f"(tolerated {CENSOR_FRACTION:.1%}); functional undefined")
+    ensemble.check_censoring("optimality functional")
     vals = f.antiderivative(np.minimum(ensemble.sigma[ensemble.n], ensemble.horizon))
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(ensemble.M))
@@ -433,8 +415,7 @@ def exit_time_quantile(u):
 
 
 def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
-                          horizon: float = 25.0, threads: int = 1,
-                          block_size: int = BLOCK_SIZE) -> PathEnsemble:
+                          horizon: float = 25.0, threads: int = 1) -> PathEnsemble:
     """Randomized non-barrier embedding of N(0,1) from a point start.
 
     Each path draws an independent level |G|, G standard normal, and stops at
@@ -460,13 +441,11 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
         sigma[1, lo:hi] = np.where(inside, stop, np.inf)
         b_sigma[1, lo:hi] = np.where(inside, level, np.nan)
 
-    _run_blocks(run_block, M, seed, threads, block_size)
+    _run_blocks(run_block, M, seed, threads)
 
-    censored = ~np.isfinite(sigma[1])
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=horizon,
                        s_values=np.array([1.0]), x0=np.zeros(M), sigma=sigma,
-                       b_sigma=b_sigma, snapshots={}, censored=censored)
-    if ens.censored_fraction > CENSOR_FRACTION:
-        raise HorizonError(f"{ens.censored_fraction:.2%} of alternative paths censored")
+                       b_sigma=b_sigma, snapshots={}, censored=~np.isfinite(sigma[1]))
+    ens.check_censoring("alternative embedding")
     return ens
 

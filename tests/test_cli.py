@@ -213,6 +213,7 @@ def _with_simulation(settings: str) -> str:
     "horizon = -1",
     "horizon = 0.5",                 # probe time 1.0 lies beyond it
     "alternative = true; alt_horizon = 0",
+    "probe_x = -1.0,0.01,1.0",        # 0.01 is not a node of the dx = 0.1 grid
 ])
 def test_simulation_inputs_rejected_before_solve(tmp_path, monkeypatch, capsys, command,
                                                  simulation):

@@ -24,12 +24,13 @@ def gauss_run(gauss_family):
     return surf, barrier, ens
 
 
-def analytic_vertical_barrier(level_time: float, h: float, horizon: float) -> BarrierFamily:
+def analytic_vertical_barrier(level_time: float, h: float, horizon: float,
+                              layers: int = 1) -> BarrierFamily:
     xs = (np.arange(-200, 201)) * 0.05
-    return BarrierFamily(s_values=np.array([1.0]), x_nodes=xs,
-                         r=np.full((1, xs.size), level_time),
-                         flagged=np.zeros(1, dtype=int),
-                         region_nodes=np.ones(1, dtype=int),
+    return BarrierFamily(s_values=np.arange(1, layers + 1) / layers, x_nodes=xs,
+                         r=np.full((layers, xs.size), level_time),
+                         flagged=np.zeros(layers, dtype=int),
+                         region_nodes=np.ones(layers, dtype=int),
                          grid_desc={"dt": h, "T": horizon, "dx": 0.05, "L": 10.0})
 
 
@@ -44,6 +45,48 @@ def test_vertical_barrier_hits(gauss_run):
         assert np.abs(ens.sigma[j] - s_j).max() <= 5 * dt + ens.h_sim
     assert np.all(np.diff(ens.sigma[1:], axis=0) >= 0.0)
     assert ens.censored_fraction == 0.0
+
+
+def test_equal_layers_stop_together():
+    # layer 2 is tried from layer 1's stop column in the same segment
+    h = 0.0025
+    ens = rs.simulate_root(rs.ScaledFamily(0.0), analytic_vertical_barrier(0.3, h, 1.5, 2),
+                           5000, h, seed=5, snapshot_times=[0.25, 0.5])
+    assert np.all(ens.sigma[1] == 0.3) and np.array_equal(ens.sigma[1], ens.sigma[2])
+    assert np.array_equal(ens.b_sigma[1], ens.b_sigma[2])
+    assert np.array_equal(ens.snapshots[0.5], ens.b_sigma[2])
+
+
+@pytest.fixture(scope="module")
+def three_point_run(three_point_family):
+    part = rs.make_partition(4, "uniform")
+    grid = rs.make_grid(three_point_family, 3.0, 0.025)
+    barrier = rs.extract(rs.solve_layers(three_point_family, part, grid, keep_times=[0.0]))
+    return rs.simulate_root(three_point_family, barrier, 20_000, grid.dt, seed=2)
+
+
+@pytest.mark.parametrize("atom", [1.0, pytest.param(-1.0, marks=pytest.mark.xfail(
+    strict=True, reason="lookup places x=-1 at node 208 + 4.4e-12 (dx taken as "
+    "x_nodes[1] - x_nodes[0]), and that weight on the +inf neighbour reads 4.4e6"))])
+def test_atoms_inside_every_barrier_stop_at_time_zero(three_point_run, atom):
+    # three-point paths that start on the wing atoms sit in every layer's
+    # region at t = 0, so every layer stops them there
+    ens = three_point_run
+    wing = ens.x0 == atom
+    assert wing.any()
+    for j in range(1, ens.n + 1):
+        assert np.all(ens.sigma[j][wing] == 0.0)
+        assert np.array_equal(ens.b_sigma[j][wing], ens.x0[wing])
+
+
+def test_snapshots_hold_the_stopped_value(gauss_run):
+    _, _, ens = gauss_run
+    checked = 0
+    for t, snap in ens.snapshots.items():
+        stopped = ens.sigma[ens.n] <= t + 1e-12
+        assert np.array_equal(snap[stopped], ens.b_sigma[ens.n][stopped])
+        checked += np.count_nonzero(stopped)
+    assert checked
 
 
 def test_two_atom_stop_values(two_atom_family, two_atom_surface):
@@ -80,7 +123,7 @@ def test_h_sim_gate(gauss_family, gauss_run):
 
 def test_censoring_error(two_atom_family, two_atom_surface):
     barrier = rs.extract(two_atom_surface)
-    with pytest.raises(HorizonError):
+    with pytest.raises(HorizonError, match="Root embedding: .* censored at T=0.5"):
         rs.simulate_root(two_atom_family, barrier, 5000, 1e-3, seed=1, horizon=0.5)
 
 
@@ -211,7 +254,7 @@ def test_functional_counts_censored_paths_at_the_horizon():
 def test_functional_rejects_censoring_above_tolerance():
     ens = _ensemble_with_censored(10_000, 11, horizon=2.0)
     assert ens.censored_fraction > CENSOR_FRACTION
-    with pytest.raises(HorizonError):
+    with pytest.raises(HorizonError, match="optimality functional: .* censored at T=2.0"):
         rs.optimality_functional(ens, rs.MonotonePiecewisePoly.poly(1.0))
 
 
@@ -255,8 +298,8 @@ def test_exit_time_moments():
 def test_alternative_stops_at_the_drawn_level():
     # block b draws its levels G and then its uniforms from stream (seed, b);
     # sigma = G^2 tau_1(u) and B_sigma = G on every uncensored path
-    M, block, seed, horizon = 20_000, 1024, 4, 25.0
-    ens = rs.alternative_embedding(M, seed, horizon=horizon, block_size=block)
+    M, block, seed, horizon = 20_000, sim.BLOCK_SIZE, 4, 25.0
+    ens = rs.alternative_embedding(M, seed, horizon=horizon)
     level, tau = np.empty(M), np.empty(M)
     for b, lo in enumerate(range(0, M, block)):
         rng = make_stream(seed, b)
