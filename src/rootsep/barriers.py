@@ -37,6 +37,8 @@ class BarrierFamily:
         return len(self.s_values)
 
     def __post_init__(self):
+        self._dx = float(self.grid_desc["dx"])
+        self._center = (len(self.x_nodes) - 1) // 2
         # per layer: the isolated finite columns, and the sparse range-min
         # table T[k, i] = min of clamped[i : i + 2^k], whose row 0 is the
         # clamped interpolation table
@@ -58,23 +60,47 @@ class BarrierFamily:
                 T[k, :m] = np.minimum(T[k - 1, :m], T[k - 1, half:half + m])
             self._tables.append(T)
 
-    def range_min(self, j: int, x_lo, x_hi) -> np.ndarray:
-        """Lower bound of the barrier time over position spans [x_lo, x_hi].
+    def cell_position(self, x) -> np.ndarray:
+        """Position of x in node units, node i at i.
 
-        Exact minimum over the grid nodes touching the span, which bounds the
-        interpolated barrier from below; used to prune hit tests."""
+        x / dx + nx // 2, as `SpaceTimeGrid.x_nodes` places the nodes.  That
+        quotient can miss a node by an ulp (x = -23.7 at dx = 0.1 lands
+        2.8e-14 below it), so a position within 1e-9 of a node, the tolerance
+        atoms are held to, is put on it.  Clipped to [0, nx - 1e-6], so
+        that positions past the grid read its edge cell.
+        """
+        # in place: this runs on every monitored position
+        pos = np.divide(x, self._dx, out=np.empty(np.shape(x)))
+        pos += self._center
+        off = np.rint(pos, out=np.empty_like(pos))
+        off -= pos
+        np.abs(off, out=off)
+        np.rint(pos, out=pos, where=off <= 1e-9 / self._dx)
+        np.maximum(pos, 0.0, out=pos)
+        return np.minimum(pos, len(self.x_nodes) - 1.000001, out=pos)
+
+    def node_min(self, j: int, lo, hi) -> np.ndarray:
+        """Minimum of layer j's barrier times over the nodes lo..hi.
+
+        Node indices past either end of the grid read its edge node."""
         T = self._tables[j - 1]
-        xs = self.x_nodes
-        dx = xs[1] - xs[0]
         n = T.shape[1]
-        lo = np.clip(np.floor((np.asarray(x_lo) - xs[0]) / dx), 0, n - 1).astype(np.int64)
-        hi = np.clip(np.ceil((np.asarray(x_hi) - xs[0]) / dx), 0, n - 1).astype(np.int64)
+        lo = np.clip(lo, 0, n - 1)
+        hi = np.clip(hi, 0, n - 1)
         length = hi - lo + 1
         k = np.frexp(length.astype(np.float64))[1] - 1      # floor(log2(length))
         k = np.clip(k, 0, T.shape[0] - 1)
         left = np.take(T.ravel(), k * n + lo)
         right = np.take(T.ravel(), k * n + hi - (1 << k) + 1)
         return np.minimum(left, right)
+
+    def range_min(self, j: int, x_lo, x_hi) -> np.ndarray:
+        """Lower bound of the barrier time over position spans [x_lo, x_hi].
+
+        Exact minimum over the grid nodes touching the span, which bounds the
+        interpolated barrier from below; used to prune hit tests."""
+        return self.node_min(j, np.floor(self.cell_position(x_lo)).astype(np.int64),
+                             np.ceil(self.cell_position(x_hi)).astype(np.int64))
 
     def lookup(self, j: int, x) -> np.ndarray:
         """Barrier time at arbitrary x for layer j (1-based).
@@ -85,16 +111,18 @@ class BarrierFamily:
         target), which keeps its own finite value so paths can reach it.
         """
         clamped, iso = self._tables[j - 1][0], self._iso[j - 1]
-        xs = self.x_nodes
-        dx = xs[1] - xs[0]
         x = np.asarray(x, dtype=float)
-        pos = np.clip((x - xs[0]) / dx, 0.0, len(xs) - 1.000001)
+        pos = self.cell_position(x)
         i0 = pos.astype(np.int64)
-        w = pos - i0
+        pos -= i0                                       # weight of node i0 + 1
         r0 = np.take(clamped, i0)
-        out = r0 + w * (np.take(clamped, i0 + 1) - r0)
+        i0 += 1
+        out = np.take(clamped, i0)
+        out -= r0
+        out *= pos
+        out += r0
         for xv, rv in iso:
-            close = np.abs(x - xv) <= dx / 2.0
+            close = np.abs(x - xv) <= self._dx / 2.0
             if close.any():
                 out = np.where(close, np.minimum(out, rv), out)
         return out

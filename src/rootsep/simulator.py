@@ -1,15 +1,19 @@
 """Monte Carlo verification of embeddings realized by barrier hitting.
 
-Paths start from the initial marginal and advance by Gaussian increments of
-size h_sim, monitored at multiples of h_sim with no bridge correction, so
-hitting times carry an O(sqrt(h_sim)) overshoot bias that the verification
-tolerances absorb.  Each path's stops are found segment by segment, with
-one ascending sweep over the layers per segment; a snapshot at time t holds
-B_(t ^ sigma_n).  The randomized alternative embedding takes no time steps:
-its stopping time and stopped value are sampled exactly, from one normal and
-one uniform draw per path.  Paths are processed in fixed-size blocks, each
-block on its own counter-based stream keyed by (seed, block index); results
-are therefore bit-identical for any thread count.
+Paths start from the initial marginal and are monitored at multiples of
+h_sim with no bridge correction, so hitting times carry the O(sqrt(h_sim))
+overshoot bias of discrete monitoring that the verification tolerances
+absorb, and every stop time is an integer multiple of h_sim.  Each path
+keeps its own clock.  A path far from its layer's stopping region crosses a
+box that holds no stopping point in one exact step: the exit time of the
+box and the position at its window's end are drawn from their laws, so the
+monitored law is unchanged.  Other paths take a segment of Gaussian steps,
+with one ascending sweep over the layers per segment.  A snapshot at time t
+holds B_(t ^ sigma_n).  The randomized alternative embedding takes no time
+steps: its stopping time and stopped value are sampled exactly, from one
+normal and one uniform draw per path.  Paths are processed in fixed-size
+blocks, each block on its own counter-based stream keyed by (seed, block
+index); results are therefore bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -107,10 +111,19 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
 
     sigma_j is the first monitored time >= sigma_{j-1} at which the path sits
     inside barrier j (time at or past the interpolated first-hit curve).
-    Paths advance in segments of monitored steps; in each segment the layers
-    are swept once in increasing order, so a path can stop in several
-    layers within one segment.  The snapshot at time t is B_(t ^ sigma_n):
-    the running position, or B_sigma_n for a path that stopped by t.
+    Monitoring is discrete, every h_sim, so stops keep the O(sqrt(h_sim))
+    overshoot of discrete monitoring, and every stop time is an integer
+    multiple of h_sim.  Each path keeps its own clock.  On each pass a path
+    in layer j looks for the widest box around it whose nodes the barrier
+    table shows free of layer j's region until the box window ends (see
+    `boxes`).  Windows end no later than the next snapshot step and the
+    horizon, and last at most d^2 for a box of radius d.  A window of at
+    least one segment is crossed in one exact step (see `_cross_boxes`),
+    since no monitored point in the box can stop the path.  Other paths take
+    a segment of monitored steps, in which the layers are swept once in
+    increasing order, so a path can stop in several layers within one
+    segment.  The snapshot at time t is B_(t ^ sigma_n): the running
+    position, or B_sigma_n for a path that stopped by t.
     Requires h_sim no larger than the solver time step the barriers came
     from.  Raises HorizonError when more than the tolerated fraction of
     paths fails to complete all stops before the horizon.
@@ -134,38 +147,15 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     snaps = np.empty((len(snap_times), M))
     # short segments when many layers overlap, long ones for fine monitoring
     segment = int(np.clip(steps // (2 * n) if n else steps, 16, 256))
-
-    def cascade(j_cur, rows, P, times, sg, bg):
-        """Advance layers for paths `rows` along segment positions P.
-
-        One ascending sweep over the layers: a path that stops in layer j is
-        tested for layer j + 1 from its stop column.  A range-min prune skips
-        paths whose whole position span cannot enter the layer's region
-        before the segment ends; survivors get the full per-step
-        interpolated test.
-        """
-        m = P.shape[1]
-        col = np.arange(m)
-        t_last = float(times[-1]) + 1e-12
-        span_lo = P.min(axis=1) if m > 4 else None
-        span_hi = P.max(axis=1) if m > 4 else None
-        at = j_cur[rows]
-        start = np.zeros(rows.size, dtype=np.int64)
-        for j in range(1, n + 1):
-            idx = np.nonzero(at == j)[0]
-            if span_lo is not None and idx.size:
-                idx = idx[barrier_family.range_min(j, span_lo[idx], span_hi[idx]) <= t_last]
-            if idx.size == 0:
-                continue
-            ok = times[None, :] + 1e-12 >= barrier_family.lookup(j, P[idx])
-            ok &= col[None, :] >= start[idx, None]
-            hit = ok.any(axis=1)
-            idx, first = idx[hit], ok.argmax(axis=1)[hit]
-            sg[j, rows[idx]] = times[first]
-            bg[j, rows[idx]] = P[idx, first]
-            at[idx] += 1
-            start[idx] = first
-        j_cur[rows] = at
+    # a box window ends at the next snapshot step or at the horizon
+    bounds = np.append(snap_steps, steps)
+    dx = float(barrier_family.grid_desc["dx"])
+    radius_bits = len(barrier_family.x_nodes).bit_length()
+    # the time of every monitored step, and the time a barrier must not exceed
+    # to stop a path there
+    clock = np.arange(steps + segment + 1) * h_sim
+    reach = clock + 1e-12
+    sqrt_h = math.sqrt(h_sim)
 
     def run_block(rng, lo, hi):
         bs = hi - lo
@@ -175,30 +165,177 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
         bg = b_sigma[:, lo:hi]
         snap = snaps[:, lo:hi]
         j_cur = np.ones(bs, dtype=np.int64)
-        sqrt_h = math.sqrt(h_sim)
+        k = np.zeros(bs, dtype=np.int64)        # monitored steps taken
+
+        def cascade(rows, P, first, length):
+            """Advance layers for paths `rows` along monitored positions P.
+
+            Column c of row i is the position at step first[i] + c; only the
+            first length[i] columns count.  One ascending sweep over the
+            layers: a path that stops in layer j is tested for layer j + 1
+            from its stop column.  A range-min prune skips paths whose whole
+            position span cannot enter the layer's region by their last
+            step; survivors get the per-step interpolated test, in column
+            chunks of 16 to 64, until their first stop.
+            """
+            m = P.shape[1]
+            col = np.arange(m)
+            t_last = reach[first + length - 1]
+            span_lo = P.min(axis=1) if m > 4 else None
+            span_hi = P.max(axis=1) if m > 4 else None
+            at = j_cur[rows]
+            start = np.zeros(rows.size, dtype=np.int64)
+            for j in range(1, n + 1):
+                idx = np.nonzero(at == j)[0]
+                if span_lo is not None and idx.size:
+                    idx = idx[barrier_family.range_min(j, span_lo[idx], span_hi[idx])
+                              <= t_last[idx]]
+                c0 = 0
+                while idx.size and c0 < m:
+                    c1 = min(m, c0 + min(max(c0, 16), 64))
+                    cols = col[c0:c1]
+                    ok = reach[first[idx, None] + cols] \
+                        >= barrier_family.lookup(j, P[idx, c0:c1])
+                    if np.any(start[idx] > c0):
+                        ok &= cols >= start[idx, None]
+                    if np.any(length[idx] < c1):
+                        ok &= cols < length[idx, None]
+                    hit = ok.any(axis=1)
+                    stop, c = idx[hit], c0 + ok.argmax(axis=1)[hit]
+                    sg[j, rows[stop]] = clock[first[stop] + c]
+                    bg[j, rows[stop]] = P[stop, c]
+                    at[stop] += 1
+                    start[stop] = c
+                    idx, c0 = idx[~hit], c1
+            j_cur[rows] = at
+
+        def record(rows, P, first, length):
+            # running positions; stopped paths take B_sigma_n below
+            for slot, s in enumerate(snap_steps):
+                sel = np.nonzero((first <= s) & (s < first + length))[0]
+                snap[slot, rows[sel]] = P[sel, s - first[sel]]
+
+        def boxes(rows):
+            """Radius and end step of each path's barrier-free box.
+
+            With the path at cell position p, box a >= 0 spans the nodes
+            floor(p) - a .. ceil(p) + a, and its radius d is the distance
+            from x to the nearer end.  It is free up to step e when the
+            smallest first-hit time over those nodes exceeds e h_sim: no
+            monitored point inside it can then sit in the path's layer
+            region by step e.  The window ends at e = min(k + floor(d^2 /
+            h_sim), next snapshot step or horizon) for the widest box free
+            that long, found bit by bit, since freedom can only be lost as a
+            grows.  The box is then widened as far as it stays free for that
+            window, and reaches on into the cells past its end nodes as far
+            as the interpolated barrier allows: a window set by that radius
+            holds when `lookup` at both ends, and the nodes between, exceed
+            its end time, because the barrier is linear between them.
+            Radius 0 marks a path whose window would be shorter than a
+            segment.
+            """
+            xr, kr, at = x[rows], k[rows], j_cur[rows]
+            pos = barrier_family.cell_position(xr)
+            lo, hi = np.floor(pos).astype(np.int64), np.ceil(pos).astype(np.int64)
+            near = np.minimum(pos - lo, hi - pos)
+            limit = bounds[np.searchsorted(bounds, kr, side="right")]
+
+            def window(sel, a):
+                d = (a + near[sel]) * dx
+                return np.minimum(kr[sel] + np.floor(d * d / h_sim).astype(np.int64),
+                                  limit[sel])
+
+            def last_free(j, sel, a):
+                # last step, at most the limit, at which box a is free (one
+                # correction for the rounding of the quotient)
+                first_hit = barrier_family.node_min(j, lo[sel] - a, hi[sel] + a)
+                last = np.floor(np.minimum((first_hit - 1e-12) / h_sim, limit[sel]))
+                last -= last * h_sim + 1e-12 >= first_hit
+                return last.astype(np.int64)
+
+            def beyond(j, end, out, tau):
+                # the part of the cell from node `end` towards node `out`
+                # over which the interpolated barrier exceeds tau, kept a
+                # hair short of `out`
+                r_end = barrier_family.node_min(j, end, end)
+                r_out = barrier_family.node_min(j, out, out)
+                frac = np.where((r_end > tau) & (r_out > tau), 1.0, 0.0)
+                part = (r_end > tau) & (r_out <= tau)
+                frac[part] = (r_end[part] - tau[part]) / (r_end[part] - r_out[part])
+                return np.minimum(frac, 1.0 - 1e-6)
+
+            def widest(j, sel, end):
+                # largest a whose box is free up to step end(a), or -1; past
+                # four times the radius the longest window fills, widening
+                # would only cut the chance of an early exit, P(tau_1 < 1/16)
+                # = 1.3e-4, further
+                cap = 4.0 * math.sqrt((limit[sel] - kr[sel]).max(initial=0) * h_sim) / dx + 1.0
+                count = np.zeros(sel.size, dtype=np.int64)
+                for bit in reversed(range(min(int(cap).bit_length(), radius_bits))):
+                    trial = count + (1 << bit)
+                    free = barrier_family.node_min(j, lo[sel] - trial + 1, hi[sel] + trial - 1) \
+                        > end(trial - 1) * h_sim + 1e-12
+                    count = np.where(free, trial, count)
+                return count - 1
+
+            radius, e = np.zeros(rows.size), kr.copy()
+            for j in range(1, n + 1):
+                sel = np.nonzero(at == j)[0]
+                # no box is free for longer than box 0
+                sel = sel[last_free(j, sel, 0) - kr[sel] >= segment]
+                if sel.size == 0:
+                    continue
+                a = widest(j, sel, lambda a: window(sel, a))
+                w = np.where(a >= 0, window(sel, a), kr[sel])
+                # d^2 / h_sim grows in jumps, so the next box may be free past w
+                next_free = last_free(j, sel, a + 1)
+                w = np.maximum(w, np.minimum(window(sel, a + 1), next_free))
+                grow = next_free >= w
+                a[grow] = widest(j, sel[grow], lambda _: w[grow])
+                # past the end nodes, as far as the longest window allows
+                tau = limit[sel] * h_sim + 1e-12
+                right, left = hi[sel] + a, lo[sel] - a
+                d = np.minimum(right + beyond(j, right, right + 1, tau) - pos[sel],
+                               pos[sel] - left + beyond(j, left, left - 1, tau)) * dx
+                far = np.minimum(kr[sel] + np.floor(d * d / h_sim).astype(np.int64),
+                                 np.minimum(limit[sel], last_free(j, sel, a)))
+                t_far = far * h_sim + 1e-12
+                reach = (a >= 0) & (barrier_family.lookup(j, xr[sel] - d) > t_far) \
+                    & (barrier_family.lookup(j, xr[sel] + d) > t_far)
+                radius[sel] = np.where(reach, d, np.where(a >= 0, (a + near[sel]) * dx, 0.0))
+                e[sel] = np.where(reach, far, w)
+            return np.where(e - kr >= segment, radius, 0.0), e
 
         # stops allowed at time zero (initial atoms already inside a barrier)
-        cascade(j_cur, np.arange(bs), x[:, None], np.array([0.0]), sg, bg)
-        snap[snap_steps == 0] = x
+        every = np.arange(bs)
+        cascade(every, x[:, None], np.zeros(bs, dtype=np.int64), np.ones(bs, dtype=np.int64))
+        record(every, x[:, None], np.zeros(bs, dtype=np.int64), np.ones(bs, dtype=np.int64))
 
-        done = 0
-        while done < steps:
-            m = min(segment, steps - done)
-            times = (done + 1 + np.arange(m)) * h_sim
-            rows = np.nonzero(j_cur <= n)[0]
+        while True:
+            rows = np.nonzero((j_cur <= n) & (k < steps))[0]
             if rows.size == 0:
                 break
-            inc = rng.standard_normal((rows.size, m))
-            np.multiply(inc, sqrt_h, out=inc)
-            np.cumsum(inc, axis=1, out=inc)
-            P = inc
-            P += x[rows, None]
-            cascade(j_cur, rows, P, times, sg, bg)
-            x[rows] = P[:, -1]
-            # running positions; stopped paths take B_sigma_n below
-            for slot in np.nonzero((snap_steps > done) & (snap_steps <= done + m))[0]:
-                snap[slot, rows] = P[:, snap_steps[slot] - done - 1]
-            done += m
+            d, e = boxes(rows)
+            fine, far = rows[d == 0.0], d > 0.0
+            if fine.size:
+                first = k[fine] + 1
+                length = np.minimum(segment, steps - k[fine])
+                P = rng.standard_normal((fine.size, segment))
+                np.multiply(P, sqrt_h, out=P)
+                np.cumsum(P, axis=1, out=P)
+                P += x[fine, None]
+                cascade(fine, P, first, length)
+                record(fine, P, first, length)
+                x[fine] = P[np.arange(fine.size), length - 1]
+                k[fine] += length
+            if far.any():
+                rows = rows[far]
+                x[rows], k[rows], left = _cross_boxes(rng, x[rows], k[rows], d[far], e[far],
+                                                      h_sim)
+                ones = np.ones(rows.size, dtype=np.int64)
+                record(rows, x[rows, None], k[rows], ones)
+                rows = rows[left]
+                cascade(rows, x[rows, None], k[rows], ones[left])
         # B_(t ^ sigma_n): a path stopped by a snapshot time keeps its stop value
         snap[:] = np.where(sg[n] <= snap_steps[:, None] * h_sim + 1e-12, bg[n], snap)
 
@@ -211,6 +348,69 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
                        censored=~np.isfinite(sigma[n]))
     ens.check_censoring("Root embedding")
     return ens
+
+
+def _cross_boxes(rng, x, k, d, e, h_sim):
+    """One exact step of Brownian paths across their boxes [x - d, x + d].
+
+    Path i is at x[i] at step k[i], and its box window ends at step e[i],
+    with (e - k) h_sim <= d^2.  It leaves the box after tau = d^2 tau_1 on a
+    fair side, tau_1 the exit time of [-1, 1]: u < P(tau_1 < window / d^2)
+    tells whether it leaves within the window, and only then is tau drawn,
+    by inverting the CDF at u.  A path that leaves is next monitored at the
+    first step after k h_sim + tau, a normal increment beyond x +- d.  Any
+    other path is monitored at e, at its endpoint given that it stayed in
+    the box.  Returns the new positions and steps and a mask of the paths
+    that left.  Draws two uniforms per path, then one normal per leaving
+    path, then the endpoint proposals.
+    """
+    window = (e - k) * h_sim
+    u = rng.random((2, x.size))
+    left = u[0] < exit_time_cdf(window / (d * d))[0]
+    tau = d[left] ** 2 * exit_time_quantile(u[0, left])
+    step = e.copy()
+    step[left] = np.minimum(k[left] + np.floor(tau / h_sim).astype(np.int64) + 1, e[left])
+    gap = np.maximum((step[left] - k[left]) * h_sim - tau, 0.0)
+    new = np.empty_like(x)
+    new[left] = x[left] + np.where(u[1, left] < 0.5, -d[left], d[left]) \
+        + np.sqrt(gap) * rng.standard_normal(tau.size)
+    new[~left] = x[~left] + _endpoint_in_box(rng, d[~left], window[~left])
+    return new, step, left
+
+
+# Survival of a Brownian bridge from 0 to z over time t inside (-d, d): the
+# image series sum_k (-1)^k exp(-2 k d (k d - z) / t) over all integers k.
+# For |z| < d and t <= d^2 the pair +-k is at most 2 exp(-2 k (k - 1)), so
+# the omitted pairs, k >= 5, sum to below 9e-18, under the 2^-53 grain of
+# the uniform the probability is compared with.
+_IMAGE_K = np.arange(1.0, 5.0)
+
+
+def _bridge_survival(z, d, t):
+    """P(a Brownian bridge from 0 to z over time t stays in (-d, d)), t <= d^2."""
+    kd = _IMAGE_K * d[:, None]
+    terms = np.exp(-2.0 * kd * (kd - z[:, None]) / t[:, None]) \
+        + np.exp(-2.0 * kd * (kd + z[:, None]) / t[:, None])
+    survival = 1.0 + (terms * (-1.0) ** _IMAGE_K).sum(axis=1)
+    return np.where(np.abs(z) < d, np.clip(survival, 0.0, 1.0), 0.0)
+
+
+def _endpoint_in_box(rng, d, t):
+    """B_t - B_0 for Brownian motions that stay in (-d, d) up to t <= d^2.
+
+    Rejection: normal proposals of variance t, accepted with the bridge
+    survival probability, so the accepted law is the killed transition
+    density.  Acceptance is P(tau_1 > t / d^2) >= P(tau_1 > 1) = 0.37.
+    Each round draws one normal and then one uniform per pending path.
+    """
+    z = np.empty(d.size)
+    todo = np.arange(d.size)
+    while todo.size:
+        prop = np.sqrt(t[todo]) * rng.standard_normal(todo.size)
+        ok = rng.random(todo.size) < _bridge_survival(prop, d[todo], t[todo])
+        z[todo[ok]] = prop[ok]
+        todo = todo[~ok]
+    return z
 
 
 def empirical_potential(ensemble: PathEnsemble, j: int, t: float, x_probes):

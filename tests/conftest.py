@@ -39,3 +39,11 @@ def two_atom_surface(two_atom_family):
     part = rs.make_partition(1, "uniform")
     grid = rs.make_grid(two_atom_family, 7.0, 0.1)
     return rs.solve_layers(two_atom_family, part, grid)
+
+
+@pytest.fixture(scope="session")
+def two_atom_million(two_atom_family, two_atom_surface):
+    """10^6 paths on the two-atom barrier at h = 5e-5, shared by criterion 5
+    and the simulator's mean-stop check."""
+    return rs.simulate_root(two_atom_family, rs.extract(two_atom_surface), 1_000_000, 5e-5,
+                            101, threads=4)

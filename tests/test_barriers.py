@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rootsep as rs
+from rootsep.barriers import BarrierFamily
 from rootsep.errors import ExtractionUnstableError
 
 
@@ -149,6 +150,19 @@ def test_lookup_isolated_column(three_point_family):
     assert b.lookup(1, np.array([-0.024]))[0] == pytest.approx(r0)
     # beyond dx/2 the neighbouring infinite cells win
     assert b.lookup(1, np.array([0.03]))[0] > 1e6
+
+
+def test_lookup_reads_every_node_exactly():
+    # finite nodes between +inf neighbours, on a grid where x / dx misses some
+    # nodes by an ulp (x = -23.7 at dx = 0.1): every node reads its own time
+    grid = rs.SpaceTimeGrid(T=1.0, dt=0.01, L=24.0, dx=0.1)
+    xs = grid.x_nodes()
+    r = np.where(np.arange(xs.size) % 2 == 0, 0.25, np.inf)[None, :]
+    b = BarrierFamily(s_values=np.array([1.0]), x_nodes=xs, r=r,
+                      flagged=np.zeros(1, dtype=int), region_nodes=np.ones(1, dtype=int),
+                      grid_desc=grid.descriptor())
+    assert np.array_equal(b.cell_position(xs[:-1]), np.arange(xs.size - 1))
+    assert np.array_equal(b.lookup(1, xs[:-1:2]), r[0, :-1:2])
 
 
 def test_range_min_bounds_lookup(gauss_barriers):

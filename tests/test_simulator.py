@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
+from scipy.special import ndtr
 
 import rootsep as rs
 from rootsep import simulator as sim
@@ -58,16 +59,19 @@ def test_equal_layers_stop_together():
 
 
 @pytest.fixture(scope="module")
-def three_point_run(three_point_family):
+def three_point_barrier(three_point_family):
     part = rs.make_partition(4, "uniform")
     grid = rs.make_grid(three_point_family, 3.0, 0.025)
-    barrier = rs.extract(rs.solve_layers(three_point_family, part, grid, keep_times=[0.0]))
-    return rs.simulate_root(three_point_family, barrier, 20_000, grid.dt, seed=2)
+    return rs.extract(rs.solve_layers(three_point_family, part, grid, keep_times=[0.0]))
 
 
-@pytest.mark.parametrize("atom", [1.0, pytest.param(-1.0, marks=pytest.mark.xfail(
-    strict=True, reason="lookup places x=-1 at node 208 + 4.4e-12 (dx taken as "
-    "x_nodes[1] - x_nodes[0]), and that weight on the +inf neighbour reads 4.4e6"))])
+@pytest.fixture(scope="module")
+def three_point_run(three_point_family, three_point_barrier):
+    return rs.simulate_root(three_point_family, three_point_barrier, 20_000,
+                            float(three_point_barrier.grid_desc["dt"]), seed=2)
+
+
+@pytest.mark.parametrize("atom", [1.0, -1.0])
 def test_atoms_inside_every_barrier_stop_at_time_zero(three_point_run, atom):
     # three-point paths that start on the wing atoms sit in every layer's
     # region at t = 0, so every layer stops them there
@@ -113,6 +117,150 @@ def test_determinism_and_threads(gauss_family, gauss_run):
             assert np.array_equal(ens.snapshots[k], other.snapshots[k])
     different = rs.simulate_root(gauss_family, barrier, 40_000, surf.grid.dt, seed=8)
     assert not np.array_equal(ens.sigma, different.sigma)
+
+
+# ---------------------------------------------------------------------------
+# the law of discrete monitoring, against a plain step-by-step reference
+
+def monitored_reference(family, barrier, M, h, seed, snapshot_times=()):
+    """Discrete monitoring every h, one step at a time for every path.
+
+    The law `simulate_root` must keep, without its boxes, prunes or
+    segments; its random stream is its own.  Returns sigma, b_sigma and the
+    snapshots B_(t ^ sigma_n).
+    """
+    rng = make_stream(seed, 0)
+    x = np.asarray(family.sample_initial_rng(rng, M), dtype=float)
+    n = barrier.n
+    steps = int(round(float(barrier.grid_desc["T"]) / h))
+    sigma = np.full((n + 1, M), np.inf)
+    b_sigma = np.full((n + 1, M), np.nan)
+    layer = np.ones(M, dtype=np.int64)
+    wanted = {int(round(t / h)): t for t in snapshot_times}
+    snaps = {}
+    for step in range(steps + 1):
+        running = np.nonzero(layer <= n)[0]
+        if running.size == 0:
+            break
+        if step:
+            x[running] += math.sqrt(h) * rng.standard_normal(running.size)
+        for j in range(1, n + 1):
+            at = np.nonzero(layer == j)[0]
+            hit = at[step * h + 1e-12 >= barrier.lookup(j, x[at])]
+            sigma[j, hit] = step * h
+            b_sigma[j, hit] = x[hit]
+            layer[hit] += 1
+        if step in wanted:
+            snaps[wanted[step]] = x.copy()
+    for t in wanted.values():
+        snaps.setdefault(t, x.copy())       # every path stopped before t
+    return sigma, b_sigma, snaps
+
+
+def assert_same_law(ens, reference, alpha=1e-3):
+    """Two-sample KS at level alpha on each sigma_j, B_sigma_j and snapshot."""
+    sigma, b_sigma, snaps = reference
+    horizon = ens.horizon + 1.0
+    samples = []
+    for j in range(1, ens.n + 1):
+        samples.append((f"sigma_{j}", np.minimum(ens.sigma[j], horizon),
+                        np.minimum(sigma[j], horizon)))
+        samples.append((f"B_sigma_{j}", ens.b_sigma[j][np.isfinite(ens.sigma[j])],
+                        b_sigma[j][np.isfinite(sigma[j])]))
+    samples += [(f"snapshot {t}", ens.snapshots[t], snaps[t]) for t in snaps]
+    for name, ours, ref in samples:
+        assert stats.ks_2samp(ours, ref).pvalue > alpha, name
+
+
+def test_gaussian_law_matches_monitored_reference(gauss_family, gauss_run):
+    _, barrier, ens = gauss_run
+    ref = monitored_reference(gauss_family, barrier, 40_000, ens.h_sim, 107,
+                              snapshot_times=[0.0, 0.25, 0.5, 1.0])
+    assert_same_law(ens, ref)
+
+
+def test_two_atom_law_matches_monitored_reference(two_atom_family, two_atom_surface):
+    barrier = rs.extract(two_atom_surface)
+    times = [0.5, 1.0, 2.0]
+    ens = rs.simulate_root(two_atom_family, barrier, 30_000, 1e-3, 31, snapshot_times=times)
+    ref = monitored_reference(two_atom_family, barrier, 30_000, 1e-3, 131, times)
+    assert_same_law(ens, ref)
+
+
+def test_three_point_law_matches_monitored_reference(three_point_family, three_point_barrier,
+                                                    three_point_run):
+    ens = three_point_run
+    assert_same_law(ens, monitored_reference(three_point_family, three_point_barrier,
+                                             20_000, ens.h_sim, 102))
+
+
+def test_two_atom_mean_stop_is_siegmund_corrected(two_atom_million):
+    # the discretely monitored exit of [-1, 1] behaves like the exit of
+    # [-a, a], a = 1 + 0.5826 sqrt(h), so E sigma = a^2 up to O(h); the
+    # paths still running at the horizon T add T plus the mean residual
+    # time 8 a^2 / pi^2 of the exit time's exponential tail
+    ens = two_atom_million
+    a = 1.0 + 0.5826 * math.sqrt(ens.h_sim)
+    stops = ens.sigma[1][~ens.censored]
+    mean = (stops.sum() + np.count_nonzero(ens.censored)
+            * (ens.horizon + 8.0 * a * a / math.pi ** 2)) / ens.M
+    se = float(stops.std(ddof=1)) / math.sqrt(ens.M)
+    assert abs(mean - a * a) <= 4.0 * se, (mean, a * a, se)
+
+
+# ---------------------------------------------------------------------------
+# the exact box step
+
+def test_bridge_survival_matches_fine_monte_carlo():
+    # fine bridges from 0 to z, each step weighted by the probability that
+    # its own bridge stays inside, (1 - exp(-2 (d - u)(d - v) / dt)) on each
+    # side; the two-sided interplay within one step is negligible
+    rng = make_stream(3, 0)
+    paths, fine = 20_000, 400
+    for d, t, z in ((1.0, 1.0, 0.0), (1.0, 1.0, 0.7), (0.5, 0.2, -0.3), (2.0, 1.5, 1.9)):
+        dt = t / fine
+        grid = np.arange(1, fine) / fine
+        walk = np.cumsum(math.sqrt(dt) * rng.standard_normal((paths, fine - 1)), axis=1)
+        tail = walk[:, -1:] + math.sqrt(dt) * rng.standard_normal((paths, 1))
+        bridge = np.hstack([np.zeros((paths, 1)), walk - grid * tail + grid * z,
+                            np.full((paths, 1), z)])
+        u, v = bridge[:, :-1], bridge[:, 1:]
+        inside = np.all(np.abs(bridge) < d, axis=1)
+        stay = np.prod((1.0 - np.exp(-2.0 * np.clip((d - u) * (d - v), 0, None) / dt))
+                       * (1.0 - np.exp(-2.0 * np.clip((d + u) * (d + v), 0, None) / dt)),
+                       axis=1) * inside
+        est, se = stay.mean(), stay.std(ddof=1) / math.sqrt(paths)
+        exact = sim._bridge_survival(np.array([z]), np.array([d]), np.array([t]))[0]
+        assert abs(est - exact) <= 4.0 * se + 1e-3, (d, t, z, est, exact)
+
+
+def _killed_cdf(z, d, t):
+    """CDF of B_t given no exit from (-d, d) by t, from B_0 = 0 (image series)."""
+    k = np.arange(-6, 7)[:, None]
+    sign = (-1.0) ** k
+    mass = (sign * (ndtr((z - 2 * k * d) / math.sqrt(t))
+                    - ndtr((-d - 2 * k * d) / math.sqrt(t)))).sum(axis=0)
+    return mass / (1.0 - sim.exit_time_cdf(t / d ** 2)[0][0])
+
+
+@pytest.mark.parametrize("d, t", [(1.0, 1.0), (1.0, 0.3), (0.2, 0.01)])
+def test_box_endpoints_follow_the_killed_density(d, t):
+    z = sim._endpoint_in_box(make_stream(8, 0), np.full(50_000, d), np.full(50_000, t))
+    assert np.all(np.abs(z) < d)
+    assert stats.kstest(z, lambda v: _killed_cdf(np.atleast_1d(v), d, t)).pvalue > 1e-3
+
+
+def test_box_steps_keep_stops_on_the_grid(two_atom_family, two_atom_surface):
+    # stops and snapshots sit on monitored steps, whatever boxes were crossed
+    h = 1e-3
+    ens = rs.simulate_root(two_atom_family, rs.extract(two_atom_surface), 5000, h, 2,
+                           snapshot_times=[0.5, 1.5])
+    done = np.isfinite(ens.sigma[1])
+    steps = ens.sigma[1][done] / h
+    assert np.array_equal(ens.sigma[1][done], np.round(steps) * h)
+    for t, snap in ens.snapshots.items():
+        assert np.array_equal(snap[ens.sigma[1] <= t], ens.b_sigma[1][ens.sigma[1] <= t])
+        assert np.all(np.abs(snap[ens.sigma[1] > t]) < 1.0)
 
 
 def test_h_sim_gate(gauss_family, gauss_run):
