@@ -41,15 +41,19 @@ from .stop_solver import complementarity_check, grid_atoms, solve_layers
 _SCHEMA = {
     "family": {"kind": None, "t0": "1.0", "s0": "0.0", "p0": "0.1", "p1": "0.3",
                "path": ""},
-    "grid": {"t_horizon": None, "dx": None, "lam": "", "binary_steps": "false",
-             "node_budget": str(DEFAULT_NODE_BUDGET)},
+    "grid": {"t_horizon": None, "dx": None, "node_budget": str(DEFAULT_NODE_BUDGET)},
     "partition": {"n0": "4", "levels": "2", "style": "uniform", "refine_dx": "true"},
     "simulation": {"paths": "100000", "h_sim": "", "seed": "20260811",
-                   "horizon": "", "probe_times": "0.25,0.5,1.0",
-                   "probe_x": "-1.0,0.0,1.0", "alternative": "false",
-                   "alt_horizon": "25.0"},
-    "tolerances": {"scheme_c": "", "pde_c": ""},
+                   "probe_times": "0.25,0.5,1.0", "probe_x": "-1.0,0.0,1.0",
+                   "alternative": "false", "alt_horizon": "25.0"},
 }
+
+
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(text)
+    return v
 
 
 @dataclass
@@ -71,7 +75,7 @@ class RunConfig:
     def getfloat(self, section, key, default=None):
         if self.get(section, key) == "":
             return default
-        return self._parse(section, key, float, "a number")
+        return self._parse(section, key, _finite, "a finite number")
 
     def getint(self, section, key):
         return self._parse(section, key, int, "an integer")
@@ -86,8 +90,8 @@ class RunConfig:
 
     def getlist(self, section, key):
         return self._parse(section, key,
-                           lambda v: [float(p) for p in v.split(",")] if v.strip() else [],
-                           "a comma-separated list of numbers")
+                           lambda v: [_finite(p) for p in v.split(",")] if v.strip() else [],
+                           "a comma-separated list of finite numbers")
 
 
 def load_config(path) -> RunConfig:
@@ -169,10 +173,8 @@ class Run:
 
     @cached_property
     def grid(self):
-        lad, cfg = self.ladder, self.cfg
-        return make_grid(self.family, lad["T"], lad["dx"], lam=cfg.getfloat("grid", "lam"),
-                         binary_steps=cfg.getbool("grid", "binary_steps"),
-                         node_budget=lad["node_budget"])
+        lad = self.ladder
+        return make_grid(self.family, lad["T"], lad["dx"], node_budget=lad["node_budget"])
 
     @cached_property
     def partition(self):
@@ -187,10 +189,8 @@ class Run:
             if abs(m * grid.dt - t) > 1e-9:
                 raise ConfigError(f"probe time {t} is not a grid time (dt={grid.dt})")
             keep.add(m * grid.dt)
-        sc = self.cfg.getfloat("tolerances", "scheme_c")
         return solve_layers(self.family, self.partition, grid,
-                            keep_times=np.array(sorted(keep)),
-                            tol=None if sc is None else sc * (grid.dx + grid.dt))
+                            keep_times=np.array(sorted(keep)))
 
     @cached_property
     def barrier(self):
@@ -204,17 +204,12 @@ class Run:
     def h_sim(self) -> float:
         return self.cfg.getfloat("simulation", "h_sim", default=self.grid.dt)
 
-    @cached_property
-    def horizon(self) -> float:
-        return self.cfg.getfloat("simulation", "horizon", default=self.grid.T)
-
     def check_simulation(self) -> None:
         """Reject the simulation settings that the simulators would refuse
         only after the solve, or not at all: no paths, a step that is not
-        positive or is coarser than the solver's, a horizon that is not
-        positive or ends before a probe time, probe times off the
-        monitoring grid, probe points off the solver's x-grid, and a
-        non-positive horizon for the alternative."""
+        positive or is coarser than the solver's, probe times off the
+        monitoring grid or beyond the grid horizon, probe points off the
+        solver's x-grid, and a non-positive horizon for the alternative."""
         cfg = self.cfg
         if cfg.getint("simulation", "paths") < 1:
             raise ConfigError("paths must be at least 1")
@@ -222,13 +217,11 @@ class Run:
             raise ConfigError(f"h_sim={self.h_sim} must be positive")
         if self.h_sim > self.grid.dt + 1e-15:
             raise ConfigError(f"h_sim={self.h_sim} exceeds the solver step {self.grid.dt}")
-        if not self.horizon > 0:
-            raise ConfigError(f"horizon={self.horizon} must be positive")
         for t in self.probe_times:
             if abs(round(t / self.h_sim) * self.h_sim - t) > 1e-9:
                 raise ConfigError(f"probe time {t} is not a multiple of h_sim={self.h_sim}")
-            if t > self.horizon + 1e-9:
-                raise ConfigError(f"probe time {t} is beyond the horizon {self.horizon}")
+            if t > self.grid.T + 1e-9:
+                raise ConfigError(f"probe time {t} is beyond the horizon {self.grid.T}")
         xs = self.grid.x_nodes()
         for x in cfg.getlist("simulation", "probe_x"):
             if np.abs(xs - x).min() > 1e-9:
@@ -297,11 +290,6 @@ def cmd_limit(run: Run, out: Path) -> int:
     run.check_ladder()
     limit = run.limit
     pde = pde_residual(limit)
-    pc = run.cfg.getfloat("tolerances", "pde_c")
-    if pc is not None:
-        g = limit.finest_grid
-        pde["bound"] = pc * (g.dx + g.dt + limit.finest_partition.mesh)
-        pde["passed"] = pde["max"] <= pde["bound"]
     bounds = bounds_check(limit, run.family)
     reg = regularity_report(limit)
     indep = partition_independence(run.family, limit) if run.style == "both" else None
@@ -351,7 +339,7 @@ def cmd_verify(run: Run, out: Path) -> int:
     surface = run.surface
 
     ensemble = simulate_root(run.family, run.barrier, M, h_sim, seed,
-                             horizon=run.horizon, snapshot_times=probe_t, threads=threads)
+                             snapshot_times=probe_t, threads=threads)
     failures = []
 
     repr_rows = []

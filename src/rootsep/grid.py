@@ -106,26 +106,19 @@ DAMPED_LAMBDA = 0.8
 
 
 def make_grid(family, T: float, dx: float, *, L: float | None = None,
-              lam: float | None = None, binary_steps: bool = False,
               node_budget: int = DEFAULT_NODE_BUDGET) -> SpaceTimeGrid:
     """Grid wide enough for the family plus a 3 sqrt(T) diffusion margin.
 
     L defaults to max_s support_radius(s) + 3 sqrt(T), rounded up to a grid
-    node.  dt = lam * dx^2; lam defaults to 1 (symmetric random-walk
-    average), except when the initial law mu_0 has atoms (a point start
-    included): its kinked data would keep an undamped checkerboard mode at
-    lam = 1, so it defaults to the damped ratio 0.8.  With binary_steps the
-    space step is snapped to the nearest power of two so every node is an
-    exact binary fraction.
+    node.  dt = lam * dx^2 with lam = 1 (symmetric random-walk average),
+    except when the initial law mu_0 has atoms (a point start included): its
+    kinked data would keep an undamped checkerboard mode at lam = 1, so lam
+    is the damped ratio 0.8.  A grid with any other lam <= 1 is built
+    directly as a `SpaceTimeGrid`.
     """
-    if T <= 0 or dx <= 0:
-        raise ValidationError("grid requires T > 0 and dx > 0")
-    if binary_steps:
-        dx = 2.0 ** round(math.log2(dx))
-    if lam is None:
-        lam = DAMPED_LAMBDA if family.law(0.0).positions.size else 1.0
-    if not 0.0 < lam <= 1.0:
-        raise ValidationError("parabolic ratio must lie in (0, 1]")
+    if not (0.0 < T < math.inf and 0.0 < dx < math.inf):
+        raise ValidationError("grid requires finite T > 0 and dx > 0")
+    lam = DAMPED_LAMBDA if family.law(0.0).positions.size else 1.0
     if L is None:
         radius = max(family.support_radius(s) for s in np.linspace(0.0, 1.0, 21))
         L = radius + 3.0 * math.sqrt(T)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -667,28 +668,31 @@ def convex_order_error(report: ConvexOrderReport):
 def load_atomic_family_csv(path) -> AtomicTableFamily:
     """Strict reader for `s,position,weight` tables grouped by non-decreasing s."""
     groups: list[tuple[float, list, list]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["s", "position", "weight"]:
-            raise ValidationError("atomic family file must start with header 's,position,weight'")
-        for ln, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"line {ln}: expected 3 fields")
-            try:
-                s, pos, w = (float(v) for v in row)
-            except ValueError as exc:
-                raise ValidationError(f"line {ln}: {exc}") from None
-            if any(math.isnan(v) or math.isinf(v) for v in (s, pos, w)):
-                raise ValidationError(f"line {ln}: non-finite value")
-            if groups and s < groups[-1][0]:
-                raise ValidationError(f"line {ln}: s values must be non-decreasing")
-            if not groups or s > groups[-1][0]:
-                groups.append((s, [], []))
-            groups[-1][1].append(pos)
-            groups[-1][2].append(w)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read atomic family file {path}: {exc}") from None
+    reader = csv.reader(text.splitlines())
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["s", "position", "weight"]:
+        raise ValidationError("atomic family file must start with header 's,position,weight'")
+    for ln, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise ValidationError(f"line {ln}: expected 3 fields")
+        try:
+            s, pos, w = (float(v) for v in row)
+        except ValueError as exc:
+            raise ValidationError(f"line {ln}: {exc}") from None
+        if any(math.isnan(v) or math.isinf(v) for v in (s, pos, w)):
+            raise ValidationError(f"line {ln}: non-finite value")
+        if groups and s < groups[-1][0]:
+            raise ValidationError(f"line {ln}: s values must be non-decreasing")
+        if not groups or s > groups[-1][0]:
+            groups.append((s, [], []))
+        groups[-1][1].append(pos)
+        groups[-1][2].append(w)
     entries = []
     for s, pos, w in groups:
         w_arr = np.asarray(w, dtype=float)

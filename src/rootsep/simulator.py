@@ -77,9 +77,12 @@ class PathEnsemble:
         return np.where(stopped, self.b_sigma[j], self.snapshots[key])
 
     def _snapshot_key(self, t: float) -> float:
-        for k in self.snapshots:
-            if abs(k - t) <= 1e-12 * max(1.0, abs(t)):
-                return k
+        # snapshots are taken on monitored steps, so match t by its step
+        step = round(t / self.h_sim)
+        if abs(step * self.h_sim - t) <= 1e-9:
+            for k in self.snapshots:
+                if round(k / self.h_sim) == step:
+                    return k
         raise ValidationError(f"no snapshot recorded at t={t}")
 
 
@@ -124,14 +127,17 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     increasing order, so a path can stop in several layers within one
     segment.  The snapshot at time t is B_(t ^ sigma_n): the running
     position, or B_sigma_n for a path that stopped by t.
-    Requires h_sim no larger than the solver time step the barriers came
-    from.  Raises HorizonError when more than the tolerated fraction of
+    Requires a positive horizon and a positive h_sim no larger than the
+    solver time step the barriers came from.  Raises HorizonError when more than the tolerated fraction of
     paths fails to complete all stops before the horizon.
     """
     grid_dt = float(barrier_family.grid_desc["dt"])
-    if h_sim > grid_dt + 1e-15:
-        raise ValidationError(f"h_sim={h_sim} exceeds the solver step {grid_dt}")
+    if not 0.0 < h_sim <= grid_dt + 1e-15:
+        raise ValidationError(f"h_sim={h_sim} must be positive and at most the solver "
+                              f"step {grid_dt}")
     T = float(barrier_family.grid_desc["T"]) if horizon is None else float(horizon)
+    if not T > 0.0:
+        raise ValidationError(f"horizon={T} must be positive")
     steps = int(round(T / h_sim))
     snap_times = np.asarray(sorted(set(float(t) for t in snapshot_times)), dtype=float)
     snap_steps = np.round(snap_times / h_sim).astype(int)

@@ -92,7 +92,7 @@ class ValueSurface:
 
     def _t_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.t_kept - t)))
-        if abs(self.t_kept[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        if abs(self.t_kept[idx] - t) > 1e-9:
             raise ValidationError(f"time {t} not among kept rows")
         return idx
 
@@ -183,12 +183,14 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
                 "full-surface storage would exceed the memory budget; pass keep_times")
         kept_index = np.arange(nt + 1)
     else:
-        kept_index = np.unique(np.round(np.asarray(keep_times, dtype=float) / dt).astype(int))
+        keep = np.asarray(keep_times, dtype=float)
+        rows = np.round(keep / dt)
+        # each time within 1e-9 of its own row, as value_at and grid_atoms read
+        if not np.all(np.abs(rows * dt - keep) <= 1e-9):
+            raise ValidationError("keep_times must be grid times")
+        kept_index = np.unique(rows.astype(int))
         if np.any(kept_index < 0) or np.any(kept_index > nt):
             raise ValidationError("keep_times outside the grid horizon")
-        if not np.allclose(kept_index * dt, np.unique(np.asarray(keep_times, dtype=float)),
-                           atol=1e-9):
-            raise ValidationError("keep_times must be grid times")
 
     tol = scheme_tolerance(grid) if tol is None else tol
     U0 = pots[0]

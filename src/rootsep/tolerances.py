@@ -2,8 +2,7 @@
 
 SCHEME_C and PDE_C were calibrated once on the variance-shifted Gaussian
 fixture (dx = 0.02, single layer / refined ladder respectively) and are kept
-fixed; run configs may override them explicitly but the shipped test suite
-uses these values.
+fixed: no run config overrides them, so no run can loosen a verdict.
 """
 
 # complementarity tolerance is SCHEME_C * (dx + dt)

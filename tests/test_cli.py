@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -118,10 +119,13 @@ def test_unknown_key_rejected(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_unknown_section_rejected(tmp_path):
-    cfg = tmp_path / "bad2.ini"
-    cfg.write_text(SMALL_GAUSS + "\n[mystery]\nkey = 1\n", encoding="utf-8")
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+def test_unknown_section_rejected(tmp_path, capsys):
+    # [tolerances] is gone: the frozen tolerances are not configurable
+    for section in ("mystery", "tolerances"):
+        cfg = tmp_path / "bad2.ini"
+        cfg.write_text(SMALL_GAUSS + f"\n[{section}]\nkey = 1\n", encoding="utf-8")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"unknown section [{section}]" in capsys.readouterr().err
 
 
 def test_missing_config_and_usage_errors(tmp_path):
@@ -180,6 +184,22 @@ probe_x = 0.0
     assert abs(masses[0] - 0.5) < 0.05 and abs(masses[1] - 0.5) < 0.05
 
 
+@pytest.mark.parametrize("problem", ["missing", "directory", "not utf-8"])
+def test_unreadable_atomic_csv_rejected(tmp_path, capsys, problem):
+    fam = tmp_path / "fam.csv"
+    if problem == "directory":
+        fam.mkdir()
+    elif problem == "not utf-8":
+        fam.write_bytes("s,position,weight\n0.0,0.0,1.0\n# poids \xe9gal\n".encode("latin-1"))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_GAUSS.replace("kind = gaussian_shift\nt0 = 1.0",
+                                       "kind = atomic_csv\npath = fam.csv"),
+                   encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(fam) in err, err
+
+
 def test_resolved_config_echo(gauss_config, tmp_path):
     out = tmp_path / "echo"
     main(["solve", "--config", str(gauss_config), "--out", str(out)])
@@ -214,8 +234,7 @@ def _with_simulation(settings: str) -> str:
     "h_sim = -0.0025",
     "paths = 0",
     "paths = -5",
-    "horizon = -1",
-    "horizon = 0.5",                 # probe time 1.0 lies beyond it
+    "probe_times = 0.25,1.5",        # 1.5 lies beyond the grid horizon 1.25
     "alternative = true; alt_horizon = 0",
     "probe_x = -1.0,0.01,1.0",        # 0.01 is not a node of the dx = 0.1 grid
 ])
@@ -255,7 +274,8 @@ def test_alternative_embedding_run(tmp_path):
 
 @pytest.mark.parametrize("section, key", [
     ("family", "base"), ("family", "growth_power"), ("family", "pieces"),
-    ("simulation", "alt_h_sim"),
+    ("simulation", "alt_h_sim"), ("grid", "lam"), ("grid", "binary_steps"),
+    ("simulation", "horizon"),
 ])
 def test_removed_keys_rejected(tmp_path, capsys, section, key):
     cfg = tmp_path / "run.ini"
@@ -269,13 +289,19 @@ def test_removed_keys_rejected(tmp_path, capsys, section, key):
     ("levels = 2", "levels = three"),
     ("t0 = 1.0", "t0 = abc"),
     ("probe_times = 0.25,1.0", "probe_times = a,b"),
+    ("t_horizon = 1.25", "t_horizon = nan"),
+    ("t_horizon = 1.25", "t_horizon = inf"),
+    ("dx = 0.1", "dx = nan"),
+    ("dx = 0.1", "dx = inf"),
+    ("kind = gaussian_shift\nt0 = 1.0", "kind = scaled\ns0 = inf"),
+    ("probe_times = 0.25,1.0", "probe_times = 0.25,nan"),
 ])
 def test_unparsable_values_rejected(tmp_path, capsys, setting, bad):
     cfg = tmp_path / "run.ini"
     cfg.write_text(SMALL_GAUSS.replace(setting, bad), encoding="utf-8")
     out = tmp_path / "o"
     assert main(["all", "--config", str(cfg), "--out", str(out)]) == 1
-    key, value = bad.split(" = ")
+    key, value = bad.splitlines()[-1].split(" = ")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and repr(value) in err
     assert not out.exists()
@@ -389,8 +415,25 @@ def test_shipped_config_verdict(tmp_path, config):
                  "--threads", "2"]) == 0
 
 
-def test_scheme_c_sets_the_solve_tolerance(tmp_path):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(SMALL_GAUSS + "\n[tolerances]\nscheme_c = 0.0005\n", encoding="utf-8")
-    run = cli.Run(load_config(cfg))
-    assert run.surface.tol == 0.0005 * (run.grid.dx + run.grid.dt)
+def test_readme_key_block_matches_the_schema():
+    """README's key block lists every section, key and default of the schema.
+
+    A key shown without `= default` is required (default None) or may stay
+    empty (default "")."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    intro = f"The {sum(map(len, cli._SCHEMA.values()))} keys, with their defaults"
+    assert intro in readme
+    block = readme.split(intro, 1)[1].split("```")[1]
+    documented = {}
+    for line in block.strip().splitlines():
+        if line.startswith("["):
+            section, line = line[1:].split("]", 1)
+            documented[section] = {}
+        for entry in re.split(r",\s+", line.strip().rstrip(",")):
+            key, _, default = entry.partition(" = ")
+            documented[section][key] = default
+    assert list(documented) == list(cli._SCHEMA)
+    for section, keys in cli._SCHEMA.items():
+        assert list(documented[section]) == list(keys), section
+        for key, default in keys.items():
+            assert documented[section][key] == (default or ""), (section, key)

@@ -56,9 +56,8 @@ def test_make_grid_normal_target():
 def test_make_grid_two_atom(two_atom_family):
     g = rs.make_grid(two_atom_family, 1.0, 0.1)
     assert g.L >= 1.0 + 3.0 - 1e-9
-    # atomic marginals default to the damped ratio; lam=1 stays available
+    # atomic marginals get the damped ratio
     assert g.dt == pytest.approx(0.8 * 0.01)
-    assert rs.make_grid(two_atom_family, 1.0, 0.1, lam=1.0).dt == pytest.approx(0.01)
 
 
 def test_grid_nodes_exact_affine():
@@ -74,13 +73,6 @@ def test_grid_nodes_exact_affine():
     assert np.array_equal(g2.x_nodes(), xs[::2])
 
 
-def test_binary_steps_snap():
-    fam = rs.ScaledFamily(0.0)
-    g = rs.make_grid(fam, 1.0, 0.05, binary_steps=True)
-    assert g.dx == 0.0625          # nearest power of two
-    assert g.lam == 0.8
-
-
 def test_node_budget():
     fam = rs.ScaledFamily(0.0)
     with pytest.raises(GridBudgetError):
@@ -92,3 +84,7 @@ def test_grid_validation():
         rs.SpaceTimeGrid(T=1.0, dt=0.02, L=1.0, dx=0.1)   # lam = 2
     with pytest.raises(ValidationError):
         rs.make_grid(rs.ScaledFamily(0.0), -1.0, 0.1)
+    for T, dx in [(float("nan"), 0.1), (float("inf"), 0.1), (1.0, float("nan")),
+                  (1.0, float("inf"))]:
+        with pytest.raises(ValidationError):
+            rs.make_grid(rs.ScaledFamily(0.0), T, dx)

@@ -269,6 +269,22 @@ def test_h_sim_gate(gauss_family, gauss_run):
         rs.simulate_root(gauss_family, barrier, 100, 1.0, seed=1)
 
 
+@pytest.mark.parametrize("h_sim, horizon", [(0.0, None), (-1e-3, None), (1e-3, -1.0)],
+                         ids=["h_sim zero", "h_sim negative", "horizon negative"])
+def test_non_positive_monitoring_rejected(h_sim, horizon):
+    barrier = analytic_vertical_barrier(0.3, 1e-3, 1.0)
+    with pytest.raises(ValidationError):
+        rs.simulate_root(rs.ScaledFamily(0.0), barrier, 100, h_sim, seed=1, horizon=horizon)
+
+
+def test_snapshot_read_at_its_monitored_step():
+    # 0.5 + 5e-10 is accepted as the step-500 time, so t = 0.5 reads it too
+    barrier = analytic_vertical_barrier(0.8, 1e-3, 1.0)
+    ens = rs.simulate_root(rs.ScaledFamily(0.0), barrier, 1000, 1e-3, seed=3,
+                           snapshot_times=[0.5 + 5e-10])
+    assert np.array_equal(ens.values_at(1, 0.5), ens.snapshots[0.5 + 5e-10])
+
+
 def test_censoring_error(two_atom_family, two_atom_surface):
     barrier = rs.extract(two_atom_surface)
     with pytest.raises(HorizonError, match="Root embedding: .* censored at T=0.5"):

@@ -151,6 +151,18 @@ def test_keep_times_validation(gauss_family):
         rs.solve_layers(gauss_family, part, grid, keep_times=[0.005])  # not a grid time
     with pytest.raises(ValidationError):
         rs.solve_layers(gauss_family, part, grid, keep_times=[2.0])    # beyond horizon
+    with pytest.raises(ValidationError):
+        # 4e-6 off row 50: no relative slack snaps it onto the row
+        rs.solve_layers(gauss_family, part, grid, keep_times=[0.0, 0.500004])
+    # two times within 1e-9 of one row keep that row once
+    surf = rs.solve_layers(gauss_family, part, grid, keep_times=[0.0, 0.5, 0.5 + 5e-10])
+    assert surf.t_kept.size == 2
+    assert surf.value_at(1, 0.5 + 5e-10, 0.0) == surf.value_at(1, 0.5, 0.0)
+    # value_at reads kept rows by the same absolute rule, at any t
+    surf = rs.solve_layers(gauss_family, part, rs.make_grid(gauss_family, 2.5, 0.1),
+                           keep_times=[2.0])
+    with pytest.raises(ValidationError):
+        surf.value_at(1, 2.0 + 1.5e-9, 0.0)
 
 
 # ---------------------------------------------------------------------------
