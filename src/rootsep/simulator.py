@@ -126,10 +126,12 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     a segment of monitored steps, in which the layers are swept once in
     increasing order, so a path can stop in several layers within one
     segment.  The snapshot at time t is B_(t ^ sigma_n): the running
-    position, or B_sigma_n for a path that stopped by t.
-    Requires a positive horizon and a positive h_sim no larger than the
-    solver time step the barriers came from.  Raises HorizonError when more than the tolerated fraction of
-    paths fails to complete all stops before the horizon.
+    position, or B_sigma_n for a path that stopped by t.  Times requested
+    for the same monitored step share one snapshot, keyed by the first of
+    them.  Requires M >= 1, a positive horizon and a positive h_sim no
+    larger than the solver time step the barriers came from.  Raises
+    HorizonError when more than the tolerated fraction of paths fails to
+    complete all stops before the horizon.
     """
     grid_dt = float(barrier_family.grid_desc["dt"])
     if not 0.0 < h_sim <= grid_dt + 1e-15:
@@ -138,11 +140,15 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     T = float(barrier_family.grid_desc["T"]) if horizon is None else float(horizon)
     if not T > 0.0:
         raise ValidationError(f"horizon={T} must be positive")
+    if M < 1:
+        raise ValidationError(f"M={M} paths; need at least 1")
     steps = int(round(T / h_sim))
-    snap_times = np.asarray(sorted(set(float(t) for t in snapshot_times)), dtype=float)
-    snap_steps = np.round(snap_times / h_sim).astype(int)
-    if np.any(np.abs(snap_steps * h_sim - snap_times) > 1e-9):
+    requested = np.asarray(snapshot_times, dtype=float).ravel()
+    if np.any(np.abs(np.round(requested / h_sim) * h_sim - requested) > 1e-9):
         raise ValidationError("snapshot times must be multiples of h_sim")
+    # one snapshot per monitored step, under the first time requested for it
+    snap_steps, first = np.unique(np.round(requested / h_sim).astype(int), return_index=True)
+    snap_times = requested[first]
     if np.any(snap_steps > steps):
         raise ValidationError("snapshot times beyond the horizon")
 
@@ -635,8 +641,10 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
     of tau_1, so sign(G) serves for it and B_sigma = G.  Each block draws its
     normals and then its uniforms from its own stream.  Paths with
     sigma > horizon are censored.  h_sim only sets the monitoring allowance
-    that `marginal_fit` reads from the ensemble.
+    that `marginal_fit` reads from the ensemble.  Requires M >= 1.
     """
+    if M < 1:
+        raise ValidationError(f"M={M} paths; need at least 1")
     sigma = np.full((2, M), np.inf)
     b_sigma = np.full((2, M), np.nan)
 

@@ -11,9 +11,13 @@ continuation branch is the symmetric random-walk average, so the scheme is
 monotone and consistent; the stop branch realizes the sup over stopping with
 the early-collection bonus active strictly before the budget runs out.
 
-After each layer, `scan_layer` reads the two finished full panels (layer
-j and layer j-1) in fixed row chunks and derives, from the stored values
-alone:
+Layer j at row m reads only (j, m-1) and (j-1, m), so `solve_layers`
+sweeps the anti-diagonals d = j + m and advances every active layer of a
+diagonal in one array step, with the same float operations per node as a
+row-by-row march.  Every CHUNK_ROWS diagonals, one row-block kernel
+(`ScanKernel.fold`) folds each layer's new rows, with its preceding row and
+the same rows of layer j-1, into that layer's running records, derived from
+the stored values alone:
   * the stop set, which equals the scheme's own stop choice,
   * the first stopped time index per space column (the raw barrier),
   * later un-stopped nodes above that first hit (monotonicity flags),
@@ -21,7 +25,7 @@ alone:
     which is deliberately *not* the scheme's own update stencil so the
     report measures genuine discretization error instead of zeros.
 The same kernel rescans a stored full-row surface for the complementarity
-check.
+check.  A solve holds O(n * CHUNK_ROWS * nx) values besides its kept rows.
 
 Ties between stopping and continuing are marked as stopped: barriers are
 closed sets.
@@ -42,7 +46,8 @@ from .tolerances import INTERIOR_T_FRACTION, KINK_GUARD, SCHEME_C
 
 SENTINEL = np.iinfo(np.int32).max
 
-# time rows per block in scan_layer; bounds its temporaries to O(rows * nx)
+# time rows per ScanKernel.fold block, and diagonals per block of the sweep's
+# rolling buffer; bounds both to O(rows * nx) per layer
 CHUNK_ROWS = 64
 
 
@@ -148,11 +153,14 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     """March the layered obstacle scheme across all marginal layers.
 
     keep_times: time values whose rows are retained in the result (None keeps
-    every row).  The previous layer is always held at full resolution while
-    the next one is computed, so memory stays at two full (t, x) panels plus
-    the row-chunk temporaries of `scan_layer`, which reads both panels once a
-    layer is done.  tol: complementarity tolerance of the recorded
-    statistics (default `scheme_tolerance(grid)`).
+    every row).  Layer j at row m reads only (j, m-1) and (j-1, m), so the
+    sweep runs over the anti-diagonals d = j + m and advances every active
+    layer of a diagonal in one array step.  The rows of the last CHUNK_ROWS
+    + 1 diagonals of every layer live in a rolling buffer; after each block
+    of CHUNK_ROWS diagonals, each layer's new rows are folded into its
+    records (`ScanKernel.fold`) and its kept rows are copied out.  Memory is
+    O(n * CHUNK_ROWS * nx) plus the kept rows.  tol: complementarity
+    tolerance of the recorded statistics (default `scheme_tolerance(grid)`).
 
     Every atom of the partition's marginal laws must sit on an x-node
     (`grid_atoms`).
@@ -203,36 +211,77 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     for p in grid_atoms(family, svals, grid):
         resid_mask[np.abs(xs[1:-1] - p) <= guard] = False
     layers = np.empty((n + 1, kept_index.size, nx + 1))
-    layers[0] = U0[None, :]
+    layers[0] = U0
+    layers[:, kept_index == 0] = U0         # row 0 is prescribed data
+    kernel = ScanKernel(grid, resid_mask, tol)
+    scans = [kernel.start(U0, du[j - 1], float(svals[j - 1]), float(svals[j]))
+             for j in range(1, n + 1)]
 
-    prev = np.empty((nt + 1, nx + 1))
-    prev[:] = U0[None, :]
-    cur = np.empty_like(prev)
+    # buf[j, s] holds layer j's row d - j after diagonal d = D - 1 + s of the
+    # block starting at diagonal D; slot 0 carries the previous block's last
+    # diagonal.  Layer 0 and every row 0 are U0.
+    C = CHUNK_ROWS
+    buf = np.empty((n + 1, C + 1, nx + 1))
+    buf[:] = U0
+    edges = pots[:, ::nx]        # Dirichlet values at -L and +L, per layer
+    damped = lam < 1.0 - 1e-12
+    half_lam, keep_lam = 0.5 * lam, 1.0 - lam
+    width = min(n, nt)
+    work = np.empty((3, width, nx - 1))
+    stop_work = np.empty((width, nx - 1), dtype=bool)
+    views = {}      # once every layer is active, a block's views repeat in the next
 
-    scans = []
-    for j in range(1, n + 1):
-        duj = du[j - 1]
-        du_int = duj[1:-1]
-        cur[0] = U0
-        cur[1:, 0] = pots[j][0]
-        cur[1:, -1] = pots[j][-1]
-        v = cur[0]
-        for m in range(1, nt + 1):
-            if lam >= 1.0 - 1e-12:
-                cont = 0.5 * (v[:-2] + v[2:])
+    def step_views(lo, hi, s):
+        k = hi - lo + 1
+        prev = buf[lo:hi + 1, s - 1]
+        return (prev[:, :-2], prev[:, 2:], prev[:, 1:-1], buf[lo - 1:hi, s - 1, 1:-1],
+                du[lo - 1:hi, 1:-1], buf[lo:hi + 1, s, 1:-1], work[0, :k], work[1, :k],
+                work[2, :k], stop_work[:k])
+
+    last = n + nt
+    D = 2
+    while nt and D <= last:             # without a time step, row 0 is all there is
+        E = min(D + C, last + 1)
+        for d in range(D, E):
+            s = d - D + 1
+            lo, hi = max(1, d - nt), min(n, d - 1)
+            v = views.get((lo, hi, s))
+            if v is None:
+                v = views[lo, hi, s] = step_views(lo, hi, s)
+            left, right, mid, below, du_blk, dst, cont, obs, slack, stop = v
+            np.add(left, right, out=cont)
+            if damped:
+                np.multiply(cont, half_lam, out=cont)
+                np.multiply(mid, keep_lam, out=slack)
+                np.add(cont, slack, out=cont)
             else:
-                cont = 0.5 * lam * (v[:-2] + v[2:]) + (1.0 - lam) * v[1:-1]
-            obs_int = prev[m, 1:-1] + du_int
+                np.multiply(cont, 0.5, out=cont)
+            np.add(below, du_blk, out=obs)
             # ties stop; the relative slack keeps float dust from unmarking
             # tail columns whose obstacle increment underflows
-            stop_dec = obs_int >= cont - 1e-12 * (1.0 + np.abs(cont))
-            row = cur[m]
-            row[1:-1] = np.where(stop_dec, obs_int, cont)
-            v = row
-        layers[j] = cur[kept_index]
-        scans.append(scan_layer(cur, prev, duj, grid, resid_mask, tol,
-                                float(svals[j - 1]), float(svals[j])))
-        prev, cur = cur, prev
+            np.abs(cont, out=slack)
+            np.add(slack, 1.0, out=slack)
+            np.multiply(slack, 1e-12, out=slack)
+            np.subtract(cont, slack, out=slack)
+            np.greater_equal(obs, slack, out=stop)
+            np.copyto(dst, cont)
+            np.copyto(dst, obs, where=stop)
+            if hi == d - 1:
+                # layer hi took its first step, so its row 0 is read; the slots
+                # are reused, so every one carries the Dirichlet columns from now on
+                buf[hi, :, ::nx] = edges[hi]
+            if d <= n:
+                buf[d, s] = U0      # row 0 of the layer that starts next
+        for j in range(max(1, D - nt), min(n, E - 2) + 1):
+            a, b = max(1, D - j), min(nt, E - 1 - j) + 1
+            sa = a - D + 1 + j      # slot of row a
+            sb = sa + b - a
+            kernel.fold(scans[j - 1], buf[j, sa - 1:sb], buf[j - 1, sa - 1:sb - 1], a)
+            p, q = np.searchsorted(kept_index, (a, b))
+            if q > p:
+                layers[j, p:q] = buf[j, kept_index[p:q] - (a - sa)]
+        buf[:, 0] = buf[:, E - D]
+        D = E
 
     stop_first, flagged, region, stats = _stack_scans(scans, nt)
     return ValueSurface(partition=partition, grid=grid, family_desc=family.descriptor(),
@@ -242,86 +291,138 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
                         full_rows=kept_index.size == nt + 1, resid_mask=resid_mask)
 
 
-def scan_layer(u: np.ndarray, u_prev: np.ndarray, duj: np.ndarray, grid: SpaceTimeGrid,
-               resid_mask: np.ndarray, tol: float, s_prev: float, s_val: float):
-    """Stop set, first hits, monotonicity flags and residual statistics of
-    one layer, from the full (nt+1, nx+1) panels u (layer j) and u_prev
-    (layer j-1).
+@dataclass
+class LayerScan:
+    """Running records of one layer j, folded in by `ScanKernel.fold`.
+
+    first: the first stopped time index per column (SENTINEL: never);
+    flagged: the count of un-stopped nodes above the first hit; stats: the
+    layer's LayerStats.
+    """
+
+    first: np.ndarray
+    du_int: np.ndarray          # interior obstacle increment dU_j
+    stats: LayerStats
+    flagged: int = 0
+
+
+class ScanKernel:
+    """The diagnostics kernel: stop set, first hits, monotonicity flags and
+    residual statistics, folded from blocks of consecutive time rows.
 
     An interior node at time index m >= 1 is stopped when its obstacle gap
     u - (u_prev + dU_j) is at most 0.  This is the scheme's own choice, bit
     for bit: a stopped node stores the obstacle exactly and a continuing
-    node a value strictly above it.  The panels are read in
-    blocks of CHUNK_ROWS rows, so temporaries stay O(CHUNK_ROWS * nx).
-
-    Returns (first, flagged, stats): the first stopped time index per column
-    (SENTINEL: never), the count of un-stopped nodes above the first hit, and
-    the layer's LayerStats.
+    node a value strictly above it.  Each layer's blocks must arrive in
+    increasing row order with no gap.  Every record is a first hit, a count,
+    a max or a min, and `pde_loc` keeps the first occurrence of the maximum
+    in (t, x) order, so the records do not depend on where the blocks are
+    cut.  One kernel serves a whole solve or rescan: its work arrays hold
+    one block of at most CHUNK_ROWS rows and are reused for every block,
+    since fresh temporaries per block more than doubled the kernel's time
+    on wide grids (nx ~ 1100).
     """
-    nt = grid.nt
-    dt, dx = grid.dt, grid.dx
-    ts, xs = grid.t_nodes(), grid.x_nodes()
-    st = LayerStats(s_prev=s_prev, s_val=s_val)
-    ds_j = s_val - s_prev
-    # t = 0 row: prescribed data; a node is in the stopping region only
-    # where the obstacle increment already vanishes (relative float scale,
-    # so potentials coinciding on half-lines register exactly)
-    first = np.full(u.shape[1], SENTINEL, dtype=np.int32)
-    first[np.abs(duj) <= 1e-12 * (1.0 + np.abs(u[0]))] = 0
-    # boundary columns carry Dirichlet data from the first step on
-    first[[0, -1]] = np.minimum(first[[0, -1]], 1)
-    inner = first[1:-1]
-    m_min = max(1, int(math.ceil(INTERIOR_T_FRACTION * nt)))
-    flagged = 0
-    for a in range(1, nt + 1, CHUNK_ROWS):
-        b = min(a + CHUNK_ROWS, nt + 1)
-        rows = u[a:b, 1:-1]
-        gap = rows - (u_prev[a:b, 1:-1] + duj[1:-1])
-        stop = gap <= 0.0
+
+    def __init__(self, grid: SpaceTimeGrid, resid_mask: np.ndarray, tol: float):
+        self.grid, self.resid_mask, self.tol = grid, resid_mask, tol
+        self.m_min = max(1, int(math.ceil(INTERIOR_T_FRACTION * grid.nt)))
+        self.resid_nodes = int(resid_mask.sum())
+        self.guard_cols = None if resid_mask.all() else ~resid_mask
+        shape = (CHUNK_ROWS, grid.nx - 1)
+        self.gap, self.heat, self.both, self.work = np.empty((4,) + shape)
+        self.stop, self.mark = np.empty((2,) + shape, dtype=bool)
+
+    def start(self, u0: np.ndarray, duj: np.ndarray, s_prev: float, s_val: float) -> LayerScan:
+        """Records of a layer before any row m >= 1, from its t = 0 row u0."""
+        # t = 0 row: prescribed data; a node is in the stopping region only
+        # where the obstacle increment already vanishes (relative float scale,
+        # so potentials coinciding on half-lines register exactly)
+        first = np.full(u0.size, SENTINEL, dtype=np.int32)
+        first[np.abs(duj) <= 1e-12 * (1.0 + np.abs(u0))] = 0
+        # boundary columns carry Dirichlet data from the first step on
+        first[[0, -1]] = np.minimum(first[[0, -1]], 1)
+        return LayerScan(first=first, du_int=duj[1:-1],
+                         stats=LayerStats(s_prev=s_prev, s_val=s_val))
+
+    def _masked_max(self, x: np.ndarray) -> float:
+        """Max of x >= 0 over the residual columns (0 when there are none);
+        zeroes x in the guard columns."""
+        if self.guard_cols is not None:
+            x[:, self.guard_cols] = 0.0
+        return float(x.max(initial=0.0))
+
+    def fold(self, rec: LayerScan, u: np.ndarray, u_prev: np.ndarray, a: int) -> None:
+        """Fold rows a .. b-1 into rec: u holds rows a-1 .. b-1 of layer j
+        (the preceding row feeds the backward time difference) and u_prev
+        rows a .. b-1 of layer j-1, each with all nx+1 columns."""
+        k = u_prev.shape[0]
+        b = a + k
+        st = rec.stats
+        inner = rec.first[1:-1]
+        rows = u[1:, 1:-1]
+        gap = np.add(u_prev[:, 1:-1], rec.du_int, out=self.gap[:k])
+        np.subtract(rows, gap, out=gap)
+        stop = np.less_equal(gap, 0.0, out=self.stop[:k])
         hit = stop.any(axis=0)
         np.minimum(inner, np.where(hit, a + stop.argmax(axis=0), SENTINEL), out=inner)
         # monotonicity flags: un-stopped above the first hit, ignoring
         # sub-resolution hover where the gap sits at float scale
-        above = ~stop & (np.arange(a, b)[:, None] > inner)
+        above = np.greater(np.arange(a, b)[:, None], inner, out=self.mark[:k])
+        np.greater(above, stop, out=above)      # and not stopped
         if above.any():
-            flagged += int(np.count_nonzero(gap[above] > 1e-9 * (1.0 + np.abs(rows[above]))))
+            rec.flagged += int(np.count_nonzero(gap[above] > 1e-9 * (1.0 + np.abs(rows[above]))))
         st.min_gap = min(st.min_gap, float(gap.min()))
 
-        c = max(a, m_min)
+        c = max(a, self.m_min)
         if c >= b:
-            continue
-        row = u[c:b]
-        heat = (row[:, 1:-1] - u[c - 1:b - 1, 1:-1]) / dt \
-            - (row[:, 2:] - 2.0 * row[:, 1:-1] + row[:, :-2]) / (2.0 * dx * dx)
-        g = gap[c - a:]
-        st.max_heat_unstopped = max(st.max_heat_unstopped, float(np.abs(heat).max(
-            where=~stop[c - a:] & resid_mask, initial=0.0)))
-        both = np.minimum(heat, g)
+            return
+        dt, dx = self.grid.dt, self.grid.dx
+        r = c - a
+        row, g, stop = u[r + 1:], gap[r:], stop[r:]
+        heat, both, work = self.heat[:b - c], self.both[:b - c], self.work[:b - c]
+        # backward in t, centred in x
+        np.subtract(row[:, 1:-1], u[r:-1, 1:-1], out=heat)
+        np.divide(heat, dt, out=heat)
+        np.multiply(row[:, 1:-1], 2.0, out=work)
+        np.subtract(row[:, 2:], work, out=work)
+        np.add(work, row[:, :-2], out=work)
+        np.divide(work, 2.0 * dx * dx, out=work)
+        np.subtract(heat, work, out=heat)
+        np.abs(heat, out=work)
+        np.copyto(work, 0.0, where=stop)
+        st.max_heat_unstopped = max(st.max_heat_unstopped, self._masked_max(work))
+        np.minimum(heat, g, out=both)
         st.max_min_residual = max(st.max_min_residual,
-                                  float(np.abs(both).max(where=resid_mask, initial=0.0)))
-        st.both_exceed += int(np.count_nonzero((both > tol) & resid_mask))
-        st.interior_nodes += (b - c) * int(resid_mask.sum())
-        pde = np.abs(np.minimum(heat, g / ds_j))
-        pde[:, ~resid_mask] = 0.0
-        k = int(pde.argmax())
+                                  self._masked_max(np.abs(both, out=work)))
+        exceed = np.greater(both, self.tol, out=self.mark[:b - c])
+        if self.guard_cols is not None:
+            exceed &= self.resid_mask
+        st.both_exceed += int(np.count_nonzero(exceed))
+        st.interior_nodes += (b - c) * self.resid_nodes
+        pde = np.divide(g, st.s_val - st.s_prev, out=work)
+        np.minimum(heat, pde, out=pde)
+        np.abs(pde, out=pde)
+        if self.guard_cols is not None:
+            pde[:, self.guard_cols] = 0.0
+        i = int(pde.argmax())
         # strict > keeps the first occurrence in (t, x) order
-        if pde.flat[k] > st.pde_max:
-            r, i = divmod(k, pde.shape[1])
-            st.pde_max = float(pde.flat[k])
-            st.pde_loc = (float(ts[c + r]), float(xs[i + 1]))
-    return first, flagged, st
+        if pde.flat[i] > st.pde_max:
+            m, col = divmod(i, pde.shape[1])
+            st.pde_max = float(pde.flat[i])
+            # the node's (t, x) as t_nodes and x_nodes build them
+            st.pde_loc = ((c + m) * dt, (col + 1 - self.grid.nx // 2) * dx)
 
 
 def _stack_scans(scans: list, nt: int):
-    """Per-layer scan_layer results as (stop_first, flagged, region_nodes, stats)."""
-    stop_first = np.stack([sc[0] for sc in scans])
-    flagged = np.array([sc[1] for sc in scans], dtype=np.int64)
+    """Per-layer LayerScan records as (stop_first, flagged, region_nodes, stats)."""
+    stop_first = np.stack([sc.first for sc in scans])
+    flagged = np.array([sc.flagged for sc in scans], dtype=np.int64)
     region = np.where(stop_first == SENTINEL, 0, nt + 1 - stop_first).sum(axis=1)
-    return stop_first, flagged, region, [sc[2] for sc in scans]
+    return stop_first, flagged, region, [sc.stats for sc in scans]
 
 
 def rescan(surface: ValueSurface):
-    """Run scan_layer over the stored layers of a full-row surface.
+    """Fold the stored layers of a full-row surface through `ScanKernel`.
 
     Returns (stop_first, flagged, region_nodes, stats) as solve_layers
     records them, recomputed from the stored values, so corrupted values
@@ -329,12 +430,16 @@ def rescan(surface: ValueSurface):
     """
     if not surface.full_rows:
         raise ValidationError("rescanning needs a surface with all rows kept")
-    pts = surface.partition.points
-    scans = [scan_layer(surface.layers[j], surface.layers[j - 1], surface.du[j - 1],
-                        surface.grid, surface.resid_mask, surface.tol,
-                        float(pts[j - 1]), float(pts[j]))
-             for j in range(1, surface.n + 1)]
-    return _stack_scans(scans, surface.grid.nt)
+    pts, u, nt = surface.partition.points, surface.layers, surface.grid.nt
+    kernel = ScanKernel(surface.grid, surface.resid_mask, surface.tol)
+    scans = []
+    for j in range(1, surface.n + 1):
+        rec = kernel.start(u[j, 0], surface.du[j - 1], float(pts[j - 1]), float(pts[j]))
+        for a in range(1, nt + 1, CHUNK_ROWS):
+            b = min(a + CHUNK_ROWS, nt + 1)
+            kernel.fold(rec, u[j, a - 1:b], u[j - 1, a:b], a)
+        scans.append(rec)
+    return _stack_scans(scans, nt)
 
 
 def complementarity_check(surface: ValueSurface) -> ComplementarityReport:

@@ -285,6 +285,26 @@ def test_snapshot_read_at_its_monitored_step():
     assert np.array_equal(ens.values_at(1, 0.5), ens.snapshots[0.5 + 5e-10])
 
 
+def test_snapshots_deduplicated_by_monitored_step():
+    # both times fall on step 50, so they share one snapshot, keyed by the first
+    barrier = analytic_vertical_barrier(0.8, 1e-2, 1.0)
+    ens = rs.simulate_root(rs.ScaledFamily(0.0), barrier, 1000, 1e-2, seed=3,
+                           snapshot_times=[0.5, 0.5 + 5e-10])
+    assert list(ens.snapshots) == [0.5]
+    assert np.array_equal(ens.values_at(1, 0.5 + 5e-10), ens.values_at(1, 0.5))
+
+
+def test_empty_root_ensemble_rejected():
+    barrier = analytic_vertical_barrier(0.3, 1e-3, 1.0)
+    with pytest.raises(ValidationError, match="at least 1"):
+        rs.simulate_root(rs.ScaledFamily(0.0), barrier, 0, 1e-3, seed=1)
+
+
+def test_empty_alternative_ensemble_rejected():
+    with pytest.raises(ValidationError, match="at least 1"):
+        rs.alternative_embedding(0, seed=1)
+
+
 def test_censoring_error(two_atom_family, two_atom_surface):
     barrier = rs.extract(two_atom_surface)
     with pytest.raises(HorizonError, match="Root embedding: .* censored at T=0.5"):

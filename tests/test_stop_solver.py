@@ -6,7 +6,9 @@ import pytest
 import rootsep as rs
 from rootsep.errors import ConvexOrderError, GridBudgetError, ValidationError
 from rootsep.marginals import gaussian_potential, make_stream
-from rootsep.stop_solver import rescan, rule_count, scheme_tolerance
+from rootsep.stop_solver import (CHUNK_ROWS, SENTINEL, LayerStats, grid_atoms, rescan,
+                                 rule_count, scheme_tolerance)
+from rootsep.tolerances import INTERIOR_T_FRACTION, KINK_GUARD
 
 SQRT_3_OVER_PI = math.sqrt(3.0 / math.pi)
 SQRT_4_OVER_PI = math.sqrt(4.0 / math.pi)
@@ -206,6 +208,147 @@ def test_rescan_reproduces_stop_records(request, fixture):
     assert np.array_equal(stop_first, surf.stop_first)
     assert np.array_equal(flagged, surf.flagged)
     assert np.array_equal(region_nodes, surf.region_nodes)
+
+
+# ---------------------------------------------------------------------------
+# row-by-row reference: one layer at a time, one row at a time, then the
+# layer's diagnostics from its two full (t, x) panels
+
+def reference_scan(u, u_prev, duj, grid, resid_mask, tol, s_prev, s_val):
+    """First hits, flags and LayerStats of one layer from its full panels."""
+    nt = grid.nt
+    dt, dx = grid.dt, grid.dx
+    ts, xs = grid.t_nodes(), grid.x_nodes()
+    st = LayerStats(s_prev=s_prev, s_val=s_val)
+    first = np.full(u.shape[1], SENTINEL, dtype=np.int32)
+    first[np.abs(duj) <= 1e-12 * (1.0 + np.abs(u[0]))] = 0
+    first[[0, -1]] = np.minimum(first[[0, -1]], 1)
+    inner = first[1:-1]
+    m_min = max(1, int(math.ceil(INTERIOR_T_FRACTION * nt)))
+    flagged = 0
+    for a in range(1, nt + 1, CHUNK_ROWS):
+        b = min(a + CHUNK_ROWS, nt + 1)
+        rows = u[a:b, 1:-1]
+        gap = rows - (u_prev[a:b, 1:-1] + duj[1:-1])
+        stop = gap <= 0.0
+        hit = stop.any(axis=0)
+        np.minimum(inner, np.where(hit, a + stop.argmax(axis=0), SENTINEL), out=inner)
+        above = ~stop & (np.arange(a, b)[:, None] > inner)
+        if above.any():
+            flagged += int(np.count_nonzero(gap[above] > 1e-9 * (1.0 + np.abs(rows[above]))))
+        st.min_gap = min(st.min_gap, float(gap.min()))
+        c = max(a, m_min)
+        if c >= b:
+            continue
+        row = u[c:b]
+        heat = (row[:, 1:-1] - u[c - 1:b - 1, 1:-1]) / dt \
+            - (row[:, 2:] - 2.0 * row[:, 1:-1] + row[:, :-2]) / (2.0 * dx * dx)
+        g = gap[c - a:]
+        st.max_heat_unstopped = max(st.max_heat_unstopped, float(np.abs(heat).max(
+            where=~stop[c - a:] & resid_mask, initial=0.0)))
+        both = np.minimum(heat, g)
+        st.max_min_residual = max(st.max_min_residual,
+                                  float(np.abs(both).max(where=resid_mask, initial=0.0)))
+        st.both_exceed += int(np.count_nonzero((both > tol) & resid_mask))
+        st.interior_nodes += (b - c) * int(resid_mask.sum())
+        pde = np.abs(np.minimum(heat, g / (s_val - s_prev)))
+        pde[:, ~resid_mask] = 0.0
+        k = int(pde.argmax())
+        if pde.flat[k] > st.pde_max:
+            r, i = divmod(k, pde.shape[1])
+            st.pde_max = float(pde.flat[k])
+            st.pde_loc = (float(ts[c + r]), float(xs[i + 1]))
+    return first, flagged, st
+
+
+def row_reference(family, partition, grid, keep_times=None):
+    """(layers, stop_first, flagged, region_nodes, layer_stats) of the
+    layered scheme marched one layer and one row at a time."""
+    xs = grid.x_nodes()
+    nt, nx, lam = grid.nt, grid.nx, grid.lam
+    svals = partition.points
+    pots = np.stack([family.potential(float(s), xs) for s in svals])
+    du = pots[1:] - pots[:-1]
+    kept = np.arange(nt + 1) if keep_times is None else \
+        np.unique(np.round(np.asarray(keep_times) / grid.dt).astype(int))
+    resid_mask = np.ones(nx - 1, dtype=bool)
+    for p in grid_atoms(family, svals, grid):
+        resid_mask[np.abs(xs[1:-1] - p) <= max(KINK_GUARD, 6 * grid.dx)] = False
+    tol = scheme_tolerance(grid)
+    layers = np.empty((partition.n + 1, kept.size, nx + 1))
+    layers[0] = pots[0]
+    prev = np.empty((nt + 1, nx + 1))
+    prev[:] = pots[0]
+    cur = np.empty_like(prev)
+    scans = []
+    for j in range(1, partition.n + 1):
+        du_int = du[j - 1][1:-1]
+        cur[0] = pots[0]
+        cur[1:, 0] = pots[j][0]
+        cur[1:, -1] = pots[j][-1]
+        v = cur[0]
+        for m in range(1, nt + 1):
+            if lam >= 1.0 - 1e-12:
+                cont = 0.5 * (v[:-2] + v[2:])
+            else:
+                cont = 0.5 * lam * (v[:-2] + v[2:]) + (1.0 - lam) * v[1:-1]
+            obs_int = prev[m, 1:-1] + du_int
+            stop_dec = obs_int >= cont - 1e-12 * (1.0 + np.abs(cont))
+            cur[m, 1:-1] = np.where(stop_dec, obs_int, cont)
+            v = cur[m]
+        layers[j] = cur[kept]
+        scans.append(reference_scan(cur, prev, du[j - 1], grid, resid_mask, tol,
+                                    float(svals[j - 1]), float(svals[j])))
+        prev, cur = cur, prev
+    stop_first = np.stack([sc[0] for sc in scans])
+    flagged = np.array([sc[1] for sc in scans])
+    region = np.where(stop_first == SENTINEL, 0, nt + 1 - stop_first).sum(axis=1)
+    return layers, stop_first, flagged, region, [sc[2] for sc in scans]
+
+
+SWEEP_CASES = {
+    # n = 1 at the damped ratio 0.8, full rows (the embedding's solve)
+    "two_atom": ("two_atom_family", 1, "uniform", 7.0, 0.1, None),
+    # more layers than time rows: nt = 2
+    "gauss_n16_nt2": ("gauss_family", 16, "uniform", 0.02, 0.1, None),
+    # nt = 500, not a multiple of CHUNK_ROWS
+    "gauss_n4_nt500": ("gauss_family", 4, "uniform", 1.25, 0.05, None),
+    # more layers than CHUNK_ROWS: layers start across several row blocks
+    "gauss_n80_nt5": ("gauss_family", 80, "uniform", 0.3125, 0.25, None),
+    "three_point_kept": ("three_point_family", 4, "uniform", 1.0, 0.05,
+                         [0.1, 0.5, 0.502, 1.0]),
+    "geometric_n8": ("gauss_family", 8, "geometric", 1.0, 0.1, None),
+}
+
+
+def assert_matches_row_reference(family, part, grid, keep):
+    surf = rs.solve_layers(family, part, grid, keep_times=keep)
+    layers, stop_first, flagged, region, stats = row_reference(family, part, grid, keep)
+    assert np.array_equal(surf.layers, layers)
+    assert np.array_equal(surf.stop_first, stop_first)
+    assert np.array_equal(surf.flagged, flagged)
+    assert np.array_equal(surf.region_nodes, region)
+    assert surf.layer_stats == stats
+    if surf.full_rows:
+        again = rescan(surf)
+        assert np.array_equal(again[0], stop_first)
+        assert np.array_equal(again[1], flagged)
+        assert np.array_equal(again[2], region)
+        assert again[3] == stats
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_row_reference(request, case):
+    fam_name, n, style, T, dx, keep = SWEEP_CASES[case]
+    family = request.getfixturevalue(fam_name)
+    assert_matches_row_reference(family, rs.make_partition(n, style),
+                                 rs.make_grid(family, T, dx), keep)
+
+
+def test_grid_without_time_steps_keeps_row_zero(gauss_family):
+    grid = rs.SpaceTimeGrid(T=0.004, dt=0.01, L=8.0, dx=0.1)
+    assert grid.nt == 0
+    assert_matches_row_reference(gauss_family, rs.make_partition(3, "uniform"), grid, None)
 
 
 # ---------------------------------------------------------------------------
