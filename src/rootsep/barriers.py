@@ -39,26 +39,28 @@ class BarrierFamily:
     def __post_init__(self):
         self._dx = float(self.grid_desc["dx"])
         self._center = (len(self.x_nodes) - 1) // 2
-        # per layer: the isolated finite columns, and the sparse range-min
-        # table T[k, i] = min of clamped[i : i + 2^k], whose row 0 is the
-        # clamped interpolation table
-        self._iso, self._tables = [], []
-        for r in self.r:
-            fin = np.isfinite(r)
-            clamped = np.where(fin, r, self._HUGE)
-            inner = fin[1:-1] & ~fin[:-2] & ~fin[2:]
-            self._iso.append([(float(self.x_nodes[i + 1]), float(r[i + 1]))
-                              for i in np.nonzero(inner)[0]])
-            n = clamped.size
-            T = np.full((max(1, int(np.log2(max(n, 2))) + 1), n), self._HUGE)
-            T[0] = clamped
-            for k in range(1, T.shape[0]):
-                span, half = 1 << k, 1 << (k - 1)
-                m = n - span + 1
-                if m <= 0:
-                    break
-                T[k, :m] = np.minimum(T[k - 1, :m], T[k - 1, half:half + m])
-            self._tables.append(T)
+        # the sparse range-min tables T[j - 1, k, i] = min of layer j's
+        # clamped times over nodes i .. i + 2^k - 1, whose rows k = 0 are the
+        # interpolation tables, flattened; and per layer the nearest finite
+        # node at or after and at or before each node (n and -1 for none),
+        # flattened the same way, so that every query takes a layer array
+        fin = np.isfinite(self.r)
+        clamped = np.where(fin, self.r, self._HUGE)
+        n = clamped.shape[1]
+        self._levels = max(1, int(np.log2(max(n, 2))) + 1)
+        T = np.full((clamped.shape[0], self._levels, n), self._HUGE)
+        T[:, 0] = clamped
+        for k in range(1, self._levels):
+            span, half = 1 << k, 1 << (k - 1)
+            m = n - span + 1
+            if m <= 0:
+                break
+            T[:, k, :m] = np.minimum(T[:, k - 1, :m], T[:, k - 1, half:half + m])
+        self._table = T.ravel()
+        idx = np.arange(n)
+        self._finite = {
+            1: np.minimum.accumulate(np.where(fin, idx, n)[:, ::-1], axis=1)[:, ::-1].ravel(),
+            -1: np.maximum.accumulate(np.where(fin, idx, -1), axis=1).ravel()}
 
     def cell_position(self, x) -> np.ndarray:
         """Position of x in node units, node i at i.
@@ -69,7 +71,7 @@ class BarrierFamily:
         atoms are held to, is put on it.  Clipped to [0, nx - 1e-6], so
         that positions past the grid read its edge cell.
         """
-        # in place: this runs on every monitored position
+        # in place: this runs on every box step
         pos = np.divide(x, self._dx, out=np.empty(np.shape(x)))
         pos += self._center
         off = np.rint(pos, out=np.empty_like(pos))
@@ -79,52 +81,58 @@ class BarrierFamily:
         np.maximum(pos, 0.0, out=pos)
         return np.minimum(pos, len(self.x_nodes) - 1.000001, out=pos)
 
-    def node_min(self, j: int, lo, hi) -> np.ndarray:
-        """Minimum of layer j's barrier times over the nodes lo..hi.
+    def node_min(self, j, lo, hi) -> np.ndarray:
+        """Minimum of layer j's barrier times over the nodes lo..hi (j may be
+        an array, one layer per span).
 
         Node indices past either end of the grid read its edge node."""
-        T = self._tables[j - 1]
-        n = T.shape[1]
-        lo = np.clip(lo, 0, n - 1)
-        hi = np.clip(hi, 0, n - 1)
-        length = hi - lo + 1
-        k = np.frexp(length.astype(np.float64))[1] - 1      # floor(log2(length))
-        k = np.clip(k, 0, T.shape[0] - 1)
-        left = np.take(T.ravel(), k * n + lo)
-        right = np.take(T.ravel(), k * n + hi - (1 << k) + 1)
+        n = self.r.shape[1]
+        lo = np.minimum(np.maximum(lo, 0), n - 1)
+        hi = np.minimum(np.maximum(hi, 0), n - 1)
+        k = np.frexp((hi - lo + 1).astype(np.float64))[1] - 1      # floor(log2(length))
+        k = np.minimum(np.maximum(k, 0), self._levels - 1)
+        base = ((np.asarray(j) - 1) * self._levels + k) * n
+        left = np.take(self._table, base + lo)
+        right = np.take(self._table, base + hi - (1 << k) + 1)
         return np.minimum(left, right)
 
-    def range_min(self, j: int, x_lo, x_hi) -> np.ndarray:
+    def first_finite(self, j, i, s: int) -> np.ndarray:
+        """First node from index i on, in direction s (+1 or -1), whose layer-j
+        barrier time is finite; n or -1 when none is.  Indices off the grid
+        are returned as they are."""
+        n = self.r.shape[1]
+        on = (i >= 0) & (i < n)
+        at = (np.asarray(j) - 1) * n + np.minimum(np.maximum(i, 0), n - 1)
+        return np.where(on, np.take(self._finite[s], at), i)
+
+    def range_min(self, j, x_lo, x_hi) -> np.ndarray:
         """Lower bound of the barrier time over position spans [x_lo, x_hi].
 
         Exact minimum over the grid nodes touching the span, which bounds the
-        interpolated barrier from below; used to prune hit tests."""
+        interpolated barrier from below; used to find boxes that the region
+        does not reach before a given time."""
         return self.node_min(j, np.floor(self.cell_position(x_lo)).astype(np.int64),
                              np.ceil(self.cell_position(x_hi)).astype(np.int64))
 
-    def lookup(self, j: int, x) -> np.ndarray:
-        """Barrier time at arbitrary x for layer j (1-based).
+    def lookup(self, j, x) -> np.ndarray:
+        """Barrier time at arbitrary x for layer j (1-based; an array gives
+        one layer per point).
 
-        Linear interpolation between nodes; a cell with an infinite endpoint
-        interpolates to effectively +inf, except within dx/2 of an isolated
-        finite column (a single-node stopping line, e.g. an atom of the
-        target), which keeps its own finite value so paths can reach it.
+        Linear interpolation between nodes.  A cell with an infinite endpoint
+        interpolates to effectively +inf, so only its finite node can stop a
+        path there: a level, such as an atom of the target, that a
+        continuous path reaches exactly.
         """
-        clamped, iso = self._tables[j - 1][0], self._iso[j - 1]
-        x = np.asarray(x, dtype=float)
         pos = self.cell_position(x)
         i0 = pos.astype(np.int64)
         pos -= i0                                       # weight of node i0 + 1
-        r0 = np.take(clamped, i0)
+        i0 += (np.asarray(j) - 1) * self._levels * self.r.shape[1]
+        r0 = np.take(self._table, i0)
         i0 += 1
-        out = np.take(clamped, i0)
+        out = np.take(self._table, i0)
         out -= r0
         out *= pos
         out += r0
-        for xv, rv in iso:
-            close = np.abs(x - xv) <= self._dx / 2.0
-            if close.any():
-                out = np.where(close, np.minimum(out, rv), out)
         return out
 
     def descriptor(self) -> dict:

@@ -208,7 +208,7 @@ class Run:
         """Reject the simulation settings that the simulators would refuse
         only after the solve, or not at all: no paths, a step that is not
         positive or is coarser than the solver's, probe times off the
-        monitoring grid or beyond the grid horizon, probe points off the
+        h_sim grid or beyond the grid horizon, probe points off the
         solver's x-grid, and a non-positive horizon for the alternative."""
         cfg = self.cfg
         if cfg.getint("simulation", "paths") < 1:

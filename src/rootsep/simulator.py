@@ -1,19 +1,21 @@
 """Monte Carlo verification of embeddings realized by barrier hitting.
 
-Paths start from the initial marginal and are monitored at multiples of
-h_sim with no bridge correction, so hitting times carry the O(sqrt(h_sim))
-overshoot bias of discrete monitoring that the verification tolerances
-absorb, and every stop time is an integer multiple of h_sim.  Each path
-keeps its own clock.  A path far from its layer's stopping region crosses a
-box that holds no stopping point in one exact step: the exit time of the
-box and the position at its window's end are drawn from their laws, so the
-monitored law is unchanged.  Other paths take a segment of Gaussian steps,
-with one ascending sweep over the layers per segment.  A snapshot at time t
-holds B_(t ^ sigma_n).  The randomized alternative embedding takes no time
-steps: its stopping time and stopped value are sampled exactly, from one
-normal and one uniform draw per path.  Paths are processed in fixed-size
-blocks, each block on its own counter-based stream keyed by (seed, block
-index); results are therefore bit-identical for any thread count.
+Paths start from the initial marginal and stop in continuous time, at the
+first time each layer's region holds them (see `simulate_root`).  Each path
+keeps its own clock and moves by exact box steps: the exit time of a box
+that no region point lies inside and the position at its window's end are
+drawn from their laws.  A window may end exactly when the region first
+reaches the box, and a box edge may sit exactly on a level of the region,
+so those stops carry no bias; near the sloped cells of an interpolated
+barrier, a walk on moving spheres stops a path within SHELL * dx of the
+moving boundary, the only O(SHELL * dx) bias.  A snapshot at time t holds
+B_(t ^ sigma_n); snapshot times lie on the h_sim grid, the only use of
+h_sim besides the verification allowances that read it.  The randomized
+alternative embedding takes no time steps: its stopping time and stopped
+value are sampled exactly, from one normal and one uniform draw per path.
+Paths are processed in fixed-size blocks, each block on its own
+counter-based stream keyed by (seed, block index); results are therefore
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .marginals import MarginalFamily, make_stream
 from .tolerances import CENSOR_FRACTION
 
 BLOCK_SIZE = 1 << 14
+# paths within SHELL * dx of a moving stretch of their region's boundary
+# stop on it (see simulate_root)
+SHELL = 1e-6
 KS_THRESHOLD = 0.01
 POTENTIAL_THRESHOLD = 0.02
 ATOM_MASS_THRESHOLD = 0.01
@@ -49,7 +54,7 @@ class PathEnsemble:
     x0: np.ndarray                  # (M,)
     sigma: np.ndarray               # (n+1, M); row 0 unused, inf = censored
     b_sigma: np.ndarray             # (n+1, M); nan where censored
-    snapshots: dict                 # t -> (M,) B_(t ^ sigma_n) at monitored time t
+    snapshots: dict                 # t -> (M,) B_(t ^ sigma_n) at snapshot time t
     censored: np.ndarray            # (M,) bool
 
     @property
@@ -77,7 +82,7 @@ class PathEnsemble:
         return np.where(stopped, self.b_sigma[j], self.snapshots[key])
 
     def _snapshot_key(self, t: float) -> float:
-        # snapshots are taken on monitored steps, so match t by its step
+        # snapshots are taken on multiples of h_sim, so match t by its multiple
         step = round(t / self.h_sim)
         if abs(step * self.h_sim - t) <= 1e-9:
             for k in self.snapshots:
@@ -86,23 +91,47 @@ class PathEnsemble:
         raise ValidationError(f"no snapshot recorded at t={t}")
 
 
-def _run_blocks(run_block, M: int, seed: int, threads: int) -> None:
-    """Call run_block(rng, lo, hi) on each BLOCK_SIZE block of the M paths.
+class _Streams:
+    """The random streams of a run of consecutive BLOCK_SIZE path blocks.
 
-    Block b draws from its own stream keyed by (seed, b), so the results do
+    Block b of the M paths draws from its own counter-based stream keyed by
+    (seed, b).  `draw` calls fn(rng, k) on the stream of every block with k
+    of the given sorted rows (path indices within the run) and joins the
+    results along their last axis, so a block's draws do not depend on the
+    other blocks of its run.
+    """
+
+    def __init__(self, seed: int, first: int, last: int):
+        self._rngs = [make_stream(seed, b) for b in range(first, last)]
+        self._starts = np.arange(1, last - first) * BLOCK_SIZE
+
+    def draw(self, rows, fn):
+        cuts = [0, *np.searchsorted(rows, self._starts).tolist(), rows.size]
+        parts = [fn(rng, b - a) for rng, a, b in zip(self._rngs, cuts, cuts[1:]) if b > a]
+        if not parts:
+            return fn(self._rngs[0], 0)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _run_blocks(run, M: int, seed: int, threads: int) -> None:
+    """Call run(streams, lo, hi) on `threads` runs of consecutive BLOCK_SIZE
+    blocks of the M paths, paths lo..hi - 1, each run on its own thread.
+
+    Each block draws from its own stream (see `_Streams`), so the results do
     not depend on how many threads share the blocks.
     """
-    def one(bid):
-        lo = bid * BLOCK_SIZE
-        run_block(make_stream(seed, bid), lo, min(lo + BLOCK_SIZE, M))
+    blocks = -(-M // BLOCK_SIZE)
 
-    blocks = range(-(-M // BLOCK_SIZE))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, blocks))
+    def one(run_blocks):
+        first, last = int(run_blocks[0]), int(run_blocks[-1]) + 1
+        run(_Streams(seed, first, last), first * BLOCK_SIZE, min(last * BLOCK_SIZE, M))
+
+    runs = np.array_split(np.arange(blocks), min(max(threads, 1), blocks))
+    if len(runs) > 1:
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            list(pool.map(one, runs))
     else:
-        for bid in blocks:
-            one(bid)
+        one(runs[0])
 
 
 def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
@@ -112,26 +141,39 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
                   threads: int = 1) -> PathEnsemble:
     """Realize the barrier-hitting stopping times on M simulated paths.
 
-    sigma_j is the first monitored time >= sigma_{j-1} at which the path sits
-    inside barrier j (time at or past the interpolated first-hit curve).
-    Monitoring is discrete, every h_sim, so stops keep the O(sqrt(h_sim))
-    overshoot of discrete monitoring, and every stop time is an integer
-    multiple of h_sim.  Each path keeps its own clock.  On each pass a path
-    in layer j looks for the widest box around it whose nodes the barrier
-    table shows free of layer j's region until the box window ends (see
-    `boxes`).  Windows end no later than the next snapshot step and the
-    horizon, and last at most d^2 for a box of radius d.  A window of at
-    least one segment is crossed in one exact step (see `_cross_boxes`),
-    since no monitored point in the box can stop the path.  Other paths take
-    a segment of monitored steps, in which the layers are swept once in
-    increasing order, so a path can stop in several layers within one
-    segment.  The snapshot at time t is B_(t ^ sigma_n): the running
-    position, or B_sigma_n for a path that stopped by t.  Times requested
-    for the same monitored step share one snapshot, keyed by the first of
-    them.  Requires M >= 1, a positive horizon and a positive h_sim no
-    larger than the solver time step the barriers came from.  Raises
-    HorizonError when more than the tolerated fraction of paths fails to
-    complete all stops before the horizon.
+    sigma_j = inf{t >= sigma_{j-1} : t >= r_j(B_t)}, the continuous-time
+    hitting time of layer j's region, r_j the interpolated first-hit curve
+    (see `BarrierFamily.lookup`).  A cell with one infinite end holds no
+    region point but its finite node, which acts as a level from its first
+    hit on.  Each path keeps its own clock and moves by exact box steps
+    (`_cross_boxes`), each box chosen by `_box` so that no point strictly
+    inside it meets the region before the window ends:
+    - a window may end exactly at the smallest first-hit time over the
+      nodes inside the box; a path then in the region stops at that time
+      (vertical faces, such as a plateau r = s_j, and columns that switch
+      on);
+    - a box edge may sit exactly on a level node, so an exit through it at
+      or after the node's first hit is a stop with B_sigma on the level;
+    - near a sloped cell, where the interpolated boundary moves, the box
+      edge sits where the boundary will be at the window's end (a walk on
+      moving spheres), and a path within SHELL * dx of the moving boundary
+      stops on it at once.  That shell is the method's only bias: stopped
+      values move by at most SHELL * dx and stop times by the time the
+      boundary takes to cross that distance, so O(SHELL * dx) in every
+      stopped law; the other stops are exact.
+    Windows also end at every snapshot time and at the horizon, and last at
+    most d^2 for a box of radius d.  At each stop the next layers are
+    tried, in increasing order, at the same point, so sigma_1 <= ... <=
+    sigma_n.  The snapshot at time t is B_(t ^ sigma_n): the running
+    position, or B_sigma_n for a path that stopped by t.
+
+    h_sim sets only the snapshot grid: requested times must be multiples of
+    it, and times requested for the same multiple share one snapshot, keyed
+    by the first of them.  It is kept with the ensemble, for the
+    verification allowances, and may not exceed the solver time step the
+    barriers came from.  Requires M >= 1, a positive horizon and snapshot
+    times in [0, horizon].  Raises HorizonError when more than the tolerated
+    fraction of paths fails to complete all stops before the horizon.
     """
     grid_dt = float(barrier_family.grid_desc["dt"])
     if not 0.0 < h_sim <= grid_dt + 1e-15:
@@ -142,216 +184,84 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
         raise ValidationError(f"horizon={T} must be positive")
     if M < 1:
         raise ValidationError(f"M={M} paths; need at least 1")
-    steps = int(round(T / h_sim))
     requested = np.asarray(snapshot_times, dtype=float).ravel()
     if np.any(np.abs(np.round(requested / h_sim) * h_sim - requested) > 1e-9):
         raise ValidationError("snapshot times must be multiples of h_sim")
-    # one snapshot per monitored step, under the first time requested for it
+    # one snapshot per multiple of h_sim, under the first time requested for it
     snap_steps, first = np.unique(np.round(requested / h_sim).astype(int), return_index=True)
     snap_times = requested[first]
-    if np.any(snap_steps > steps):
+    if np.any(snap_steps < 0):
+        raise ValidationError("snapshot times must not be negative")
+    if np.any(snap_steps > int(round(T / h_sim))):
         raise ValidationError("snapshot times beyond the horizon")
+    snap_at = np.minimum(snap_steps * h_sim, T)
+    # every window ends by the next snapshot time or the horizon
+    bounds = np.unique(np.append(snap_at, T))
 
     n = barrier_family.n
     x0 = np.empty(M)
     sigma = np.full((n + 1, M), np.inf)
     b_sigma = np.full((n + 1, M), np.nan)
     snaps = np.empty((len(snap_times), M))
-    # short segments when many layers overlap, long ones for fine monitoring
-    segment = int(np.clip(steps // (2 * n) if n else steps, 16, 256))
-    # a box window ends at the next snapshot step or at the horizon
-    bounds = np.append(snap_steps, steps)
-    dx = float(barrier_family.grid_desc["dx"])
-    radius_bits = len(barrier_family.x_nodes).bit_length()
-    # the time of every monitored step, and the time a barrier must not exceed
-    # to stop a path there
-    clock = np.arange(steps + segment + 1) * h_sim
-    reach = clock + 1e-12
-    sqrt_h = math.sqrt(h_sim)
 
-    def run_block(rng, lo, hi):
+    def run_paths(streams, lo, hi):
         bs = hi - lo
-        x = np.asarray(family.sample_initial_rng(rng, bs), dtype=float)
+        every = np.arange(bs)
+        x = np.asarray(streams.draw(every, family.sample_initial_rng), dtype=float)
         x0[lo:hi] = x
         sg = sigma[:, lo:hi]
         bg = b_sigma[:, lo:hi]
         snap = snaps[:, lo:hi]
+        t = np.zeros(bs)
         j_cur = np.ones(bs, dtype=np.int64)
-        k = np.zeros(bs, dtype=np.int64)        # monitored steps taken
 
-        def cascade(rows, P, first, length):
-            """Advance layers for paths `rows` along monitored positions P.
+        def stop(rows):
+            sg[j_cur[rows], rows] = t[rows]
+            bg[j_cur[rows], rows] = x[rows]
+            j_cur[rows] += 1
 
-            Column c of row i is the position at step first[i] + c; only the
-            first length[i] columns count.  One ascending sweep over the
-            layers: a path that stops in layer j is tested for layer j + 1
-            from its stop column.  A range-min prune skips paths whose whole
-            position span cannot enter the layer's region by their last
-            step; survivors get the per-step interpolated test, in column
-            chunks of 16 to 64, until their first stop.
-            """
-            m = P.shape[1]
-            col = np.arange(m)
-            t_last = reach[first + length - 1]
-            span_lo = P.min(axis=1) if m > 4 else None
-            span_hi = P.max(axis=1) if m > 4 else None
-            at = j_cur[rows]
-            start = np.zeros(rows.size, dtype=np.int64)
-            for j in range(1, n + 1):
-                idx = np.nonzero(at == j)[0]
-                if span_lo is not None and idx.size:
-                    idx = idx[barrier_family.range_min(j, span_lo[idx], span_hi[idx])
-                              <= t_last[idx]]
-                c0 = 0
-                while idx.size and c0 < m:
-                    c1 = min(m, c0 + min(max(c0, 16), 64))
-                    cols = col[c0:c1]
-                    ok = reach[first[idx, None] + cols] \
-                        >= barrier_family.lookup(j, P[idx, c0:c1])
-                    if np.any(start[idx] > c0):
-                        ok &= cols >= start[idx, None]
-                    if np.any(length[idx] < c1):
-                        ok &= cols < length[idx, None]
-                    hit = ok.any(axis=1)
-                    stop, c = idx[hit], c0 + ok.argmax(axis=1)[hit]
-                    sg[j, rows[stop]] = clock[first[stop] + c]
-                    bg[j, rows[stop]] = P[stop, c]
-                    at[stop] += 1
-                    start[stop] = c
-                    idx, c0 = idx[~hit], c1
-            j_cur[rows] = at
+        def settle(rows):
+            # stop paths `rows` in every next layer whose region holds (t, x)
+            while rows.size:
+                rows = rows[j_cur[rows] <= n]
+                rows = rows[barrier_family.lookup(j_cur[rows], x[rows]) <= t[rows] + 1e-12]
+                stop(rows)
 
-        def record(rows, P, first, length):
-            # running positions; stopped paths take B_sigma_n below
-            for slot, s in enumerate(snap_steps):
-                sel = np.nonzero((first <= s) & (s < first + length))[0]
-                snap[slot, rows[sel]] = P[sel, s - first[sel]]
+        def record(rows):
+            # running positions of paths whose window ended at a snapshot time
+            slot = np.minimum(np.searchsorted(snap_at, t[rows]), snap_at.size - 1)
+            on = np.nonzero(snap_at[slot] == t[rows])[0]
+            snap[slot[on], rows[on]] = x[rows[on]]
 
-        def boxes(rows):
-            """Radius and end step of each path's barrier-free box.
-
-            With the path at cell position p, box a >= 0 spans the nodes
-            floor(p) - a .. ceil(p) + a, and its radius d is the distance
-            from x to the nearer end.  It is free up to step e when the
-            smallest first-hit time over those nodes exceeds e h_sim: no
-            monitored point inside it can then sit in the path's layer
-            region by step e.  The window ends at e = min(k + floor(d^2 /
-            h_sim), next snapshot step or horizon) for the widest box free
-            that long, found bit by bit, since freedom can only be lost as a
-            grows.  The box is then widened as far as it stays free for that
-            window, and reaches on into the cells past its end nodes as far
-            as the interpolated barrier allows: a window set by that radius
-            holds when `lookup` at both ends, and the nodes between, exceed
-            its end time, because the barrier is linear between them.
-            Radius 0 marks a path whose window would be shorter than a
-            segment.
-            """
-            xr, kr, at = x[rows], k[rows], j_cur[rows]
-            pos = barrier_family.cell_position(xr)
-            lo, hi = np.floor(pos).astype(np.int64), np.ceil(pos).astype(np.int64)
-            near = np.minimum(pos - lo, hi - pos)
-            limit = bounds[np.searchsorted(bounds, kr, side="right")]
-
-            def window(sel, a):
-                d = (a + near[sel]) * dx
-                return np.minimum(kr[sel] + np.floor(d * d / h_sim).astype(np.int64),
-                                  limit[sel])
-
-            def last_free(j, sel, a):
-                # last step, at most the limit, at which box a is free (one
-                # correction for the rounding of the quotient)
-                first_hit = barrier_family.node_min(j, lo[sel] - a, hi[sel] + a)
-                last = np.floor(np.minimum((first_hit - 1e-12) / h_sim, limit[sel]))
-                last -= last * h_sim + 1e-12 >= first_hit
-                return last.astype(np.int64)
-
-            def beyond(j, end, out, tau):
-                # the part of the cell from node `end` towards node `out`
-                # over which the interpolated barrier exceeds tau, kept a
-                # hair short of `out`
-                r_end = barrier_family.node_min(j, end, end)
-                r_out = barrier_family.node_min(j, out, out)
-                frac = np.where((r_end > tau) & (r_out > tau), 1.0, 0.0)
-                part = (r_end > tau) & (r_out <= tau)
-                frac[part] = (r_end[part] - tau[part]) / (r_end[part] - r_out[part])
-                return np.minimum(frac, 1.0 - 1e-6)
-
-            def widest(j, sel, end):
-                # largest a whose box is free up to step end(a), or -1; past
-                # four times the radius the longest window fills, widening
-                # would only cut the chance of an early exit, P(tau_1 < 1/16)
-                # = 1.3e-4, further
-                cap = 4.0 * math.sqrt((limit[sel] - kr[sel]).max(initial=0) * h_sim) / dx + 1.0
-                count = np.zeros(sel.size, dtype=np.int64)
-                for bit in reversed(range(min(int(cap).bit_length(), radius_bits))):
-                    trial = count + (1 << bit)
-                    free = barrier_family.node_min(j, lo[sel] - trial + 1, hi[sel] + trial - 1) \
-                        > end(trial - 1) * h_sim + 1e-12
-                    count = np.where(free, trial, count)
-                return count - 1
-
-            radius, e = np.zeros(rows.size), kr.copy()
-            for j in range(1, n + 1):
-                sel = np.nonzero(at == j)[0]
-                # no box is free for longer than box 0
-                sel = sel[last_free(j, sel, 0) - kr[sel] >= segment]
-                if sel.size == 0:
-                    continue
-                a = widest(j, sel, lambda a: window(sel, a))
-                w = np.where(a >= 0, window(sel, a), kr[sel])
-                # d^2 / h_sim grows in jumps, so the next box may be free past w
-                next_free = last_free(j, sel, a + 1)
-                w = np.maximum(w, np.minimum(window(sel, a + 1), next_free))
-                grow = next_free >= w
-                a[grow] = widest(j, sel[grow], lambda _: w[grow])
-                # past the end nodes, as far as the longest window allows
-                tau = limit[sel] * h_sim + 1e-12
-                right, left = hi[sel] + a, lo[sel] - a
-                d = np.minimum(right + beyond(j, right, right + 1, tau) - pos[sel],
-                               pos[sel] - left + beyond(j, left, left - 1, tau)) * dx
-                far = np.minimum(kr[sel] + np.floor(d * d / h_sim).astype(np.int64),
-                                 np.minimum(limit[sel], last_free(j, sel, a)))
-                t_far = far * h_sim + 1e-12
-                reach = (a >= 0) & (barrier_family.lookup(j, xr[sel] - d) > t_far) \
-                    & (barrier_family.lookup(j, xr[sel] + d) > t_far)
-                radius[sel] = np.where(reach, d, np.where(a >= 0, (a + near[sel]) * dx, 0.0))
-                e[sel] = np.where(reach, far, w)
-            return np.where(e - kr >= segment, radius, 0.0), e
-
-        # stops allowed at time zero (initial atoms already inside a barrier)
-        every = np.arange(bs)
-        cascade(every, x[:, None], np.zeros(bs, dtype=np.int64), np.ones(bs, dtype=np.int64))
-        record(every, x[:, None], np.zeros(bs, dtype=np.int64), np.ones(bs, dtype=np.int64))
+        settle(every)               # initial atoms already inside a region stop at t = 0
+        if snap_at.size:
+            record(every)
 
         while True:
-            rows = np.nonzero((j_cur <= n) & (k < steps))[0]
+            rows = np.nonzero((j_cur <= n) & (t < T))[0]
             if rows.size == 0:
                 break
-            d, e = boxes(rows)
-            fine, far = rows[d == 0.0], d > 0.0
-            if fine.size:
-                first = k[fine] + 1
-                length = np.minimum(segment, steps - k[fine])
-                P = rng.standard_normal((fine.size, segment))
-                np.multiply(P, sqrt_h, out=P)
-                np.cumsum(P, axis=1, out=P)
-                P += x[fine, None]
-                cascade(fine, P, first, length)
-                record(fine, P, first, length)
-                x[fine] = P[np.arange(fine.size), length - 1]
-                k[fine] += length
-            if far.any():
-                rows = rows[far]
-                x[rows], k[rows], left = _cross_boxes(rng, x[rows], k[rows], d[far], e[far],
-                                                      h_sim)
-                ones = np.ones(rows.size, dtype=np.int64)
-                record(rows, x[rows, None], k[rows], ones)
-                rows = rows[left]
-                cascade(rows, x[rows, None], k[rows], ones[left])
+            limit = bounds[np.searchsorted(bounds, t[rows], side="right")]
+            d, u, w, shell = _box(barrier_family, j_cur[rows], x[rows], t[rows], limit)
+            near = ~np.isnan(shell)
+            if near.any():
+                # inside the shell: stop on the moving boundary
+                end = rows[near]
+                x[end] = shell[near]
+                stop(end)
+                settle(end)
+            go = ~near
+            rows = rows[go]
+            x[rows], t[rows] = _cross_boxes(streams, rows, x[rows], t[rows],
+                                            d[go], u[go], w[go])
+            x[rows] = _onto_nodes(barrier_family, x[rows])
+            settle(rows)
+            if snap_at.size:
+                record(rows)
         # B_(t ^ sigma_n): a path stopped by a snapshot time keeps its stop value
-        snap[:] = np.where(sg[n] <= snap_steps[:, None] * h_sim + 1e-12, bg[n], snap)
+        snap[:] = np.where(sg[n] <= snap_at[:, None] + 1e-12, bg[n], snap)
 
-    _run_blocks(run_block, M, seed, threads)
+    _run_blocks(run_paths, M, seed, threads)
 
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=T,
                        s_values=np.asarray(barrier_family.s_values, dtype=float),
@@ -362,32 +272,134 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     return ens
 
 
-def _cross_boxes(rng, x, k, d, e, h_sim):
+def _onto_nodes(barrier_family: BarrierFamily, x):
+    """x, with every position within 1e-9 of a grid node put on that node."""
+    nodes = barrier_family.x_nodes
+    near = nodes[np.rint(barrier_family.cell_position(x)).astype(np.int64)]
+    return np.where(np.abs(x - near) <= 1e-9, near, x)
+
+
+def _reach(barrier_family, j, pos, w, cap, s):
+    """How far the paths at cell positions pos may reach on side s (+1 right,
+    -1 left) in a window that ends by w.
+
+    Nodes are scanned outward from the path, at most `cap` of them, and are
+    free while their first hit is at or after w: never-hit nodes are skipped
+    up to the first finite one, and the rest are scanned by halving steps
+    over range minima.  With no blocker among them the reach ends on the
+    last node scanned.  When the node before the first blocker e is never
+    hit, the cell between holds no region point but e, and the reach ends
+    on e: a level, or a column that switches on within the window.
+    Otherwise the barrier is linear over that cell, and for a window ending
+    at W <= w the reach ends where it equals W, so it retreats from e at
+    dx / (r_inner - r_e) per unit of W past r_e.
+
+    Returns the distance `full` to node e (or the last node), and that
+    retreat rate and r_e (both 0 on levels and free ends).
+    """
+    dx = float(barrier_family.grid_desc["dx"])
+    start = (np.floor(pos) + 1 if s > 0 else np.ceil(pos) - 1).astype(np.int64)
+    f = barrier_family.first_finite(j, start, s)
+    m = s * (f - start)
+    hit = barrier_family.node_min(j, f, f) < w
+    m = np.minimum(np.where(hit, m, m + 1), cap)
+    scan = np.nonzero(~hit & (m < cap))[0]
+    if scan.size:
+        js, base, ms, cs, ws = j[scan], start[scan], m[scan], cap[scan], w[scan]
+        for bit in reversed(range(int((cs - ms).max()).bit_length())):
+            trial = ms + (1 << bit)
+            far = base + s * (trial - 1)
+            ok = (trial <= cs) & (barrier_family.node_min(js, np.minimum(base, far),
+                                                          np.maximum(base, far)) >= ws)
+            ms = np.where(ok, trial, ms)
+        m[scan] = ms
+    blocked = m < cap
+    e = start + s * np.where(blocked, m, m - 1)
+    r, last = barrier_family.r, barrier_family.r.shape[1] - 1
+    r_e = r[j - 1, np.minimum(np.maximum(e, 0), last)]
+    r_in = r[j - 1, np.minimum(np.maximum(e - s, 0), last)]
+    sloped = blocked & np.isfinite(r_in)
+    rate = np.zeros(pos.size)
+    rate[sloped] = dx / (r_in[sloped] - r_e[sloped])
+    return s * (e - pos) * dx, rate, np.where(sloped, r_e, 0.0)
+
+
+def _window(full, rate, r_e, t):
+    """Longest window u with u <= reach(t + u)^2 on one side (see `_reach`):
+    full^2 while that ends by r_e, else the root of u = (a - rate u)^2 with
+    a = full + rate (r_e - t)."""
+    a = full + rate * (r_e - t)
+    ar = a * rate
+    root = 2.0 * a * a / (2.0 * ar + 1.0 + np.sqrt(4.0 * ar + 1.0))
+    return np.where(t + full * full <= r_e, full * full, root)
+
+
+def _box(barrier_family, j, x, t, limit):
+    """Radius d, window length u and end w of the box of each path, in its
+    layer j.
+
+    The window ends at most at w_c, the earlier of `limit` and the path's
+    own first hit.  The first screen reads `range_min` over the box of
+    radius 4 sqrt(w_c - t): when the nodes touching it are first hit at
+    some w after t, the box narrowed to 4 sqrt(w - t) is free until w (w_c
+    at best), its window ends there and the path leaves early only with
+    probability P(tau_1 < 1/16) = 1.3e-4.  Otherwise the region is already
+    at the box: `_reach` scans both sides for a window ending by w_c, the
+    window is the longest that both reaches support, and the radius the
+    smaller reach at its end.  Paths within SHELL * dx of a moving boundary
+    get its position now in `shell` (nan elsewhere) and take no box.
+    """
+    dx = float(barrier_family.grid_desc["dx"])
+    pos = barrier_family.cell_position(x)
+    w_c = np.minimum(limit, barrier_family.lookup(j, x))
+    d = 4.0 * np.sqrt(w_c - t)
+    # that box, narrowed to 4 sqrt(w - t), touches no node hit before w
+    w = np.minimum(w_c, barrier_family.range_min(j, x - d, x + d))
+    u = w - t
+    d = 4.0 * np.sqrt(np.maximum(u, 0.0))
+    shell = np.full(x.size, np.nan)
+    slow = np.nonzero(u <= 0.0)[0]
+    if slow.size:
+        # the box of the paths `slow`, for a window ending by w_c
+        ts, end = t[slow], w_c[slow]
+        cap = np.ceil(4.0 * np.sqrt(end - ts) / dx).astype(np.int64) + 1
+        sides = [_reach(barrier_family, j[slow], pos[slow], end, cap, s) for s in (-1, 1)]
+        u[slow] = np.minimum(end - ts, np.minimum(
+            *[_window(full, rate, r_e, ts) for full, rate, r_e in sides]))
+        w[slow] = np.where(u[slow] < end - ts, ts + u[slow], end)
+        d[slow] = np.minimum(*[full - rate * np.maximum(w[slow] - r_e, 0.0)
+                               for full, rate, r_e in sides])
+        for s, (full, rate, r_e) in zip((-1, 1), sides):
+            gap = full - rate * (ts - r_e)
+            inside = (rate > 0.0) & (r_e <= ts) & (gap <= SHELL * dx)
+            shell[slow[inside]] = x[slow[inside]] + s * np.maximum(gap[inside], 0.0)
+    return d, u, w, shell
+
+
+def _cross_boxes(streams, rows, x, t, d, u, w):
     """One exact step of Brownian paths across their boxes [x - d, x + d].
 
-    Path i is at x[i] at step k[i], and its box window ends at step e[i],
-    with (e - k) h_sim <= d^2.  It leaves the box after tau = d^2 tau_1 on a
-    fair side, tau_1 the exit time of [-1, 1]: u < P(tau_1 < window / d^2)
-    tells whether it leaves within the window, and only then is tau drawn,
-    by inverting the CDF at u.  A path that leaves is next monitored at the
-    first step after k h_sim + tau, a normal increment beyond x +- d.  Any
-    other path is monitored at e, at its endpoint given that it stayed in
-    the box.  Returns the new positions and steps and a mask of the paths
-    that left.  Draws two uniforms per path, then one normal per leaving
-    path, then the endpoint proposals.
+    Path i (run row rows[i]) is at x[i] at time t[i], and its box window
+    has length u[i] <= d[i]^2 and ends at w[i] (the length is passed on its
+    own, since t + u may round to t).  The path leaves the box after
+    tau = d^2 tau_1 on a fair side, tau_1 the exit time of [-1, 1]:
+    v < P(tau_1 < u / d^2) tells whether it leaves within the window, and
+    only then is tau drawn, by inverting the CDF at v.  A path that leaves
+    is on the box edge at t + tau.  Any other path is at time w, at its
+    endpoint given that it stayed in the box.  Returns the new positions
+    and times.  Each block draws two uniforms per path, then the endpoint
+    proposals.
     """
-    window = (e - k) * h_sim
-    u = rng.random((2, x.size))
-    left = u[0] < exit_time_cdf(window / (d * d))[0]
-    tau = d[left] ** 2 * exit_time_quantile(u[0, left])
-    step = e.copy()
-    step[left] = np.minimum(k[left] + np.floor(tau / h_sim).astype(np.int64) + 1, e[left])
-    gap = np.maximum((step[left] - k[left]) * h_sim - tau, 0.0)
-    new = np.empty_like(x)
-    new[left] = x[left] + np.where(u[1, left] < 0.5, -d[left], d[left]) \
-        + np.sqrt(gap) * rng.standard_normal(tau.size)
-    new[~left] = x[~left] + _endpoint_in_box(rng, d[~left], window[~left])
-    return new, step, left
+    v = streams.draw(rows, lambda rng, k: rng.random((2, k)))
+    left = v[0] < exit_time_cdf(u / (d * d))[0]
+    tau = d[left] ** 2 * exit_time_quantile(v[0, left])
+    new_t = w.copy()
+    new_t[left] = np.minimum(t[left] + tau, w[left])
+    new_x = np.empty_like(x)
+    new_x[left] = x[left] + np.where(v[1, left] < 0.5, -d[left], d[left])
+    stay = ~left
+    new_x[stay] = x[stay] + _endpoint_in_box(streams, rows[stay], d[stay], u[stay])
+    return new_x, new_t
 
 
 # Survival of a Brownian bridge from 0 to z over time t inside (-d, d): the
@@ -400,29 +412,71 @@ _IMAGE_K = np.arange(1.0, 5.0)
 
 def _bridge_survival(z, d, t):
     """P(a Brownian bridge from 0 to z over time t stays in (-d, d)), t <= d^2."""
-    kd = _IMAGE_K * d[:, None]
-    terms = np.exp(-2.0 * kd * (kd - z[:, None]) / t[:, None]) \
-        + np.exp(-2.0 * kd * (kd + z[:, None]) / t[:, None])
-    survival = 1.0 + (terms * (-1.0) ** _IMAGE_K).sum(axis=1)
-    return np.where(np.abs(z) < d, np.clip(survival, 0.0, 1.0), 0.0)
+    survival = np.zeros(z.size)
+    inside = np.nonzero(np.abs(z) < d)[0]
+    z, d, t = z[inside, None], d[inside, None], t[inside, None]
+    kd = _IMAGE_K * d
+    terms = np.exp(-2.0 * kd * (kd - z) / t) + np.exp(-2.0 * kd * (kd + z) / t)
+    survival[inside] = np.clip(1.0 + (terms * (-1.0) ** _IMAGE_K).sum(axis=1), 0.0, 1.0)
+    return survival
 
 
-def _endpoint_in_box(rng, d, t):
+# The same killed density in its eigenfunction series, (1/d) sum over odd n
+# of exp(-n^2 pi^2 t / (8 d^2)) cos(n theta), theta = pi z / (2 d).  Since
+# |cos(n theta) / cos(theta)| <= n, the terms past n = 1 change the n = 1
+# term by a factor within 1 +- eps(t / d^2), eps(r) = sum n exp(-(n^2 - 1)
+# pi^2 r / 8), which is below 0.022 from t = d^2 / 2 on, where the terms
+# past n = 9 are below 1e-19.
+_EIGEN_N = np.arange(3.0, 11.0, 2.0)
+_EIGEN_FROM = 0.5
+
+
+def _eigen_acceptance(theta, r):
+    """Acceptance of theta, drawn with density cos(theta) on (-pi/2, pi/2),
+    for the killed density at t = r d^2, r >= _EIGEN_FROM."""
+    decay = np.exp(-(_EIGEN_N ** 2 - 1.0) * (math.pi ** 2 / 8.0) * r[:, None])
+    ratio = np.cos(_EIGEN_N * theta[:, None]) / np.cos(theta)[:, None]
+    return np.clip((1.0 + (decay * ratio).sum(axis=1))
+                   / (1.0 + (decay * _EIGEN_N).sum(axis=1)), 0.0, 1.0)
+
+
+def _endpoint_in_box(streams, rows, d, t):
     """B_t - B_0 for Brownian motions that stay in (-d, d) up to t <= d^2.
 
-    Rejection: normal proposals of variance t, accepted with the bridge
-    survival probability, so the accepted law is the killed transition
-    density.  Acceptance is P(tau_1 > t / d^2) >= P(tau_1 > 1) = 0.37.
-    Each round draws one normal and then one uniform per pending path.
+    Rejection sampling of the killed transition density.  Below t = d^2 / 2
+    the proposal is normal with variance t, accepted with the bridge
+    survival probability (acceptance P(tau_1 > t / d^2) >= 0.80); from
+    there on it is the density's first eigenfunction cos(pi z / (2 d)),
+    drawn as z = (2 d / pi) arcsin(2 v - 1) and accepted with the ratio of
+    the full eigenfunction series to it (acceptance above 0.95).  Each
+    round, each block draws one normal and then two uniforms per pending
+    path (run rows `rows`).
     """
     z = np.empty(d.size)
     todo = np.arange(d.size)
     while todo.size:
-        prop = np.sqrt(t[todo]) * rng.standard_normal(todo.size)
-        ok = rng.random(todo.size) < _bridge_survival(prop, d[todo], t[todo])
+        g = streams.draw(rows[todo], _normals)
+        v = streams.draw(rows[todo], lambda rng, k: rng.random((2, k)))
+        dd, tt = d[todo], t[todo]
+        prop, keep = np.sqrt(tt) * g, np.empty(todo.size)
+        short = tt < _EIGEN_FROM * dd * dd
+        keep[short] = _bridge_survival(prop[short], dd[short], tt[short])
+        long = ~short
+        theta = np.arcsin(2.0 * v[0, long] - 1.0)
+        prop[long] = (2.0 / math.pi) * dd[long] * theta
+        keep[long] = _eigen_acceptance(theta, tt[long] / (dd[long] * dd[long]))
+        ok = v[1] < keep
         z[todo[ok]] = prop[ok]
         todo = todo[~ok]
     return z
+
+
+def _normals(rng, k):
+    return rng.standard_normal(k)
+
+
+def _uniforms(rng, k):
+    return rng.random(k)
 
 
 def empirical_potential(ensemble: PathEnsemble, j: int, t: float, x_probes):
@@ -640,22 +694,23 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
     inverting its CDF.  The exit side is a fair sign independent of |G| and
     of tau_1, so sign(G) serves for it and B_sigma = G.  Each block draws its
     normals and then its uniforms from its own stream.  Paths with
-    sigma > horizon are censored.  h_sim only sets the monitoring allowance
-    that `marginal_fit` reads from the ensemble.  Requires M >= 1.
+    sigma > horizon are censored.  h_sim only sets the 2 sqrt(h_sim)
+    allowance that `marginal_fit` reads from the ensemble.  Requires M >= 1.
     """
     if M < 1:
         raise ValidationError(f"M={M} paths; need at least 1")
     sigma = np.full((2, M), np.inf)
     b_sigma = np.full((2, M), np.nan)
 
-    def run_block(rng, lo, hi):
-        level = rng.standard_normal(hi - lo)
-        stop = level * level * exit_time_quantile(rng.random(hi - lo))
+    def run_paths(streams, lo, hi):
+        every = np.arange(hi - lo)
+        level = streams.draw(every, _normals)
+        stop = level * level * exit_time_quantile(streams.draw(every, _uniforms))
         inside = stop <= horizon
         sigma[1, lo:hi] = np.where(inside, stop, np.inf)
         b_sigma[1, lo:hi] = np.where(inside, level, np.nan)
 
-    _run_blocks(run_block, M, seed, threads)
+    _run_blocks(run_paths, M, seed, threads)
 
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=horizon,
                        s_values=np.array([1.0]), x0=np.zeros(M), sigma=sigma,

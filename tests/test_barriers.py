@@ -145,11 +145,11 @@ def test_lookup_isolated_column(three_point_family):
     i0 = int(np.argmin(np.abs(b.x_nodes)))
     r0 = b.r[0, i0]
     assert np.isfinite(r0)
-    # within dx/2 of the isolated column the finite value applies
-    assert b.lookup(1, np.array([0.02]))[0] == pytest.approx(r0)
-    assert b.lookup(1, np.array([-0.024]))[0] == pytest.approx(r0)
-    # beyond dx/2 the neighbouring infinite cells win
-    assert b.lookup(1, np.array([0.03]))[0] > 1e6
+    # the isolated column is a level: its node reads its own time, and the
+    # infinite cells beside it read effectively +inf right up to the node
+    assert b.lookup(1, np.array([0.0]))[0] == r0
+    for x in (1e-9 + 1e-12, 0.02, -0.024, 0.03):
+        assert b.lookup(1, np.array([x]))[0] > 1e6
 
 
 def test_lookup_reads_every_node_exactly():
@@ -163,6 +163,35 @@ def test_lookup_reads_every_node_exactly():
                       grid_desc=grid.descriptor())
     assert np.array_equal(b.cell_position(xs[:-1]), np.arange(xs.size - 1))
     assert np.array_equal(b.lookup(1, xs[:-1:2]), r[0, :-1:2])
+
+
+def test_queries_take_one_layer_per_point(gauss_barriers, three_point_family):
+    b = gauss_barriers
+    rng = np.random.default_rng(1)
+    xs = rng.uniform(-3.0, 3.0, 500)
+    j = rng.integers(1, b.n + 1, xs.size)
+    lo = rng.integers(0, b.x_nodes.size, xs.size)
+    hi = np.minimum(lo + rng.integers(0, 40, xs.size), b.x_nodes.size - 1)
+    for layer in range(1, b.n + 1):
+        at = j == layer
+        assert np.array_equal(b.lookup(j, xs)[at], b.lookup(layer, xs[at]))
+        assert np.array_equal(b.node_min(j, lo, hi)[at], b.node_min(layer, lo[at], hi[at]))
+    # the first finite node scanned from each node, on the three-point
+    # barrier, whose never-hit stretches lie between the column at 0 and +-1
+    part = rs.make_partition(2, "uniform")
+    grid = rs.make_grid(three_point_family, 3.0, 0.05)
+    tp = rs.extract(rs.solve_layers(three_point_family, part, grid, keep_times=[0.0]))
+    i = np.arange(-2, tp.x_nodes.size + 2)
+    for s in (1, -1):
+        for layer in (1, 2):
+            finite = np.nonzero(np.isfinite(tp.r[layer - 1]))[0]
+            got = tp.first_finite(layer, i, s)
+            for k, f in zip(i, got):
+                if not 0 <= k < tp.x_nodes.size:
+                    assert f == k
+                    continue
+                ahead = finite[finite >= k] if s > 0 else finite[finite <= k][::-1]
+                assert f == (ahead[0] if ahead.size else (tp.x_nodes.size if s > 0 else -1))
 
 
 def test_range_min_bounds_lookup(gauss_barriers):

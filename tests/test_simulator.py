@@ -49,7 +49,7 @@ def test_vertical_barrier_hits(gauss_run):
 
 
 def test_equal_layers_stop_together():
-    # layer 2 is tried from layer 1's stop column in the same segment
+    # layer 2 is tried at layer 1's stop, so equal barriers stop together
     h = 0.0025
     ens = rs.simulate_root(rs.ScaledFamily(0.0), analytic_vertical_barrier(0.3, h, 1.5, 2),
                            5000, h, seed=5, snapshot_times=[0.25, 0.5])
@@ -120,92 +120,67 @@ def test_determinism_and_threads(gauss_family, gauss_run):
 
 
 # ---------------------------------------------------------------------------
-# the law of discrete monitoring, against a plain step-by-step reference
+# exact laws of continuous-time stopping
 
-def monitored_reference(family, barrier, M, h, seed, snapshot_times=()):
-    """Discrete monitoring every h, one step at a time for every path.
-
-    The law `simulate_root` must keep, without its boxes, prunes or
-    segments; its random stream is its own.  Returns sigma, b_sigma and the
-    snapshots B_(t ^ sigma_n).
-    """
-    rng = make_stream(seed, 0)
-    x = np.asarray(family.sample_initial_rng(rng, M), dtype=float)
-    n = barrier.n
-    steps = int(round(float(barrier.grid_desc["T"]) / h))
-    sigma = np.full((n + 1, M), np.inf)
-    b_sigma = np.full((n + 1, M), np.nan)
-    layer = np.ones(M, dtype=np.int64)
-    wanted = {int(round(t / h)): t for t in snapshot_times}
-    snaps = {}
-    for step in range(steps + 1):
-        running = np.nonzero(layer <= n)[0]
-        if running.size == 0:
-            break
-        if step:
-            x[running] += math.sqrt(h) * rng.standard_normal(running.size)
-        for j in range(1, n + 1):
-            at = np.nonzero(layer == j)[0]
-            hit = at[step * h + 1e-12 >= barrier.lookup(j, x[at])]
-            sigma[j, hit] = step * h
-            b_sigma[j, hit] = x[hit]
-            layer[hit] += 1
-        if step in wanted:
-            snaps[wanted[step]] = x.copy()
-    for t in wanted.values():
-        snaps.setdefault(t, x.copy())       # every path stopped before t
-    return sigma, b_sigma, snaps
-
-
-def assert_same_law(ens, reference, alpha=1e-3):
-    """Two-sample KS at level alpha on each sigma_j, B_sigma_j and snapshot."""
-    sigma, b_sigma, snaps = reference
-    horizon = ens.horizon + 1.0
-    samples = []
-    for j in range(1, ens.n + 1):
-        samples.append((f"sigma_{j}", np.minimum(ens.sigma[j], horizon),
-                        np.minimum(sigma[j], horizon)))
-        samples.append((f"B_sigma_{j}", ens.b_sigma[j][np.isfinite(ens.sigma[j])],
-                        b_sigma[j][np.isfinite(sigma[j])]))
-    samples += [(f"snapshot {t}", ens.snapshots[t], snaps[t]) for t in snaps]
-    for name, ours, ref in samples:
-        assert stats.ks_2samp(ours, ref).pvalue > alpha, name
-
-
-def test_gaussian_law_matches_monitored_reference(gauss_family, gauss_run):
+def test_gaussian_stops_lie_on_the_region_boundary(gauss_run):
+    # every stop is in the region, and on its boundary: either the region
+    # reached B_sigma at sigma itself (a window ending on a face), or a point
+    # within the shell width of B_sigma is still outside it (an edge on a
+    # node that had just switched on, or a stop in the shell)
     _, barrier, ens = gauss_run
-    ref = monitored_reference(gauss_family, barrier, 40_000, ens.h_sim, 107,
-                              snapshot_times=[0.0, 0.25, 0.5, 1.0])
-    assert_same_law(ens, ref)
+    eps = sim.SHELL * float(barrier.grid_desc["dx"])
+    for j in range(1, ens.n + 1):
+        b, stop = ens.b_sigma[j], ens.sigma[j]
+        reach = barrier.lookup(j, b)
+        assert np.all(stop + 1e-12 >= reach), j
+        on_face = stop <= reach + 1e-12
+        near_edge = (barrier.lookup(j, b - eps) > stop) | (barrier.lookup(j, b + eps) > stop)
+        assert np.all(on_face | near_edge), j
 
 
-def test_two_atom_law_matches_monitored_reference(two_atom_family, two_atom_surface):
-    barrier = rs.extract(two_atom_surface)
-    times = [0.5, 1.0, 2.0]
-    ens = rs.simulate_root(two_atom_family, barrier, 30_000, 1e-3, 31, snapshot_times=times)
-    ref = monitored_reference(two_atom_family, barrier, 30_000, 1e-3, 131, times)
-    assert_same_law(ens, ref)
+def test_two_atom_stop_time_follows_the_exit_law(two_atom_million):
+    # sigma is the exit time of [-1, 1]: one-sample KS against exit_time_cdf
+    # over the uncensored stops, with the censored paths counted above the
+    # horizon; the sup then runs over t <= T only, so kstwo is conservative
+    ens = two_atom_million
+    stops = np.sort(ens.sigma[1][~ens.censored])
+    cdf = sim.exit_time_cdf(stops)[0]
+    rank = np.arange(1, stops.size + 1) / ens.M
+    ks = max(float(np.max(rank - cdf)), float(np.max(cdf - rank + 1.0 / ens.M)))
+    assert stats.kstwo.sf(ks, ens.M) > 1e-3, ks
 
 
-def test_three_point_law_matches_monitored_reference(three_point_family, three_point_barrier,
-                                                    three_point_run):
+def test_two_atom_stops_exactly_on_the_atoms(two_atom_million):
+    ens = two_atom_million
+    assert np.all(np.abs(ens.b_sigma[1][~ens.censored]) == 1.0)
+
+
+def test_vertical_barrier_stops_at_its_level():
+    # a level off the h_sim grid: every path stops at it, not at a multiple of h
+    ens = rs.simulate_root(rs.ScaledFamily(0.0), analytic_vertical_barrier(0.3005, 1e-3, 1.0),
+                           5000, 1e-3, seed=5, snapshot_times=[0.3])
+    assert np.all(ens.sigma[1] == 0.3005)
+    assert not np.array_equal(ens.snapshots[0.3], ens.b_sigma[1])
+
+
+def test_three_point_stops_sit_on_the_atoms(three_point_run):
     ens = three_point_run
-    assert_same_law(ens, monitored_reference(three_point_family, three_point_barrier,
-                                             20_000, ens.h_sim, 102))
+    for j in range(1, ens.n + 1):
+        vals = ens.b_sigma[j][~ens.censored]
+        assert np.all((vals == -1.0) | (vals == 0.0) | (vals == 1.0)), j
 
 
 def test_two_atom_mean_stop_is_siegmund_corrected(two_atom_million):
-    # the discretely monitored exit of [-1, 1] behaves like the exit of
-    # [-a, a], a = 1 + 0.5826 sqrt(h), so E sigma = a^2 up to O(h); the
-    # paths still running at the horizon T add T plus the mean residual
-    # time 8 a^2 / pi^2 of the exit time's exponential tail
+    # with continuous-time stopping the Siegmund correction vanishes:
+    # E sigma = E tau_1 = 1 exactly; the paths still running at the horizon
+    # T add T plus the mean residual time 8 / pi^2 of the exit time's
+    # exponential tail
     ens = two_atom_million
-    a = 1.0 + 0.5826 * math.sqrt(ens.h_sim)
     stops = ens.sigma[1][~ens.censored]
     mean = (stops.sum() + np.count_nonzero(ens.censored)
-            * (ens.horizon + 8.0 * a * a / math.pi ** 2)) / ens.M
+            * (ens.horizon + 8.0 / math.pi ** 2)) / ens.M
     se = float(stops.std(ddof=1)) / math.sqrt(ens.M)
-    assert abs(mean - a * a) <= 4.0 * se, (mean, a * a, se)
+    assert abs(mean - 1.0) <= 4.0 * se, (mean, se)
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +220,31 @@ def _killed_cdf(z, d, t):
 
 @pytest.mark.parametrize("d, t", [(1.0, 1.0), (1.0, 0.3), (0.2, 0.01)])
 def test_box_endpoints_follow_the_killed_density(d, t):
-    z = sim._endpoint_in_box(make_stream(8, 0), np.full(50_000, d), np.full(50_000, t))
+    z = sim._endpoint_in_box(sim._Streams(8, 0, 1), np.arange(50_000), np.full(50_000, d),
+                             np.full(50_000, t))
     assert np.all(np.abs(z) < d)
     assert stats.kstest(z, lambda v: _killed_cdf(np.atleast_1d(v), d, t)).pvalue > 1e-3
 
 
-def test_box_steps_keep_stops_on_the_grid(two_atom_family, two_atom_surface):
-    # stops and snapshots sit on monitored steps, whatever boxes were crossed
+def test_box_steps_stop_exactly_on_the_levels(two_atom_family, two_atom_surface):
+    # exits through a level edge stop on the level, at a time off the h grid
     h = 1e-3
     ens = rs.simulate_root(two_atom_family, rs.extract(two_atom_surface), 5000, h, 2,
                            snapshot_times=[0.5, 1.5])
     done = np.isfinite(ens.sigma[1])
+    assert np.all(np.abs(ens.b_sigma[1][done]) == 1.0)
     steps = ens.sigma[1][done] / h
-    assert np.array_equal(ens.sigma[1][done], np.round(steps) * h)
+    assert np.mean(np.abs(steps - np.round(steps)) > 1e-6) > 0.9
     for t, snap in ens.snapshots.items():
         assert np.array_equal(snap[ens.sigma[1] <= t], ens.b_sigma[1][ens.sigma[1] <= t])
         assert np.all(np.abs(snap[ens.sigma[1] > t]) < 1.0)
+
+
+def test_negative_snapshot_times_rejected():
+    barrier = analytic_vertical_barrier(0.8, 1e-3, 1.0)
+    with pytest.raises(ValidationError, match="negative"):
+        rs.simulate_root(rs.ScaledFamily(0.0), barrier, 100, 1e-3, seed=1,
+                         snapshot_times=[0.5, -0.5])
 
 
 def test_h_sim_gate(gauss_family, gauss_run):
@@ -546,7 +530,7 @@ def test_continuity_gaussian(gauss_family):
     assert rep["assumption_satisfied"]
     assert rep["decreasing"] and rep["toward_zero"]
     for row in rep["rows"]:
-        # vertical barriers: the increment equals delta exactly up to monitoring
+        # vertical barriers: the increment equals delta up to the barrier's dt steps
         assert row["mean"] == pytest.approx(row["delta"], abs=5 * grid.dt + 0.01)
 
 
