@@ -16,8 +16,7 @@ from .grid import Partition, SpaceTimeGrid, make_grid, make_partition, refine
 from .limit_solver import (LimitSurface, bounds_check, partition_independence,
                            pde_residual, regularity_report, solve_limit)
 from .marginals import (AtomicMeasure, AtomicTableFamily, GaussianShiftFamily, Law,
-                        MarginalFamily, PathologicalGrowthFamily, ScaledFamily,
-                        ThreePointFamily, assumption_check, build_pathological_family,
+                        MarginalFamily, ScaledFamily, ThreePointFamily, assumption_check,
                         convex_order_validate, load_atomic_family_csv)
 from .simulator import (EmbeddingResult, MonotonePiecewisePoly, PathEnsemble,
                         alternative_embedding, empirical_potential, marginal_fit,

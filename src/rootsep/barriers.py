@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ExtractionUnstableError
 from .io import _fmt_all
 from .stop_solver import SENTINEL, ValueSurface
-from .tolerances import EXTRACT_FLAG_FRACTION
+from .tolerances import EXTRACT_FLAG_FRACTION, LATTICE_TOL
 
 
 @dataclass
@@ -67,9 +67,9 @@ class BarrierFamily:
 
         x / dx + nx // 2, as `SpaceTimeGrid.x_nodes` places the nodes.  That
         quotient can miss a node by an ulp (x = -23.7 at dx = 0.1 lands
-        2.8e-14 below it), so a position within 1e-9 of a node, the tolerance
-        atoms are held to, is put on it.  Clipped to [0, nx - 1e-6], so
-        that positions past the grid read its edge cell.
+        2.8e-14 below it), so a position within LATTICE_TOL of a node, the
+        tolerance of `grid.lattice_index`, is put on it.  Clipped to
+        [0, nx - 1e-6], so that positions past the grid read its edge cell.
         """
         # in place: this runs on every box step
         pos = np.divide(x, self._dx, out=np.empty(np.shape(x)))
@@ -77,7 +77,7 @@ class BarrierFamily:
         off = np.rint(pos, out=np.empty_like(pos))
         off -= pos
         np.abs(off, out=off)
-        np.rint(pos, out=pos, where=off <= 1e-9 / self._dx)
+        np.rint(pos, out=pos, where=off <= LATTICE_TOL / self._dx)
         np.maximum(pos, 0.0, out=pos)
         return np.minimum(pos, len(self.x_nodes) - 1.000001, out=pos)
 

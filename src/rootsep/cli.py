@@ -28,7 +28,7 @@ import numpy as np
 from . import barriers as bar
 from . import io as art
 from .errors import CheckError, ConfigError, ValidationError
-from .grid import DEFAULT_NODE_BUDGET, make_grid, make_partition
+from .grid import DEFAULT_NODE_BUDGET, lattice_index, make_grid, make_partition
 from .limit_solver import (bounds_check, ladder_levels, partition_independence,
                            pde_residual, regularity_report, solve_limit)
 from .marginals import (GaussianShiftFamily, ScaledFamily, ThreePointFamily,
@@ -183,14 +183,9 @@ class Run:
     @cached_property
     def surface(self):
         grid = self.grid
-        keep = set((grid.eighth_rows() * grid.dt).tolist())
-        for t in self.probe_times:
-            m = round(t / grid.dt)
-            if abs(m * grid.dt - t) > 1e-9:
-                raise ConfigError(f"probe time {t} is not a grid time (dt={grid.dt})")
-            keep.add(m * grid.dt)
+        rows = lattice_index(self.probe_times, grid.dt, 0.0, grid.nt, "probe time", "dt")
         return solve_layers(self.family, self.partition, grid,
-                            keep_times=np.array(sorted(keep)))
+                            keep_times=np.union1d(grid.eighth_rows(), rows) * grid.dt)
 
     @cached_property
     def barrier(self):
@@ -208,8 +203,8 @@ class Run:
         """Reject the simulation settings that the simulators would refuse
         only after the solve, or not at all: no paths, a step that is not
         positive or is coarser than the solver's, probe times off the
-        h_sim grid or beyond the grid horizon, probe points off the
-        solver's x-grid, and a non-positive horizon for the alternative."""
+        solver's or the h_sim grid or beyond its horizon, probe points off
+        the solver's x-grid, and a non-positive horizon for the alternative."""
         cfg = self.cfg
         if cfg.getint("simulation", "paths") < 1:
             raise ConfigError("paths must be at least 1")
@@ -217,15 +212,12 @@ class Run:
             raise ConfigError(f"h_sim={self.h_sim} must be positive")
         if self.h_sim > self.grid.dt + 1e-15:
             raise ConfigError(f"h_sim={self.h_sim} exceeds the solver step {self.grid.dt}")
-        for t in self.probe_times:
-            if abs(round(t / self.h_sim) * self.h_sim - t) > 1e-9:
-                raise ConfigError(f"probe time {t} is not a multiple of h_sim={self.h_sim}")
-            if t > self.grid.T + 1e-9:
-                raise ConfigError(f"probe time {t} is beyond the horizon {self.grid.T}")
-        xs = self.grid.x_nodes()
-        for x in cfg.getlist("simulation", "probe_x"):
-            if np.abs(xs - x).min() > 1e-9:
-                raise ConfigError(f"probe x {x} is not a grid node (dx={self.grid.dx})")
+        grid = self.grid
+        lattice_index(self.probe_times, grid.dt, 0.0, grid.nt, "probe time", "dt")
+        lattice_index(self.probe_times, self.h_sim, 0.0, round(grid.T / self.h_sim),
+                      "probe time", "h_sim")
+        lattice_index(cfg.getlist("simulation", "probe_x"), grid.dx, grid.x_nodes()[0],
+                      grid.nx, "probe x")
         if cfg.getbool("simulation", "alternative") \
                 and not cfg.getfloat("simulation", "alt_horizon") > 0:
             raise ConfigError("alt_horizon must be positive")

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridBudgetError, ValidationError
+from .tolerances import LATTICE_TOL
 
 DEFAULT_NODE_BUDGET = 50_000_000
 GEOMETRIC_RATIO = 1.2
@@ -36,6 +37,26 @@ class Partition:
     @property
     def mesh(self) -> float:
         return float(np.diff(self.points).max())
+
+
+def lattice_index(values, step: float, origin: float, count: int, what: str,
+                  step_name: str = "dx") -> np.ndarray:
+    """Index k in 0..count of each value on the lattice origin + k * step.
+
+    The one rule for reading values as grid points: a value within
+    LATTICE_TOL of its lattice point reads as that point.  Raises
+    ValidationError for a value that is not finite, lies farther off the
+    lattice, or whose index is negative or above count.
+    """
+    v = np.asarray(values, dtype=float)
+    k = np.round((v - origin) / step)
+    for bad, why in ((~(np.abs(origin + k * step - v) <= LATTICE_TOL),
+                      f"off the grid ({step_name}={step:g})"),
+                     (k < 0, "outside the grid: its index is negative"),
+                     (k > count, f"outside the grid: its index is above {count}")):
+        if bad.any():
+            raise ValidationError(f"{what}={v[bad].flat[0]:.12g} is {why}")
+    return k.astype(np.int64)
 
 
 def make_partition(n: int, style: str = "uniform") -> Partition:

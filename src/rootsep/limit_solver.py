@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
-from .grid import Partition, SpaceTimeGrid, make_grid, make_partition, refine
+from .grid import Partition, SpaceTimeGrid, lattice_index, make_grid, make_partition, refine
 from .marginals import MarginalFamily, assumption_check
 from .stop_solver import ValueSurface, scheme_tolerance, solve_layers
 from .tolerances import PDE_C
@@ -59,11 +59,8 @@ def _extension_index(points: np.ndarray, s: float) -> int:
 
 def _lattice_values(surface: ValueSurface, lattice_s, lattice_x) -> np.ndarray:
     pts = surface.partition.points
-    xs = surface.x_nodes()
-    dx = surface.grid.dx
-    xi = np.round((np.asarray(lattice_x) - xs[0]) / dx).astype(int)
-    if np.any(np.abs(xs[xi] - lattice_x) > 1e-9):
-        raise ValidationError("lattice x values are not nodes of the level grid")
+    grid = surface.grid
+    xi = lattice_index(lattice_x, grid.dx, surface.x_nodes()[0], grid.nx, "lattice x")
     out = np.empty((len(lattice_s), surface.t_kept.size, len(lattice_x)))
     for a, s in enumerate(lattice_s):
         j = _extension_index(pts, float(s))

@@ -8,11 +8,12 @@ non-decreasing in convex order is given through
 which is concave, 1-Lipschitz in x, and pointwise non-increasing in s.
 A family kind defines `potential`, `potential_ds`, `support_radius`, `law`
 and `descriptor`.  `law(s)` describes mu_s as atoms plus a centred Gaussian
-part; the CDF, call price, Gaussian floor and initial sampling derive from
-it, and so do the grid's damping default, the solver's kink guard and
-off-grid rule, and the simulator's fit metric.  Every operation is pure,
-families are immutable after construction, and sampling takes an explicit
-(seed, stream) pair so parallel callers never share generator state.
+part, and every kind here is all Gaussian or all atomic; the CDF, call
+price, Gaussian floor and initial sampling derive from it in closed form,
+as do the grid's damping default, the solver's kink guard and off-grid
+rule, and the simulator's fit metric.  Operations are pure, families
+immutable, and sampling takes an explicit (seed, stream) pair so parallel
+callers never share generator state.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import SingularityError, ValidationError
+from .errors import ConvexOrderError, SingularityError, ValidationError
 from .tolerances import CONVEX_TOL
 
 TAIL_MASS = 1e-6          # quantile level defining support_radius
@@ -60,16 +61,6 @@ def gaussian_potential_dv(variance, x):
     return -_norm_pdf(np.asarray(x, dtype=float) / s) / s
 
 
-def gaussian_call(x):
-    """Call-price transform of N(0,1): integral of (y - x)+ against the density."""
-    x = np.asarray(x, dtype=float)
-    return _norm_pdf(x) - x * (1.0 - ndtr(x))
-
-
-def gaussian_call_dx(x):
-    return ndtr(np.asarray(x, dtype=float)) - 1.0
-
-
 def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream); safe to create per task."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
@@ -86,13 +77,12 @@ class Law:
     """One marginal mu_s as atoms plus a centred Gaussian part.
 
     The atoms carry `weights` at `positions`; the remaining mass
-    1 - sum(weights) is N(0, normal_var).  normal_var is None when that
-    continuous part is not Gaussian.  Atoms of zero weight are dropped.
+    1 - sum(weights) is N(0, normal_var).  Atoms of zero weight are dropped.
     """
 
     positions: np.ndarray = ()
     weights: np.ndarray = ()
-    normal_var: Optional[float] = 0.0
+    normal_var: float = 0.0
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -186,15 +176,13 @@ class MarginalFamily:
             cum = np.cumsum(law.weights)
             idx = np.searchsorted(cum, rng.random(count), side="right")
             return law.positions[idx.clip(0, len(cum) - 1)]
-        if law.positions.size or law.normal_var is None:
+        if law.positions.size:
             raise ValidationError(f"{self.kind}: no sampler for the initial law")
         return math.sqrt(law.normal_var) * rng.standard_normal(count)
 
     def cdf(self, s: float, x) -> np.ndarray:
         """Right-continuous distribution function of mu_s."""
         law = self.law(s)
-        if law.normal_var is None:
-            raise ValidationError(f"{self.kind}: no closed-form CDF")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = (x[..., None] >= law.positions) @ law.weights
         if law.normal_mass:
@@ -214,12 +202,7 @@ class MarginalFamily:
         potential.
         """
         law = self.law(0.0)
-        if law.normal_var is None:
-            raise ValidationError(
-                f"{self.kind}: no closed form for the initial-law Gaussian floor")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if law.positions.size == 0:
-            return gaussian_potential(law.normal_var + t, x)
         out = np.zeros_like(x)
         for p, w in zip(law.positions, law.weights):
             out += w * gaussian_potential(t, x - p)
@@ -241,11 +224,6 @@ class MarginalFamily:
             except SingularityError:
                 best += np.inf
         return best
-
-
-def _check_index(s: float):
-    if not (0.0 <= s <= 1.0):
-        raise ValidationError(f"marginal index {s} outside [0, 1]")
 
 
 class GaussianShiftFamily(MarginalFamily):
@@ -376,7 +354,8 @@ class AtomicTableFamily(MarginalFamily):
         self.entries = [(float(s), m) for s, m in entries]
 
     def _measure(self, s):
-        _check_index(s)
+        if not (0.0 <= s <= 1.0):
+            raise ValidationError(f"marginal index {s} outside [0, 1]")
         out = self.entries[0][1]
         for sv, m in self.entries:
             if sv <= s:
@@ -403,148 +382,6 @@ class AtomicTableFamily(MarginalFamily):
     def descriptor(self):
         return {"kind": self.kind,
                 "entries": [{"s": s, **m.descriptor()} for s, m in self.entries]}
-
-
-def _smooth5(q):
-    q = np.clip(q, 0.0, 1.0)
-    return q ** 3 * (10.0 - 15.0 * q + 6.0 * q * q)
-
-
-def _smooth5_deriv(q):
-    inside = (q > 0.0) & (q < 1.0)
-    q = np.clip(q, 0.0, 1.0)
-    return np.where(inside, 30.0 * q * q * (1.0 - q) ** 2, 0.0)
-
-_SMOOTH5_MID_SLOPE = 1.875  # derivative of the quintic ramp at its midpoint
-
-
-class PathologicalGrowthFamily(MarginalFamily):
-    """Family interpolating tangent-chopped Gaussian call prices.
-
-    Between knots t_j the call price blends V(t_j, .) into V(t_{j+1}, .)
-    through a quintic ramp whose transition window is shrunk until the
-    midpoint slope reaches growth(x_{j+1}) / V_gauss(x_{j+1}), so the index
-    derivative of the potential exceeds the requested growth along (x_j)
-    while staying continuous in (s, x).
-    """
-
-    kind = "pathological_growth"
-
-    def __init__(self, growth: Callable[[float], float], t_knots: np.ndarray):
-        t = np.asarray(t_knots, dtype=float)
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0) or t[-1] >= 1.0:
-            raise ValidationError("knots must start at 0, increase strictly, and stay below 1")
-        self.t_knots = t
-        self.growth = growth
-        xs = [0.0]
-        for _ in range(len(t)):
-            xj = xs[-1]
-            xs.append(float(xj - gaussian_call(xj) / gaussian_call_dx(xj)))
-        self.x_knots = np.asarray(xs)      # x_0 .. x_{J+1}
-        gaps = np.diff(np.concatenate([t, [1.0]]))
-        windows = []
-        for j, dt in enumerate(gaps):
-            need = float(growth(self.x_knots[j + 1])) / float(gaussian_call(self.x_knots[j + 1]))
-            w = 1.0 if need <= 0 else min(1.0, _SMOOTH5_MID_SLOPE / (need * dt))
-            windows.append(w)
-        self.windows = np.asarray(windows)
-        self._gaps = gaps
-
-    # piecewise call prices ------------------------------------------------
-    def _piece_call(self, j: int, x: np.ndarray) -> np.ndarray:
-        if j >= len(self.t_knots):
-            return gaussian_call(x)
-        xj = self.x_knots[j]
-        tangent = gaussian_call(xj) + gaussian_call_dx(xj) * (x - xj)
-        return np.where(x <= xj, gaussian_call(x), np.maximum(tangent, 0.0))
-
-    def _piece_call_dx(self, j: int, x: np.ndarray) -> np.ndarray:
-        if j >= len(self.t_knots):
-            return gaussian_call_dx(x)
-        xj = self.x_knots[j]
-        slope = gaussian_call_dx(xj)
-        tangent_alive = gaussian_call(xj) + slope * (x - xj) > 0.0
-        return np.where(x <= xj, gaussian_call_dx(x), np.where(tangent_alive, slope, 0.0))
-
-    def _locate(self, s: float) -> int:
-        return int(np.searchsorted(self.t_knots, s, side="right") - 1)
-
-    def _ramp(self, j: int, s: float) -> float:
-        dt = self._gaps[j]
-        r = (s - self.t_knots[j]) / dt
-        w = self.windows[j]
-        return float(_smooth5(np.array((r - (0.5 - w / 2.0)) / w)))
-
-    def _ramp_deriv(self, j: int, s: float) -> float:
-        dt = self._gaps[j]
-        r = (s - self.t_knots[j]) / dt
-        w = self.windows[j]
-        return float(_smooth5_deriv(np.array((r - (0.5 - w / 2.0)) / w))) / (w * dt)
-
-    def call_price(self, s: float, x) -> np.ndarray:
-        _check_index(s)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if s >= 1.0:
-            return gaussian_call(x)
-        j = self._locate(s)
-        lam = self._ramp(j, s)
-        return (1.0 - lam) * self._piece_call(j, x) + lam * self._piece_call(j + 1, x)
-
-    def potential(self, s, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return -x - 2.0 * self.call_price(s, x)
-
-    def potential_ds(self, s, x):
-        _check_index(s)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if s >= 1.0:
-            j = len(self.t_knots) - 1
-        else:
-            j = self._locate(s)
-        dl = self._ramp_deriv(j, min(s, 1.0 - 1e-15))
-        return -2.0 * dl * (self._piece_call(j + 1, x) - self._piece_call(j, x))
-
-    def ds_sup(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        best = np.zeros_like(x)
-        for j, dt in enumerate(self._gaps):
-            slope = _SMOOTH5_MID_SLOPE / (self.windows[j] * dt)
-            diff = np.abs(self._piece_call(j + 1, x) - self._piece_call(j, x))
-            best = np.maximum(best, 2.0 * slope * diff)
-        return best
-
-    def cdf(self, s, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if s >= 1.0:
-            return ndtr(x)
-        j = self._locate(s)
-        lam = self._ramp(j, s)
-        dv = (1.0 - lam) * self._piece_call_dx(j, x) + lam * self._piece_call_dx(j + 1, x)
-        return 1.0 + dv
-
-    def law(self, s):
-        # piece j puts the mass beyond x_j at x_{j+1}, where its tangent
-        # reaches zero; the continuous part is a truncated Gaussian
-        _check_index(s)
-        if s >= 1.0:
-            return Law(normal_var=1.0)
-        j = self._locate(s)
-        lam = self._ramp(j, s)
-        k = 2 if j + 1 < len(self.t_knots) else 1
-        tails = 1.0 - ndtr(self.x_knots[j:j + k])
-        return Law(self.x_knots[j + 1:j + 1 + k], np.array([1.0 - lam, lam])[:k] * tails,
-                   normal_var=None)
-
-    def support_radius(self, s):
-        return float(max(_NORMAL_RADIUS, self.x_knots[-1]))
-
-    def sample_initial_rng(self, rng, count):
-        g = rng.standard_normal(count)
-        return np.where(g <= self.x_knots[0], g, self.x_knots[1])
-
-    def descriptor(self):
-        return {"kind": self.kind, "t_knots": self.t_knots.tolist(),
-                "x_knots": self.x_knots.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -645,22 +482,7 @@ def assumption_check(family: MarginalFamily) -> AssumptionReport:
                                     "sup_ds_max": float(np.max(gx[np.isfinite(gx)], initial=0.0))})
 
 
-def build_pathological_family(growth: Callable[[float], float],
-                              pieces: int = 8,
-                              t_knots=None) -> PathologicalGrowthFamily:
-    """Construct the tangent-chord family whose index derivative tops the
-    requested growth function along the chord points."""
-    if t_knots is None:
-        t_knots = 1.0 - 0.5 ** np.arange(pieces, dtype=float)
-    fam = PathologicalGrowthFamily(growth, np.asarray(t_knots, dtype=float))
-    report = convex_order_validate(fam)
-    if not report.passed:
-        raise convex_order_error(report)
-    return fam
-
-
 def convex_order_error(report: ConvexOrderReport):
-    from .errors import ConvexOrderError
     return ConvexOrderError(
         f"convex order violated: drop {report.worst_violation:.3e} at {report.where}")
 

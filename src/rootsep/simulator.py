@@ -26,12 +26,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyint, polyval
 from scipy.special import erfc
 
 from .barriers import BarrierFamily
 from .errors import HorizonError, ValidationError
+from .grid import lattice_index
 from .marginals import MarginalFamily, make_stream
-from .tolerances import CENSOR_FRACTION
+from .tolerances import CENSOR_FRACTION, LATTICE_TOL
 
 BLOCK_SIZE = 1 << 14
 # paths within SHELL * dx of a moving stretch of their region's boundary
@@ -83,11 +85,12 @@ class PathEnsemble:
 
     def _snapshot_key(self, t: float) -> float:
         # snapshots are taken on multiples of h_sim, so match t by its multiple
-        step = round(t / self.h_sim)
-        if abs(step * self.h_sim - t) <= 1e-9:
-            for k in self.snapshots:
-                if round(k / self.h_sim) == step:
-                    return k
+        keys = list(self.snapshots)
+        steps = lattice_index([*keys, t], self.h_sim, 0.0, round(self.horizon / self.h_sim),
+                              "snapshot time", "h_sim")
+        for k, step in zip(keys, steps):
+            if step == steps[-1]:
+                return k
         raise ValidationError(f"no snapshot recorded at t={t}")
 
 
@@ -185,15 +188,10 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     if M < 1:
         raise ValidationError(f"M={M} paths; need at least 1")
     requested = np.asarray(snapshot_times, dtype=float).ravel()
-    if np.any(np.abs(np.round(requested / h_sim) * h_sim - requested) > 1e-9):
-        raise ValidationError("snapshot times must be multiples of h_sim")
     # one snapshot per multiple of h_sim, under the first time requested for it
-    snap_steps, first = np.unique(np.round(requested / h_sim).astype(int), return_index=True)
+    snap_steps, first = np.unique(lattice_index(requested, h_sim, 0.0, round(T / h_sim),
+                                                "snapshot time", "h_sim"), return_index=True)
     snap_times = requested[first]
-    if np.any(snap_steps < 0):
-        raise ValidationError("snapshot times must not be negative")
-    if np.any(snap_steps > int(round(T / h_sim))):
-        raise ValidationError("snapshot times beyond the horizon")
     snap_at = np.minimum(snap_steps * h_sim, T)
     # every window ends by the next snapshot time or the horizon
     bounds = np.unique(np.append(snap_at, T))
@@ -273,10 +271,10 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
 
 
 def _onto_nodes(barrier_family: BarrierFamily, x):
-    """x, with every position within 1e-9 of a grid node put on that node."""
+    """x, with every position within LATTICE_TOL of a grid node put on it."""
     nodes = barrier_family.x_nodes
     near = nodes[np.rint(barrier_family.cell_position(x)).astype(np.int64)]
-    return np.where(np.abs(x - near) <= 1e-9, near, x)
+    return np.where(np.abs(x - near) <= LATTICE_TOL, near, x)
 
 
 def _reach(barrier_family, j, pos, w, cap, s):
@@ -391,7 +389,7 @@ def _cross_boxes(streams, rows, x, t, d, u, w):
     proposals.
     """
     v = streams.draw(rows, lambda rng, k: rng.random((2, k)))
-    left = v[0] < exit_time_cdf(u / (d * d))[0]
+    left = v[0] < exit_time_cdf(u / (d * d))
     tau = d[left] ** 2 * exit_time_quantile(v[0, left])
     new_t = w.copy()
     new_t[left] = np.minimum(t[left] + tau, w[left])
@@ -555,55 +553,26 @@ def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily) -> EmbeddingRes
 
 
 class MonotonePiecewisePoly:
-    """Non-decreasing, non-negative piecewise polynomial on [0, inf)."""
+    """Non-decreasing, non-negative polynomial weight f(t) = c0 + c1 t + ...
+    on [0, inf), built by `poly(c0, c1, ...)`; its sign and monotonicity
+    are checked on 2001 points of [0, 100]."""
 
-    def __init__(self, breakpoints, coefficients):
-        self.breaks = np.asarray(breakpoints, dtype=float)
-        if self.breaks[0] != 0.0 or np.any(np.diff(self.breaks) <= 0):
-            raise ValidationError("breakpoints must start at 0 and increase")
-        self.coeffs = [np.asarray(c, dtype=float) for c in coefficients]
-        if len(self.coeffs) != len(self.breaks):
-            raise ValidationError("need one coefficient list per piece")
-        t = np.linspace(0.0, 100.0, 2001)
-        ft = self(t)
+    def __init__(self, coefficients):
+        self.coeffs = np.asarray(coefficients, dtype=float)
+        ft = self(np.linspace(0.0, 100.0, 2001))
         if np.any(ft < -1e-12) or np.any(np.diff(ft) < -1e-12):
             raise ValidationError("functional weight must be non-decreasing and non-negative")
 
     @classmethod
     def poly(cls, *coeffs):
-        return cls([0.0], [list(coeffs)])
-
-    def _piece(self, t):
-        return np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, len(self.coeffs) - 1)
+        return cls(coeffs)
 
     def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        for i, c in enumerate(self.coeffs):
-            mask = self._piece(t) == i
-            if mask.any():
-                out[mask] = np.polynomial.polynomial.polyval(t[mask] - self.breaks[i], c)
-        return out
+        return polyval(np.atleast_1d(np.asarray(t, dtype=float)), self.coeffs)
 
     def antiderivative(self, t):
         """Exact integral of f from 0 to t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        seg_int = []
-        acc = 0.0
-        ends = np.concatenate([self.breaks[1:], [np.inf]])
-        for i, c in enumerate(self.coeffs):
-            seg_int.append(acc)
-            if np.isfinite(ends[i]):
-                ci = np.polynomial.polynomial.polyint(c)
-                acc += float(np.polynomial.polynomial.polyval(ends[i] - self.breaks[i], ci))
-        out = np.zeros_like(t)
-        for i, c in enumerate(self.coeffs):
-            mask = self._piece(t) == i
-            if mask.any():
-                ci = np.polynomial.polynomial.polyint(c)
-                out[mask] = seg_int[i] + np.polynomial.polynomial.polyval(
-                    t[mask] - self.breaks[i], ci)
-        return out
+        return polyval(np.atleast_1d(np.asarray(t, dtype=float)), polyint(self.coeffs))
 
 
 def optimality_functional(ensemble: PathEnsemble, f: MonotonePiecewisePoly):
@@ -631,40 +600,45 @@ _REFLECTION_K = np.arange(4)
 _THETA_K = np.arange(3)
 
 
-def _exit_cdf_reflection(t: np.ndarray):
-    """Exit-time CDF and density from the reflection series (t <= 1)."""
+def _reflection_series(t: np.ndarray, density: bool):
+    """Exit-time CDF, or with `density` its derivative, from the reflection
+    series (t <= 1)."""
     a = (2.0 * _REFLECTION_K + 1.0) / np.sqrt(2.0 * t[:, None])
     sign = (-1.0) ** _REFLECTION_K
-    cdf = 2.0 * (sign * erfc(a)).sum(axis=1)
-    density = 2.0 * (sign * a * np.exp(-a * a)).sum(axis=1) / (math.sqrt(math.pi) * t)
-    return cdf, density
+    if density:
+        return 2.0 * (sign * a * np.exp(-a * a)).sum(axis=1) / (math.sqrt(math.pi) * t)
+    return 2.0 * (sign * erfc(a)).sum(axis=1)
 
 
-def _exit_cdf_theta(t: np.ndarray):
-    """Exit-time CDF and density from the theta series (t >= 1)."""
+def _theta_series(t: np.ndarray, density: bool):
+    """Exit-time CDF, or with `density` its derivative, from the theta
+    series (t >= 1)."""
     odd = 2.0 * _THETA_K + 1.0
     sign = (-1.0) ** _THETA_K
     decay = np.exp(-(odd * odd * (math.pi ** 2 / 8.0)) * t[:, None])
-    survival = (4.0 / math.pi) * (sign / odd * decay).sum(axis=1)
-    density = (math.pi / 2.0) * (sign * odd * decay).sum(axis=1)
-    return 1.0 - survival, density
+    if density:
+        return (math.pi / 2.0) * (sign * odd * decay).sum(axis=1)
+    return 1.0 - (4.0 / math.pi) * (sign / odd * decay).sum(axis=1)
+
+
+def _exit_series(t: np.ndarray, density: bool):
+    out = np.empty_like(t)
+    small = t <= _EXIT_SWITCH
+    out[small] = _reflection_series(t[small], density)
+    out[~small] = _theta_series(t[~small], density)
+    return out
 
 
 def exit_time_cdf(t):
-    """P(tau_1 <= t) and its density, tau_1 the exit time of [-1, 1] from 0."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    cdf, density = np.empty_like(t), np.empty_like(t)
-    small = t <= _EXIT_SWITCH
-    cdf[small], density[small] = _exit_cdf_reflection(t[small])
-    cdf[~small], density[~small] = _exit_cdf_theta(t[~small])
-    return cdf, density
+    """P(tau_1 <= t), tau_1 the exit time of [-1, 1] from 0."""
+    return _exit_series(np.atleast_1d(np.asarray(t, dtype=float)), False)
 
 
 # Newton starts from a log-t table; 1024 nodes leave a start close enough
 # that two steps reach rounding level from u = 2^-53 to 1 - 2^-53, whose
 # quantiles lie in [0.014, 30].
 _EXIT_LOG_T = np.linspace(math.log(0.01), math.log(32.0), 1024)
-_EXIT_TABLE = exit_time_cdf(np.exp(_EXIT_LOG_T))[0]
+_EXIT_TABLE = exit_time_cdf(np.exp(_EXIT_LOG_T))
 _EXIT_ROWS = np.concatenate([[True], np.diff(_EXIT_TABLE) > 0])
 _EXIT_LOG_T, _EXIT_TABLE = _EXIT_LOG_T[_EXIT_ROWS], _EXIT_TABLE[_EXIT_ROWS]
 _NEWTON_STEPS = 2
@@ -675,8 +649,7 @@ def exit_time_quantile(u):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     tau = np.exp(np.interp(u, _EXIT_TABLE, _EXIT_LOG_T))
     for _ in range(_NEWTON_STEPS):
-        cdf, density = exit_time_cdf(tau)
-        tau -= (cdf - u) / density
+        tau -= (exit_time_cdf(tau) - u) / _exit_series(tau, True)
     return np.where(u > 0.0, tau, 0.0)
 
 

@@ -39,8 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridBudgetError, ValidationError
-from .grid import Partition, SpaceTimeGrid
+from .errors import ConvexOrderError, GridBudgetError, ValidationError
+from .grid import Partition, SpaceTimeGrid, lattice_index
 from .marginals import MarginalFamily, convex_order_error, convex_order_validate
 from .tolerances import INTERIOR_T_FRACTION, KINK_GUARD, SCHEME_C
 
@@ -95,18 +95,14 @@ class ValueSurface:
     def x_nodes(self) -> np.ndarray:
         return self.grid.x_nodes()
 
-    def _t_index(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.t_kept - t)))
-        if abs(self.t_kept[idx] - t) > 1e-9:
-            raise ValidationError(f"time {t} not among kept rows")
-        return idx
-
     def value_at(self, j: int, t: float, x: float) -> float:
-        xs = self.x_nodes()
-        i = int(round((x + self.grid.L) / self.grid.dx))
-        if not (0 <= i < xs.size) or abs(xs[i] - x) > 1e-9:
-            raise ValidationError(f"x={x} is not a grid node")
-        return float(self.layers[j, self._t_index(t), i])
+        g = self.grid
+        row = lattice_index(t, g.dt, 0.0, g.nt, "t", "dt")
+        idx = int(np.searchsorted(self.kept_index, row))
+        if idx == self.kept_index.size or self.kept_index[idx] != row:
+            raise ValidationError(f"time {t} not among kept rows")
+        i = lattice_index(x, g.dx, self.x_nodes()[0], g.nx, "x")
+        return float(self.layers[j, idx, i])
 
     def obstacle_gap(self) -> np.ndarray:
         """Per-node (layer increment - obstacle increment) on kept rows."""
@@ -133,19 +129,13 @@ def grid_atoms(family: MarginalFamily, s_values, grid: SpaceTimeGrid) -> np.ndar
     """Positions of the atoms of the laws at s_values, each an x-node of grid.
 
     An atom between nodes would be solved as a different law, so an atom
-    more than 1e-9 from every x-node raises ValidationError.
+    off the x-nodes (`lattice_index`) raises ValidationError.
     """
-    xs = grid.x_nodes()
-    positions = []
-    for s in s_values:
-        for p in family.law(float(s)).positions:
-            off = float(np.abs(xs - p).min())
-            if off > 1e-9:
-                raise ValidationError(
-                    f"atom at x={p:.12g} of the marginal at s={s:g} is {off:.3g} off "
-                    f"the grid (dx={grid.dx:g}); atoms must sit on x-nodes")
-            positions.append(float(p))
-    return np.array(positions)
+    x0 = grid.x_nodes()[0]
+    positions = [family.law(float(s)).positions for s in s_values]
+    for s, p in zip(s_values, positions):
+        lattice_index(p, grid.dx, x0, grid.nx, f"atom of the marginal at s={s:g} at x")
+    return np.concatenate([[], *positions])
 
 
 def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGrid,
@@ -180,7 +170,6 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     du = pots[1:] - pots[:-1]
     worst = float(du.max(initial=-np.inf))
     if worst > 1e-9:
-        from .errors import ConvexOrderError
         k = np.unravel_index(int(du.argmax()), du.shape)
         raise ConvexOrderError(
             f"obstacle increment positive ({worst:.3e}) at layer {k[0] + 1}, x={xs[k[1]]:.4g}")
@@ -191,14 +180,7 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
                 "full-surface storage would exceed the memory budget; pass keep_times")
         kept_index = np.arange(nt + 1)
     else:
-        keep = np.asarray(keep_times, dtype=float)
-        rows = np.round(keep / dt)
-        # each time within 1e-9 of its own row, as value_at and grid_atoms read
-        if not np.all(np.abs(rows * dt - keep) <= 1e-9):
-            raise ValidationError("keep_times must be grid times")
-        kept_index = np.unique(rows.astype(int))
-        if np.any(kept_index < 0) or np.any(kept_index > nt):
-            raise ValidationError("keep_times outside the grid horizon")
+        kept_index = np.unique(lattice_index(keep_times, dt, 0.0, nt, "keep time", "dt"))
 
     tol = scheme_tolerance(grid) if tol is None else tol
     U0 = pots[0]

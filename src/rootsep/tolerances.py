@@ -11,6 +11,9 @@ SCHEME_C = 0.25
 # full-marginal residual tolerance is PDE_C * (dx + dt + partition mesh)
 PDE_C = 0.2
 
+# a value within LATTICE_TOL of a grid point reads as it (`grid.lattice_index`)
+LATTICE_TOL = 1e-9
+
 # convex-order slack on potentials
 CONVEX_TOL = 1e-9
 

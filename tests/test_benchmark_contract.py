@@ -11,6 +11,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rootsep import simulator, stop_solver
@@ -42,3 +43,8 @@ def test_names_the_workloads_call():
     assert "h_sim" in inspect.signature(simulator.alternative_embedding).parameters
     params = list(inspect.signature(stop_solver.solve_layers).parameters)
     assert params[:4] == ["family", "partition", "grid", "keep_times"]
+    params = list(inspect.signature(simulator.simulate_root).parameters)
+    assert params[:5] == ["family", "barrier_family", "M", "h_sim", "seed"]
+    weight = simulator.MonotonePiecewisePoly.poly(0.0, 1.0)
+    assert weight.antiderivative(np.array([2.0])).tolist() == [2.0]
+    assert "h_sim" in simulator.PathEnsemble.__dataclass_fields__

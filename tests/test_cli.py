@@ -359,8 +359,7 @@ OFF_GRID_CSV = ("s,position,weight\n0.0,0.0,1.0\n"
                 f"1.0,-1.01,{1.03 / 2.04!r}\n1.0,1.03,{1.01 / 2.04!r}\n")
 
 
-# the tangent-chord family is library-only: its chord points are atoms that
-# no uniform grid holds, so the config schema does not offer it
+# the config schema offers the four kinds above and no other
 @pytest.mark.parametrize("command, family, dx, code, message", [
     ("solve", "kind = gaussian_shift\nt0 = 1.0", 0.1, 0, ""),
     ("solve", "kind = scaled\ns0 = 0.0", 0.05, 0, ""),

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import rootsep as rs
 from rootsep.errors import GridBudgetError, ValidationError
+from rootsep.grid import lattice_index
 
 
 def test_uniform_partition_examples():
@@ -88,3 +91,20 @@ def test_grid_validation():
                   (1.0, float("inf"))]:
         with pytest.raises(ValidationError):
             rs.make_grid(rs.ScaledFamily(0.0), T, dx)
+
+
+# the lattice -0.5, -0.4, ..., 0.5: origin -0.5, step 0.1, count 10
+@pytest.mark.parametrize("value, index, message", [
+    (0.0, 5, None),
+    (0.2 + 5e-10, 7, None),
+    (0.2 + 1e-8, None, "off the grid (dx=0.1)"),
+    (-0.6, None, "negative"),
+    (0.6, None, "above 10"),
+    (np.nan, None, "off the grid"),
+], ids=["on", "within 1e-9", "1e-8 off", "negative", "past count", "nan"])
+def test_lattice_index(value, index, message):
+    if index is not None:
+        assert lattice_index([value], 0.1, -0.5, 10, "x").tolist() == [index]
+    else:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            lattice_index([value], 0.1, -0.5, 10, "x")

@@ -167,6 +167,18 @@ def test_keep_times_validation(gauss_family):
         surf.value_at(1, 2.0 + 1.5e-9, 0.0)
 
 
+def test_value_at_on_an_odd_grid(gauss_family):
+    # nx = 21: the nodes run from -1.0 to 1.1, counted from node nx // 2 at 0
+    grid = rs.SpaceTimeGrid(T=0.1, dt=0.01, L=1.05, dx=0.1)
+    surf = rs.solve_layers(gauss_family, rs.make_partition(1, "uniform"), grid)
+    xs = grid.x_nodes()
+    for x in (0.5, -1.0, 1.1):
+        node = int(np.argmin(np.abs(xs - x)))
+        assert surf.value_at(1, 0.1, x) == surf.layers[1, -1, node], x
+    with pytest.raises(ValidationError):
+        surf.value_at(1, 0.1, 0.55)
+
+
 # ---------------------------------------------------------------------------
 # complementarity
 
