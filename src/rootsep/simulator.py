@@ -8,7 +8,9 @@ drawn from their laws.  A window may end exactly when the region first
 reaches the box, and a box edge may sit exactly on a level of the region,
 so those stops carry no bias; near the sloped cells of an interpolated
 barrier, a walk on moving spheres stops a path within SHELL * dx of the
-moving boundary, the only O(SHELL * dx) bias.  A snapshot at time t holds
+moving boundary, the only O(SHELL * dx) bias.  Box steps evaluate their
+exit and acceptance series only where cheap bounds leave a test open
+(`_squeeze`); decisions and draws are unchanged.  A snapshot at time t holds
 B_(t ^ sigma_n); snapshot times lie on the h_sim grid, the only use of
 h_sim besides the verification allowances that read it.  The randomized
 alternative embedding takes no time steps: its stopping time and stopped
@@ -382,14 +384,15 @@ def _cross_boxes(streams, rows, x, t, d, u, w):
     own, since t + u may round to t).  The path leaves the box after
     tau = d^2 tau_1 on a fair side, tau_1 the exit time of [-1, 1]:
     v < P(tau_1 < u / d^2) tells whether it leaves within the window, and
-    only then is tau drawn, by inverting the CDF at v.  A path that leaves
-    is on the box edge at t + tau.  Any other path is at time w, at its
-    endpoint given that it stayed in the box.  Returns the new positions
-    and times.  Each block draws two uniforms per path, then the endpoint
-    proposals.
+    only then is tau drawn, by inverting the CDF at v (evaluated only for v
+    below `_exit_ceiling`, see `_squeeze`).  A path that leaves is on the
+    box edge at t + tau.  Any other path is at time w, at its endpoint given
+    that it stayed in the box.  Returns the new positions and times.  Each
+    block draws two uniforms per path, then the endpoint proposals.
     """
     v = streams.draw(rows, lambda rng, k: rng.random((2, k)))
-    left = v[0] < exit_time_cdf(u / (d * d))
+    r = u / (d * d)
+    left = _squeeze(v[0], 0.0, _exit_ceiling(r), exit_time_cdf, r)
     tau = d[left] ** 2 * exit_time_quantile(v[0, left])
     new_t = w.copy()
     new_t[left] = np.minimum(t[left] + tau, w[left])
@@ -398,6 +401,28 @@ def _cross_boxes(streams, rows, x, t, d, u, w):
     stay = ~left
     new_x[stay] = x[stay] + _endpoint_in_box(streams, rows[stay], d[stay], u[stay])
     return new_x, new_t
+
+
+def _squeeze(v, floor, ceiling, exact, *args):
+    """v < exact(*args) row by row, given floor <= exact <= ceiling as
+    evaluated: rows below the floor or at or above the ceiling are decided
+    without `exact` (Devroye's squeeze), which runs row-wise on the rest."""
+    out = v < floor
+    open_ = np.nonzero(~out & (v < ceiling))[0]
+    out[open_] = v[open_] < exact(*(a[open_] for a in args))
+    return out
+
+
+def _exit_ceiling(r):
+    """Upper bound of exit_time_cdf(r) as evaluated, r in [0, 1] (else inf).
+    Its alternating series gives P(tau_1 <= r) <= 2 erfc(a) <= 2 exp(-a^2) /
+    (a sqrt(pi)), a^2 = 1 / (2 r), and so does its partial sum, evaluated to
+    1e-12 relative; widened by 1e-9, and raised to the 2^-53 grain of the
+    uniforms, so that underflow (or r = 0) leaves only v = 0 open."""
+    with np.errstate(all="ignore"):
+        q = 0.5 / r
+        bound = (2.0 + 2e-9) * np.exp(-q) / np.sqrt(math.pi * q)
+    return np.where((r >= 0.0) & (r <= _EXIT_SWITCH), np.maximum(bound, 2.0 ** -53), np.inf)
 
 
 # Survival of a Brownian bridge from 0 to z over time t inside (-d, d): the
@@ -419,14 +444,25 @@ def _bridge_survival(z, d, t):
     return survival
 
 
+def _survival_floor(z, d, t):
+    """Lower bound of _bridge_survival(z, d, t) as evaluated (to 1e-15), t
+    <= d^2: 1 - 2 exp(-2 d (d - |z|) / t) - 1e-12, as the bridge hits +-d with
+    probability exp(-2 d (d -+ z) / t); below -1 for |z| >= d."""
+    with np.errstate(all="ignore"):
+        return 1.0 - 2.0 * np.exp(-2.0 * d * (d - np.abs(z)) / t) - 1e-12
+
+
 # The same killed density in its eigenfunction series, (1/d) sum over odd n
 # of exp(-n^2 pi^2 t / (8 d^2)) cos(n theta), theta = pi z / (2 d).  Since
 # |cos(n theta) / cos(theta)| <= n, the terms past n = 1 change the n = 1
 # term by a factor within 1 +- eps(t / d^2), eps(r) = sum n exp(-(n^2 - 1)
 # pi^2 r / 8), which is below 0.022 from t = d^2 / 2 on, where the terms
-# past n = 9 are below 1e-19.
+# past n = 9 are below 1e-19; so the acceptance is at least _EIGEN_FLOOR.
+# Its float error, at most 1e-9 (where cos(theta) is 2e-8, the uniform
+# 2^-53 from 0 or 1), is within the slack from eps(1/2) = 0.0216 to 0.022.
 _EIGEN_N = np.arange(3.0, 11.0, 2.0)
 _EIGEN_FROM = 0.5
+_EIGEN_FLOOR = (1.0 - 0.022) / (1.0 + 0.022) - 1e-12
 
 
 def _eigen_acceptance(theta, r):
@@ -448,7 +484,8 @@ def _endpoint_in_box(streams, rows, d, t):
     drawn as z = (2 d / pi) arcsin(2 v - 1) and accepted with the ratio of
     the full eigenfunction series to it (acceptance above 0.95).  Each
     round, each block draws one normal and then two uniforms per pending
-    path (run rows `rows`).
+    path (run rows `rows`).  The series are evaluated only where
+    `_survival_floor`, _EIGEN_FLOOR and |z| < d leave a test open (`_squeeze`).
     """
     z = np.empty(d.size)
     todo = np.arange(d.size)
@@ -456,14 +493,17 @@ def _endpoint_in_box(streams, rows, d, t):
         g = streams.draw(rows[todo], _normals)
         v = streams.draw(rows[todo], lambda rng, k: rng.random((2, k)))
         dd, tt = d[todo], t[todo]
-        prop, keep = np.sqrt(tt) * g, np.empty(todo.size)
+        prop, ok = np.sqrt(tt) * g, np.empty(todo.size, dtype=bool)
         short = tt < _EIGEN_FROM * dd * dd
-        keep[short] = _bridge_survival(prop[short], dd[short], tt[short])
+        zs, ds, ts = prop[short], dd[short], tt[short]
+        ok[short] = _squeeze(v[1, short], _survival_floor(zs, ds, ts),
+                             np.where(np.abs(zs) < ds, np.inf, 0.0), _bridge_survival, zs, ds, ts)
         long = ~short
         theta = np.arcsin(2.0 * v[0, long] - 1.0)
         prop[long] = (2.0 / math.pi) * dd[long] * theta
-        keep[long] = _eigen_acceptance(theta, tt[long] / (dd[long] * dd[long]))
-        ok = v[1] < keep
+        r = tt[long] / (dd[long] * dd[long])
+        ok[long] = _squeeze(v[1, long], np.where(r >= _EIGEN_FROM, _EIGEN_FLOOR, 0.0), np.inf,
+                            _eigen_acceptance, theta, r)
         z[todo[ok]] = prop[ok]
         todo = todo[~ok]
     return z
@@ -535,8 +575,7 @@ def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily) -> EmbeddingRes
             entry["atom_displacement"] = float(np.abs(vals - law.positions[nearest]).max())
             entry["passed"] = bool(entry["atom_mass_error"] <= ATOM_MASS_THRESHOLD and pot_ok)
         else:
-            order = np.argsort(vals, kind="stable")
-            cdf_sorted = np.asarray(family.cdf(s_j, vals[order]), dtype=float)
+            cdf_sorted = np.asarray(family.cdf(s_j, np.sort(vals)), dtype=float)
             entry["ks"] = ks_statistic(cdf_sorted)
             entry["passed"] = bool(entry["ks"] <= KS_THRESHOLD and pot_ok)
         out.append(entry)

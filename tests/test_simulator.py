@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import ndtr
 
@@ -238,6 +240,178 @@ def test_box_steps_stop_exactly_on_the_levels(two_atom_family, two_atom_surface)
     for t, snap in ens.snapshots.items():
         assert np.array_equal(snap[ens.sigma[1] <= t], ens.b_sigma[1][ens.sigma[1] <= t])
         assert np.all(np.abs(snap[ens.sigma[1] > t]) < 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the squeeze bounds of the box step, and the box step without them
+
+def reference_cross_boxes(streams, rows, x, t, d, u, w):
+    """`_cross_boxes` evaluating the exit-time CDF on every row."""
+    v = streams.draw(rows, lambda rng, k: rng.random((2, k)))
+    left = v[0] < sim.exit_time_cdf(u / (d * d))
+    tau = d[left] ** 2 * sim.exit_time_quantile(v[0, left])
+    new_t = w.copy()
+    new_t[left] = np.minimum(t[left] + tau, w[left])
+    new_x = np.empty_like(x)
+    new_x[left] = x[left] + np.where(v[1, left] < 0.5, -d[left], d[left])
+    stay = ~left
+    new_x[stay] = x[stay] + reference_endpoint_in_box(streams, rows[stay], d[stay], u[stay])
+    return new_x, new_t
+
+
+def reference_endpoint_in_box(streams, rows, d, t):
+    """`_endpoint_in_box` evaluating its acceptance series on every proposal."""
+    z = np.empty(d.size)
+    todo = np.arange(d.size)
+    while todo.size:
+        g = streams.draw(rows[todo], sim._normals)
+        v = streams.draw(rows[todo], lambda rng, k: rng.random((2, k)))
+        dd, tt = d[todo], t[todo]
+        prop, keep = np.sqrt(tt) * g, np.empty(todo.size)
+        short = tt < sim._EIGEN_FROM * dd * dd
+        keep[short] = sim._bridge_survival(prop[short], dd[short], tt[short])
+        long = ~short
+        theta = np.arcsin(2.0 * v[0, long] - 1.0)
+        prop[long] = (2.0 / math.pi) * dd[long] * theta
+        keep[long] = sim._eigen_acceptance(theta, tt[long] / (dd[long] * dd[long]))
+        ok = v[1] < keep
+        z[todo[ok]] = prop[ok]
+        todo = todo[~ok]
+    return z
+
+
+# exit-time arguments: the edges, the usual 1/16 of a fast box, dense grids,
+# and the short windows where the bound underflows (r below 1/1490)
+EXIT_R = np.concatenate([[0.0, 1.0 / 16.0, 0.5, 1.0, 1e-300, 5e-324],
+                         np.linspace(0.0, 1.0, 20_001), np.logspace(-6.0, 0.0, 20_001),
+                         np.linspace(1.0 / 2000.0, 1.0 / 1000.0, 20_001)])
+
+
+def test_exit_ceiling_dominates_the_exit_cdf():
+    with np.errstate(divide="ignore"):
+        cdf = sim.exit_time_cdf(EXIT_R)
+    ceiling = sim._exit_ceiling(EXIT_R)
+    assert np.all(ceiling >= cdf)
+    assert np.all(ceiling >= 2.0 ** -53)
+    # tight where the box step needs it: at r = 1/16 within 6%
+    assert sim._exit_ceiling(np.array([1.0 / 16.0]))[0] <= 1.06 * sim.exit_time_cdf(1.0 / 16.0)[0]
+    # outside [0, 1] the CDF decides every row
+    assert np.all(np.isinf(sim._exit_ceiling(np.array([np.nan, -0.5, np.nextafter(1.0, 2.0)]))))
+
+
+@given(r=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_exit_ceiling_dominates_the_exit_cdf_anywhere(r):
+    with np.errstate(divide="ignore"):
+        assert sim._exit_ceiling(np.array([r]))[0] >= sim.exit_time_cdf(r)[0]
+
+
+def _survival_cases(d):
+    """(z, t) over |z| < d, with |z| up to within 1e-12 of d, and t up to
+    d^2 / 2 inclusive."""
+    frac_t = np.concatenate([np.linspace(0.0, 0.5, 401)[1:], np.logspace(-4.0, -0.30103, 200)])
+    frac_z = np.concatenate([np.linspace(-1.0, 1.0, 2001)[1:-1], 1.0 - np.logspace(-12, -1, 200),
+                             -(1.0 - np.logspace(-12, -1, 200)), [0.0]])
+    z, t = np.meshgrid(d * frac_z, d * d * frac_t)
+    near = np.nextafter(np.full(4, d), 0.0) * np.array([1.0, -1.0, 1.0, -1.0])
+    tz = d * d * np.array([0.5, 0.5, 0.01, 0.01])
+    return np.concatenate([z.ravel(), near]), np.concatenate([t.ravel(), tz])
+
+
+@pytest.mark.parametrize("d", [1.0, 0.37, 2.5e-3, 3.1])
+def test_survival_floor_is_below_the_bridge_survival(d):
+    z, t = _survival_cases(d)
+    assert np.all(np.abs(z) < d) and np.all(t <= d * d / 2.0)
+    dd = np.full(z.size, d)
+    assert np.all(sim._survival_floor(z, dd, t) <= sim._bridge_survival(z, dd, t))
+    # at |z| >= d the survival is 0 and the floor decides nothing
+    assert np.all(sim._survival_floor(np.array([d, -d, 2 * d]), np.full(3, d),
+                                      np.full(3, d * d / 4)) < -1.0)
+
+
+@given(d=st.floats(1e-3, 10.0), fz=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       ft=st.floats(0.0, 0.5, exclude_min=True))
+@settings(max_examples=300, deadline=None)
+def test_survival_floor_is_below_the_bridge_survival_anywhere(d, fz, ft):
+    z, dd, t = np.array([fz * d]), np.array([d]), np.array([ft * d * d])
+    if abs(z[0]) < d and t[0] <= d * d / 2.0:
+        with np.errstate(all="ignore"):
+            assert sim._survival_floor(z, dd, t)[0] <= sim._bridge_survival(z, dd, t)[0]
+
+
+def test_eigen_floor_is_below_the_eigen_acceptance():
+    # the uniforms that drive theta, with the extremes 0, 2^-53 and 1 - 2^-53
+    v = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+                        np.linspace(0.0, 1.0, 4001)[:-1], 1.0 - np.logspace(-15, -1, 200),
+                        np.logspace(-15, -1, 200)])
+    theta = np.arcsin(2.0 * v - 1.0)
+    for r in np.concatenate([[0.5, np.nextafter(0.5, 1.0)], np.linspace(0.5, 4.0, 50), [1e3]]):
+        accept = sim._eigen_acceptance(theta, np.full(theta.size, r))
+        assert np.all(sim._EIGEN_FLOOR <= accept), r
+    # near the edges at r = 1/2 the acceptance comes within 1e-3 of the floor
+    edge = sim._eigen_acceptance(theta[:1], np.array([0.5]))[0]
+    assert edge - sim._EIGEN_FLOOR <= 1e-3
+
+
+@given(v=st.floats(0.0, 1.0, exclude_max=True), r=st.floats(0.5, 50.0))
+@settings(max_examples=300, deadline=None)
+def test_eigen_floor_is_below_the_eigen_acceptance_anywhere(v, r):
+    theta = np.arcsin(np.array([2.0 * v - 1.0]))
+    assert sim._EIGEN_FLOOR <= sim._eigen_acceptance(theta, np.array([r]))[0]
+
+
+def test_squeezed_exit_test_decides_as_the_full_cdf():
+    # uniforms at the grain's edges and on either side of both values
+    r = np.repeat(np.concatenate([EXIT_R[:6], [np.nan, 1.0 / 1600.0]]), 7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf = sim.exit_time_cdf(r)
+    ceiling = sim._exit_ceiling(r)
+    v = np.stack([np.zeros(r.size), np.full(r.size, 2.0 ** -53),
+                  np.nan_to_num(cdf), np.nextafter(np.nan_to_num(cdf), 0.0),
+                  np.minimum(ceiling, 0.5), np.nextafter(np.minimum(ceiling, 0.5), 0.0),
+                  np.full(r.size, 1.0 - 2.0 ** -53)])[np.arange(r.size) % 7, np.arange(r.size)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(sim._squeeze(v, 0.0, ceiling, sim.exit_time_cdf, r), v < cdf)
+
+
+def _adversarial_box_rows(seed):
+    """Rows of a run of three blocks and their boxes: fast boxes (u = d^2 /
+    16), u = 0, u = d^2, windows at and just below d^2 / 2 (where proposals
+    fall near +-d), long windows and windows short enough to underflow."""
+    rng = make_stream(seed, 99)
+    rows = np.sort(rng.choice(3 * sim.BLOCK_SIZE, 12_000, replace=False))
+    d = 10.0 ** rng.uniform(-3.0, 0.5, rows.size)
+    frac = np.array([1.0 / 16.0, 0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), 0.75, 1e-4, 1.0 / 1600.0])
+    u = d * d * frac[np.arange(rows.size) % frac.size]
+    x, t = rng.uniform(-3.0, 3.0, rows.size), rng.uniform(0.0, 2.0, rows.size)
+    return rows, x, t, d, u, t + u
+
+
+def _next_draws(streams):
+    # one uniform from every block's stream
+    return streams.draw(np.arange(3) * sim.BLOCK_SIZE, sim._uniforms)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_squeezed_box_step_matches_the_reference(seed):
+    rows, x, t, d, u, w = _adversarial_box_rows(seed)
+    mine, ref = sim._Streams(seed, 0, 3), sim._Streams(seed, 0, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = sim._cross_boxes(mine, rows, x, t, d, u, w)
+        want = reference_cross_boxes(ref, rows, x, t, d, u, w)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(_next_draws(mine), _next_draws(ref))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_squeezed_endpoints_match_the_reference(seed):
+    rows, _, _, d, u, _ = _adversarial_box_rows(seed)
+    mine, ref = sim._Streams(seed, 0, 3), sim._Streams(seed, 0, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = sim._endpoint_in_box(mine, rows, d, u)
+        want = reference_endpoint_in_box(ref, rows, d, u)
+    assert np.array_equal(got, want)
+    assert np.array_equal(_next_draws(mine), _next_draws(ref))
 
 
 def test_negative_snapshot_times_rejected():
