@@ -15,8 +15,8 @@ from .errors import (CheckError, ConfigError, ConvexOrderError,
 from .grid import Partition, SpaceTimeGrid, make_grid, make_partition, refine
 from .limit_solver import (LimitSurface, bounds_check, partition_independence,
                            pde_residual, regularity_report, solve_limit)
-from .marginals import (AtomicMeasure, AtomicTableFamily, GaussianShiftFamily, Law,
-                        MarginalFamily, ScaledFamily, ThreePointFamily, assumption_check,
+from .marginals import (AtomicTableFamily, GaussianShiftFamily, Law, MarginalFamily,
+                        ScaledFamily, ThreePointFamily, assumption_check,
                         convex_order_validate, load_atomic_family_csv)
 from .simulator import (EmbeddingResult, MonotonePiecewisePoly, PathEnsemble,
                         alternative_embedding, empirical_potential, marginal_fit,

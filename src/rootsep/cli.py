@@ -28,7 +28,7 @@ import numpy as np
 from . import barriers as bar
 from . import io as art
 from .errors import CheckError, ConfigError, ValidationError
-from .grid import DEFAULT_NODE_BUDGET, lattice_index, make_grid, make_partition
+from .grid import lattice_index, make_grid, make_partition
 from .limit_solver import (bounds_check, ladder_levels, partition_independence,
                            pde_residual, regularity_report, solve_limit)
 from .marginals import (GaussianShiftFamily, ScaledFamily, ThreePointFamily,
@@ -41,11 +41,11 @@ from .stop_solver import complementarity_check, grid_atoms, solve_layers
 _SCHEMA = {
     "family": {"kind": None, "t0": "1.0", "s0": "0.0", "p0": "0.1", "p1": "0.3",
                "path": ""},
-    "grid": {"t_horizon": None, "dx": None, "node_budget": str(DEFAULT_NODE_BUDGET)},
+    "grid": {"t_horizon": None, "dx": None},
     "partition": {"n0": "4", "levels": "2", "style": "uniform", "refine_dx": "true"},
     "simulation": {"paths": "100000", "h_sim": "", "seed": "20260811",
                    "probe_times": "0.25,0.5,1.0", "probe_x": "-1.0,0.0,1.0",
-                   "alternative": "false", "alt_horizon": "25.0"},
+                   "alternative": "false"},
 }
 
 
@@ -167,14 +167,12 @@ class Run:
                        "dx": cfg.getfloat("grid", "dx"),
                        "n0": cfg.getint("partition", "n0"),
                        "levels": cfg.getint("partition", "levels"),
-                       "refine_dx": cfg.getbool("partition", "refine_dx"),
-                       "node_budget": cfg.getint("grid", "node_budget")}
+                       "refine_dx": cfg.getbool("partition", "refine_dx")}
         self.probe_times = cfg.getlist("simulation", "probe_times")
 
     @cached_property
     def grid(self):
-        lad = self.ladder
-        return make_grid(self.family, lad["T"], lad["dx"], node_budget=lad["node_budget"])
+        return make_grid(self.family, self.ladder["T"], self.ladder["dx"])
 
     @cached_property
     def partition(self):
@@ -201,13 +199,15 @@ class Run:
 
     def check_simulation(self) -> None:
         """Reject the simulation settings that the simulators would refuse
-        only after the solve, or not at all: no paths, a step that is not
-        positive or is coarser than the solver's, probe times off the
-        solver's or the h_sim grid or beyond its horizon, probe points off
-        the solver's x-grid, and a non-positive horizon for the alternative."""
+        only after the solve, or not at all: no paths, a seed that is not an
+        integer, a step that is not positive or is coarser than the solver's,
+        probe times off the solver's or the h_sim grid or beyond its
+        horizon, probe points off the solver's x-grid, and an `alternative`
+        that is not a boolean."""
         cfg = self.cfg
         if cfg.getint("simulation", "paths") < 1:
             raise ConfigError("paths must be at least 1")
+        cfg.getint("simulation", "seed")
         if not self.h_sim > 0:
             raise ConfigError(f"h_sim={self.h_sim} must be positive")
         if self.h_sim > self.grid.dt + 1e-15:
@@ -218,9 +218,7 @@ class Run:
                       "probe time", "h_sim")
         lattice_index(cfg.getlist("simulation", "probe_x"), grid.dx, grid.x_nodes()[0],
                       grid.nx, "probe x")
-        if cfg.getbool("simulation", "alternative") \
-                and not cfg.getfloat("simulation", "alt_horizon") > 0:
-            raise ConfigError("alt_horizon must be positive")
+        cfg.getbool("simulation", "alternative")
 
     def check_ladder(self) -> None:
         """Reject atoms that a refinement ladder grid misses, before any
@@ -366,9 +364,7 @@ def cmd_verify(run: Run, out: Path) -> int:
 
     alternative = None
     if cfg.getbool("simulation", "alternative"):
-        alt = alternative_embedding(M, seed + 1,
-                                    horizon=cfg.getfloat("simulation", "alt_horizon"),
-                                    threads=threads)
+        alt = alternative_embedding(M, seed + 1, threads=threads)
         alt_fit = marginal_fit(alt, ScaledFamily(0.0))
         alternative = {"marginals": alt_fit.marginals, "functionals": {}}
         for name, f in weights.items():

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import GridBudgetError, ValidationError
 from .tolerances import LATTICE_TOL
 
-DEFAULT_NODE_BUDGET = 50_000_000
+NODE_BUDGET = 50_000_000
 GEOMETRIC_RATIO = 1.2
 
 
@@ -126,8 +126,7 @@ class SpaceTimeGrid:
 DAMPED_LAMBDA = 0.8
 
 
-def make_grid(family, T: float, dx: float, *, L: float | None = None,
-              node_budget: int = DEFAULT_NODE_BUDGET) -> SpaceTimeGrid:
+def make_grid(family, T: float, dx: float, *, L: float | None = None) -> SpaceTimeGrid:
     """Grid wide enough for the family plus a 3 sqrt(T) diffusion margin.
 
     L defaults to max_s support_radius(s) + 3 sqrt(T), rounded up to a grid
@@ -148,7 +147,7 @@ def make_grid(family, T: float, dx: float, *, L: float | None = None,
     nt = math.ceil(T / dt - 1e-12)
     grid = SpaceTimeGrid(T=nt * dt, dt=dt, L=L, dx=dx)
     nodes = (grid.nt + 1) * (grid.nx + 1)
-    if nodes > node_budget:
+    if nodes > NODE_BUDGET:
         raise GridBudgetError(
-            f"grid has {grid.nt + 1} x {grid.nx + 1} = {nodes} nodes, budget {node_budget}")
+            f"grid has {grid.nt + 1} x {grid.nx + 1} = {nodes} nodes, budget {NODE_BUDGET}")
     return grid

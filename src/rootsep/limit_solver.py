@@ -79,8 +79,7 @@ def default_lattice(grid_coarse: SpaceTimeGrid, n0: int):
 
 
 def ladder_levels(family: MarginalFamily, T: float, dx: float, n0: int, levels: int,
-                  style: str = "uniform", refine_dx: bool = True,
-                  node_budget: Optional[int] = None):
+                  style: str = "uniform", refine_dx: bool = True):
     """The coarsest grid and the (partition, grid) pair of each ladder level.
 
     Level k solves n0 2^k layers on the space step dx 2^(levels-1-k) (dx on
@@ -91,8 +90,7 @@ def ladder_levels(family: MarginalFamily, T: float, dx: float, n0: int, levels: 
     if levels < 1:
         raise ValidationError("need at least one refinement level")
     dx_steps = [dx * 2 ** (levels - 1 - k) if refine_dx else dx for k in range(levels)]
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    coarse = make_grid(family, T, dx_steps[0], **kwargs)
+    coarse = make_grid(family, T, dx_steps[0])
     x_probe = np.linspace(-coarse.L, coarse.L, 33)
     du_total = float(np.abs(family.potential(1.0, x_probe)
                             - family.potential(0.0, x_probe)).max())
@@ -102,21 +100,20 @@ def ladder_levels(family: MarginalFamily, T: float, dx: float, n0: int, levels: 
     while len(parts) < len(dx_steps):
         parts.append(refine(parts[-1]))
     # share the coarse level's rounded horizon so kept rows exist everywhere
-    return coarse, [(part, make_grid(family, coarse.T, dx_k, L=coarse.L, **kwargs))
+    return coarse, [(part, make_grid(family, coarse.T, dx_k, L=coarse.L))
                     for part, dx_k in zip(parts, dx_steps)]
 
 
 def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: int,
                 style: str = "uniform", refine_dx: bool = True,
-                lattice=None, node_budget: Optional[int] = None) -> LimitSurface:
+                lattice=None) -> LimitSurface:
     """Refine the layered solve until the finest level (n0 2^(levels-1), dx).
 
     dx is the finest space step; coarser levels use dx 2^(levels-1-k) when
     refine_dx is set, so the Cauchy contraction reflects the joint limit
     (`ladder_levels`).
     """
-    grid_coarse, ladder = ladder_levels(family, T, dx, n0, levels, style, refine_dx,
-                                        node_budget)
+    grid_coarse, ladder = ladder_levels(family, T, dx, n0, levels, style, refine_dx)
     report = assumption_check(family)
     outside = not report.satisfied
     L = grid_coarse.L
@@ -162,7 +159,7 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
                         finest_partition=finest_surface.partition,
                         finest_grid=finest_surface.grid,
                         ladder={"T": T, "dx": dx, "n0": n0, "levels": levels,
-                                "refine_dx": refine_dx, "node_budget": node_budget},
+                                "refine_dx": refine_dx},
                         finest_stats=finest_surface.layer_stats,
                         assumption=report)
 

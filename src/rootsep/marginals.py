@@ -1,4 +1,4 @@
-"""Peacock marginal families: closed-form potentials plus one law description.
+"""Peacock marginal families, each described once by the law of its marginals.
 
 A family (mu_s), s in [0,1], of centred probability measures that is
 non-decreasing in convex order is given through
@@ -6,9 +6,9 @@ non-decreasing in convex order is given through
     potential(s, x)  =  -E_{Y ~ mu_s} |x - Y|,
 
 which is concave, 1-Lipschitz in x, and pointwise non-increasing in s.
-A family kind defines `potential`, `potential_ds`, `support_radius`, `law`
-and `descriptor`.  `law(s)` describes mu_s as atoms plus a centred Gaussian
-part, and every kind here is all Gaussian or all atomic; the CDF, call
+A family kind defines `law`, `potential_ds` and `descriptor`.  `law(s)`
+describes mu_s as atoms plus a centred Gaussian part, and every kind here
+is all Gaussian or all atomic; the potential, support radius, CDF, call
 price, Gaussian floor and initial sampling derive from it in closed form,
 as do the grid's damping default, the solver's kink guard and off-grid
 rule, and the simulator's fit metric.  Operations are pure, families
@@ -77,7 +77,7 @@ class Law:
     """One marginal mu_s as atoms plus a centred Gaussian part.
 
     The atoms carry `weights` at `positions`; the remaining mass
-    1 - sum(weights) is N(0, normal_var).  Atoms of zero weight are dropped.
+    1 - sum(weights) is N(0, normal_var).
     """
 
     positions: np.ndarray = ()
@@ -85,11 +85,8 @@ class Law:
     normal_var: float = 0.0
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        keep = w > 0.0
-        object.__setattr__(self, "positions", pos[keep])
-        object.__setattr__(self, "weights", w[keep])
+        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
     @property
     def normal_mass(self) -> float:
@@ -97,47 +94,25 @@ class Law:
         rest = 1.0 - float(self.weights.sum())
         return rest if rest > WEIGHT_TOL else 0.0
 
+    def potential(self, x) -> np.ndarray:
+        """-E|Y - x| for Y of this law, vectorized over x."""
+        x = np.asarray(x, dtype=float)
+        out = -(np.abs(x[..., None] - self.positions) @ self.weights)
+        if self.normal_mass:
+            out = out + self.normal_mass * gaussian_potential(self.normal_var, x)
+        return out
 
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finite centred measure: strictly increasing positions, weights summing to 1."""
-
-    positions: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weights", w)
-        if pos.ndim != 1 or w.shape != pos.shape or pos.size == 0:
-            raise ValidationError("atoms must be a non-empty 1-d list of (position, weight)")
-        if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(w)):
-            raise ValidationError("non-finite atom data")
-        if np.any(np.diff(pos) <= 0):
-            raise ValidationError("atom positions must be strictly increasing")
-        if np.any(w <= 0):
-            raise ValidationError("atom weights must be positive")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-            raise ValidationError(f"atom weights sum to {w.sum()!r}, not 1")
-        scale = max(1.0, float(np.abs(pos).max()))
-        if abs(float(w @ pos)) > MEAN_TOL * scale:
-            raise ValidationError(f"atomic measure not centred (mean {w @ pos!r})")
-
-    def potential(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return -(np.abs(x[..., None] - self.positions) @ self.weights)
-
-    def quantile_radius(self) -> float:
-        # smallest radius keeping all but <= TAIL_MASS/2 tail mass on each side
-        cum = np.cumsum(self.weights)
-        hi = self.positions.size - 1
-        left = min(int(np.searchsorted(cum, TAIL_MASS / 2.0, side="right")), hi)
-        right = max(int(np.searchsorted(cum, 1.0 - TAIL_MASS / 2.0, side="left")), 0)
-        return float(max(abs(self.positions[left]), abs(self.positions[right])))
-
-    def descriptor(self):
-        return {"positions": self.positions.tolist(), "weights": self.weights.tolist()}
+    def support_radius(self) -> float:
+        """Smallest radius leaving at most TAIL_MASS/2 outside on each side:
+        the quantile of the cumulative atom weights, and the normal quantile
+        of the Gaussian part; the larger of the two for a mixed law."""
+        r = math.sqrt(self.normal_var) * _NORMAL_RADIUS if self.normal_mass else 0.0
+        if self.positions.size:
+            cum = np.cumsum(self.weights)
+            ends = [np.searchsorted(cum, TAIL_MASS / 2.0, side="right"),
+                    np.searchsorted(cum, 1.0 - TAIL_MASS / 2.0, side="left")]
+            r = max(r, float(np.abs(self.positions[np.clip(ends, 0, cum.size - 1)]).max()))
+        return r
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +122,26 @@ class AtomicMeasure:
 class MarginalFamily:
     """Interface shared by all family kinds.  Values are immutable.
 
-    A kind defines potential, potential_ds, support_radius, law and
-    descriptor; the CDF, call price, Gaussian floor and initial sampling
-    are derived from the law.
+    A kind defines law, potential_ds and descriptor; the potential, support
+    radius, CDF, call price, Gaussian floor and initial sampling are derived
+    from the law.
     """
 
     kind = "abstract"
 
-    def potential(self, s: float, x) -> np.ndarray:
+    def law(self, s: float) -> Law:
         raise NotImplementedError
 
     def potential_ds(self, s: float, x) -> np.ndarray:
         raise NotImplementedError
 
-    def support_radius(self, s: float) -> float:
-        raise NotImplementedError
+    def potential(self, s: float, x) -> np.ndarray:
+        """-E|Y - x| for Y ~ mu_s."""
+        return self.law(s).potential(x)
 
-    def law(self, s: float) -> Law:
-        raise NotImplementedError
+    def support_radius(self, s: float) -> float:
+        """Radius leaving at most TAIL_MASS of mu_s outside (`Law.support_radius`)."""
+        return self.law(s).support_radius()
 
     def atoms(self, s: float) -> Law:
         # former name of law(); perfbench/workloads.py still reads it
@@ -213,18 +190,6 @@ class MarginalFamily:
     def descriptor(self) -> dict:
         return {"kind": self.kind}
 
-    def ds_sup(self, x) -> np.ndarray:
-        """sup over s of |potential_ds(s, x)|; default scans anchor points."""
-        anchors = np.linspace(0.0, 1.0, 41)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        best = np.zeros_like(x)
-        for s in anchors:
-            try:
-                best = np.maximum(best, np.abs(self.potential_ds(float(s), x)))
-            except SingularityError:
-                best += np.inf
-        return best
-
 
 class GaussianShiftFamily(MarginalFamily):
     """mu_s = N(0, t0 + s) with variance offset t0 > 0."""
@@ -236,14 +201,8 @@ class GaussianShiftFamily(MarginalFamily):
             raise ValidationError("gaussian_shift requires t0 > 0")
         self.t0 = float(t0)
 
-    def potential(self, s, x):
-        return gaussian_potential(self.t0 + s, x)
-
     def potential_ds(self, s, x):
         return gaussian_potential_dv(self.t0 + s, x)
-
-    def support_radius(self, s):
-        return math.sqrt(self.t0 + s) * _NORMAL_RADIUS
 
     def law(self, s):
         return Law(normal_var=self.t0 + s)
@@ -269,22 +228,12 @@ class ScaledFamily(MarginalFamily):
     def _scale(self, s):
         return self.s0 + s
 
-    def potential(self, s, x):
-        c = self._scale(s)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if c == 0.0:
-            return -np.abs(x)
-        return c * gaussian_potential(1.0, x / c)
-
     def potential_ds(self, s, x):
         c = self._scale(s)
         if c == 0.0:
             raise SingularityError("scaled family with s0 = 0 has a singular index derivative at s = 0")
         xi = np.atleast_1d(np.asarray(x, dtype=float)) / c
         return gaussian_potential(1.0, xi) - xi * (1.0 - 2.0 * ndtr(xi))
-
-    def support_radius(self, s):
-        return self._scale(s) * _NORMAL_RADIUS
 
     def law(self, s):
         c = self._scale(s)
@@ -315,33 +264,31 @@ class ThreePointFamily(MarginalFamily):
     def p(self, s):
         return self.p0 + self.p1 * s
 
-    def potential(self, s, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = self.p(s)
-        return -((1.0 - 2.0 * p) * np.abs(x) + p * (np.abs(x - 1.0) + np.abs(x + 1.0)))
-
     def potential_ds(self, s, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return -2.0 * self.p1 * np.maximum(0.0, 1.0 - np.abs(x))
 
-    def support_radius(self, s):
-        return 1.0
-
     def law(self, s):
+        # atoms of zero weight (p = 0, or p = 1/2 up to rounding) are left out
         p = self.p(s)
         mid = 1.0 - 2.0 * p
-        return Law([-1.0, 0.0, 1.0], [p, mid if mid >= 1e-15 else 0.0, p])
+        w = np.array([p, mid if mid >= 1e-15 else 0.0, p])
+        return Law(np.array([-1.0, 0.0, 1.0])[w > 0.0], w[w > 0.0])
 
     def descriptor(self):
         return {"kind": self.kind, "p0": self.p0, "p1": self.p1}
 
 
 class AtomicTableFamily(MarginalFamily):
-    """Piecewise-constant (cadlag) family of atomic measures indexed by s."""
+    """Piecewise-constant (cadlag) family of atomic laws indexed by s.
+
+    Each entry is (s, Law) with a finite centred atomic law: strictly
+    increasing positions and positive weights summing to 1.
+    """
 
     kind = "atomic_table"
 
-    def __init__(self, entries: Sequence[tuple[float, AtomicMeasure]]):
+    def __init__(self, entries: Sequence[tuple[float, Law]]):
         if not entries:
             raise ValidationError("atomic table needs at least one entry")
         svals = [float(s) for s, _ in entries]
@@ -351,37 +298,47 @@ class AtomicTableFamily(MarginalFamily):
             raise ValidationError("atomic table s values must lie in [0, 1]")
         if svals[0] > 0.0:
             raise ValidationError("atomic table must define the s = 0 marginal")
-        self.entries = [(float(s), m) for s, m in entries]
+        for _, law in entries:
+            _check_atomic(law)
+        self.entries = [(float(s), law) for s, law in entries]
 
-    def _measure(self, s):
+    def law(self, s):
         if not (0.0 <= s <= 1.0):
             raise ValidationError(f"marginal index {s} outside [0, 1]")
         out = self.entries[0][1]
-        for sv, m in self.entries:
+        for sv, law in self.entries:
             if sv <= s:
-                out = m
+                out = law
             else:
                 break
         return out
-
-    def potential(self, s, x):
-        return self._measure(s).potential(x)
 
     def potential_ds(self, s, x):
         # central difference of step 1e-5, one-sided at the endpoints
         lo, hi = max(0.0, s - 1e-5), min(1.0, s + 1e-5)
         return (self.potential(hi, x) - self.potential(lo, x)) / (hi - lo)
 
-    def support_radius(self, s):
-        return self._measure(s).quantile_radius()
-
-    def law(self, s):
-        m = self._measure(s)
-        return Law(m.positions, m.weights)
-
     def descriptor(self):
         return {"kind": self.kind,
-                "entries": [{"s": s, **m.descriptor()} for s, m in self.entries]}
+                "entries": [{"s": s, "positions": law.positions.tolist(),
+                             "weights": law.weights.tolist()} for s, law in self.entries]}
+
+
+def _check_atomic(law: Law) -> None:
+    pos, w = law.positions, law.weights
+    if pos.ndim != 1 or w.shape != pos.shape or pos.size == 0:
+        raise ValidationError("atoms must be a non-empty 1-d list of (position, weight)")
+    if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(w)):
+        raise ValidationError("non-finite atom data")
+    if np.any(np.diff(pos) <= 0):
+        raise ValidationError("atom positions must be strictly increasing")
+    if np.any(w <= 0):
+        raise ValidationError("atom weights must be positive")
+    if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
+        raise ValidationError(f"atom weights sum to {w.sum()!r}, not 1")
+    scale = max(1.0, float(np.abs(pos).max()))
+    if abs(float(w @ pos)) > MEAN_TOL * scale:
+        raise ValidationError(f"atomic law not centred (mean {w @ pos!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +414,12 @@ def assumption_check(family: MarginalFamily) -> AssumptionReport:
             continuous = False
             singular_at.append(float(s))
 
-    try:
-        g = np.asarray(family.ds_sup(x_probes), dtype=float)
-    except SingularityError:
-        g = np.full_like(x_probes, np.inf)
+    g = np.zeros_like(x_probes)        # sup over 41 anchors of |dU/ds|
+    for s in np.linspace(0.0, 1.0, 41):
+        try:
+            g = np.maximum(g, np.abs(family.potential_ds(float(s), x_probes)))
+        except SingularityError:
+            g = g + np.inf
     order = np.argsort(np.abs(x_probes), kind="stable")
     gx = g[order]
     ax = np.abs(x_probes)[order]
@@ -528,5 +487,5 @@ def load_atomic_family_csv(path) -> AtomicTableFamily:
         # never shift a genuinely non-centred marginal (rejected above)
         w_arr = w_arr / w_arr.sum()
         pos_arr = pos_arr - float(w_arr @ pos_arr)
-        entries.append((s, AtomicMeasure(pos_arr, w_arr)))
+        entries.append((s, Law(pos_arr, w_arr)))
     return AtomicTableFamily(entries)

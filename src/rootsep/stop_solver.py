@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -139,7 +138,7 @@ def grid_atoms(family: MarginalFamily, s_values, grid: SpaceTimeGrid) -> np.ndar
 
 
 def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGrid,
-                 keep_times=None, tol: Optional[float] = None) -> ValueSurface:
+                 keep_times=None) -> ValueSurface:
     """March the layered obstacle scheme across all marginal layers.
 
     keep_times: time values whose rows are retained in the result (None keeps
@@ -149,8 +148,8 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     + 1 diagonals of every layer live in a rolling buffer; after each block
     of CHUNK_ROWS diagonals, each layer's new rows are folded into its
     records (`ScanKernel.fold`) and its kept rows are copied out.  Memory is
-    O(n * CHUNK_ROWS * nx) plus the kept rows.  tol: complementarity
-    tolerance of the recorded statistics (default `scheme_tolerance(grid)`).
+    O(n * CHUNK_ROWS * nx) plus the kept rows.  The recorded statistics use
+    the complementarity tolerance `scheme_tolerance(grid)`.
 
     Every atom of the partition's marginal laws must sit on an x-node
     (`grid_atoms`).
@@ -182,7 +181,7 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     else:
         kept_index = np.unique(lattice_index(keep_times, dt, 0.0, nt, "keep time", "dt"))
 
-    tol = scheme_tolerance(grid) if tol is None else tol
+    tol = scheme_tolerance(grid)
     U0 = pots[0]
     # atom columns of the marginals are kink lines of the value surface
     # (absorbed point masses) with onset transients of node-scale width;

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import rootsep as rs
@@ -22,8 +21,7 @@ def three_point_family():
 
 @pytest.fixture(scope="session")
 def constant_family():
-    atoms = rs.AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-    return rs.AtomicTableFamily([(0.0, atoms)])
+    return rs.AtomicTableFamily([(0.0, rs.Law([-1.0, 1.0], [0.5, 0.5]))])
 
 
 @pytest.fixture(scope="session")

@@ -237,6 +237,8 @@ def _with_simulation(settings: str) -> str:
     "h_sim = -0.0025",
     "paths = 0",
     "paths = -5",
+    "seed = 1e5",
+    "seed = abc",
     "probe_times = 0.25,1.5",        # 1.5 lies beyond the grid horizon 1.25
     "alternative = true; alt_horizon = 0",
     "probe_x = -1.0,0.01,1.0",        # 0.01 is not a node of the dx = 0.1 grid
@@ -278,7 +280,7 @@ def test_alternative_embedding_run(tmp_path):
 @pytest.mark.parametrize("section, key", [
     ("family", "base"), ("family", "growth_power"), ("family", "pieces"),
     ("simulation", "alt_h_sim"), ("grid", "lam"), ("grid", "binary_steps"),
-    ("simulation", "horizon"),
+    ("simulation", "horizon"), ("grid", "node_budget"), ("simulation", "alt_horizon"),
 ])
 def test_removed_keys_rejected(tmp_path, capsys, section, key):
     cfg = tmp_path / "run.ini"

@@ -77,9 +77,10 @@ def test_grid_nodes_exact_affine():
 
 
 def test_node_budget():
+    # 100,001 rows x 3,601 columns = 3.6e8 nodes, rejected from the counts alone
     fam = rs.ScaledFamily(0.0)
-    with pytest.raises(GridBudgetError):
-        rs.make_grid(fam, 2.0, 0.002, node_budget=10_000)
+    with pytest.raises(GridBudgetError, match="budget 50000000"):
+        rs.make_grid(fam, 2.0, 0.005)
 
 
 def test_grid_validation():

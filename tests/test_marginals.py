@@ -149,11 +149,8 @@ class _ReversedGauss(rs.MarginalFamily):
     def __init__(self, t0):
         self.inner = rs.GaussianShiftFamily(t0)
 
-    def potential(self, s, x):
-        return self.inner.potential(1.0 - s, x)
-
-    def support_radius(self, s):
-        return self.inner.support_radius(1.0 - s)
+    def law(self, s):
+        return self.inner.law(1.0 - s)
 
 
 def test_convex_order_reversed_fails():
@@ -229,12 +226,26 @@ def test_sample_three_point(three_point_family):
 # atomic measures and file input
 
 def test_atomic_measure_validation():
-    with pytest.raises(ValidationError):
-        rs.AtomicMeasure(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-    with pytest.raises(ValidationError):
-        rs.AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.7, 0.7]))
-    with pytest.raises(ValidationError):
-        rs.AtomicMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))  # mean 0.5
+    # each law breaks one rule only, so each rejection names its own rule
+    bad = [
+        ([], [], "non-empty"),
+        ([-1.0, 1.0], [1.0], "non-empty"),                     # shapes differ
+        ([np.nan, 0.0], [0.5, 0.5], "non-finite"),
+        ([-1.0, 1.0], [0.5, np.inf], "non-finite"),
+        ([1.0, -1.0], [0.5, 0.5], "strictly increasing"),
+        ([0.0, 0.0], [0.5, 0.5], "strictly increasing"),
+        ([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5], "positive"),
+        ([-1.0, 0.0, 1.0], [0.6, -0.2, 0.6], "positive"),
+        ([-1.0, 1.0], [0.7, 0.7], "sum to"),
+        ([0.0, 1.0], [0.5, 0.5], "not centred"),              # mean 0.5
+    ]
+    for positions, weights, rule in bad:
+        with pytest.raises(ValidationError, match=rule):
+            rs.AtomicTableFamily([(0.0, rs.Law(positions, weights))])
+        # a bad law later in the table is rejected as well
+        with pytest.raises(ValidationError, match=rule):
+            rs.AtomicTableFamily([(0.0, rs.Law([0.0], [1.0])),
+                                  (0.5, rs.Law(positions, weights))])
 
 
 def test_csv_loader_round_trip(tmp_path):
@@ -256,6 +267,9 @@ def test_csv_loader_round_trip(tmp_path):
     "s,position,weight\n0.0,1.0,0.6\n0.0,-1.0,0.4\n",     # not centred
     "s,position,weight\n0.5,0.0,1.0\n0.0,0.0,1.0\n",      # s decreasing
     "s,position,weight\n0.5,0.0,1.0\n",                   # missing s=0
+    "s,position,weight\n0.0,0.0,1.0\n0.0,2.0,0.0\n",      # zero weight
+    "s,position,weight\n0.0,0.0,0.5\n0.0,0.0,0.5\n",      # duplicate position
+    "s,position,weight\n0.0,1.0,0.5\n0.0,-1.0,0.5\n",     # unsorted positions
 ])
 def test_csv_loader_rejects(tmp_path, body):
     p = tmp_path / "bad.csv"
@@ -285,25 +299,58 @@ LAW_FAMILIES = {
     "three_point": lambda: rs.ThreePointFamily(0.1, 0.3),
     "two_atom": lambda: rs.ThreePointFamily(0.0, 0.5),
     "atomic_table": lambda: rs.AtomicTableFamily([
-        (0.0, rs.AtomicMeasure(np.array([0.0]), np.array([1.0]))),
-        (0.5, rs.AtomicMeasure(np.array([-1.0, 2.0]), np.array([2.0 / 3.0, 1.0 / 3.0])))]),
+        (0.0, rs.Law([0.0], [1.0])),
+        (0.5, rs.Law([-1.0, 2.0], [2.0 / 3.0, 1.0 / 3.0]))]),
 }
 LAW_S = (0.0, 0.1, 0.3, 0.5, 0.77, 0.99, 1.0)
 LAW_X = np.linspace(-4.0, 4.0, 33)
+NORMAL_RADIUS = stats.norm.ppf(1.0 - 1e-6)
+
+
+def _three_point_closed_form(p0, p1):
+    def potential(s, x):
+        p = p0 + p1 * s
+        return -((1.0 - 2.0 * p) * np.abs(x) + p * (np.abs(x - 1.0) + np.abs(x + 1.0)))
+    return potential, lambda s: 1.0
+
+
+def _scaled_closed_form(s0):
+    def potential(s, x):
+        c = s0 + s
+        return -np.abs(x) if c == 0.0 else c * gaussian_potential(1.0, x / c)
+    return potential, lambda s: (s0 + s) * NORMAL_RADIUS
+
+
+def _table_closed_form(s, x):
+    if s < 0.5:
+        return -np.abs(x)
+    return -(2.0 / 3.0 * np.abs(x + 1.0) + 1.0 / 3.0 * np.abs(x - 2.0))
+
+
+# the closed forms each family once stated beside its law, kept as oracles
+CLOSED_FORMS = {
+    "gaussian_shift": (lambda s, x: gaussian_potential(0.7 + s, x),
+                       lambda s: math.sqrt(0.7 + s) * NORMAL_RADIUS),
+    "scaled_point_start": _scaled_closed_form(0.0),
+    "scaled": _scaled_closed_form(0.5),
+    "three_point": _three_point_closed_form(0.1, 0.3),
+    "two_atom": _three_point_closed_form(0.0, 0.5),
+    "atomic_table": (_table_closed_form, lambda s: 0.0 if s < 0.5 else 2.0),
+}
 
 
 @pytest.mark.parametrize("kind", sorted(LAW_FAMILIES))
 def test_law_reproduces_potential(kind):
     fam = LAW_FAMILIES[kind]()
-    checked = 0
+    potential, radius = CLOSED_FORMS[kind]
     for s in LAW_S:
-        law = fam.law(s)
-        rebuilt = (-(np.abs(LAW_X[:, None] - law.positions) @ law.weights)
-                   + law.normal_mass * gaussian_potential(law.normal_var, LAW_X))
-        assert np.max(np.abs(rebuilt - fam.potential(s, LAW_X))) <= 1e-12, s
-        checked += 1
-    # every law is Gaussian or atomic, so every index is checked
-    assert checked == len(LAW_S)
+        assert np.max(np.abs(fam.potential(s, LAW_X) - potential(s, LAW_X))) <= 1e-12, s
+        if kind == "two_atom" and s == 0.0:
+            # mu_0 = delta_0 has radius 0; the closed form said 1 at every s,
+            # and make_grid takes the max over s, which s = 1 sets to 1
+            assert fam.support_radius(s) == 0.0
+        else:
+            assert fam.support_radius(s) == radius(s), s
 
 
 @pytest.mark.parametrize("kind", sorted(LAW_FAMILIES))
