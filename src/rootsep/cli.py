@@ -38,17 +38,6 @@ from .simulator import (MonotonePiecewisePoly, alternative_embedding,
                         simulate_root)
 from .stop_solver import complementarity_check, grid_atoms, solve_layers
 
-_SCHEMA = {
-    "family": {"kind": None, "t0": "1.0", "s0": "0.0", "p0": "0.1", "p1": "0.3",
-               "path": ""},
-    "grid": {"t_horizon": None, "dx": None},
-    "partition": {"n0": "4", "levels": "2", "style": "uniform", "refine_dx": "true"},
-    "simulation": {"paths": "100000", "h_sim": "", "seed": "20260811",
-                   "probe_times": "0.25,0.5,1.0", "probe_x": "-1.0,0.0,1.0",
-                   "alternative": "false"},
-}
-
-
 def _finite(text: str) -> float:
     v = float(text)
     if not math.isfinite(v):
@@ -56,42 +45,44 @@ def _finite(text: str) -> float:
     return v
 
 
+def _boolean(text: str) -> bool:
+    v = text.lower()
+    if v in ("true", "1", "yes"):
+        return True
+    if v in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+_TEXT = (str, "text")
+_NUMBER = (_finite, "a finite number")
+_INTEGER = (int, "an integer")
+_BOOLEAN = (_boolean, "a boolean")
+_NUMBERS = (lambda v: [_finite(p) for p in v.split(",")] if v else [],
+            "a comma-separated list of finite numbers")
+
+# section -> key -> (default, type); a default of None marks a required
+# key, and a key whose default is "" may stay empty, which reads as None
+_SCHEMA = {
+    "family": {"kind": (None, _TEXT), "t0": ("1.0", _NUMBER), "s0": ("0.0", _NUMBER),
+               "p0": ("0.1", _NUMBER), "p1": ("0.3", _NUMBER), "path": ("", _TEXT)},
+    "grid": {"t_horizon": (None, _NUMBER), "dx": (None, _NUMBER)},
+    "partition": {"n0": ("4", _INTEGER), "levels": ("2", _INTEGER),
+                  "style": ("uniform", _TEXT)},
+    "simulation": {"paths": ("100000", _INTEGER), "h_sim": ("", _NUMBER),
+                   "seed": ("20260811", _INTEGER),
+                   "probe_times": ("0.25,0.5,1.0", _NUMBERS),
+                   "probe_x": ("-1.0,0.0,1.0", _NUMBERS),
+                   "alternative": ("false", _BOOLEAN)},
+}
+
+
 @dataclass
 class RunConfig:
-    raw: dict
+    raw: dict       # section -> key -> text, echoed to config.resolved.ini
+    values: dict    # section -> key -> that text as its schema type
     base_dir: Path
     family: object = None
-
-    def get(self, section: str, key: str) -> str:
-        return self.raw[section][key]
-
-    def _parse(self, section, key, convert, what):
-        v = self.get(section, key)
-        try:
-            return convert(v)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not {what}: {v!r}") from None
-
-    def getfloat(self, section, key, default=None):
-        if self.get(section, key) == "":
-            return default
-        return self._parse(section, key, _finite, "a finite number")
-
-    def getint(self, section, key):
-        return self._parse(section, key, int, "an integer")
-
-    def getbool(self, section, key):
-        v = self.get(section, key).strip().lower()
-        if v in ("true", "1", "yes"):
-            return True
-        if v in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"[{section}] {key}: not a boolean: {v!r}")
-
-    def getlist(self, section, key):
-        return self._parse(section, key,
-                           lambda v: [_finite(p) for p in v.split(",")] if v.strip() else [],
-                           "a comma-separated list of finite numbers")
 
 
 def load_config(path) -> RunConfig:
@@ -112,31 +103,39 @@ def load_config(path) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             raw[section][key] = value.strip()
+    values = {}
     for section, keys in _SCHEMA.items():
         raw.setdefault(section, {})
-        for key, default in keys.items():
+        values[section] = {}
+        for key, (default, (convert, what)) in keys.items():
             if key not in raw[section]:
                 if default is None:
                     raise ConfigError(f"missing required key '{key}' in [{section}]")
                 raw[section][key] = default
-    cfg = RunConfig(raw=raw, base_dir=path.parent)
+            text = raw[section][key]
+            try:
+                values[section][key] = (None if text == "" and default == ""
+                                        else convert(text))
+            except ValueError:
+                raise ConfigError(f"[{section}] {key}: not {what}: {text!r}") from None
+    cfg = RunConfig(raw=raw, values=values, base_dir=path.parent)
     cfg.family = _build_family(cfg)
     return cfg
 
 
 def _build_family(cfg: RunConfig):
-    kind = cfg.get("family", "kind")
+    v = cfg.values["family"]
+    kind = v["kind"]
     if kind == "gaussian_shift":
-        return GaussianShiftFamily(cfg.getfloat("family", "t0"))
+        return GaussianShiftFamily(v["t0"])
     if kind == "scaled":
-        return ScaledFamily(cfg.getfloat("family", "s0"))
+        return ScaledFamily(v["s0"])
     if kind == "three_point":
-        return ThreePointFamily(cfg.getfloat("family", "p0"), cfg.getfloat("family", "p1"))
+        return ThreePointFamily(v["p0"], v["p1"])
     if kind == "atomic_csv":
-        rel = cfg.get("family", "path")
-        if not rel:
+        if v["path"] is None:
             raise ConfigError("atomic_csv family needs 'path'")
-        return load_atomic_family_csv(cfg.base_dir / rel)
+        return load_atomic_family_csv(cfg.base_dir / v["path"])
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -160,15 +159,13 @@ class Run:
         self.family = cfg.family
         self.threads = threads
         self.dump_raw = dump_raw
-        self.style = cfg.get("partition", "style")
+        grid, partition = cfg.values["grid"], cfg.values["partition"]
+        self.style = partition["style"]
         # "both" solves uniform layers and checks them against a geometric ladder
         self.layer_style = "uniform" if self.style == "both" else self.style
-        self.ladder = {"T": cfg.getfloat("grid", "t_horizon"),
-                       "dx": cfg.getfloat("grid", "dx"),
-                       "n0": cfg.getint("partition", "n0"),
-                       "levels": cfg.getint("partition", "levels"),
-                       "refine_dx": cfg.getbool("partition", "refine_dx")}
-        self.probe_times = cfg.getlist("simulation", "probe_times")
+        self.ladder = {"T": grid["t_horizon"], "dx": grid["dx"],
+                       "n0": partition["n0"], "levels": partition["levels"]}
+        self.sim = cfg.values["simulation"]
 
     @cached_property
     def grid(self):
@@ -181,7 +178,8 @@ class Run:
     @cached_property
     def surface(self):
         grid = self.grid
-        rows = lattice_index(self.probe_times, grid.dt, 0.0, grid.nt, "probe time", "dt")
+        rows = lattice_index(self.sim["probe_times"], grid.dt, 0.0, grid.nt,
+                             "probe time", "dt")
         return solve_layers(self.family, self.partition, grid,
                             keep_times=np.union1d(grid.eighth_rows(), rows) * grid.dt)
 
@@ -195,35 +193,31 @@ class Run:
 
     @cached_property
     def h_sim(self) -> float:
-        return self.cfg.getfloat("simulation", "h_sim", default=self.grid.dt)
+        h_sim = self.sim["h_sim"]
+        return self.grid.dt if h_sim is None else h_sim
 
     def check_simulation(self) -> None:
-        """Reject the simulation settings that the simulators would refuse
-        only after the solve, or not at all: no paths, a seed that is not an
-        integer, a step that is not positive or is coarser than the solver's,
-        probe times off the solver's or the h_sim grid or beyond its
-        horizon, probe points off the solver's x-grid, and an `alternative`
-        that is not a boolean."""
-        cfg = self.cfg
-        if cfg.getint("simulation", "paths") < 1:
+        """Reject the simulation settings that need the grid, or that the
+        simulators would refuse only after the solve: no paths, a step that
+        is not positive or is coarser than the solver's, probe times off the
+        solver's or the h_sim grid or beyond its horizon, and probe points
+        off the solver's x-grid.  `load_config` has already read every value
+        as its type."""
+        grid, h_sim, probe_t = self.grid, self.h_sim, self.sim["probe_times"]
+        if self.sim["paths"] < 1:
             raise ConfigError("paths must be at least 1")
-        cfg.getint("simulation", "seed")
-        if not self.h_sim > 0:
-            raise ConfigError(f"h_sim={self.h_sim} must be positive")
-        if self.h_sim > self.grid.dt + 1e-15:
-            raise ConfigError(f"h_sim={self.h_sim} exceeds the solver step {self.grid.dt}")
-        grid = self.grid
-        lattice_index(self.probe_times, grid.dt, 0.0, grid.nt, "probe time", "dt")
-        lattice_index(self.probe_times, self.h_sim, 0.0, round(grid.T / self.h_sim),
-                      "probe time", "h_sim")
-        lattice_index(cfg.getlist("simulation", "probe_x"), grid.dx, grid.x_nodes()[0],
-                      grid.nx, "probe x")
-        cfg.getbool("simulation", "alternative")
+        if not h_sim > 0:
+            raise ConfigError(f"h_sim={h_sim} must be positive")
+        if h_sim > grid.dt + 1e-15:
+            raise ConfigError(f"h_sim={h_sim} exceeds the solver step {grid.dt}")
+        lattice_index(probe_t, grid.dt, 0.0, grid.nt, "probe time", "dt")
+        lattice_index(probe_t, h_sim, 0.0, round(grid.T / h_sim), "probe time", "h_sim")
+        lattice_index(self.sim["probe_x"], grid.dx, grid.x_nodes()[0], grid.nx, "probe x")
 
     def check_ladder(self) -> None:
         """Reject atoms that a refinement ladder grid misses, before any
-        solve: with refine_dx the coarsest step dx 2^(levels-1) can miss
-        atoms that the configured dx holds."""
+        solve: the ladder refines dx with the partition, so its coarsest
+        step dx 2^(levels-1) can miss atoms that the configured dx holds."""
         styles = ("uniform", "geometric") if self.style == "both" else (self.style,)
         for style in styles:
             for part, grid in ladder_levels(self.family, **self.ladder, style=style)[1]:
@@ -321,11 +315,10 @@ def cmd_limit(run: Run, out: Path) -> int:
 def cmd_verify(run: Run, out: Path) -> int:
     t0 = time.time()
     run.check_simulation()
-    cfg, threads, h_sim = run.cfg, run.threads, run.h_sim
-    M = cfg.getint("simulation", "paths")
-    seed = cfg.getint("simulation", "seed")
-    probe_t = run.probe_times
-    probe_x = np.array(cfg.getlist("simulation", "probe_x"))
+    threads, h_sim = run.threads, run.h_sim
+    M, seed = run.sim["paths"], run.sim["seed"]
+    probe_t = run.sim["probe_times"]
+    probe_x = np.array(run.sim["probe_x"])
     surface = run.surface
 
     ensemble = simulate_root(run.family, run.barrier, M, h_sim, seed,
@@ -363,7 +356,7 @@ def cmd_verify(run: Run, out: Path) -> int:
         functionals[name] = {"estimate": est, "stderr": se}
 
     alternative = None
-    if cfg.getbool("simulation", "alternative"):
+    if run.sim["alternative"]:
         alt = alternative_embedding(M, seed + 1, threads=threads)
         alt_fit = marginal_fit(alt, ScaledFamily(0.0))
         alternative = {"marginals": alt_fit.marginals, "functionals": {}}

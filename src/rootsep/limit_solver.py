@@ -1,9 +1,9 @@
 """Full-marginal potential surface as a refinement limit of layer solves.
 
 The layered solver runs on a ladder of partitions (n0, 2 n0, 4 n0, ...) with
-the space step halved alongside by default, each level evaluated on one
-fixed (s, t, x) lattice chosen from the coarsest grid so that every level
-shares the lattice nodes exactly.  Values at lattice s between partition
+the space step halved alongside, each level evaluated on one fixed (s, t, x)
+lattice chosen from the coarsest grid so that every level shares the lattice
+nodes exactly.  Values at lattice s between partition
 points use the piecewise-constant extension u(s) := u(s_j) for
 s in (s_{j-1}, s_j].  Cauchy differences between consecutive levels gate the
 refinement; they must decrease or the run aborts.
@@ -79,17 +79,17 @@ def default_lattice(grid_coarse: SpaceTimeGrid, n0: int):
 
 
 def ladder_levels(family: MarginalFamily, T: float, dx: float, n0: int, levels: int,
-                  style: str = "uniform", refine_dx: bool = True):
+                  style: str = "uniform"):
     """The coarsest grid and the (partition, grid) pair of each ladder level.
 
-    Level k solves n0 2^k layers on the space step dx 2^(levels-1-k) (dx on
-    every level without refine_dx), with the coarsest grid's horizon and
-    domain.  A family whose marginals never change gets one level on dx: the
-    obstacle never binds and every level reproduces U(0, .).
+    Level k solves n0 2^k layers on the space step dx 2^(levels-1-k), with
+    the coarsest grid's horizon and domain, so the partition and the space
+    step refine together.  A family whose marginals never change gets one
+    level on dx: the obstacle never binds and every level reproduces U(0, .).
     """
     if levels < 1:
         raise ValidationError("need at least one refinement level")
-    dx_steps = [dx * 2 ** (levels - 1 - k) if refine_dx else dx for k in range(levels)]
+    dx_steps = [dx * 2 ** (levels - 1 - k) for k in range(levels)]
     coarse = make_grid(family, T, dx_steps[0])
     x_probe = np.linspace(-coarse.L, coarse.L, 33)
     du_total = float(np.abs(family.potential(1.0, x_probe)
@@ -105,24 +105,18 @@ def ladder_levels(family: MarginalFamily, T: float, dx: float, n0: int, levels: 
 
 
 def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: int,
-                style: str = "uniform", refine_dx: bool = True,
-                lattice=None) -> LimitSurface:
+                style: str = "uniform") -> LimitSurface:
     """Refine the layered solve until the finest level (n0 2^(levels-1), dx).
 
-    dx is the finest space step; coarser levels use dx 2^(levels-1-k) when
-    refine_dx is set, so the Cauchy contraction reflects the joint limit
-    (`ladder_levels`).
+    dx is the finest space step; coarser levels use dx 2^(levels-1-k), so
+    the Cauchy contraction reflects the joint limit (`ladder_levels`).  Every
+    level is read on `default_lattice` of the coarsest grid, which does not
+    depend on the partition style.
     """
-    grid_coarse, ladder = ladder_levels(family, T, dx, n0, levels, style, refine_dx)
+    grid_coarse, ladder = ladder_levels(family, T, dx, n0, levels, style)
     report = assumption_check(family)
     outside = not report.satisfied
-    L = grid_coarse.L
-
-    if lattice is None:
-        lattice = default_lattice(grid_coarse, n0)
-    lattice_s, lattice_t, lattice_x = (np.asarray(a, dtype=float) for a in lattice)
-    if np.abs(lattice_x).max() > L:
-        raise ValidationError("lattice x values outside the solver domain")
+    lattice_s, lattice_t, lattice_x = default_lattice(grid_coarse, n0)
 
     history = []
     prev_vals = None
@@ -158,17 +152,14 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
                         family_desc=family.descriptor(), outside_assumptions=outside,
                         finest_partition=finest_surface.partition,
                         finest_grid=finest_surface.grid,
-                        ladder={"T": T, "dx": dx, "n0": n0, "levels": levels,
-                                "refine_dx": refine_dx},
+                        ladder={"T": T, "dx": dx, "n0": n0, "levels": levels},
                         finest_stats=finest_surface.layer_stats,
                         assumption=report)
 
 
-def pde_residual(limit: LimitSurface, family: Optional[MarginalFamily] = None) -> dict:
+def pde_residual(limit: LimitSurface) -> dict:
     """Largest discrete residual of the variational inequality on the finest
     level: min(backward-time heat residual, backward-s obstacle rate)."""
-    if family is not None and family.descriptor() != limit.family_desc:
-        raise ValidationError("family does not match the solved surface")
     per_level = [h["pde_residual_max"] for h in limit.history]
     worst = 0.0
     loc = (0.0, 0.0, 0.0)
@@ -250,16 +241,15 @@ def partition_independence(family: MarginalFamily, uniform: LimitSurface) -> dic
     geometric-seeded one.
 
     Only the geometric ladder is solved, with the uniform ladder's arguments
-    (horizon, space step, levels, refine_dx, node budget) on its lattice.
-    The limits must agree up to the two finest Cauchy differences plus twice
-    the finest scheme tolerance.
+    (horizon, space step, n0, levels).  Both ladders share their coarsest
+    grid, hence their lattice.  The limits must agree up to the two finest
+    Cauchy differences plus twice the finest scheme tolerance.
     """
     if uniform.style != "uniform":
         raise ValidationError("partition independence compares against a uniform ladder")
     if family.descriptor() != uniform.family_desc:
         raise ValidationError("family does not match the solved surface")
-    lattice = (uniform.lattice_s, uniform.lattice_t, uniform.lattice_x)
-    geo = solve_limit(family, **uniform.ladder, style="geometric", lattice=lattice)
+    geo = solve_limit(family, **uniform.ladder, style="geometric")
     dist = float(np.abs(uniform.values - geo.values).max())
     cauchy_u = uniform.cauchy_history[-1] if uniform.cauchy_history else 0.0
     cauchy_g = geo.cauchy_history[-1] if geo.cauchy_history else 0.0

@@ -486,9 +486,10 @@ def _endpoint_in_box(streams, rows, d, t):
     round, each block draws one normal and then two uniforms per pending
     path (run rows `rows`).  The series are evaluated only where
     `_survival_floor`, _EIGEN_FLOOR and |z| < d leave a test open (`_squeeze`).
+    A path with t = 0 does not move and draws nothing.
     """
-    z = np.empty(d.size)
-    todo = np.arange(d.size)
+    z = np.zeros(d.size)
+    todo = np.nonzero(t > 0.0)[0]
     while todo.size:
         g = streams.draw(rows[todo], _normals)
         v = streams.draw(rows[todo], lambda rng, k: rng.random((2, k)))

@@ -7,6 +7,7 @@ import pytest
 
 from rootsep import GaussianShiftFamily, cli, limit_solver, solve_limit
 from rootsep.cli import load_config, main
+from rootsep.errors import ConfigError
 
 # 10^5 paths: the library's fixed KS gate 0.01 sits under the sampling noise
 # at a few thousand paths (about 0.87 / sqrt(M) = 0.014 at 4000, where no
@@ -207,8 +208,12 @@ def test_resolved_config_echo(gauss_config, tmp_path):
     out = tmp_path / "echo"
     main(["solve", "--config", str(gauss_config), "--out", str(out)])
     resolved = load_config(out / "config.resolved.ini")
-    assert resolved.get("family", "kind") == "gaussian_shift"
-    assert resolved.getint("partition", "n0") == 2
+    assert resolved.raw == load_config(gauss_config).raw
+    assert resolved.values["family"]["kind"] == "gaussian_shift"
+    assert resolved.values["partition"]["n0"] == 2
+    assert resolved.values["simulation"]["h_sim"] == 0.01
+    assert resolved.values["simulation"]["probe_x"] == [-1.0, 0.0, 1.0]
+    assert resolved.values["simulation"]["alternative"] is False
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -281,6 +286,7 @@ def test_alternative_embedding_run(tmp_path):
     ("family", "base"), ("family", "growth_power"), ("family", "pieces"),
     ("simulation", "alt_h_sim"), ("grid", "lam"), ("grid", "binary_steps"),
     ("simulation", "horizon"), ("grid", "node_budget"), ("simulation", "alt_horizon"),
+    ("partition", "refine_dx"),
 ])
 def test_removed_keys_rejected(tmp_path, capsys, section, key):
     cfg = tmp_path / "run.ini"
@@ -312,6 +318,58 @@ def test_unparsable_values_rejected(tmp_path, capsys, setting, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "limit", "verify", "all"])
+@pytest.mark.parametrize("setting", ["paths = abc", "alternative = maybe", "probe_x = a,b",
+                                     "seed = 1e5"])
+def test_malformed_values_rejected_by_every_command(tmp_path, monkeypatch, capsys, command,
+                                                    setting):
+    # solve and limit never use these keys, but they still read every key
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was read")
+
+    monkeypatch.setattr(cli, "solve_layers", no_solve)
+    monkeypatch.setattr(cli, "solve_limit", no_solve)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_with_simulation(setting), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    key, value = setting.split(" = ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [simulation] {key}: not ") and repr(value) in err, err
+    assert not out.exists()
+
+
+# a malformed value of each schema type other than text
+MALFORMED = {cli._NUMBER: "abc", cli._INTEGER: "1.5", cli._BOOLEAN: "maybe",
+             cli._NUMBERS: "1,,2"}
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in cli._SCHEMA.items()
+    for key, (_, kind) in keys.items() if kind is not cli._TEXT])
+def test_every_typed_key_rejects_a_malformed_value(tmp_path, section, key):
+    kind = cli._SCHEMA[section][key][1]
+    bad = MALFORMED[kind]
+    lines = [ln for ln in SMALL_GAUSS.splitlines() if not ln.startswith(f"{key} =")]
+    text = "\n".join(lines).replace(f"[{section}]", f"[{section}]\n{key} = {bad}")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg)
+    assert str(exc.value) == f"[{section}] {key}: not {kind[1]}: {bad!r}"
+
+
+def test_empty_values(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_GAUSS.replace("h_sim = 0.01", "h_sim =")
+                   .replace("probe_times = 0.25,1.0", "probe_times ="), encoding="utf-8")
+    run = cli.Run(load_config(cfg))
+    assert run.sim["probe_times"] == [] and run.sim["h_sim"] is None
+    # an empty h_sim takes the solver step
+    assert run.h_sim == run.grid.dt
+    run.check_simulation()
+
+
 @pytest.mark.parametrize("config", sorted((Path(__file__).parents[1] / "configs").glob("*.ini")),
                          ids=lambda p: p.name)
 def test_shipped_config_simulation_settings(config):
@@ -336,17 +394,17 @@ def test_all_shares_stages_with_identical_artifacts(both_config, tmp_path):
 
 
 def test_partition_independence_uses_the_written_ladder(both_config, tmp_path):
-    cfg = tmp_path / "fixed_dx.ini"
-    cfg.write_text(both_config.read_text().replace("style = both",
-                                                   "style = both\nrefine_dx = false"),
-                   encoding="utf-8")
     out = tmp_path / "lim"
-    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["limit", "--config", str(both_config), "--out", str(out)]) == 0
     rows = np.loadtxt(out / "limit.csv", delimiter=",", skiprows=1)
     lattice = [np.unique(rows[:, k]) for k in range(3)]
     uniform = rows[:, 3].reshape([a.size for a in lattice])
-    geometric = solve_limit(GaussianShiftFamily(1.0), 1.25, 0.1, 2, 2, style="geometric",
-                            refine_dx=False, lattice=lattice)
+    ladder = (GaussianShiftFamily(1.0), 1.25, 0.1, 2, 2)
+    geometric = solve_limit(*ladder, style="geometric")
+    # both styles read their levels on the lattice of one coarsest grid
+    solved_uniform = solve_limit(*ladder, style="uniform")
+    for name in ("lattice_s", "lattice_t", "lattice_x"):
+        assert np.array_equal(getattr(solved_uniform, name), getattr(geometric, name)), name
     conv = json.loads((out / "convergence.json").read_text())
     indep = conv["partition_independence"]
     assert indep["sup_distance"] == float(np.abs(uniform - geometric.values).max())
@@ -433,5 +491,5 @@ def test_readme_key_block_matches_the_schema():
     assert list(documented) == list(cli._SCHEMA)
     for section, keys in cli._SCHEMA.items():
         assert list(documented[section]) == list(keys), section
-        for key, default in keys.items():
+        for key, (default, _) in keys.items():
             assert documented[section][key] == (default or ""), (section, key)

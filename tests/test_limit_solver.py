@@ -42,19 +42,14 @@ def test_constant_family_shortcut(constant_family):
     assert np.array_equal(lim.values, np.broadcast_to(U0, lim.values.shape))
 
 
-def test_pde_residual(gauss_limit, gauss_family):
-    rep = rs.pde_residual(gauss_limit, gauss_family)
+def test_pde_residual(gauss_limit):
+    rep = rs.pde_residual(gauss_limit)
     assert rep["passed"]
     per = rep["per_level"]
     assert all(b < a for a, b in zip(per, per[1:]))
     # empirical order in dx at least 1/2 under joint refinement
     rates = [np.log2(a / b) for a, b in zip(per, per[1:])]
     assert min(rates) >= 0.5
-
-
-def test_pde_residual_family_mismatch(gauss_limit):
-    with pytest.raises(ValidationError):
-        rs.pde_residual(gauss_limit, rs.ScaledFamily(0.5))
 
 
 def test_bounds_check(gauss_limit, gauss_family):

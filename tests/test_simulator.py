@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -228,6 +229,19 @@ def test_box_endpoints_follow_the_killed_density(d, t):
     assert stats.kstest(z, lambda v: _killed_cdf(np.atleast_1d(v), d, t)).pvalue > 1e-3
 
 
+def test_box_endpoint_without_time_returns():
+    # a row with t = 0 does not move; with d = 0 as well, its acceptance
+    # would be nan and reject every proposal.  The call runs on a daemon
+    # thread, so a sampler that never returns fails this test, not the suite
+    result = []
+    worker = threading.Thread(daemon=True, target=lambda: result.append(sim._endpoint_in_box(
+        sim._Streams(1, 0, 1), np.array([0, 1]), np.array([0.0, 1.0]), np.array([0.0, 0.5]))))
+    worker.start()
+    worker.join(timeout=10.0)
+    assert result, "_endpoint_in_box did not return within 10 s"
+    assert result[0][0] == 0.0 and abs(result[0][1]) < 1.0
+
+
 def test_box_steps_stop_exactly_on_the_levels(two_atom_family, two_atom_surface):
     # exits through a level edge stop on the level, at a time off the h grid
     h = 1e-3
@@ -261,8 +275,8 @@ def reference_cross_boxes(streams, rows, x, t, d, u, w):
 
 def reference_endpoint_in_box(streams, rows, d, t):
     """`_endpoint_in_box` evaluating its acceptance series on every proposal."""
-    z = np.empty(d.size)
-    todo = np.arange(d.size)
+    z = np.zeros(d.size)
+    todo = np.nonzero(t > 0.0)[0]
     while todo.size:
         g = streams.draw(rows[todo], sim._normals)
         v = streams.draw(rows[todo], lambda rng, k: rng.random((2, k)))
