@@ -7,7 +7,7 @@ the embedded laws, the potential representation, and the time-functional
 optimality.
 """
 
-from .barriers import BarrierFamily, analytic_compare, extract, ordering_check
+from .barriers import BarrierFamily, extract
 from .errors import (CheckError, ConfigError, ConvexOrderError,
                      ExtractionUnstableError, GridBudgetError, HorizonError,
                      NonConvergenceError, RootSepError, SingularityError,
@@ -22,6 +22,6 @@ from .simulator import (EmbeddingResult, MonotonePiecewisePoly, PathEnsemble,
                         alternative_embedding, empirical_potential, marginal_fit,
                         optimality_functional, simulate_root)
 from .stop_solver import (ComplementarityReport, ValueSurface, complementarity_check,
-                          solve_layers, tree_oracle)
+                          solve_layers)
 
 __version__ = "0.1.0"

@@ -168,54 +168,6 @@ def extract(surface: ValueSurface) -> BarrierFamily:
                          region_nodes=region, grid_desc=grid.descriptor())
 
 
-@dataclass
-class OrderingReport:
-    ordered: bool
-    violations: list
-
-    def __bool__(self):
-        return self.ordered
-
-
-def ordering_check(barrier_family: BarrierFamily, x_window=None) -> OrderingReport:
-    """Regions shrink with the layer index iff r_j <= r_{j+1} everywhere.
-
-    An x_window restricts the check to columns where the layer increments
-    are resolvable; far outside the support the first-hit times ride on
-    float-scale obstacle differences and carry no ordering information.
-    """
-    viol = []
-    r = barrier_family.r
-    xs = barrier_family.x_nodes
-    mask = np.ones_like(xs, dtype=bool) if x_window is None \
-        else (xs >= x_window[0]) & (xs <= x_window[1])
-    for j in range(barrier_family.n - 1):
-        a, b = r[j], r[j + 1]
-        bad = (a > b) & ~(np.isinf(a) & np.isinf(b)) & mask
-        for i in np.nonzero(bad)[0]:
-            viol.append((j + 1, float(xs[i])))
-    return OrderingReport(ordered=not viol, violations=viol)
-
-
-def analytic_compare(barrier_family: BarrierFamily, analytic, x_window=None) -> float:
-    """Sup distance between extracted and analytic barrier curves.
-
-    `analytic` maps (j, x_nodes) to barrier times; inf-vs-inf counts as 0.
-    """
-    xs = barrier_family.x_nodes
-    mask = np.ones_like(xs, dtype=bool) if x_window is None \
-        else (xs >= x_window[0]) & (xs <= x_window[1])
-    worst = 0.0
-    for j in range(1, barrier_family.n + 1):
-        ref = np.asarray(analytic(j, xs), dtype=float)
-        got = barrier_family.r[j - 1]
-        both_inf = np.isinf(ref) & np.isinf(got)
-        d = np.abs(np.where(both_inf, 0.0, got) - np.where(both_inf, 0.0, ref))
-        d = np.where(np.isnan(d), np.inf, d)
-        worst = max(worst, float(d[mask].max()))
-    return worst
-
-
 def write_barriers_csv(barrier_family: BarrierFamily, path) -> None:
     """Dump `j,s,x,r` rows; the sentinel is written as `inf`."""
     xs = _fmt_all(barrier_family.x_nodes)

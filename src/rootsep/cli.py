@@ -54,9 +54,21 @@ def _boolean(text: str) -> bool:
     raise ValueError(text)
 
 
+def _at_least(k: int) -> tuple:
+    """The schema type of an integer that is at least k."""
+    def convert(text: str) -> int:
+        v = int(text)
+        if v < k:
+            raise ValueError(text)
+        return v
+    return convert, f"an integer >= {k}"
+
+
 _TEXT = (str, "text")
 _NUMBER = (_finite, "a finite number")
 _INTEGER = (int, "an integer")
+_AT_LEAST_1 = _at_least(1)      # n0, levels
+_AT_LEAST_2 = _at_least(2)      # paths: a standard error needs two
 _BOOLEAN = (_boolean, "a boolean")
 _NUMBERS = (lambda v: [_finite(p) for p in v.split(",")] if v else [],
             "a comma-separated list of finite numbers")
@@ -67,9 +79,9 @@ _SCHEMA = {
     "family": {"kind": (None, _TEXT), "t0": ("1.0", _NUMBER), "s0": ("0.0", _NUMBER),
                "p0": ("0.1", _NUMBER), "p1": ("0.3", _NUMBER), "path": ("", _TEXT)},
     "grid": {"t_horizon": (None, _NUMBER), "dx": (None, _NUMBER)},
-    "partition": {"n0": ("4", _INTEGER), "levels": ("2", _INTEGER),
+    "partition": {"n0": ("4", _AT_LEAST_1), "levels": ("2", _AT_LEAST_1),
                   "style": ("uniform", _TEXT)},
-    "simulation": {"paths": ("100000", _INTEGER), "h_sim": ("", _NUMBER),
+    "simulation": {"paths": ("100000", _AT_LEAST_2), "h_sim": ("", _NUMBER),
                    "seed": ("20260811", _INTEGER),
                    "probe_times": ("0.25,0.5,1.0", _NUMBERS),
                    "probe_x": ("-1.0,0.0,1.0", _NUMBERS),
@@ -198,14 +210,12 @@ class Run:
 
     def check_simulation(self) -> None:
         """Reject the simulation settings that need the grid, or that the
-        simulators would refuse only after the solve: no paths, a step that
-        is not positive or is coarser than the solver's, probe times off the
+        simulators would refuse only after the solve: a step that is not
+        positive or is coarser than the solver's, probe times off the
         solver's or the h_sim grid or beyond its horizon, and probe points
         off the solver's x-grid.  `load_config` has already read every value
-        as its type."""
+        as its type, within its bounds."""
         grid, h_sim, probe_t = self.grid, self.h_sim, self.sim["probe_times"]
-        if self.sim["paths"] < 1:
-            raise ConfigError("paths must be at least 1")
         if not h_sim > 0:
             raise ConfigError(f"h_sim={h_sim} must be positive")
         if h_sim > grid.dt + 1e-15:

@@ -8,8 +8,8 @@ non-decreasing in convex order is given through
 which is concave, 1-Lipschitz in x, and pointwise non-increasing in s.
 A family kind defines `law`, `potential_ds` and `descriptor`.  `law(s)`
 describes mu_s as atoms plus a centred Gaussian part, and every kind here
-is all Gaussian or all atomic; the potential, support radius, CDF, call
-price, Gaussian floor and initial sampling derive from it in closed form,
+is all Gaussian or all atomic; the potential, support radius, CDF,
+Gaussian floor and initial sampling derive from it in closed form,
 as do the grid's damping default, the solver's kink guard and off-grid
 rule, and the simulator's fit metric.  Operations are pure, families
 immutable, and sampling takes an explicit (seed, stream) pair so parallel
@@ -123,8 +123,8 @@ class MarginalFamily:
     """Interface shared by all family kinds.  Values are immutable.
 
     A kind defines law, potential_ds and descriptor; the potential, support
-    radius, CDF, call price, Gaussian floor and initial sampling are derived
-    from the law.
+    radius, CDF, Gaussian floor and initial sampling are derived from the
+    law.
     """
 
     kind = "abstract"
@@ -165,11 +165,6 @@ class MarginalFamily:
         if law.normal_mass:
             out = out + law.normal_mass * ndtr(x / math.sqrt(law.normal_var))
         return out
-
-    def call_price(self, s: float, x) -> np.ndarray:
-        """E (Y - x)+ for Y ~ mu_s; equals -(potential + x)/2 for centred laws."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return -(self.potential(s, x) + x) / 2.0
 
     def initial_gaussian_floor(self, t: float, x) -> np.ndarray:
         """Potential of mu_0 * N(0, t), the Jensen floor for running values.
@@ -355,11 +350,10 @@ class ConvexOrderReport:
         return self.passed
 
 
-def convex_order_validate(family: MarginalFamily, s_probes=None) -> ConvexOrderReport:
-    """Check that s -> potential(s, x) is non-increasing on a probe grid:
-    41 x values across the support of mu_1, CONVEX_TOL slack."""
-    if s_probes is None:
-        s_probes = np.linspace(0.0, 1.0, 21)
+def convex_order_validate(family: MarginalFamily, s_probes) -> ConvexOrderReport:
+    """Check that s -> potential(s, x) is non-increasing from each of the
+    increasing s_probes to the next: 41 x values across the support of
+    mu_1, CONVEX_TOL slack."""
     r = max(family.support_radius(1.0), 1.0)
     x_probes = np.linspace(-r, r, 41)
     s_probes = np.asarray(s_probes, dtype=float)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyint, polyval
@@ -141,7 +141,6 @@ def _run_blocks(run, M: int, seed: int, threads: int) -> None:
 
 def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
                   M: int, h_sim: float, seed: int, *,
-                  horizon: Optional[float] = None,
                   snapshot_times: Sequence[float] = (),
                   threads: int = 1) -> PathEnsemble:
     """Realize the barrier-hitting stopping times on M simulated paths.
@@ -166,27 +165,26 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
       values move by at most SHELL * dx and stop times by the time the
       boundary takes to cross that distance, so O(SHELL * dx) in every
       stopped law; the other stops are exact.
-    Windows also end at every snapshot time and at the horizon, and last at
-    most d^2 for a box of radius d.  At each stop the next layers are
-    tried, in increasing order, at the same point, so sigma_1 <= ... <=
-    sigma_n.  The snapshot at time t is B_(t ^ sigma_n): the running
-    position, or B_sigma_n for a path that stopped by t.
+    Windows also end at every snapshot time and at the horizon T of the
+    grid the barriers came from, and last at most d^2 for a box of radius
+    d.  At each stop the next layers are tried, in increasing order, at
+    the same point, so sigma_1 <= ... <= sigma_n.  The snapshot at time t
+    is B_(t ^ sigma_n): the running position, or B_sigma_n for a path that
+    stopped by t.
 
     h_sim sets only the snapshot grid: requested times must be multiples of
     it, and times requested for the same multiple share one snapshot, keyed
     by the first of them.  It is kept with the ensemble, for the
     verification allowances, and may not exceed the solver time step the
-    barriers came from.  Requires M >= 1, a positive horizon and snapshot
-    times in [0, horizon].  Raises HorizonError when more than the tolerated
-    fraction of paths fails to complete all stops before the horizon.
+    barriers came from.  Requires M >= 1 and snapshot times in [0, T].
+    Raises HorizonError when more than the tolerated fraction of paths fails
+    to complete all stops before T.
     """
     grid_dt = float(barrier_family.grid_desc["dt"])
     if not 0.0 < h_sim <= grid_dt + 1e-15:
         raise ValidationError(f"h_sim={h_sim} must be positive and at most the solver "
                               f"step {grid_dt}")
-    T = float(barrier_family.grid_desc["T"]) if horizon is None else float(horizon)
-    if not T > 0.0:
-        raise ValidationError(f"horizon={T} must be positive")
+    T = float(barrier_family.grid_desc["T"])
     if M < 1:
         raise ValidationError(f"M={M} paths; need at least 1")
     requested = np.asarray(snapshot_times, dtype=float).ravel()

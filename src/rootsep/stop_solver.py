@@ -306,6 +306,7 @@ class ScanKernel:
 
     def __init__(self, grid: SpaceTimeGrid, resid_mask: np.ndarray, tol: float):
         self.grid, self.resid_mask, self.tol = grid, resid_mask, tol
+        self.xs = grid.x_nodes()
         self.m_min = max(1, int(math.ceil(INTERIOR_T_FRACTION * grid.nt)))
         self.resid_nodes = int(resid_mask.sum())
         self.guard_cols = None if resid_mask.all() else ~resid_mask
@@ -391,7 +392,7 @@ class ScanKernel:
             m, col = divmod(i, pde.shape[1])
             st.pde_max = float(pde.flat[i])
             # the node's (t, x) as t_nodes and x_nodes build them
-            st.pde_loc = ((c + m) * dt, (col + 1 - self.grid.nx // 2) * dx)
+            st.pde_loc = ((c + m) * dt, float(self.xs[col + 1]))
 
 
 def _stack_scans(scans: list, nt: int):
@@ -442,67 +443,3 @@ def complementarity_check(surface: ValueSurface) -> ComplementarityReport:
                                  frac_both_exceed=both / total if total else 0.0,
                                  max_min_residual=max_minres,
                                  tol=surface.tol, per_layer=per_layer)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive tree oracle
-
-_RULE_COUNT_CAP_DEPTH = 5
-
-
-def rule_count(depth: int) -> int:
-    """Number of adapted stopping rules on a binary tree: S(d) = 1 + S(d-1)^2."""
-    c = 1
-    for _ in range(depth):
-        c = 1 + c * c
-    return c
-
-
-def tree_oracle(family: MarginalFamily, partition: Partition, depth: int,
-                dx: float, x0: float = 0.0):
-    """Independent oracle: enumerate every adapted stopping rule on the
-    non-recombining +-dx walk and take the best expected payoff.
-
-    Returns the per-layer values at (s_j, t = depth * dt, x0), j = 0..n.
-    Layer j treats the exhaustively-maximized layer j-1 values as payoff
-    data, mirroring the layered problem definition rather than the solver's
-    sweep, and every rule's value is materialized before the max.
-    """
-    if partition.n > 2:
-        raise ValidationError("tree oracle supports at most two marginal layers")
-    if depth > _RULE_COUNT_CAP_DEPTH:
-        raise GridBudgetError(
-            f"depth {depth} enumerates {rule_count(depth)} rules per node; cap is "
-            f"{_RULE_COUNT_CAP_DEPTH} ({rule_count(_RULE_COUNT_CAP_DEPTH)} rules)")
-    svals = partition.points
-    n = partition.n
-
-    def pot(s, x):
-        return float(family.potential(float(s), np.array([x]))[0])
-
-    du = {j: (lambda x, j=j: pot(svals[j], x) - pot(svals[j - 1], x)) for j in range(1, n + 1)}
-
-    value_memo: dict = {}
-
-    def value(j: int, m: int, x: float) -> float:
-        key = (j, m, round((x - x0) / dx))
-        if key in value_memo:
-            return value_memo[key]
-        if j == 0:
-            out = pot(svals[0], x)
-        else:
-            out = float(np.max(rule_values(j, m, x)))
-        value_memo[key] = out
-        return out
-
-    def rule_values(j: int, m: int, x: float) -> np.ndarray:
-        stop = value(j - 1, m, x) + (du[j](x) if m > 0 else 0.0)
-        if m == 0:
-            return np.array([stop])
-        left = rule_values(j, m - 1, x - dx)
-        right = rule_values(j, m - 1, x + dx)
-        cont = 0.5 * (left[:, None] + right[None, :]).ravel()
-        return np.concatenate([[stop], cont])
-
-    return [value(j, depth, x0) for j in range(n + 1)]
-

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import rootsep as rs
+from oracles import ordering_check, tree_oracle
 from rootsep.barriers import BarrierFamily
 from rootsep.cli import main
 from rootsep.marginals import gaussian_potential
@@ -73,7 +74,7 @@ def root_ensemble():
                             r=np.ones((1, xs.size)), flagged=np.zeros(1, dtype=int),
                             region_nodes=np.ones(1, dtype=int),
                             grid_desc={"dt": h, "T": 1.5, "dx": 0.05, "L": 10.0})
-    return fam, rs.simulate_root(fam, barrier, 100_000, h, SEED, horizon=1.5)
+    return fam, rs.simulate_root(fam, barrier, 100_000, h, SEED)
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +274,7 @@ def test_criterion_10_tree_oracle(gauss_family):
         for depth in (1, 3, 5):
             grid = rs.SpaceTimeGrid(T=depth * dx * dx, dt=dx * dx, L=8.0, dx=dx)
             surf = rs.solve_layers(gauss_family, part, grid)
-            vals = rs.tree_oracle(gauss_family, part, depth, dx)
+            vals = tree_oracle(gauss_family, part, depth, dx)
             for j in range(n + 1):
                 worst = max(worst, abs(vals[j] - surf.value_at(j, grid.T, 0.0)))
     assert worst <= 1e-12
@@ -285,9 +286,9 @@ def test_criterion_11_ordered_barriers(gauss_fine, gauss_mc, three_point_run):
     # coarse partition: ordered over the whole domain; fine partition:
     # ordered wherever the layer increments are numerically resolvable
     _, _, ens = gauss_mc
-    assert rs.ordering_check(_barrier_of(gauss_mc)).ordered
+    assert ordering_check(_barrier_of(gauss_mc)).ordered
     _, barrier = gauss_fine
-    assert rs.ordering_check(barrier, x_window=(-3.0, 3.0)).ordered
+    assert ordering_check(barrier, x_window=(-3.0, 3.0)).ordered
     _, _, b3, _ = three_point_run
     i0 = int(np.argmin(np.abs(b3.x_nodes)))
     r0 = b3.r[:, i0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rootsep as rs
+from oracles import analytic_compare, ordering_check
 from rootsep.barriers import BarrierFamily
 from rootsep.errors import ExtractionUnstableError
 
@@ -72,7 +73,7 @@ def test_flag_fraction_gate(gauss_surface_small):
 # ordering
 
 def test_gaussian_ordered(gauss_barriers):
-    assert rs.ordering_check(gauss_barriers).ordered
+    assert ordering_check(gauss_barriers).ordered
 
 
 def test_three_point_zero_column_increasing(three_point_family):
@@ -84,11 +85,11 @@ def test_three_point_zero_column_increasing(three_point_family):
     r0 = b.r[:, i0]
     assert np.all(np.isfinite(r0))
     assert np.all(np.diff(r0) > 0)
-    assert rs.ordering_check(b).ordered
+    assert ordering_check(b).ordered
 
 
 def test_single_layer_vacuously_ordered(two_atom_surface):
-    assert rs.ordering_check(rs.extract(two_atom_surface)).ordered
+    assert ordering_check(rs.extract(two_atom_surface)).ordered
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_analytic_compare_gaussian(gauss_barriers, gauss_surface_small):
     def vertical(j, xs):
         return np.full_like(xs, part.points[j])
 
-    dist = rs.analytic_compare(gauss_barriers, vertical, x_window=(-3.0, 3.0))
+    dist = analytic_compare(gauss_barriers, vertical, x_window=(-3.0, 3.0))
     assert dist <= 5 * dt
 
 
@@ -111,14 +112,14 @@ def test_analytic_compare_two_atom(two_atom_surface):
     def exact(j, xs):
         return np.where(np.abs(xs) >= 1.0, 0.0, np.inf)
 
-    assert rs.analytic_compare(b, exact) == 0.0
+    assert analytic_compare(b, exact) == 0.0
 
 
 def test_analytic_compare_identity(gauss_barriers):
     def same(j, xs):
         return gauss_barriers.r[j - 1]
 
-    assert rs.analytic_compare(gauss_barriers, same) == 0.0
+    assert analytic_compare(gauss_barriers, same) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -224,13 +224,18 @@ def test_threads_below_one_rejected(gauss_config, tmp_path, threads):
     assert not out.exists()
 
 
-def _with_simulation(settings: str) -> str:
+def _with_settings(settings: str) -> str:
     """SMALL_GAUSS with each `key = value` of settings ("; "-separated)
-    replacing that key in [simulation], or added to it."""
+    replacing that key where it stands, or added to [simulation], the last
+    section."""
     lines = SMALL_GAUSS.splitlines()
     for setting in settings.split("; "):
         key = setting.split(" = ")[0]
-        lines = [ln for ln in lines if not ln.startswith(f"{key} =")] + [setting]
+        at = [i for i, ln in enumerate(lines) if ln.startswith(f"{key} =")]
+        if at:
+            lines[at[0]] = setting
+        else:
+            lines.append(setting)
     return "\n".join(lines) + "\n"
 
 
@@ -256,7 +261,7 @@ def test_simulation_inputs_rejected_before_solve(tmp_path, monkeypatch, capsys, 
     monkeypatch.setattr(cli, "solve_layers", no_solve)
     monkeypatch.setattr(cli, "solve_limit", no_solve)
     cfg = tmp_path / "run.ini"
-    cfg.write_text(_with_simulation(simulation), encoding="utf-8")
+    cfg.write_text(_with_settings(simulation), encoding="utf-8")
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -265,7 +270,7 @@ def test_simulation_inputs_rejected_before_solve(tmp_path, monkeypatch, capsys, 
 
 def test_alternative_embedding_run(tmp_path):
     cfg = tmp_path / "run.ini"
-    cfg.write_text(_with_simulation("alternative = true"), encoding="utf-8")
+    cfg.write_text(_with_settings("alternative = true"), encoding="utf-8")
     outs = [tmp_path / f"threads{n}" for n in (1, 2)]
     for out, threads in zip(outs, ("1", "2")):
         assert main(["verify", "--config", str(cfg), "--out", str(out),
@@ -320,28 +325,32 @@ def test_unparsable_values_rejected(tmp_path, capsys, setting, bad):
 
 @pytest.mark.parametrize("command", ["solve", "limit", "verify", "all"])
 @pytest.mark.parametrize("setting", ["paths = abc", "alternative = maybe", "probe_x = a,b",
-                                     "seed = 1e5"])
+                                     "seed = 1e5", "levels = 0", "n0 = 0", "paths = 0",
+                                     "paths = 1"])
 def test_malformed_values_rejected_by_every_command(tmp_path, monkeypatch, capsys, command,
                                                     setting):
-    # solve and limit never use these keys, but they still read every key
+    # a command reads every key, also those it never uses, and every count
+    # within its bound
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the config was read")
 
     monkeypatch.setattr(cli, "solve_layers", no_solve)
     monkeypatch.setattr(cli, "solve_limit", no_solve)
     cfg = tmp_path / "run.ini"
-    cfg.write_text(_with_simulation(setting), encoding="utf-8")
+    cfg.write_text(_with_settings(setting), encoding="utf-8")
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     key, value = setting.split(" = ")
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: [simulation] {key}: not ") and repr(value) in err, err
+    section = next(s for s, keys in cli._SCHEMA.items() if key in keys)
+    what = cli._SCHEMA[section][key][1][1]
+    assert capsys.readouterr().err == f"error: [{section}] {key}: not {what}: {value!r}\n"
     assert not out.exists()
 
 
-# a malformed value of each schema type other than text
-MALFORMED = {cli._NUMBER: "abc", cli._INTEGER: "1.5", cli._BOOLEAN: "maybe",
-             cli._NUMBERS: "1,,2"}
+# malformed values of each schema type other than text; a count also gets
+# one below its bound
+MALFORMED = {cli._NUMBER: ("abc",), cli._INTEGER: ("1.5",), cli._AT_LEAST_1: ("1.5", "0"),
+             cli._AT_LEAST_2: ("1.5", "1"), cli._BOOLEAN: ("maybe",), cli._NUMBERS: ("1,,2",)}
 
 
 @pytest.mark.parametrize("section, key", [
@@ -349,14 +358,14 @@ MALFORMED = {cli._NUMBER: "abc", cli._INTEGER: "1.5", cli._BOOLEAN: "maybe",
     for key, (_, kind) in keys.items() if kind is not cli._TEXT])
 def test_every_typed_key_rejects_a_malformed_value(tmp_path, section, key):
     kind = cli._SCHEMA[section][key][1]
-    bad = MALFORMED[kind]
     lines = [ln for ln in SMALL_GAUSS.splitlines() if not ln.startswith(f"{key} =")]
-    text = "\n".join(lines).replace(f"[{section}]", f"[{section}]\n{key} = {bad}")
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(text, encoding="utf-8")
-    with pytest.raises(ConfigError) as exc:
-        load_config(cfg)
-    assert str(exc.value) == f"[{section}] {key}: not {kind[1]}: {bad!r}"
+    for bad in MALFORMED[kind]:
+        text = "\n".join(lines).replace(f"[{section}]", f"[{section}]\n{key} = {bad}")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(cfg)
+        assert str(exc.value) == f"[{section}] {key}: not {kind[1]}: {bad!r}"
 
 
 def test_empty_values(tmp_path):

@@ -441,12 +441,11 @@ def test_h_sim_gate(gauss_family, gauss_run):
         rs.simulate_root(gauss_family, barrier, 100, 1.0, seed=1)
 
 
-@pytest.mark.parametrize("h_sim, horizon", [(0.0, None), (-1e-3, None), (1e-3, -1.0)],
-                         ids=["h_sim zero", "h_sim negative", "horizon negative"])
-def test_non_positive_monitoring_rejected(h_sim, horizon):
+@pytest.mark.parametrize("h_sim", [0.0, -1e-3], ids=["h_sim zero", "h_sim negative"])
+def test_non_positive_monitoring_rejected(h_sim):
     barrier = analytic_vertical_barrier(0.3, 1e-3, 1.0)
     with pytest.raises(ValidationError):
-        rs.simulate_root(rs.ScaledFamily(0.0), barrier, 100, h_sim, seed=1, horizon=horizon)
+        rs.simulate_root(rs.ScaledFamily(0.0), barrier, 100, h_sim, seed=1)
 
 
 def test_snapshot_read_at_its_monitored_step():
@@ -477,10 +476,11 @@ def test_empty_alternative_ensemble_rejected():
         rs.alternative_embedding(0, seed=1)
 
 
-def test_censoring_error(two_atom_family, two_atom_surface):
-    barrier = rs.extract(two_atom_surface)
-    with pytest.raises(HorizonError, match="Root embedding: .* censored at T=0.5"):
-        rs.simulate_root(two_atom_family, barrier, 5000, 1e-3, seed=1, horizon=0.5)
+def test_censoring_error(two_atom_family):
+    grid = rs.make_grid(two_atom_family, 0.5, 0.1)
+    surface = rs.solve_layers(two_atom_family, rs.make_partition(1, "uniform"), grid)
+    with pytest.raises(HorizonError, match=f"Root embedding: .* censored at T={grid.T}"):
+        rs.simulate_root(two_atom_family, rs.extract(surface), 5000, 1e-3, seed=1)
 
 
 # ---------------------------------------------------------------------------

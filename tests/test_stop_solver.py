@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import rootsep as rs
+from oracles import rule_count, tree_oracle
 from rootsep.errors import ConvexOrderError, GridBudgetError, ValidationError
 from rootsep.marginals import gaussian_potential, make_stream
 from rootsep.stop_solver import (CHUNK_ROWS, SENTINEL, LayerStats, grid_atoms, rescan,
-                                 rule_count, scheme_tolerance)
+                                 scheme_tolerance)
 from rootsep.tolerances import INTERIOR_T_FRACTION, KINK_GUARD
 
 SQRT_3_OVER_PI = math.sqrt(3.0 / math.pi)
@@ -374,31 +375,31 @@ def test_tree_oracle_matches_solver(gauss_family, n, depth):
     dx = 0.5
     grid = rs.SpaceTimeGrid(T=max(depth, 1) * dx * dx, dt=dx * dx, L=8.0, dx=dx)
     surf = rs.solve_layers(gauss_family, part, grid)
-    vals = rs.tree_oracle(gauss_family, part, depth, dx)
+    vals = tree_oracle(gauss_family, part, depth, dx)
     for j in range(n + 1):
         assert abs(vals[j] - surf.value_at(j, depth * dx * dx, 0.0)) <= 1e-12
 
 
 def test_tree_oracle_two_atom_by_hand(two_atom_family):
     part = rs.make_partition(1, "uniform")
-    vals = rs.tree_oracle(two_atom_family, part, 1, 1.0)
+    vals = tree_oracle(two_atom_family, part, 1, 1.0)
     # stop now: U(0,0) + dU(0) = -1; continue: (U(0,1) + U(0,-1))/2 = -1
     assert vals[1] == -1.0
-    assert rs.tree_oracle(two_atom_family, part, 0, 1.0)[1] == 0.0  # forced stop, no bonus
+    assert tree_oracle(two_atom_family, part, 0, 1.0)[1] == 0.0  # forced stop, no bonus
 
 
 def test_tree_oracle_depth_zero_is_initial(gauss_family):
     part = rs.make_partition(1, "uniform")
-    vals = rs.tree_oracle(gauss_family, part, 0, 0.3, x0=0.9)
+    vals = tree_oracle(gauss_family, part, 0, 0.3, x0=0.9)
     assert vals[1] == pytest.approx(gauss_family.potential(0.0, 0.9), abs=1e-15)
 
 
 def test_tree_oracle_resource_limits(gauss_family):
     part = rs.make_partition(1, "uniform")
     with pytest.raises(GridBudgetError):
-        rs.tree_oracle(gauss_family, part, 6, 0.5)
+        tree_oracle(gauss_family, part, 6, 0.5)
     with pytest.raises(ValidationError):
-        rs.tree_oracle(gauss_family, rs.make_partition(3, "uniform"), 2, 0.5)
+        tree_oracle(gauss_family, rs.make_partition(3, "uniform"), 2, 0.5)
 
 
 # ---------------------------------------------------------------------------
