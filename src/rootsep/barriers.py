@@ -114,24 +114,25 @@ class BarrierFamily:
         return self.node_min(j, np.floor(self.cell_position(x_lo)).astype(np.int64),
                              np.ceil(self.cell_position(x_hi)).astype(np.int64))
 
-    def lookup(self, j, x) -> np.ndarray:
+    def lookup(self, j, x, pos=None) -> np.ndarray:
         """Barrier time at arbitrary x for layer j (1-based; an array gives
-        one layer per point).
+        one layer per point).  `pos`, when given, is cell_position(x).
 
         Linear interpolation between nodes.  A cell with an infinite endpoint
         interpolates to effectively +inf, so only its finite node can stop a
         path there: a level, such as an atom of the target, that a
         continuous path reaches exactly.
         """
-        pos = self.cell_position(x)
+        if pos is None:
+            pos = self.cell_position(x)
         i0 = pos.astype(np.int64)
-        pos -= i0                                       # weight of node i0 + 1
+        frac = pos - i0                                 # weight of node i0 + 1
         i0 += (np.asarray(j) - 1) * self._levels * self.r.shape[1]
         r0 = np.take(self._table, i0)
         i0 += 1
         out = np.take(self._table, i0)
         out -= r0
-        out *= pos
+        out *= frac
         out += r0
         return out
 

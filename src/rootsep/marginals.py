@@ -25,9 +25,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConvexOrderError, SingularityError, ValidationError
+from .special import ndtr
 from .tolerances import CONVEX_TOL
 
 TAIL_MASS = 1e-6          # quantile level defining support_radius
@@ -35,7 +35,7 @@ WEIGHT_TOL = 1e-12        # atomic weight-sum tolerance (direct construction)
 CSV_WEIGHT_TOL = 1e-9     # weight-sum gate for file input
 MEAN_TOL = 1e-12          # centering tolerance
 
-_NORMAL_RADIUS = float(ndtri(1.0 - TAIL_MASS))   # ~4.7534
+_NORMAL_RADIUS = 4.753424308817087     # the standard normal quantile at 1 - TAIL_MASS
 
 
 def _norm_pdf(z):

@@ -29,12 +29,12 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyint, polyval
-from scipy.special import erfc
 
 from .barriers import BarrierFamily
 from .errors import HorizonError, ValidationError
 from .grid import lattice_index
 from .marginals import MarginalFamily, make_stream
+from .special import erfc_big, erfc_small
 from .tolerances import CENSOR_FRACTION, LATTICE_TOL
 
 BLOCK_SIZE = 1 << 14
@@ -176,7 +176,8 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     it, and times requested for the same multiple share one snapshot, keyed
     by the first of them.  It is kept with the ensemble, for the
     verification allowances, and may not exceed the solver time step the
-    barriers came from.  Requires M >= 1 and snapshot times in [0, T].
+    barriers came from.  Requires M >= 2 (a standard error needs two paths)
+    and snapshot times in [0, T].
     Raises HorizonError when more than the tolerated fraction of paths fails
     to complete all stops before T.
     """
@@ -185,8 +186,8 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
         raise ValidationError(f"h_sim={h_sim} must be positive and at most the solver "
                               f"step {grid_dt}")
     T = float(barrier_family.grid_desc["T"])
-    if M < 1:
-        raise ValidationError(f"M={M} paths; need at least 1")
+    if M < 2:
+        raise ValidationError(f"M={M} paths; a standard error needs at least 2")
     requested = np.asarray(snapshot_times, dtype=float).ravel()
     # one snapshot per multiple of h_sim, under the first time requested for it
     snap_steps, first = np.unique(lattice_index(requested, h_sim, 0.0, round(T / h_sim),
@@ -203,59 +204,63 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     snaps = np.empty((len(snap_times), M))
 
     def run_paths(streams, lo, hi):
-        bs = hi - lo
-        every = np.arange(bs)
-        x = np.asarray(streams.draw(every, family.sample_initial_rng), dtype=float)
+        # live paths, compacted once per step: run rows (sorted, as the streams
+        # need them), positions, cell positions, clocks, layers, barrier times
+        rows = np.arange(hi - lo)
+        x = np.asarray(streams.draw(rows, family.sample_initial_rng), dtype=float)
         x0[lo:hi] = x
         sg = sigma[:, lo:hi]
         bg = b_sigma[:, lo:hi]
         snap = snaps[:, lo:hi]
-        t = np.zeros(bs)
-        j_cur = np.ones(bs, dtype=np.int64)
+        pos = barrier_family.cell_position(x)
+        t = np.zeros(rows.size)
+        j = np.ones(rows.size, dtype=np.int64)
+        r = np.empty(rows.size)
 
-        def stop(rows):
-            sg[j_cur[rows], rows] = t[rows]
-            bg[j_cur[rows], rows] = x[rows]
-            j_cur[rows] += 1
+        def stop(k):
+            sg[j[k], rows[k]] = t[k]
+            bg[j[k], rows[k]] = x[k]
+            j[k] += 1
 
-        def settle(rows):
-            # stop paths `rows` in every next layer whose region holds (t, x)
-            while rows.size:
-                rows = rows[j_cur[rows] <= n]
-                rows = rows[barrier_family.lookup(j_cur[rows], x[rows]) <= t[rows] + 1e-12]
-                stop(rows)
+        def settle(k):
+            # stop paths k in every next layer whose region holds (t, x)
+            while k.size:
+                k = k[j[k] <= n]
+                r[k] = barrier_family.lookup(j[k], x[k], pos=pos[k])
+                k = k[r[k] <= t[k] + 1e-12]
+                stop(k)
 
-        def record(rows):
+        def record(k):
             # running positions of paths whose window ended at a snapshot time
-            slot = np.minimum(np.searchsorted(snap_at, t[rows]), snap_at.size - 1)
-            on = np.nonzero(snap_at[slot] == t[rows])[0]
-            snap[slot[on], rows[on]] = x[rows[on]]
+            slot = np.minimum(np.searchsorted(snap_at, t[k]), snap_at.size - 1)
+            on = np.nonzero(snap_at[slot] == t[k])[0]
+            snap[slot[on], rows[k[on]]] = x[k[on]]
 
+        every = np.arange(rows.size)
         settle(every)               # initial atoms already inside a region stop at t = 0
         if snap_at.size:
             record(every)
 
         while True:
-            rows = np.nonzero((j_cur <= n) & (t < T))[0]
-            if rows.size == 0:
+            live = np.nonzero((j <= n) & (t < T))[0]
+            if live.size == 0:
                 break
-            limit = bounds[np.searchsorted(bounds, t[rows], side="right")]
-            d, u, w, shell = _box(barrier_family, j_cur[rows], x[rows], t[rows], limit)
-            near = ~np.isnan(shell)
-            if near.any():
+            rows, x, pos, t, j, r = rows[live], x[live], pos[live], t[live], j[live], r[live]
+            limit = bounds[np.searchsorted(bounds, t, side="right")]
+            d, u, w, shell = _box(barrier_family, j, x, pos, r, t, limit)
+            free = np.isnan(shell)
+            go, near = np.nonzero(free)[0], np.nonzero(~free)[0]
+            if near.size:
                 # inside the shell: stop on the moving boundary
-                end = rows[near]
-                x[end] = shell[near]
-                stop(end)
-                settle(end)
-            go = ~near
-            rows = rows[go]
-            x[rows], t[rows] = _cross_boxes(streams, rows, x[rows], t[rows],
-                                            d[go], u[go], w[go])
-            x[rows] = _onto_nodes(barrier_family, x[rows])
-            settle(rows)
+                x[near] = shell[near]
+                pos[near] = barrier_family.cell_position(x[near])
+                stop(near)
+                settle(near)
+            x[go], t[go] = _cross_boxes(streams, rows[go], x[go], t[go], d[go], u[go], w[go])
+            x[go], pos[go] = _onto_nodes(barrier_family, x[go])
+            settle(go)
             if snap_at.size:
-                record(rows)
+                record(go)
         # B_(t ^ sigma_n): a path stopped by a snapshot time keeps its stop value
         snap[:] = np.where(sg[n] <= snap_at[:, None] + 1e-12, bg[n], snap)
 
@@ -271,10 +276,16 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
 
 
 def _onto_nodes(barrier_family: BarrierFamily, x):
-    """x, with every position within LATTICE_TOL of a grid node put on it."""
+    """x, with every position within LATTICE_TOL of a grid node put on it,
+    and the cell positions of the result."""
     nodes = barrier_family.x_nodes
-    near = nodes[np.rint(barrier_family.cell_position(x)).astype(np.int64)]
-    return np.where(np.abs(x - near) <= LATTICE_TOL, near, x)
+    pos = barrier_family.cell_position(x)
+    i = np.rint(pos)
+    near = nodes[i.astype(np.int64)]
+    on = np.abs(x - near) <= LATTICE_TOL
+    # a node's cell position is its index, clipped as `cell_position` clips
+    return (np.where(on, near, x),
+            np.where(on, np.minimum(i, nodes.size - 1.000001), pos))
 
 
 def _reach(barrier_family, j, pos, w, cap, s):
@@ -332,24 +343,23 @@ def _window(full, rate, r_e, t):
     return np.where(t + full * full <= r_e, full * full, root)
 
 
-def _box(barrier_family, j, x, t, limit):
-    """Radius d, window length u and end w of the box of each path, in its
-    layer j.
+def _box(barrier_family, j, x, pos, r, t, limit):
+    """Radius d, window length u and end w of the box of each path, at x
+    (cell position pos) in its layer j, whose barrier time there is r.
 
-    The window ends at most at w_c, the earlier of `limit` and the path's
-    own first hit.  The first screen reads `range_min` over the box of
-    radius 4 sqrt(w_c - t): when the nodes touching it are first hit at
-    some w after t, the box narrowed to 4 sqrt(w - t) is free until w (w_c
-    at best), its window ends there and the path leaves early only with
-    probability P(tau_1 < 1/16) = 1.3e-4.  Otherwise the region is already
+    The window ends at most at w_c, the earlier of `limit` and r.  The
+    first screen reads `range_min` over the box of radius 4 sqrt(w_c - t):
+    when the nodes touching it are first hit at some w after t, the box
+    narrowed to 4 sqrt(w - t) is free until w (w_c at best), its window
+    ends there and the path leaves early only with probability
+    P(tau_1 < 1/16) = 1.3e-4.  Otherwise the region is already
     at the box: `_reach` scans both sides for a window ending by w_c, the
     window is the longest that both reaches support, and the radius the
     smaller reach at its end.  Paths within SHELL * dx of a moving boundary
     get its position now in `shell` (nan elsewhere) and take no box.
     """
     dx = float(barrier_family.grid_desc["dx"])
-    pos = barrier_family.cell_position(x)
-    w_c = np.minimum(limit, barrier_family.lookup(j, x))
+    w_c = np.minimum(limit, r)
     d = 4.0 * np.sqrt(w_c - t)
     # that box, narrowed to 4 sqrt(w - t), touches no node hit before w
     w = np.minimum(w_c, barrier_family.range_min(j, x - d, x + d))
@@ -390,13 +400,14 @@ def _cross_boxes(streams, rows, x, t, d, u, w):
     """
     v = streams.draw(rows, lambda rng, k: rng.random((2, k)))
     r = u / (d * d)
-    left = _squeeze(v[0], 0.0, _exit_ceiling(r), exit_time_cdf, r)
-    tau = d[left] ** 2 * exit_time_quantile(v[0, left])
+    leave = _squeeze(v[0], 0.0, _exit_ceiling(r), exit_time_cdf, r)
+    left, stay = np.flatnonzero(leave), np.flatnonzero(~leave)   # faster to reuse than masks
+    dl = d[left]
+    tau = dl ** 2 * exit_time_quantile(v[0, left])
     new_t = w.copy()
     new_t[left] = np.minimum(t[left] + tau, w[left])
     new_x = np.empty_like(x)
-    new_x[left] = x[left] + np.where(v[1, left] < 0.5, -d[left], d[left])
-    stay = ~left
+    new_x[left] = x[left] + np.where(v[1, left] < 0.5, -dl, dl)
     new_x[stay] = x[stay] + _endpoint_in_box(streams, rows[stay], d[stay], u[stay])
     return new_x, new_t
 
@@ -407,7 +418,8 @@ def _squeeze(v, floor, ceiling, exact, *args):
     without `exact` (Devroye's squeeze), which runs row-wise on the rest."""
     out = v < floor
     open_ = np.nonzero(~out & (v < ceiling))[0]
-    out[open_] = v[open_] < exact(*(a[open_] for a in args))
+    if open_.size:
+        out[open_] = v[open_] < exact(*(a[open_] for a in args))
     return out
 
 
@@ -493,18 +505,20 @@ def _endpoint_in_box(streams, rows, d, t):
         v = streams.draw(rows[todo], lambda rng, k: rng.random((2, k)))
         dd, tt = d[todo], t[todo]
         prop, ok = np.sqrt(tt) * g, np.empty(todo.size, dtype=bool)
-        short = tt < _EIGEN_FROM * dd * dd
+        below = tt < _EIGEN_FROM * dd * dd
+        short, long = np.flatnonzero(below), np.flatnonzero(~below)
         zs, ds, ts = prop[short], dd[short], tt[short]
         ok[short] = _squeeze(v[1, short], _survival_floor(zs, ds, ts),
                              np.where(np.abs(zs) < ds, np.inf, 0.0), _bridge_survival, zs, ds, ts)
-        long = ~short
         theta = np.arcsin(2.0 * v[0, long] - 1.0)
-        prop[long] = (2.0 / math.pi) * dd[long] * theta
-        r = tt[long] / (dd[long] * dd[long])
+        dl = dd[long]
+        prop[long] = (2.0 / math.pi) * dl * theta
+        r = tt[long] / (dl * dl)
         ok[long] = _squeeze(v[1, long], np.where(r >= _EIGEN_FROM, _EIGEN_FLOOR, 0.0), np.inf,
                             _eigen_acceptance, theta, r)
-        z[todo[ok]] = prop[ok]
-        todo = todo[~ok]
+        done = np.flatnonzero(ok)
+        z[todo[done]] = prop[done]
+        todo = todo[np.flatnonzero(~ok)]
     return z
 
 
@@ -638,56 +652,76 @@ _REFLECTION_K = np.arange(4)
 _THETA_K = np.arange(3)
 
 
-def _reflection_series(t: np.ndarray, density: bool):
-    """Exit-time CDF, or with `density` its derivative, from the reflection
-    series (t <= 1)."""
-    a = (2.0 * _REFLECTION_K + 1.0) / np.sqrt(2.0 * t[:, None])
-    sign = (-1.0) ** _REFLECTION_K
-    if density:
-        return 2.0 * (sign * a * np.exp(-a * a)).sum(axis=1) / (math.sqrt(math.pi) * t)
-    return 2.0 * (sign * erfc(a)).sum(axis=1)
+def _reflection_series(t: np.ndarray, density: bool = False):
+    """Exit-time CDF from the reflection series (t <= 1), as a tuple, with
+    `density` followed by its first two derivatives; term k's erfc and
+    derivatives share a = (2k+1)/sqrt(2t) and exp(-a^2)."""
+    a = (2.0 * _REFLECTION_K + 1.0)[:, None] / np.sqrt(2.0 * t)
+    with np.errstate(over="ignore"):
+        e = np.exp(-a * a)
+    terms = erfc_big(a.ravel(), e.ravel()).reshape(a.shape)
+    # only the first term reaches a < 1 (t > 1/2), where erfc is 1 - erf;
+    # erfc_big's value is discarded there, and erfc_small's elsewhere
+    terms[0] = np.where(a[0] < 1.0, erfc_small(np.minimum(a[0], 1.0)), terms[0])
+    sign = (-1.0) ** _REFLECTION_K[:, None]
+    cdf = 2.0 * (sign * terms).sum(axis=0)
+    if not density:
+        return (cdf,)
+    # d/dt erfc(a) = a e / (sqrt(pi) t), and d/dt (a e / t) = a e (a^2 - 3/2) / t^2
+    ae = sign * a * e
+    scale = 2.0 / (math.sqrt(math.pi) * t)
+    return cdf, scale * ae.sum(axis=0), scale / t * (ae * (a * a - 1.5)).sum(axis=0)
 
 
-def _theta_series(t: np.ndarray, density: bool):
-    """Exit-time CDF, or with `density` its derivative, from the theta
-    series (t >= 1)."""
+def _theta_series(t: np.ndarray, density: bool = False):
+    """Exit-time CDF from the theta series (t >= 1), as a tuple, with
+    `density` followed by its first two derivatives; all share each term's
+    decay exp(-c t), c = (2k+1)^2 pi^2 / 8."""
     odd = 2.0 * _THETA_K + 1.0
     sign = (-1.0) ** _THETA_K
-    decay = np.exp(-(odd * odd * (math.pi ** 2 / 8.0)) * t[:, None])
-    if density:
-        return (math.pi / 2.0) * (sign * odd * decay).sum(axis=1)
-    return 1.0 - (4.0 / math.pi) * (sign / odd * decay).sum(axis=1)
+    c = odd * odd * (math.pi ** 2 / 8.0)
+    decay = np.exp(-c * t[:, None])
+    cdf = 1.0 - (4.0 / math.pi) * (sign / odd * decay).sum(axis=1)
+    if not density:
+        return (cdf,)
+    term = sign * odd * decay
+    return cdf, (math.pi / 2.0) * term.sum(axis=1), -(math.pi / 2.0) * (c * term).sum(axis=1)
 
 
-def _exit_series(t: np.ndarray, density: bool):
-    out = np.empty_like(t)
+def _exit_series(t: np.ndarray, density: bool = False):
+    """Exit-time CDF at t, or with `density` the rows CDF, density and the
+    density's derivative."""
+    out = np.empty((3 if density else 1, t.size))
     small = t <= _EXIT_SWITCH
-    out[small] = _reflection_series(t[small], density)
-    out[~small] = _theta_series(t[~small], density)
-    return out
+    out[:, small] = _reflection_series(t[small], density)
+    out[:, ~small] = _theta_series(t[~small], density)
+    return out if density else out[0]
 
 
 def exit_time_cdf(t):
     """P(tau_1 <= t), tau_1 the exit time of [-1, 1] from 0."""
-    return _exit_series(np.atleast_1d(np.asarray(t, dtype=float)), False)
+    return _exit_series(np.atleast_1d(np.asarray(t, dtype=float)))
 
 
-# Newton starts from a log-t table; 1024 nodes leave a start close enough
-# that two steps reach rounding level from u = 2^-53 to 1 - 2^-53, whose
-# quantiles lie in [0.014, 30].
-_EXIT_LOG_T = np.linspace(math.log(0.01), math.log(32.0), 1024)
+# One Halley step from a table of 4096 log-t nodes, for u from 2^-53 to
+# 1 - 2^-53 (quantiles in [0.014, 30]).  Against 40-digit roots, the largest
+# relative error on 1500 draws was 2.6e-15 for u uniform, 4.8e-13 for
+# u = 2^-U and U uniform on [10, 53], 4.4e-12 for 1 - u uniform on
+# [0, 2^-10]; it nears 1e-2 as 1 - u nears 2^-53, where the theta series'
+# 1 - sum resolves tau by only the few ulps between u and 1.
+_EXIT_LOG_T = np.linspace(math.log(0.01), math.log(32.0), 1 << 12)
 _EXIT_TABLE = exit_time_cdf(np.exp(_EXIT_LOG_T))
 _EXIT_ROWS = np.concatenate([[True], np.diff(_EXIT_TABLE) > 0])
 _EXIT_LOG_T, _EXIT_TABLE = _EXIT_LOG_T[_EXIT_ROWS], _EXIT_TABLE[_EXIT_ROWS]
-_NEWTON_STEPS = 2
 
 
 def exit_time_quantile(u):
     """Inverse exit-time CDF: the tau with P(tau_1 <= tau) = u, for u in [0, 1)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     tau = np.exp(np.interp(u, _EXIT_TABLE, _EXIT_LOG_T))
-    for _ in range(_NEWTON_STEPS):
-        tau -= (exit_time_cdf(tau) - u) / _exit_series(tau, True)
+    cdf, density, slope = _exit_series(tau, True)
+    miss = cdf - u
+    tau -= 2.0 * miss * density / (2.0 * density * density - miss * slope)
     return np.where(u > 0.0, tau, 0.0)
 
 
@@ -706,10 +740,11 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
     of tau_1, so sign(G) serves for it and B_sigma = G.  Each block draws its
     normals and then its uniforms from its own stream.  Paths with
     sigma > horizon are censored.  h_sim only sets the 2 sqrt(h_sim)
-    allowance that `marginal_fit` reads from the ensemble.  Requires M >= 1.
+    allowance that `marginal_fit` reads from the ensemble.  Requires M >= 2,
+    as `simulate_root` does.
     """
-    if M < 1:
-        raise ValidationError(f"M={M} paths; need at least 1")
+    if M < 2:
+        raise ValidationError(f"M={M} paths; a standard error needs at least 2")
     sigma = np.full((2, M), np.inf)
     b_sigma = np.full((2, M), np.nan)
 

@@ -466,14 +466,19 @@ def test_snapshots_deduplicated_by_monitored_step():
 
 
 def test_empty_root_ensemble_rejected():
+    # a standard error needs two paths
     barrier = analytic_vertical_barrier(0.3, 1e-3, 1.0)
-    with pytest.raises(ValidationError, match="at least 1"):
-        rs.simulate_root(rs.ScaledFamily(0.0), barrier, 0, 1e-3, seed=1)
+    for M in (0, 1):
+        message = f"M={M} paths; a standard error needs at least 2"
+        with pytest.raises(ValidationError, match=message):
+            rs.simulate_root(rs.ScaledFamily(0.0), barrier, M, 1e-3, seed=1)
 
 
 def test_empty_alternative_ensemble_rejected():
-    with pytest.raises(ValidationError, match="at least 1"):
-        rs.alternative_embedding(0, seed=1)
+    for M in (0, 1):
+        message = f"M={M} paths; a standard error needs at least 2"
+        with pytest.raises(ValidationError, match=message):
+            rs.alternative_embedding(M, seed=1)
 
 
 def test_censoring_error(two_atom_family):
@@ -624,10 +629,26 @@ def test_alternative_embedding_smoke():
 
 
 def test_exit_time_series_agree_at_the_switch():
+    # the CDF, its density and the density's derivative, all three returned
+    # with density=True; without it the CDF alone
     t = np.array([1.0])
-    for density in (False, True):
-        reflection, theta = sim._reflection_series(t, density), sim._theta_series(t, density)
-        assert abs(float(reflection[0] - theta[0])) <= 1e-14
+    reflection, theta = sim._reflection_series(t, True), sim._theta_series(t, True)
+    assert len(reflection) == len(theta) == 3
+    for a, b in zip(reflection, theta):
+        assert abs(float(a[0] - b[0])) <= 1e-14
+    assert sim._reflection_series(t) == (reflection[0],)
+    assert sim._theta_series(t) == (theta[0],)
+
+
+@pytest.mark.parametrize("series, times", [(sim._reflection_series, (0.05, 0.3, 0.7, 1.0)),
+                                           (sim._theta_series, (1.0, 2.0, 5.0))])
+def test_exit_time_series_derivatives(series, times):
+    # central differences of the CDF and of the density
+    t, h = np.array(times), 1e-5
+    _, density, slope = series(t, True)
+    up, down = series(t + h, True), series(t - h, True)
+    assert np.allclose((up[0] - down[0]) / (2 * h), density, rtol=1e-6, atol=0.0)
+    assert np.allclose((up[1] - down[1]) / (2 * h), slope, rtol=1e-6, atol=0.0)
 
 
 def test_exit_time_quantile_inverts_the_cdf():
@@ -636,6 +657,23 @@ def test_exit_time_quantile_inverts_the_cdf():
     tau = sim.exit_time_quantile(u)
     assert np.all(np.diff(tau) >= 0.0)
     assert np.abs(sim.exit_time_cdf(tau) - u).max() <= 1e-13
+
+
+@pytest.mark.parametrize("regime, bound", [("uniform", 2e-14), ("small", 1e-12)])
+def test_exit_time_quantile_is_converged(regime, bound):
+    # one Halley step from the table start against four more Newton steps on
+    # the same CDF: u uniform on [2^-10, 1 - 2^-10] measured below 6e-15,
+    # u = 2^-U, U uniform on [10, 53], below 5e-13 (two Newton steps from the
+    # 1024-node start reached 2.4e-11 there)
+    rng = make_stream(17, 0)
+    u = (rng.uniform(2.0 ** -10, 1.0 - 2.0 ** -10, 20_000) if regime == "uniform"
+         else np.exp2(-rng.uniform(10.0, 53.0, 20_000)))
+    tau = sim.exit_time_quantile(u)
+    polished = tau.copy()
+    for _ in range(4):
+        cdf, density, _ = sim._exit_series(polished, True)
+        polished -= (cdf - u) / density
+    assert np.max(np.abs(tau - polished) / polished) <= bound
 
 
 def test_exit_time_moments():
