@@ -44,13 +44,14 @@ def _norm_pdf(z):
 
 
 def gaussian_potential(variance, x):
-    """Potential of N(0, variance), vectorized; variance 0 gives -|x|."""
+    """Potential of N(0, variance), vectorized over x and over variances
+    that broadcast against it; variance 0 gives -|x|."""
     x = np.asarray(x, dtype=float)
-    if variance <= 0.0:
-        return -np.abs(x)
-    s = math.sqrt(variance)
-    z = x / s
-    return -s * (2.0 * _norm_pdf(z) + z * (2.0 * ndtr(z) - 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(np.maximum(variance, 0.0))
+        z = x / s
+        out = -s * (2.0 * _norm_pdf(z) + z * (2.0 * ndtr(z) - 1.0))
+    return np.where(s > 0.0, out, -np.abs(x))
 
 
 def gaussian_potential_dv(variance, x):
@@ -94,14 +95,6 @@ class Law:
         rest = 1.0 - float(self.weights.sum())
         return rest if rest > WEIGHT_TOL else 0.0
 
-    def potential(self, x) -> np.ndarray:
-        """-E|Y - x| for Y of this law, vectorized over x."""
-        x = np.asarray(x, dtype=float)
-        out = -(np.abs(x[..., None] - self.positions) @ self.weights)
-        if self.normal_mass:
-            out = out + self.normal_mass * gaussian_potential(self.normal_var, x)
-        return out
-
     def support_radius(self) -> float:
         """Smallest radius leaving at most TAIL_MASS/2 outside on each side:
         the quantile of the cumulative atom weights, and the normal quantile
@@ -136,8 +129,29 @@ class MarginalFamily:
         raise NotImplementedError
 
     def potential(self, s: float, x) -> np.ndarray:
-        """-E|Y - x| for Y ~ mu_s."""
-        return self.law(s).potential(x)
+        """-E|Y - x| for Y ~ mu_s: the row of `potentials` for s."""
+        return self.potentials([s], x)[0]
+
+    def potentials(self, s_values, x) -> np.ndarray:
+        """Row k: -E|Y - x| for Y ~ mu_(s_values[k]), vectorized over x.
+
+        Each law's atoms add -sum_i w_i |x - p_i| to its row, and the
+        Gaussian parts of all rows are evaluated in one call.
+        """
+        laws = [self.law(float(s)) for s in s_values]
+        x = np.asarray(x, dtype=float)
+        # -0.0, the negated sum over no atoms, for rows without atoms
+        out = np.full((len(laws),) + x.shape, -0.0)
+        for k, law in enumerate(laws):
+            if law.positions.size:
+                out[k] = -(np.abs(x[..., None] - law.positions) @ law.weights)
+        mass = np.array([law.normal_mass for law in laws])
+        rows = np.flatnonzero(mass)
+        if rows.size:
+            column = (-1,) + (1,) * x.ndim
+            var = np.array([laws[k].normal_var for k in rows]).reshape(column)
+            out[rows] += mass[rows].reshape(column) * gaussian_potential(var, x)
+        return out
 
     def support_radius(self, s: float) -> float:
         """Radius leaving at most TAIL_MASS of mu_s outside (`Law.support_radius`)."""
@@ -357,7 +371,7 @@ def convex_order_validate(family: MarginalFamily, s_probes) -> ConvexOrderReport
     r = max(family.support_radius(1.0), 1.0)
     x_probes = np.linspace(-r, r, 41)
     s_probes = np.asarray(s_probes, dtype=float)
-    vals = np.stack([family.potential(float(s), x_probes) for s in s_probes])
+    vals = family.potentials(s_probes, x_probes)
     drops = vals[:-1] - vals[1:]          # should be >= 0
     worst = float(drops.min())
     where = None

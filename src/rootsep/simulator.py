@@ -17,7 +17,10 @@ alternative embedding takes no time steps: its stopping time and stopped
 value are sampled exactly, from one normal and one uniform draw per path.
 Paths are processed in fixed-size blocks, each block on its own
 counter-based stream keyed by (seed, block index); results are therefore
-bit-identical for any thread count.
+bit-identical for any thread count.  Threads share the blocks as runs of
+consecutive blocks balanced by path count; each run steps on its own thread
+while it holds at least a block's worth of live paths, and the calling
+thread finishes the narrow tails of all runs in one loop (`_run_blocks`).
 """
 
 from __future__ import annotations
@@ -101,42 +104,71 @@ class _Streams:
 
     Block b of the M paths draws from its own counter-based stream keyed by
     (seed, b).  `draw` calls fn(rng, k) on the stream of every block with k
-    of the given sorted rows (path indices within the run) and joins the
-    results along their last axis, so a block's draws do not depend on the
-    other blocks of its run.
+    of the given sorted rows (path indices) and joins the results along
+    their last axis, so a block's draws do not depend on the other blocks of
+    its run.
     """
 
-    def __init__(self, seed: int, first: int, last: int):
-        self._rngs = [make_stream(seed, b) for b in range(first, last)]
-        self._starts = np.arange(1, last - first) * BLOCK_SIZE
+    def __init__(self, seed: int, first: int, last: int, rngs=None):
+        # rngs, when given: the streams of blocks first..last - 1 where
+        # earlier runs left them
+        self.rngs = rngs or [make_stream(seed, b) for b in range(first, last)]
+        self._starts = np.arange(first + 1, last) * BLOCK_SIZE
 
     def draw(self, rows, fn):
         cuts = [0, *np.searchsorted(rows, self._starts).tolist(), rows.size]
-        parts = [fn(rng, b - a) for rng, a, b in zip(self._rngs, cuts, cuts[1:]) if b > a]
+        parts = [fn(rng, b - a) for rng, a, b in zip(self.rngs, cuts, cuts[1:]) if b > a]
         if not parts:
-            return fn(self._rngs[0], 0)
+            return fn(self.rngs[0], 0)
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _run_blocks(run, M: int, seed: int, threads: int) -> None:
-    """Call run(streams, lo, hi) on `threads` runs of consecutive BLOCK_SIZE
-    blocks of the M paths, paths lo..hi - 1, each run on its own thread.
-
-    Each block draws from its own stream (see `_Streams`), so the results do
-    not depend on how many threads share the blocks.
-    """
+def _runs(M: int, threads: int) -> list:
+    """The (first, last) block ranges of the runs `threads` threads share:
+    consecutive runs that cover the M paths' blocks once, q or q + 1 blocks
+    each with the extra blocks on the last runs.  Only the last block may
+    be short, so the runs' path counts differ by at most BLOCK_SIZE."""
     blocks = -(-M // BLOCK_SIZE)
+    count = min(max(threads, 1), blocks)
+    q, extra = divmod(blocks, count)
+    ends = np.cumsum([q + (k >= count - extra) for k in range(count)]).tolist()
+    return list(zip([0, *ends[:-1]], ends))
 
-    def one(run_blocks):
-        first, last = int(run_blocks[0]), int(run_blocks[-1]) + 1
-        run(_Streams(seed, first, last), first * BLOCK_SIZE, min(last * BLOCK_SIZE, M))
 
-    runs = np.array_split(np.arange(blocks), min(max(threads, 1), blocks))
-    if len(runs) > 1:
-        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-            list(pool.map(one, runs))
-    else:
-        one(runs[0])
+def _run_blocks(run, M: int, seed: int, threads: int) -> None:
+    """Call run(streams, lo, hi, narrow) on the runs of consecutive
+    BLOCK_SIZE blocks of the M paths (`_runs`), paths lo..hi - 1.
+
+    A single run (one thread, or M <= BLOCK_SIZE) runs on the calling thread
+    with narrow = 1 and finishes every path.  Several runs each run on their
+    own thread while they hold at least narrow = BLOCK_SIZE live paths, and
+    then return their live state, a tuple of arrays whose first holds the
+    paths' rows (None for a run that finishes its paths at once).  The
+    states are joined in run order, so the rows stay sorted, and
+    run(streams, 0, M, 1, state) finishes all of them on the calling
+    thread, with the runs' streams joined.  Narrow tails make many small
+    numpy calls that hold the interpreter lock, so one thread finishing
+    them all wastes none of the other's time.
+
+    Each block draws from its own stream (see `_Streams`), and its live rows
+    draw in sorted order whichever run or thread holds them, so the results
+    do not depend on how many threads share the blocks.
+    """
+    runs = _runs(M, threads)
+    streams = [_Streams(seed, first, last) for first, last in runs]
+
+    def one(k, narrow=BLOCK_SIZE):
+        first, last = runs[k]
+        return run(streams[k], first * BLOCK_SIZE, min(last * BLOCK_SIZE, M), narrow)
+
+    if len(runs) == 1:
+        one(0, narrow=1)
+        return
+    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+        states = list(pool.map(one, range(len(runs))))
+    if states[0] is not None:
+        joined = _Streams(seed, 0, runs[-1][1], [rng for part in streams for rng in part.rngs])
+        run(joined, 0, M, 1, tuple(np.concatenate(part) for part in zip(*states)))
 
 
 def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
@@ -203,23 +235,15 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     b_sigma = np.full((n + 1, M), np.nan)
     snaps = np.empty((len(snap_times), M))
 
-    def run_paths(streams, lo, hi):
-        # live paths, compacted once per step: run rows (sorted, as the streams
-        # need them), positions, cell positions, clocks, layers, barrier times
-        rows = np.arange(hi - lo)
-        x = np.asarray(streams.draw(rows, family.sample_initial_rng), dtype=float)
-        x0[lo:hi] = x
-        sg = sigma[:, lo:hi]
-        bg = b_sigma[:, lo:hi]
-        snap = snaps[:, lo:hi]
-        pos = barrier_family.cell_position(x)
-        t = np.zeros(rows.size)
-        j = np.ones(rows.size, dtype=np.int64)
-        r = np.empty(rows.size)
+    def run_paths(streams, lo, hi, narrow, state=None):
+        # live paths, compacted once per step: rows (path indices, sorted as
+        # the streams need them), positions, cell positions, clocks, layers,
+        # barrier times; paths lo..hi - 1 from their start, or the live
+        # `state` that runs left, stepped until fewer than `narrow` are left
 
         def stop(k):
-            sg[j[k], rows[k]] = t[k]
-            bg[j[k], rows[k]] = x[k]
+            sigma[j[k], rows[k]] = t[k]
+            b_sigma[j[k], rows[k]] = x[k]
             j[k] += 1
 
         def settle(k):
@@ -234,18 +258,28 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
             # running positions of paths whose window ended at a snapshot time
             slot = np.minimum(np.searchsorted(snap_at, t[k]), snap_at.size - 1)
             on = np.nonzero(snap_at[slot] == t[k])[0]
-            snap[slot[on], rows[k[on]]] = x[k[on]]
+            snaps[slot[on], rows[k[on]]] = x[k[on]]
 
-        every = np.arange(rows.size)
-        settle(every)               # initial atoms already inside a region stop at t = 0
-        if snap_at.size:
-            record(every)
+        if state is None:
+            rows = np.arange(lo, hi)
+            x = np.asarray(streams.draw(rows, family.sample_initial_rng), dtype=float)
+            x0[lo:hi] = x
+            pos = barrier_family.cell_position(x)
+            t = np.zeros(rows.size)
+            j = np.ones(rows.size, dtype=np.int64)
+            r = np.empty(rows.size)
+            every = np.arange(rows.size)
+            settle(every)           # initial atoms already inside a region stop at t = 0
+            if snap_at.size:
+                record(every)
+        else:
+            rows, x, pos, t, j, r = state
 
         while True:
             live = np.nonzero((j <= n) & (t < T))[0]
-            if live.size == 0:
-                break
             rows, x, pos, t, j, r = rows[live], x[live], pos[live], t[live], j[live], r[live]
+            if live.size < narrow:
+                return rows, x, pos, t, j, r
             limit = bounds[np.searchsorted(bounds, t, side="right")]
             d, u, w, shell = _box(barrier_family, j, x, pos, r, t, limit)
             free = np.isnan(shell)
@@ -261,10 +295,10 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
             settle(go)
             if snap_at.size:
                 record(go)
-        # B_(t ^ sigma_n): a path stopped by a snapshot time keeps its stop value
-        snap[:] = np.where(sg[n] <= snap_at[:, None] + 1e-12, bg[n], snap)
 
     _run_blocks(run_paths, M, seed, threads)
+    # B_(t ^ sigma_n): a path stopped by a snapshot time keeps its stop value
+    snaps[:] = np.where(sigma[n] <= snap_at[:, None] + 1e-12, b_sigma[n], snaps)
 
     ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=T,
                        s_values=np.asarray(barrier_family.s_values, dtype=float),
@@ -387,7 +421,7 @@ def _box(barrier_family, j, x, pos, r, t, limit):
 def _cross_boxes(streams, rows, x, t, d, u, w):
     """One exact step of Brownian paths across their boxes [x - d, x + d].
 
-    Path i (run row rows[i]) is at x[i] at time t[i], and its box window
+    Path i (row rows[i]) is at x[i] at time t[i], and its box window
     has length u[i] <= d[i]^2 and ends at w[i] (the length is passed on its
     own, since t + u may round to t).  The path leaves the box after
     tau = d^2 tau_1 on a fair side, tau_1 the exit time of [-1, 1]:
@@ -494,7 +528,7 @@ def _endpoint_in_box(streams, rows, d, t):
     drawn as z = (2 d / pi) arcsin(2 v - 1) and accepted with the ratio of
     the full eigenfunction series to it (acceptance above 0.95).  Each
     round, each block draws one normal and then two uniforms per pending
-    path (run rows `rows`).  The series are evaluated only where
+    path (rows `rows`).  The series are evaluated only where
     `_survival_floor`, _EIGEN_FLOOR and |z| < d leave a test open (`_squeeze`).
     A path with t = 0 does not move and draws nothing.
     """
@@ -748,8 +782,9 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
     sigma = np.full((2, M), np.inf)
     b_sigma = np.full((2, M), np.nan)
 
-    def run_paths(streams, lo, hi):
-        every = np.arange(hi - lo)
+    def run_paths(streams, lo, hi, narrow):
+        # no step loop: every path of the run finishes here
+        every = np.arange(lo, hi)
         level = streams.draw(every, _normals)
         stop = level * level * exit_time_quantile(streams.draw(every, _uniforms))
         inside = stop <= horizon

@@ -165,7 +165,7 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
 
     svals = partition.points
     n = partition.n
-    pots = np.stack([family.potential(float(s), xs) for s in svals])
+    pots = family.potentials(svals, xs)
     du = pots[1:] - pots[:-1]
     worst = float(du.max(initial=-np.inf))
     if worst > 1e-9:

@@ -357,6 +357,18 @@ def test_law_reproduces_potential(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(LAW_FAMILIES))
+def test_stacked_potentials_are_the_per_s_potentials(kind):
+    # one stacked evaluation over all s, as convex_order_validate and
+    # solve_layers make it, gives every row bit for bit
+    fam = LAW_FAMILIES[kind]()
+    for x in (LAW_X, np.linspace(-10.0, 10.0, 401)):
+        rows = fam.potentials(LAW_S, x)
+        assert rows.shape == (len(LAW_S), x.size)
+        for s, row in zip(LAW_S, rows):
+            assert np.array_equal(row, fam.potential(s, x)), s
+
+
+@pytest.mark.parametrize("kind", sorted(LAW_FAMILIES))
 def test_atom_masses_are_cdf_jumps(kind):
     fam = LAW_FAMILIES[kind]()
     for s in LAW_S:

@@ -122,6 +122,63 @@ def test_determinism_and_threads(gauss_family, gauss_run):
     assert not np.array_equal(ens.sigma, different.sigma)
 
 
+def test_determinism_across_the_handoff(gauss_family, gauss_run, monkeypatch):
+    # five blocks: every run of 2 or 3 threads starts with at least
+    # BLOCK_SIZE live paths and hands its narrow tail to the calling thread
+    surf, barrier, _ = gauss_run
+    M = 4 * sim.BLOCK_SIZE + 123
+    real, tails = sim._run_blocks, []
+
+    def spy(run, M, seed, threads):
+        def spied(*args):
+            if len(args) == 5:      # the calling thread finishes the joined tails
+                tails.append(args[4][0].size)
+            return run(*args)
+        return real(spied, M, seed, threads)
+
+    monkeypatch.setattr(sim, "_run_blocks", spy)
+    ens = {threads: rs.simulate_root(gauss_family, barrier, M, surf.grid.dt, seed=13,
+                                     snapshot_times=[0.0, 0.25, 0.5, 1.0], threads=threads)
+           for threads in (1, 2, 3)}
+    assert len(tails) == 2 and all(0 < k < sim.BLOCK_SIZE * 3 for k in tails)
+    for other in (ens[2], ens[3]):
+        assert np.array_equal(ens[1].x0, other.x0)
+        assert np.array_equal(ens[1].sigma, other.sigma)
+        assert np.array_equal(ens[1].b_sigma, other.b_sigma, equal_nan=True)
+        assert list(ens[1].snapshots) == list(other.snapshots)
+        for k in ens[1].snapshots:
+            assert np.array_equal(ens[1].snapshots[k], other.snapshots[k])
+
+
+@pytest.mark.parametrize("M", [1, sim.BLOCK_SIZE, 100_000, 1_000_000])
+def test_runs_cover_the_blocks_balanced_by_paths(M):
+    blocks = -(-M // sim.BLOCK_SIZE)
+    for threads in range(1, 9):
+        runs = sim._runs(M, threads)
+        assert len(runs) == min(threads, blocks)
+        assert runs[0][0] == 0 and runs[-1][1] == blocks
+        assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+        assert all(first < last for first, last in runs)
+        paths = [min(last * sim.BLOCK_SIZE, M) - first * sim.BLOCK_SIZE for first, last in runs]
+        assert sum(paths) == M and max(paths) - min(paths) <= sim.BLOCK_SIZE, (threads, paths)
+    # 49,152 and 50,848 paths, not 65,536 and 34,464
+    assert sim._runs(100_000, 2) == [(0, 3), (3, 7)]
+
+
+def test_one_run_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single run started a thread pool")
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    h = 0.0025
+    barrier = analytic_vertical_barrier(0.3, h, 1.5)
+    rs.simulate_root(rs.ScaledFamily(0.0), barrier, 2 * sim.BLOCK_SIZE, h, seed=5, threads=1)
+    rs.simulate_root(rs.ScaledFamily(0.0), barrier, sim.BLOCK_SIZE, h, seed=5, threads=4)
+    rs.alternative_embedding(2 * sim.BLOCK_SIZE, seed=5, threads=1)
+    with pytest.raises(AssertionError, match="thread pool"):
+        rs.simulate_root(rs.ScaledFamily(0.0), barrier, sim.BLOCK_SIZE + 1, h, seed=5, threads=2)
+
+
 # ---------------------------------------------------------------------------
 # exact laws of continuous-time stopping
 
