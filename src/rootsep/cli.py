@@ -210,18 +210,18 @@ class Run:
 
     def check_simulation(self) -> None:
         """Reject the simulation settings that need the grid, or that the
-        simulators would refuse only after the solve: a step that is not
-        positive or is coarser than the solver's, probe times off the
-        solver's or the h_sim grid or beyond its horizon, and probe points
-        off the solver's x-grid.  `load_config` has already read every value
-        as its type, within its bounds."""
-        grid, h_sim, probe_t = self.grid, self.h_sim, self.sim["probe_times"]
+        simulators would refuse only after the solve: an h_sim that is not
+        positive or is coarser than the solver's step (it sets the
+        verification allowance), and probe times and points off the
+        solver's grid, where `value_at` cannot read the surface.
+        `load_config` has already read every value as its type, within its
+        bounds."""
+        grid, h_sim = self.grid, self.h_sim
         if not h_sim > 0:
             raise ConfigError(f"h_sim={h_sim} must be positive")
         if h_sim > grid.dt + 1e-15:
             raise ConfigError(f"h_sim={h_sim} exceeds the solver step {grid.dt}")
-        lattice_index(probe_t, grid.dt, 0.0, grid.nt, "probe time", "dt")
-        lattice_index(probe_t, h_sim, 0.0, round(grid.T / h_sim), "probe time", "h_sim")
+        lattice_index(self.sim["probe_times"], grid.dt, 0.0, grid.nt, "probe time", "dt")
         lattice_index(self.sim["probe_x"], grid.dx, grid.x_nodes()[0], grid.nx, "probe x")
 
     def check_ladder(self) -> None:
@@ -336,13 +336,12 @@ def cmd_verify(run: Run, out: Path) -> int:
     failures = []
 
     repr_rows = []
-    bias = 2.0 * math.sqrt(h_sim)
     for j in sorted({1, surface.n}):
         for t in probe_t:
             emp, se = empirical_potential(ensemble, j, t, probe_x)
             ref = np.array([surface.value_at(j, t, x) for x in probe_x])
             gap = np.abs(emp - ref)
-            ok = bool(np.all(gap <= 3.0 * se + bias))
+            ok = bool(np.all(gap <= 3.0 * se + ensemble.allowance))
             repr_rows.append({"j": j, "t": t, "x": probe_x.tolist(),
                               "empirical": emp.tolist(), "solver": ref.tolist(),
                               "stderr": se.tolist(), "passed": ok})
@@ -367,7 +366,7 @@ def cmd_verify(run: Run, out: Path) -> int:
 
     alternative = None
     if run.sim["alternative"]:
-        alt = alternative_embedding(M, seed + 1, threads=threads)
+        alt = alternative_embedding(M, seed + 1, h_sim, threads=threads)
         alt_fit = marginal_fit(alt, ScaledFamily(0.0))
         alternative = {"marginals": alt_fit.marginals, "functionals": {}}
         for name, f in weights.items():

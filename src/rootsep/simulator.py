@@ -11,10 +11,11 @@ barrier, a walk on moving spheres stops a path within SHELL * dx of the
 moving boundary, the only O(SHELL * dx) bias.  Box steps evaluate their
 exit and acceptance series only where cheap bounds leave a test open
 (`_squeeze`); decisions and draws are unchanged.  A snapshot at time t holds
-B_(t ^ sigma_n); snapshot times lie on the h_sim grid, the only use of
-h_sim besides the verification allowances that read it.  The randomized
-alternative embedding takes no time steps: its stopping time and stopped
-value are sampled exactly, from one normal and one uniform draw per path.
+B_(t ^ sigma_n), taken at exactly the requested t; h_sim monitors nothing and
+only sets the verification allowance (`PathEnsemble.allowance`).  The
+randomized alternative embedding takes no time steps: its stopping time and
+stopped value are sampled exactly, from one normal and one uniform draw per
+path.
 Paths are processed in fixed-size blocks, each block on its own
 counter-based stream keyed by (seed, block index); results are therefore
 bit-identical for any thread count.  Threads share the blocks as runs of
@@ -35,7 +36,6 @@ from numpy.polynomial.polynomial import polyint, polyval
 
 from .barriers import BarrierFamily
 from .errors import HorizonError, ValidationError
-from .grid import lattice_index
 from .marginals import MarginalFamily, make_stream
 from .special import erfc_big, erfc_small
 from .tolerances import CENSOR_FRACTION, LATTICE_TOL
@@ -53,20 +53,31 @@ ATOM_MASS_THRESHOLD = 0.01
 class PathEnsemble:
     """Simulated stopping-time sequences; sigma rows are 1-based layers."""
 
-    M: int
     h_sim: float
-    seed: int
     horizon: float
     s_values: np.ndarray            # layer indices s_1..s_n
     x0: np.ndarray                  # (M,)
     sigma: np.ndarray               # (n+1, M); row 0 unused, inf = censored
     b_sigma: np.ndarray             # (n+1, M); nan where censored
     snapshots: dict                 # t -> (M,) B_(t ^ sigma_n) at snapshot time t
-    censored: np.ndarray            # (M,) bool
+
+    @property
+    def M(self) -> int:
+        return self.x0.size
 
     @property
     def n(self) -> int:
         return len(self.s_values)
+
+    @property
+    def censored(self) -> np.ndarray:
+        return ~np.isfinite(self.sigma[self.n])
+
+    @property
+    def allowance(self) -> float:
+        """2 sqrt(h_sim), the bias allowed for on top of the sampling noise
+        when an empirical potential or mean is checked against its target."""
+        return 2.0 * math.sqrt(self.h_sim)
 
     @property
     def censored_fraction(self) -> float:
@@ -85,35 +96,23 @@ class PathEnsemble:
         stopped = self.sigma[j] <= t + 1e-12
         if stopped.all():
             return self.b_sigma[j]
-        key = self._snapshot_key(t)
-        return np.where(stopped, self.b_sigma[j], self.snapshots[key])
-
-    def _snapshot_key(self, t: float) -> float:
-        # snapshots are taken on multiples of h_sim, so match t by its multiple
-        keys = list(self.snapshots)
-        steps = lattice_index([*keys, t], self.h_sim, 0.0, round(self.horizon / self.h_sim),
-                              "snapshot time", "h_sim")
-        for k, step in zip(keys, steps):
-            if step == steps[-1]:
-                return k
-        raise ValidationError(f"no snapshot recorded at t={t}")
+        if t not in self.snapshots:
+            raise ValidationError(f"no snapshot recorded at t={t}")
+        return np.where(stopped, self.b_sigma[j], self.snapshots[t])
 
 
 class _Streams:
-    """The random streams of a run of consecutive BLOCK_SIZE path blocks.
+    """The random streams of consecutive BLOCK_SIZE path blocks.
 
     Block b of the M paths draws from its own counter-based stream keyed by
     (seed, b).  `draw` calls fn(rng, k) on the stream of every block with k
     of the given sorted rows (path indices) and joins the results along
-    their last axis, so a block's draws do not depend on the other blocks of
-    its run.
+    their last axis, so a block's draws do not depend on the other blocks.
     """
 
-    def __init__(self, seed: int, first: int, last: int, rngs=None):
-        # rngs, when given: the streams of blocks first..last - 1 where
-        # earlier runs left them
-        self.rngs = rngs or [make_stream(seed, b) for b in range(first, last)]
-        self._starts = np.arange(first + 1, last) * BLOCK_SIZE
+    def __init__(self, seed: int, blocks: int):
+        self.rngs = [make_stream(seed, b) for b in range(blocks)]
+        self._starts = np.arange(1, blocks) * BLOCK_SIZE
 
     def draw(self, rows, fn):
         cuts = [0, *np.searchsorted(rows, self._starts).tolist(), rows.size]
@@ -146,20 +145,21 @@ def _run_blocks(run, M: int, seed: int, threads: int) -> None:
     paths' rows (None for a run that finishes its paths at once).  The
     states are joined in run order, so the rows stay sorted, and
     run(streams, 0, M, 1, state) finishes all of them on the calling
-    thread, with the runs' streams joined.  Narrow tails make many small
-    numpy calls that hold the interpreter lock, so one thread finishing
-    them all wastes none of the other's time.
+    thread.  Narrow tails make many small numpy calls that hold the
+    interpreter lock, so one thread finishing them all wastes none of the
+    other's time.
 
-    Each block draws from its own stream (see `_Streams`), and its live rows
-    draw in sorted order whichever run or thread holds them, so the results
-    do not depend on how many threads share the blocks.
+    All runs share one `_Streams`: each block draws from its own stream,
+    only in the run that holds its rows, and its live rows draw in sorted
+    order whichever run or thread holds them, so the results do not depend
+    on how many threads share the blocks.
     """
     runs = _runs(M, threads)
-    streams = [_Streams(seed, first, last) for first, last in runs]
+    streams = _Streams(seed, runs[-1][1])
 
     def one(k, narrow=BLOCK_SIZE):
         first, last = runs[k]
-        return run(streams[k], first * BLOCK_SIZE, min(last * BLOCK_SIZE, M), narrow)
+        return run(streams, first * BLOCK_SIZE, min(last * BLOCK_SIZE, M), narrow)
 
     if len(runs) == 1:
         one(0, narrow=1)
@@ -167,8 +167,7 @@ def _run_blocks(run, M: int, seed: int, threads: int) -> None:
     with ThreadPoolExecutor(max_workers=len(runs)) as pool:
         states = list(pool.map(one, range(len(runs))))
     if states[0] is not None:
-        joined = _Streams(seed, 0, runs[-1][1], [rng for part in streams for rng in part.rngs])
-        run(joined, 0, M, 1, tuple(np.concatenate(part) for part in zip(*states)))
+        run(streams, 0, M, 1, tuple(np.concatenate(part) for part in zip(*states)))
 
 
 def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
@@ -204,12 +203,12 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     is B_(t ^ sigma_n): the running position, or B_sigma_n for a path that
     stopped by t.
 
-    h_sim sets only the snapshot grid: requested times must be multiples of
-    it, and times requested for the same multiple share one snapshot, keyed
-    by the first of them.  It is kept with the ensemble, for the
-    verification allowances, and may not exceed the solver time step the
-    barriers came from.  Requires M >= 2 (a standard error needs two paths)
-    and snapshot times in [0, T].
+    Snapshots are taken at exactly the requested times, each keyed by its
+    time; a time up to LATTICE_TOL past T reads as T.  h_sim monitors
+    nothing: it is kept with the ensemble for its verification allowance
+    (`PathEnsemble.allowance`), and may not exceed the solver time step the
+    barriers came from, which bounds that allowance.  Requires M >= 2 (a
+    standard error needs two paths) and snapshot times in [0, T].
     Raises HorizonError when more than the tolerated fraction of paths fails
     to complete all stops before T.
     """
@@ -221,11 +220,13 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     if M < 2:
         raise ValidationError(f"M={M} paths; a standard error needs at least 2")
     requested = np.asarray(snapshot_times, dtype=float).ravel()
-    # one snapshot per multiple of h_sim, under the first time requested for it
-    snap_steps, first = np.unique(lattice_index(requested, h_sim, 0.0, round(T / h_sim),
-                                                "snapshot time", "h_sim"), return_index=True)
-    snap_times = requested[first]
-    snap_at = np.minimum(snap_steps * h_sim, T)
+    for bad, why in ((np.isnan(requested), "not a number"), (requested < 0.0, "negative"),
+                     (requested > T + LATTICE_TOL, f"beyond the horizon T={T}")):
+        if bad.any():
+            raise ValidationError(f"snapshot time {requested[bad][0]} is {why}")
+    # one snapshot per distinct time, a window's end; `which` maps each
+    # requested time to its snapshot
+    snap_at, which = np.unique(np.minimum(requested, T), return_inverse=True)
     # every window ends by the next snapshot time or the horizon
     bounds = np.unique(np.append(snap_at, T))
 
@@ -233,7 +234,7 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     x0 = np.empty(M)
     sigma = np.full((n + 1, M), np.inf)
     b_sigma = np.full((n + 1, M), np.nan)
-    snaps = np.empty((len(snap_times), M))
+    snaps = np.empty((snap_at.size, M))
 
     def run_paths(streams, lo, hi, narrow, state=None):
         # live paths, compacted once per step: rows (path indices, sorted as
@@ -300,11 +301,10 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     # B_(t ^ sigma_n): a path stopped by a snapshot time keeps its stop value
     snaps[:] = np.where(sigma[n] <= snap_at[:, None] + 1e-12, b_sigma[n], snaps)
 
-    ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=T,
+    ens = PathEnsemble(h_sim=h_sim, horizon=T,
                        s_values=np.asarray(barrier_family.s_values, dtype=float),
                        x0=x0, sigma=sigma, b_sigma=b_sigma,
-                       snapshots={float(t): snaps[i] for i, t in enumerate(snap_times)},
-                       censored=~np.isfinite(sigma[n]))
+                       snapshots={float(t): snaps[k] for t, k in zip(requested, which)})
     ens.check_censoring("Root embedding")
     return ens
 
@@ -634,7 +634,7 @@ def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily) -> EmbeddingRes
                                                 np.array([0.0])))[0])
     ui = {"mean_abs": mean_abs, "stderr": se, "target": target,
           "max_abs": float(np.abs(vals_n).max()),
-          "passed": bool(abs(mean_abs - target) <= 3.0 * se + 2.0 * math.sqrt(ensemble.h_sim))}
+          "passed": bool(abs(mean_abs - target) <= 3.0 * se + ensemble.allowance)}
     return EmbeddingResult(marginals=out, ui_proxy=ui)
 
 
@@ -759,7 +759,7 @@ def exit_time_quantile(u):
     return np.where(u > 0.0, tau, 0.0)
 
 
-def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
+def alternative_embedding(M: int, seed: int, h_sim: float,
                           horizon: float = 25.0, threads: int = 1) -> PathEnsemble:
     """Randomized non-barrier embedding of N(0,1) from a point start.
 
@@ -773,9 +773,9 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
     inverting its CDF.  The exit side is a fair sign independent of |G| and
     of tau_1, so sign(G) serves for it and B_sigma = G.  Each block draws its
     normals and then its uniforms from its own stream.  Paths with
-    sigma > horizon are censored.  h_sim only sets the 2 sqrt(h_sim)
-    allowance that `marginal_fit` reads from the ensemble.  Requires M >= 2,
-    as `simulate_root` does.
+    sigma > horizon are censored.  h_sim only sets the ensemble's
+    verification allowance (`PathEnsemble.allowance`).  Requires M >= 2, as
+    `simulate_root` does.
     """
     if M < 2:
         raise ValidationError(f"M={M} paths; a standard error needs at least 2")
@@ -793,9 +793,8 @@ def alternative_embedding(M: int, seed: int, h_sim: float = 5e-5,
 
     _run_blocks(run_paths, M, seed, threads)
 
-    ens = PathEnsemble(M=M, h_sim=h_sim, seed=seed, horizon=horizon,
-                       s_values=np.array([1.0]), x0=np.zeros(M), sigma=sigma,
-                       b_sigma=b_sigma, snapshots={}, censored=~np.isfinite(sigma[1]))
+    ens = PathEnsemble(h_sim=h_sim, horizon=horizon, s_values=np.array([1.0]),
+                       x0=np.zeros(M), sigma=sigma, b_sigma=b_sigma, snapshots={})
     ens.check_censoring("alternative embedding")
     return ens
 

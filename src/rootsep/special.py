@@ -1,4 +1,5 @@
-"""The complementary error function and the standard normal CDF, in numpy.
+"""The complementary error function's branches and the standard normal CDF,
+in numpy.
 
 Cephes' rational approximations (S. L. Moshier, *Methods and Programs for
 Mathematical Functions*, 1989, `ndtr.c`), evaluated with the same branches,
@@ -97,17 +98,6 @@ def _by_branch(x, small, big):
             out[i] = small(v[i])
             out[k] = big(v[k])
     return y.reshape(x.shape) if x.ndim else y[0]
-
-
-def _erfc_signed(v):
-    """erfc(v) for |v| >= 1 or nan, as erfc(-a) = 2 - erfc(a)."""
-    y = erfc_big(np.abs(v))
-    return np.where(v < 0.0, 2.0 - y, y)
-
-
-def erfc(x):
-    """Complementary error function, elementwise."""
-    return _by_branch(x, erfc_small, _erfc_signed)
 
 
 def _ndtr_small(z):

@@ -305,7 +305,7 @@ class ScanKernel:
     """
 
     def __init__(self, grid: SpaceTimeGrid, resid_mask: np.ndarray, tol: float):
-        self.grid, self.resid_mask, self.tol = grid, resid_mask, tol
+        self.grid, self.tol = grid, tol
         self.xs = grid.x_nodes()
         self.m_min = max(1, int(math.ceil(INTERIOR_T_FRACTION * grid.nt)))
         self.resid_nodes = int(resid_mask.sum())
@@ -325,13 +325,6 @@ class ScanKernel:
         first[[0, -1]] = np.minimum(first[[0, -1]], 1)
         return LayerScan(first=first, du_int=duj[1:-1],
                          stats=LayerStats(s_prev=s_prev, s_val=s_val))
-
-    def _masked_max(self, x: np.ndarray) -> float:
-        """Max of x >= 0 over the residual columns (0 when there are none);
-        zeroes x in the guard columns."""
-        if self.guard_cols is not None:
-            x[:, self.guard_cols] = 0.0
-        return float(x.max(initial=0.0))
 
     def fold(self, rec: LayerScan, u: np.ndarray, u_prev: np.ndarray, a: int) -> None:
         """Fold rows a .. b-1 into rec: u holds rows a-1 .. b-1 of layer j
@@ -370,22 +363,22 @@ class ScanKernel:
         np.add(work, row[:, :-2], out=work)
         np.divide(work, 2.0 * dx * dx, out=work)
         np.subtract(heat, work, out=heat)
+        # every record below is a max or a count over values >= 0 (tol > 0),
+        # so zeros in the guard columns leave them as over the residual columns
+        if self.guard_cols is not None:
+            heat[:, self.guard_cols] = 0.0
+            g[:, self.guard_cols] = 0.0
         np.abs(heat, out=work)
         np.copyto(work, 0.0, where=stop)
-        st.max_heat_unstopped = max(st.max_heat_unstopped, self._masked_max(work))
+        st.max_heat_unstopped = max(st.max_heat_unstopped, float(work.max(initial=0.0)))
         np.minimum(heat, g, out=both)
-        st.max_min_residual = max(st.max_min_residual,
-                                  self._masked_max(np.abs(both, out=work)))
-        exceed = np.greater(both, self.tol, out=self.mark[:b - c])
-        if self.guard_cols is not None:
-            exceed &= self.resid_mask
-        st.both_exceed += int(np.count_nonzero(exceed))
+        np.abs(both, out=work)
+        st.max_min_residual = max(st.max_min_residual, float(work.max(initial=0.0)))
+        st.both_exceed += int(np.count_nonzero(np.greater(both, self.tol, out=self.mark[:b - c])))
         st.interior_nodes += (b - c) * self.resid_nodes
         pde = np.divide(g, st.s_val - st.s_prev, out=work)
         np.minimum(heat, pde, out=pde)
         np.abs(pde, out=pde)
-        if self.guard_cols is not None:
-            pde[:, self.guard_cols] = 0.0
         i = int(pde.argmax())
         # strict > keeps the first occurrence in (t, x) order
         if pde.flat[i] > st.pde_max:

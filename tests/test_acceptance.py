@@ -149,7 +149,7 @@ def test_criterion_2_vertical_barriers(gauss_fine):
 
 def test_criterion_3_representation(gauss_mc):
     surf, _, ens = gauss_mc
-    bias = 2.0 * math.sqrt(ens.h_sim)
+    bias = ens.allowance
     probes = np.array([-1.0, 0.0, 1.0])
     worst_margin = np.inf
     for j in (1, surf.n):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rootsep as rs
 from rootsep import simulator, stop_solver
 from rootsep.marginals import MarginalFamily
 
@@ -48,3 +49,18 @@ def test_names_the_workloads_call():
     weight = simulator.MonotonePiecewisePoly.poly(0.0, 1.0)
     assert weight.antiderivative(np.array([2.0])).tolist() == [2.0]
     assert "h_sim" in simulator.PathEnsemble.__dataclass_fields__
+
+
+def test_ensemble_attributes_the_benchmark_reads():
+    family = rs.GaussianShiftFamily(1.0)
+    grid = rs.make_grid(family, 1.25, 0.1)
+    barrier = rs.extract(rs.solve_layers(family, rs.make_partition(2), grid))
+    ens = simulator.simulate_root(family, barrier, 300, grid.dt, 1, snapshot_times=[0.25])
+    assert (ens.M, ens.n, ens.h_sim, ens.horizon) == (300, 2, grid.dt, grid.T)
+    assert ens.x0.shape == (300,)
+    assert ens.sigma.shape == ens.b_sigma.shape == (3, 300)
+    assert ens.censored.dtype == bool and ens.censored.shape == (300,)
+    assert list(ens.snapshots) == [0.25] and ens.snapshots[0.25].shape == (300,)
+    alt = simulator.alternative_embedding(300, 2, h_sim=grid.dt, horizon=120.0)
+    assert (alt.M, alt.n, alt.h_sim, alt.horizon) == (300, 1, grid.dt, 120.0)
+    assert alt.censored.shape == (300,) and alt.snapshots == {}

@@ -242,7 +242,6 @@ def _with_settings(settings: str) -> str:
 @pytest.mark.parametrize("command", ["verify", "all"])
 @pytest.mark.parametrize("simulation", [
     "h_sim = 0.02",                  # coarser than the solver step dt = 0.01
-    "h_sim = 0.004",                 # probe time 0.25 is not a multiple of it
     "h_sim = 0",
     "h_sim = -0.0025",
     "paths = 0",
@@ -268,13 +267,33 @@ def test_simulation_inputs_rejected_before_solve(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
-def test_alternative_embedding_run(tmp_path):
+def test_probe_times_need_not_be_multiples_of_h_sim(tmp_path):
+    # snapshots are taken at the probe times themselves: 0.25 is not a
+    # multiple of h_sim = 0.004, only of the solver step dt = 0.01
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_with_settings("h_sim = 0.004"), encoding="utf-8")
+    run = cli.Run(load_config(cfg))
+    assert run.sim["probe_times"] == [0.25, 1.0] and run.grid.dt == pytest.approx(0.01)
+    run.check_simulation()
+
+
+def test_alternative_embedding_run(tmp_path, monkeypatch):
+    # the alternative gets the config's h_sim, so its allowance is the Root one's
+    allowances, real = [], cli.alternative_embedding
+
+    def spy(*args, **kwargs):
+        ens = real(*args, **kwargs)
+        allowances.append(ens.allowance)
+        return ens
+
+    monkeypatch.setattr(cli, "alternative_embedding", spy)
     cfg = tmp_path / "run.ini"
     cfg.write_text(_with_settings("alternative = true"), encoding="utf-8")
     outs = [tmp_path / f"threads{n}" for n in (1, 2)]
     for out, threads in zip(outs, ("1", "2")):
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--threads", threads]) == 0
+    assert allowances == [0.2, 0.2]
     emb = [(out / "embedding.json").read_bytes() for out in outs]
     assert emb[0] == emb[1]
     payload = json.loads(emb[0])

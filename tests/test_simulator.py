@@ -174,7 +174,7 @@ def test_one_run_starts_no_pool(monkeypatch):
     barrier = analytic_vertical_barrier(0.3, h, 1.5)
     rs.simulate_root(rs.ScaledFamily(0.0), barrier, 2 * sim.BLOCK_SIZE, h, seed=5, threads=1)
     rs.simulate_root(rs.ScaledFamily(0.0), barrier, sim.BLOCK_SIZE, h, seed=5, threads=4)
-    rs.alternative_embedding(2 * sim.BLOCK_SIZE, seed=5, threads=1)
+    rs.alternative_embedding(2 * sim.BLOCK_SIZE, seed=5, h_sim=h, threads=1)
     with pytest.raises(AssertionError, match="thread pool"):
         rs.simulate_root(rs.ScaledFamily(0.0), barrier, sim.BLOCK_SIZE + 1, h, seed=5, threads=2)
 
@@ -280,7 +280,7 @@ def _killed_cdf(z, d, t):
 
 @pytest.mark.parametrize("d, t", [(1.0, 1.0), (1.0, 0.3), (0.2, 0.01)])
 def test_box_endpoints_follow_the_killed_density(d, t):
-    z = sim._endpoint_in_box(sim._Streams(8, 0, 1), np.arange(50_000), np.full(50_000, d),
+    z = sim._endpoint_in_box(sim._Streams(8, 1), np.arange(50_000), np.full(50_000, d),
                              np.full(50_000, t))
     assert np.all(np.abs(z) < d)
     assert stats.kstest(z, lambda v: _killed_cdf(np.atleast_1d(v), d, t)).pvalue > 1e-3
@@ -292,7 +292,7 @@ def test_box_endpoint_without_time_returns():
     # thread, so a sampler that never returns fails this test, not the suite
     result = []
     worker = threading.Thread(daemon=True, target=lambda: result.append(sim._endpoint_in_box(
-        sim._Streams(1, 0, 1), np.array([0, 1]), np.array([0.0, 1.0]), np.array([0.0, 0.5]))))
+        sim._Streams(1, 1), np.array([0, 1]), np.array([0.0, 1.0]), np.array([0.0, 0.5]))))
     worker.start()
     worker.join(timeout=10.0)
     assert result, "_endpoint_in_box did not return within 10 s"
@@ -466,7 +466,7 @@ def _next_draws(streams):
 @pytest.mark.parametrize("seed", [3, 17])
 def test_squeezed_box_step_matches_the_reference(seed):
     rows, x, t, d, u, w = _adversarial_box_rows(seed)
-    mine, ref = sim._Streams(seed, 0, 3), sim._Streams(seed, 0, 3)
+    mine, ref = sim._Streams(seed, 3), sim._Streams(seed, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
         got = sim._cross_boxes(mine, rows, x, t, d, u, w)
         want = reference_cross_boxes(ref, rows, x, t, d, u, w)
@@ -477,7 +477,7 @@ def test_squeezed_box_step_matches_the_reference(seed):
 @pytest.mark.parametrize("seed", [3, 17])
 def test_squeezed_endpoints_match_the_reference(seed):
     rows, _, _, d, u, _ = _adversarial_box_rows(seed)
-    mine, ref = sim._Streams(seed, 0, 3), sim._Streams(seed, 0, 3)
+    mine, ref = sim._Streams(seed, 3), sim._Streams(seed, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
         got = sim._endpoint_in_box(mine, rows, d, u)
         want = reference_endpoint_in_box(ref, rows, d, u)
@@ -505,21 +505,47 @@ def test_non_positive_monitoring_rejected(h_sim):
         rs.simulate_root(rs.ScaledFamily(0.0), barrier, 100, h_sim, seed=1)
 
 
-def test_snapshot_read_at_its_monitored_step():
-    # 0.5 + 5e-10 is accepted as the step-500 time, so t = 0.5 reads it too
+@pytest.fixture(scope="module")
+def off_lattice_snapshot():
+    # 0.3337 is a multiple of neither h_sim nor the solver step 1e-3
     barrier = analytic_vertical_barrier(0.8, 1e-3, 1.0)
-    ens = rs.simulate_root(rs.ScaledFamily(0.0), barrier, 1000, 1e-3, seed=3,
-                           snapshot_times=[0.5 + 5e-10])
-    assert np.array_equal(ens.values_at(1, 0.5), ens.snapshots[0.5 + 5e-10])
+    return rs.simulate_root(rs.ScaledFamily(0.0), barrier, 20_000, 1e-3, seed=9,
+                            snapshot_times=[0.3337])
 
 
-def test_snapshots_deduplicated_by_monitored_step():
-    # both times fall on step 50, so they share one snapshot, keyed by the first
-    barrier = analytic_vertical_barrier(0.8, 1e-2, 1.0)
-    ens = rs.simulate_root(rs.ScaledFamily(0.0), barrier, 1000, 1e-2, seed=3,
-                           snapshot_times=[0.5, 0.5 + 5e-10])
-    assert list(ens.snapshots) == [0.5]
-    assert np.array_equal(ens.values_at(1, 0.5 + 5e-10), ens.values_at(1, 0.5))
+def test_snapshot_at_the_requested_time(off_lattice_snapshot):
+    # every path still runs at 0.3337 < 0.8, so the snapshot is B_0.3337
+    ens = off_lattice_snapshot
+    snap = ens.snapshots[0.3337]
+    assert np.all(ens.sigma[1] == 0.8)
+    result = stats.kstest(snap, stats.norm(scale=math.sqrt(0.3337)).cdf)
+    assert result.pvalue > 1e-3, result
+
+
+def test_values_at_reads_only_recorded_times(off_lattice_snapshot):
+    ens = off_lattice_snapshot
+    assert np.array_equal(ens.values_at(1, 0.3337), ens.snapshots[0.3337])
+    with pytest.raises(ValidationError, match="no snapshot recorded at t=0.3"):
+        ens.values_at(1, 0.3)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([np.nan], "not a number"), ([1.0 + 1e-6], "beyond the horizon")])
+def test_bad_snapshot_times_rejected(times, message):
+    barrier = analytic_vertical_barrier(0.8, 1e-3, 1.0)
+    with pytest.raises(ValidationError, match=message):
+        rs.simulate_root(rs.ScaledFamily(0.0), barrier, 100, 1e-3, seed=1,
+                         snapshot_times=times)
+
+
+def test_snapshot_just_past_the_horizon_reads_it():
+    # a time within LATTICE_TOL past T is taken at T, under its own key
+    barrier = analytic_vertical_barrier(0.8, 1e-3, 1.0)
+    ens = rs.simulate_root(rs.ScaledFamily(0.0), barrier, 100, 1e-3, seed=1,
+                           snapshot_times=[1.0, 1.0 + 5e-10])
+    assert list(ens.snapshots) == [1.0, 1.0 + 5e-10]
+    assert np.array_equal(ens.snapshots[1.0 + 5e-10], ens.b_sigma[1])
+    assert np.array_equal(ens.values_at(1, 1.0 + 5e-10), ens.snapshots[1.0])
 
 
 def test_empty_root_ensemble_rejected():
@@ -535,7 +561,7 @@ def test_empty_alternative_ensemble_rejected():
     for M in (0, 1):
         message = f"M={M} paths; a standard error needs at least 2"
         with pytest.raises(ValidationError, match=message):
-            rs.alternative_embedding(M, seed=1)
+            rs.alternative_embedding(M, seed=1, h_sim=1e-3)
 
 
 def test_censoring_error(two_atom_family):
@@ -558,7 +584,7 @@ def test_empirical_potential_time_zero(gauss_run, gauss_family):
 
 def test_empirical_potential_matches_solver(gauss_run):
     surf, _, ens = gauss_run
-    bias = 2.0 * math.sqrt(ens.h_sim)
+    bias = ens.allowance
     for j in (1, 4):
         for t in (0.25, 0.5, 1.0):
             probes = np.array([-1.0, 0.0, 1.0])
@@ -646,11 +672,11 @@ def test_functional_rejects_non_poly(gauss_run):
 def _ensemble_with_censored(M: int, censored: int, horizon: float) -> rs.PathEnsemble:
     stops = np.linspace(0.1, 0.9 * horizon, M)
     stops[:censored] = np.inf
-    return rs.PathEnsemble(M=M, h_sim=1e-3, seed=0, horizon=horizon,
+    return rs.PathEnsemble(h_sim=1e-3, horizon=horizon,
                            s_values=np.array([1.0]), x0=np.zeros(M),
                            sigma=np.vstack([np.full(M, np.inf), stops]),
                            b_sigma=np.vstack([np.full(M, np.nan), np.zeros(M)]),
-                           snapshots={}, censored=~np.isfinite(stops))
+                           snapshots={})
 
 
 def test_functional_counts_censored_paths_at_the_horizon():
@@ -746,7 +772,7 @@ def test_alternative_stops_at_the_drawn_level():
     # block b draws its levels G and then its uniforms from stream (seed, b);
     # sigma = G^2 tau_1(u) and B_sigma = G on every uncensored path
     M, block, seed, horizon = 20_000, sim.BLOCK_SIZE, 4, 25.0
-    ens = rs.alternative_embedding(M, seed, horizon=horizon)
+    ens = rs.alternative_embedding(M, seed, h_sim=1e-3, horizon=horizon)
     level, tau = np.empty(M), np.empty(M)
     for b, lo in enumerate(range(0, M, block)):
         rng = make_stream(seed, b)

@@ -1,5 +1,5 @@
-"""The numpy erfc and ndtr against scipy.special, which evaluates the same
-Cephes approximations in C; scipy is a test dependency only."""
+"""The numpy erfc branches and ndtr against scipy.special, which evaluates
+the same Cephes approximations in C; scipy is a test dependency only."""
 
 import math
 
@@ -11,6 +11,21 @@ from rootsep import special
 from rootsep.marginals import _NORMAL_RADIUS, TAIL_MASS
 
 TINY = np.finfo(float).tiny
+
+
+def _erfc_signed(v):
+    """erfc(v) for |v| >= 1 or nan, as erfc(-a) = 2 - erfc(a)."""
+    y = special.erfc_big(np.abs(v))
+    return np.where(v < 0.0, 2.0 - y, y)
+
+
+def erfc(x):
+    """Complementary error function, elementwise, from the package's
+    branches: `erfc_small` on |x| < 1 and `erfc_big` on the rest."""
+    return special._by_branch(x, special.erfc_small, _erfc_signed)
+
+
+FUNCTIONS = {"erfc": erfc, "ndtr": special.ndtr}
 
 
 def _grid(edges):
@@ -36,7 +51,7 @@ NDTR_X = _grid([(0.0, math.sqrt(2.0)), (math.sqrt(2.0), 8.0 * math.sqrt(2.0)),
 
 @pytest.mark.parametrize("name, x", [("erfc", ERFC_X), ("ndtr", NDTR_X)])
 def test_matches_scipy(name, x):
-    got, want = getattr(special, name)(x), getattr(sc, name)(x)
+    got, want = FUNCTIONS[name](x), getattr(sc, name)(x)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(np.isnan(got), np.isnan(x))
     # exactly 0 where scipy underflows to 0, and nowhere else
@@ -48,11 +63,11 @@ def test_matches_scipy(name, x):
 
 
 def test_limits_and_shapes():
-    assert special.erfc(np.inf) == 0.0 and special.erfc(-np.inf) == 2.0
+    assert erfc(np.inf) == 0.0 and erfc(-np.inf) == 2.0
     assert special.ndtr(np.inf) == 1.0 and special.ndtr(-np.inf) == 0.0
-    assert special.erfc(0.0) == 1.0 and special.ndtr(0.0) == 0.5
-    assert np.isnan(special.erfc(np.nan)) and np.isnan(special.ndtr(np.nan))
-    for fn in (special.erfc, special.ndtr):
+    assert erfc(0.0) == 1.0 and special.ndtr(0.0) == 0.5
+    assert np.isnan(erfc(np.nan)) and np.isnan(special.ndtr(np.nan))
+    for fn in FUNCTIONS.values():
         assert np.ndim(fn(0.3)) == 0
         assert fn(np.zeros((3, 2))).shape == (3, 2)
         assert fn(np.zeros(0)).shape == (0,)
@@ -62,7 +77,7 @@ def test_limits_and_shapes():
 def test_blocks_do_not_change_values():
     # more entries than one pass takes, branches mixed within each pass
     x = np.random.default_rng(6).normal(0.0, 3.0, 3 * special._BLOCK + 17)
-    for fn in (special.erfc, special.ndtr):
+    for fn in FUNCTIONS.values():
         parts = np.concatenate([fn(x[i:i + 1000]) for i in range(0, x.size, 1000)])
         assert np.array_equal(fn(x), parts)
 
