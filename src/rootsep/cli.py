@@ -368,7 +368,9 @@ def cmd_verify(run: Run, out: Path) -> int:
     if run.sim["alternative"]:
         alt = alternative_embedding(M, seed + 1, h_sim, threads=threads)
         alt_fit = marginal_fit(alt, ScaledFamily(0.0))
-        alternative = {"marginals": alt_fit.marginals, "functionals": {}}
+        # its UI proxy is reported only: no gate reads it
+        alternative = {"marginals": alt_fit.marginals, "ui_proxy": alt_fit.ui_proxy,
+                       "functionals": {}}
         for name, f in weights.items():
             est, se = optimality_functional(alt, f)
             alternative["functionals"][name] = {"estimate": est, "stderr": se}

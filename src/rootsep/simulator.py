@@ -198,8 +198,11 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
       stopped law; the other stops are exact.
     Windows also end at every snapshot time and at the horizon T of the
     grid the barriers came from, and last at most d^2 for a box of radius
-    d.  At each stop the next layers are tried, in increasing order, at
-    the same point, so sigma_1 <= ... <= sigma_n.  The snapshot at time t
+    d.  A box step gathers and scatters through index arrays only where
+    they select fewer than all rows (`_rows`): identity gathers are
+    skipped, with the same floats and the same draws.  At each stop the
+    next layers are tried, in increasing order, at the same point, so
+    sigma_1 <= ... <= sigma_n.  The snapshot at time t
     is B_(t ^ sigma_n): the running position, or B_sigma_n for a path that
     stopped by t.
 
@@ -250,15 +253,17 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
         def settle(k):
             # stop paths k in every next layer whose region holds (t, x)
             while k.size:
-                k = k[j[k] <= n]
-                r[k] = barrier_family.lookup(j[k], x[k], pos=pos[k])
-                k = k[r[k] <= t[k] + 1e-12]
+                k = k[j[_rows(k, j.size)] <= n]
+                s = _rows(k, j.size)
+                r[s] = barrier_family.lookup(j[s], x[s], pos=pos[s])
+                k = k[r[s] <= t[s] + 1e-12]
                 stop(k)
 
         def record(k):
             # running positions of paths whose window ended at a snapshot time
-            slot = np.minimum(np.searchsorted(snap_at, t[k]), snap_at.size - 1)
-            on = np.nonzero(snap_at[slot] == t[k])[0]
+            tk = t[_rows(k, t.size)]
+            slot = np.minimum(np.searchsorted(snap_at, tk), snap_at.size - 1)
+            on = np.nonzero(snap_at[slot] == tk)[0]
             snaps[slot[on], rows[k[on]]] = x[k[on]]
 
         if state is None:
@@ -277,9 +282,9 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
             rows, x, pos, t, j, r = state
 
         while True:
-            live = np.nonzero((j <= n) & (t < T))[0]
+            live = _rows(np.nonzero((j <= n) & (t < T))[0], rows.size)
             rows, x, pos, t, j, r = rows[live], x[live], pos[live], t[live], j[live], r[live]
-            if live.size < narrow:
+            if rows.size < narrow:
                 return rows, x, pos, t, j, r
             limit = bounds[np.searchsorted(bounds, t, side="right")]
             d, u, w, shell = _box(barrier_family, j, x, pos, r, t, limit)
@@ -291,8 +296,10 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
                 pos[near] = barrier_family.cell_position(x[near])
                 stop(near)
                 settle(near)
-            x[go], t[go] = _cross_boxes(streams, rows[go], x[go], t[go], d[go], u[go], w[go])
-            x[go], pos[go] = _onto_nodes(barrier_family, x[go])
+            sub = _rows(go, x.size)
+            x[sub], t[sub] = _cross_boxes(streams, rows[sub], x[sub], t[sub], d[sub], u[sub],
+                                          w[sub])
+            x[sub], pos[sub] = _onto_nodes(barrier_family, x[sub])
             settle(go)
             if snap_at.size:
                 record(go)
@@ -435,15 +442,24 @@ def _cross_boxes(streams, rows, x, t, d, u, w):
     v = streams.draw(rows, lambda rng, k: rng.random((2, k)))
     r = u / (d * d)
     leave = _squeeze(v[0], 0.0, _exit_ceiling(r), exit_time_cdf, r)
-    left, stay = np.flatnonzero(leave), np.flatnonzero(~leave)   # faster to reuse than masks
-    dl = d[left]
-    tau = dl ** 2 * exit_time_quantile(v[0, left])
+    # index arrays are faster to reuse than masks
+    left, stay = np.flatnonzero(leave), _rows(np.flatnonzero(~leave), x.size)
     new_t = w.copy()
-    new_t[left] = np.minimum(t[left] + tau, w[left])
     new_x = np.empty_like(x)
-    new_x[left] = x[left] + np.where(v[1, left] < 0.5, -dl, dl)
+    if left.size:
+        dl = d[left]
+        tau = dl ** 2 * exit_time_quantile(v[0, left])
+        new_t[left] = np.minimum(t[left] + tau, w[left])
+        new_x[left] = x[left] + np.where(v[1, left] < 0.5, -dl, dl)
     new_x[stay] = x[stay] + _endpoint_in_box(streams, rows[stay], d[stay], u[stay])
     return new_x, new_t
+
+
+def _rows(k, size):
+    """The sorted, distinct row indices k into arrays of `size` rows, or a
+    slice that reads the arrays whole when k holds every row; the results
+    are the same, and the gathers and scatters cheaper."""
+    return slice(None) if k.size == size else k
 
 
 def _squeeze(v, floor, ceiling, exact, *args):
@@ -533,26 +549,32 @@ def _endpoint_in_box(streams, rows, d, t):
     A path with t = 0 does not move and draws nothing.
     """
     z = np.zeros(d.size)
-    todo = np.nonzero(t > 0.0)[0]
+    todo = np.flatnonzero(t > 0.0)
+    # pending rows of z, and their rows, radii and windows; the first round
+    # reads the given arrays when every window is positive
+    sel = _rows(todo, d.size)
+    rows, d, t = rows[sel], d[sel], t[sel]
     while todo.size:
-        g = streams.draw(rows[todo], _normals)
-        v = streams.draw(rows[todo], lambda rng, k: rng.random((2, k)))
-        dd, tt = d[todo], t[todo]
-        prop, ok = np.sqrt(tt) * g, np.empty(todo.size, dtype=bool)
-        below = tt < _EIGEN_FROM * dd * dd
+        g = streams.draw(rows, _normals)
+        v = streams.draw(rows, lambda rng, k: rng.random((2, k)))
+        prop, ok = np.sqrt(t) * g, np.empty(todo.size, dtype=bool)
+        below = t < _EIGEN_FROM * d * d
         short, long = np.flatnonzero(below), np.flatnonzero(~below)
-        zs, ds, ts = prop[short], dd[short], tt[short]
-        ok[short] = _squeeze(v[1, short], _survival_floor(zs, ds, ts),
-                             np.where(np.abs(zs) < ds, np.inf, 0.0), _bridge_survival, zs, ds, ts)
+        sub = _rows(short, todo.size)
+        zs, ds, ts = prop[sub], d[sub], t[sub]
+        ok[sub] = _squeeze(v[1, sub], _survival_floor(zs, ds, ts),
+                           np.where(np.abs(zs) < ds, np.inf, 0.0), _bridge_survival, zs, ds, ts)
         theta = np.arcsin(2.0 * v[0, long] - 1.0)
-        dl = dd[long]
+        dl = d[long]
         prop[long] = (2.0 / math.pi) * dl * theta
-        r = tt[long] / (dl * dl)
+        r = t[long] / (dl * dl)
         ok[long] = _squeeze(v[1, long], np.where(r >= _EIGEN_FROM, _EIGEN_FLOOR, 0.0), np.inf,
                             _eigen_acceptance, theta, r)
-        done = np.flatnonzero(ok)
-        z[todo[done]] = prop[done]
-        todo = todo[np.flatnonzero(~ok)]
+        # a rejected proposal is overwritten in a later round
+        z[sel] = prop
+        again = np.flatnonzero(~ok)
+        todo, rows, d, t = todo[again], rows[again], d[again], t[again]
+        sel = todo
     return z
 
 

@@ -27,6 +27,17 @@ the stored values alone:
 The same kernel rescans a stored full-row surface for the complementarity
 check.  A solve holds O(n * CHUNK_ROWS * nx) values besides its kept rows.
 
+Row m of layer j is the same float function of row m-1 and of row m of
+layer j-1, with fixed Dirichlet edges.  So once two consecutive rows of a
+layer are equal bit for bit while the layer below is constant from then on
+(layer 0 is U0 throughout), every later row repeats them, and so do their
+diagnostics: first hits, extrema and `pde_loc` (first occurrence) stay,
+counts grow by the same amount per row on each side of m_min.  At each
+block end such a layer is frozen: the sweep drops it, its kept rows are
+filled once and its remaining rows folded once.  Frozen layers form a
+prefix 1..f, so the active layers stay contiguous, and every value and
+record is bit-identical to the full sweep.
+
 Ties between stopping and continuing are marked as stopped: barriers are
 closed sets.
 """
@@ -147,9 +158,13 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     layer of a diagonal in one array step.  The rows of the last CHUNK_ROWS
     + 1 diagonals of every layer live in a rolling buffer; after each block
     of CHUNK_ROWS diagonals, each layer's new rows are folded into its
-    records (`ScanKernel.fold`) and its kept rows are copied out.  Memory is
-    O(n * CHUNK_ROWS * nx) plus the kept rows.  The recorded statistics use
-    the complementarity tolerance `scheme_tolerance(grid)`.
+    records (`ScanKernel.fold`) and its kept rows are copied out.  Then a
+    layer whose last two rows are equal bit for bit, with every layer below
+    it frozen, is frozen too: its remaining rows repeat its last row, so
+    they are kept and folded once and the sweep skips them (see the module
+    notes).  Memory is O(n * CHUNK_ROWS * nx) plus the kept rows.  The
+    recorded statistics use the complementarity tolerance
+    `scheme_tolerance(grid)`.
 
     Every atom of the partition's marginal laws must sit on an x-node
     (`grid_atoms`).
@@ -219,13 +234,16 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
                 du[lo - 1:hi, 1:-1], buf[lo:hi + 1, s, 1:-1], work[0, :k], work[1, :k],
                 work[2, :k], stop_work[:k])
 
+    # layers 1..frozen keep their last row for good (see the module notes)
+    frozen = 0
     last = n + nt
     D = 2
-    while nt and D <= last:             # without a time step, row 0 is all there is
+    while nt and D <= last and frozen < n:      # without a time step, row 0 is all there is
         E = min(D + C, last + 1)
+        settled = frozen        # layers frozen before this block
         for d in range(D, E):
             s = d - D + 1
-            lo, hi = max(1, d - nt), min(n, d - 1)
+            lo, hi = max(frozen + 1, d - nt), min(n, d - 1)
             v = views.get((lo, hi, s))
             if v is None:
                 v = views[lo, hi, s] = step_views(lo, hi, s)
@@ -253,7 +271,7 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
                 buf[hi, :, ::nx] = edges[hi]
             if d <= n:
                 buf[d, s] = U0      # row 0 of the layer that starts next
-        for j in range(max(1, D - nt), min(n, E - 2) + 1):
+        for j in range(max(frozen + 1, D - nt), min(n, E - 2) + 1):
             a, b = max(1, D - j), min(nt, E - 1 - j) + 1
             sa = a - D + 1 + j      # slot of row a
             sb = sa + b - a
@@ -261,6 +279,19 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
             p, q = np.searchsorted(kept_index, (a, b))
             if q > p:
                 layers[j, p:q] = buf[j, kept_index[p:q] - (a - sa)]
+            if j == frozen + 1 and b <= nt and np.array_equal(
+                    *buf[j, sb - 2:sb].view(np.int64)):
+                # rows b - 1 and b - 2 are equal bit for bit and the layer below
+                # is constant, so rows b .. nt repeat row b - 1 (in slot E - D),
+                # and so do their records: fold them once, on each side of m_min
+                frozen = j
+                layers[j, q:] = buf[j, sb - 1]
+                for m0, m1 in ((b, min(kernel.m_min, nt + 1)), (max(b, kernel.m_min), nt + 1)):
+                    if m1 > m0:
+                        kernel.fold(scans[j - 1], buf[j, sb - 2:sb], buf[j - 1, sb - 1:sb], m0,
+                                    repeat=m1 - m0)
+        # the next layer reads a frozen layer's row from every slot
+        buf[settled + 1:frozen + 1] = buf[settled + 1:frozen + 1, E - D, None]
         buf[:, 0] = buf[:, E - D]
         D = E
 
@@ -326,10 +357,17 @@ class ScanKernel:
         return LayerScan(first=first, du_int=duj[1:-1],
                          stats=LayerStats(s_prev=s_prev, s_val=s_val))
 
-    def fold(self, rec: LayerScan, u: np.ndarray, u_prev: np.ndarray, a: int) -> None:
+    def fold(self, rec: LayerScan, u: np.ndarray, u_prev: np.ndarray, a: int,
+             repeat: int = 1) -> None:
         """Fold rows a .. b-1 into rec: u holds rows a-1 .. b-1 of layer j
         (the preceding row feeds the backward time difference) and u_prev
-        rows a .. b-1 of layer j-1, each with all nx+1 columns."""
+        rows a .. b-1 of layer j-1, each with all nx+1 columns.
+
+        With repeat > 1, u holds one row twice and u_prev one row, and they
+        stand for rows a .. a + repeat - 1, all on one side of m_min, each
+        equal to the one before it in both layers; the first hits, minima,
+        maxima and `pde_loc` are then those of row a, and the counts repeat
+        times its counts."""
         k = u_prev.shape[0]
         b = a + k
         st = rec.stats
@@ -345,7 +383,8 @@ class ScanKernel:
         above = np.greater(np.arange(a, b)[:, None], inner, out=self.mark[:k])
         np.greater(above, stop, out=above)      # and not stopped
         if above.any():
-            rec.flagged += int(np.count_nonzero(gap[above] > 1e-9 * (1.0 + np.abs(rows[above]))))
+            rec.flagged += repeat * int(np.count_nonzero(
+                gap[above] > 1e-9 * (1.0 + np.abs(rows[above]))))
         st.min_gap = min(st.min_gap, float(gap.min()))
 
         c = max(a, self.m_min)
@@ -374,8 +413,9 @@ class ScanKernel:
         np.minimum(heat, g, out=both)
         np.abs(both, out=work)
         st.max_min_residual = max(st.max_min_residual, float(work.max(initial=0.0)))
-        st.both_exceed += int(np.count_nonzero(np.greater(both, self.tol, out=self.mark[:b - c])))
-        st.interior_nodes += (b - c) * self.resid_nodes
+        st.both_exceed += repeat * int(np.count_nonzero(
+            np.greater(both, self.tol, out=self.mark[:b - c])))
+        st.interior_nodes += repeat * (b - c) * self.resid_nodes
         pde = np.divide(g, st.s_val - st.s_prev, out=work)
         np.minimum(heat, pde, out=pde)
         np.abs(pde, out=pde)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -304,6 +305,12 @@ def test_alternative_embedding_run(tmp_path, monkeypatch):
     # the randomized embedding pays more than Root for increasing weights
     for name in ("t", "t_sq"):
         assert alt[name]["estimate"] > payload["functionals"][name]["estimate"]
+    # the alternative's UI proxy is recorded: E|B_sigma| against E|G| = sqrt(2 / pi)
+    ui = payload["alternative"]["ui_proxy"]
+    assert sorted(ui) == ["max_abs", "mean_abs", "passed", "stderr", "target"]
+    assert ui["target"] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
+    assert abs(ui["mean_abs"] - ui["target"]) <= 3.0 * ui["stderr"] + 0.2
+    assert ui["passed"] is True and ui["max_abs"] >= ui["mean_abs"]
 
 
 @pytest.mark.parametrize("section, key", [

@@ -445,14 +445,24 @@ def test_squeezed_exit_test_decides_as_the_full_cdf():
         assert np.array_equal(sim._squeeze(v, 0.0, ceiling, sim.exit_time_cdf, r), v < cdf)
 
 
-def _adversarial_box_rows(seed):
-    """Rows of a run of three blocks and their boxes: fast boxes (u = d^2 /
-    16), u = 0, u = d^2, windows at and just below d^2 / 2 (where proposals
-    fall near +-d), long windows and windows short enough to underflow."""
+# window lengths u / d^2 of the box row sets.  mixed: fast boxes (u = d^2 /
+# 16), u = 0, u = d^2, windows at and just below d^2 / 2 (where proposals fall
+# near +-d), long windows and windows short enough to underflow; fast: fast
+# boxes only, every window positive and short, so the box step's rounds read
+# their arrays whole; long: long windows only
+BOX_ROW_SETS = {"mixed": [1.0 / 16.0, 0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), 0.75, 1e-4,
+                          1.0 / 1600.0],
+                "fast": [1.0 / 16.0],
+                "long": [0.5, 0.75, 1.0]}
+
+
+def _adversarial_box_rows(seed, row_set="mixed"):
+    """Rows of a run of three blocks and their boxes, with the window
+    lengths of BOX_ROW_SETS[row_set]."""
     rng = make_stream(seed, 99)
     rows = np.sort(rng.choice(3 * sim.BLOCK_SIZE, 12_000, replace=False))
     d = 10.0 ** rng.uniform(-3.0, 0.5, rows.size)
-    frac = np.array([1.0 / 16.0, 0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), 0.75, 1e-4, 1.0 / 1600.0])
+    frac = np.array(BOX_ROW_SETS[row_set])
     u = d * d * frac[np.arange(rows.size) % frac.size]
     x, t = rng.uniform(-3.0, 3.0, rows.size), rng.uniform(0.0, 2.0, rows.size)
     return rows, x, t, d, u, t + u
@@ -483,6 +493,25 @@ def test_squeezed_endpoints_match_the_reference(seed):
         want = reference_endpoint_in_box(ref, rows, d, u)
     assert np.array_equal(got, want)
     assert np.array_equal(_next_draws(mine), _next_draws(ref))
+
+
+# seed 7 draws no exit among the 12,000 fast boxes (P(none) is about 0.2)
+@pytest.mark.parametrize("row_set, seed", [("fast", 7), ("long", 3), ("long", 17)])
+def test_whole_array_box_rounds_match_the_reference(row_set, seed):
+    rows, x, t, d, u, w = _adversarial_box_rows(seed, row_set)
+    if row_set == "fast":
+        # the precondition of the whole-array rounds: no path leaves its box,
+        # and every endpoint window is positive and short
+        v = sim._Streams(seed, 3).draw(rows, lambda rng, k: rng.random((2, k)))
+        assert not np.any(v[0] < sim.exit_time_cdf(u / (d * d)))
+        assert np.all((u > 0.0) & (u < sim._EIGEN_FROM * d * d))
+    for step, reference, args in ((sim._cross_boxes, reference_cross_boxes, (rows, x, t, d, u, w)),
+                                  (sim._endpoint_in_box, reference_endpoint_in_box, (rows, d, u))):
+        mine, ref = sim._Streams(seed, 3), sim._Streams(seed, 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, want = step(mine, *args), reference(ref, *args)
+        assert np.array_equal(np.asarray(got), np.asarray(want))
+        assert np.array_equal(_next_draws(mine), _next_draws(ref))
 
 
 def test_negative_snapshot_times_rejected():

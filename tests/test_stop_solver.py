@@ -7,8 +7,8 @@ import rootsep as rs
 from oracles import rule_count, tree_oracle
 from rootsep.errors import ConvexOrderError, GridBudgetError, ValidationError
 from rootsep.marginals import gaussian_potential, make_stream
-from rootsep.stop_solver import (CHUNK_ROWS, SENTINEL, LayerStats, grid_atoms, rescan,
-                                 scheme_tolerance)
+from rootsep.stop_solver import (CHUNK_ROWS, SENTINEL, LayerStats, ScanKernel, grid_atoms,
+                                 rescan, scheme_tolerance)
 from rootsep.tolerances import INTERIOR_T_FRACTION, KINK_GUARD
 
 SQRT_3_OVER_PI = math.sqrt(3.0 / math.pi)
@@ -328,6 +328,14 @@ SWEEP_CASES = {
     "three_point_kept": ("three_point_family", 4, "uniform", 1.0, 0.05,
                          [0.1, 0.5, 0.502, 1.0]),
     "geometric_n8": ("gauss_family", 8, "geometric", 1.0, 0.1, None),
+    # an unchanged marginal: every layer settles in the first row block, and
+    # the one fold of its remaining rows straddles m_min = 100 (nt = 2000)
+    "constant_n3": ("constant_family", 3, "uniform", 4.0, 0.05, None),
+    "constant_n3_kept": ("constant_family", 3, "uniform", 4.0, 0.05,
+                         [0.05, 0.16, 0.25, 2.0, 4.0]),
+    # the Gaussian config's T and dx at its finest ladder partition
+    "gauss_n16_dx05": ("gauss_family", 16, "uniform", 1.25, 0.05, None),
+    "geometric_n8_T2": ("gauss_family", 8, "geometric", 2.0, 0.1, None),
 }
 
 
@@ -353,6 +361,30 @@ def test_sweep_matches_row_reference(request, case):
     family = request.getfixturevalue(fam_name)
     assert_matches_row_reference(family, rs.make_partition(n, style),
                                  rs.make_grid(family, T, dx), keep)
+
+
+@pytest.mark.parametrize("case, settles", [("constant_n3", True), ("constant_n3_kept", True),
+                                           ("gauss_n16_dx05", True), ("geometric_n8_T2", True),
+                                           ("two_atom", False)])
+def test_settled_layers_fold_their_rows_once(request, monkeypatch, case, settles):
+    # a layer whose rows repeat over a constant layer below leaves the sweep,
+    # and its remaining rows reach ScanKernel.fold once; the embedding's
+    # two-atom solve never settles, so every row is folded
+    fam_name, n, style, T, dx, keep = SWEEP_CASES[case]
+    family = request.getfixturevalue(fam_name)
+    grid = rs.make_grid(family, T, dx)
+    fold, folded = ScanKernel.fold, []
+
+    def spy(self, rec, u, u_prev, *args, **kwargs):
+        folded.append(u_prev.shape[0])
+        return fold(self, rec, u, u_prev, *args, **kwargs)
+
+    monkeypatch.setattr(ScanKernel, "fold", spy)
+    rs.solve_layers(family, rs.make_partition(n, style), grid, keep_times=keep)
+    if settles:
+        assert sum(folded) < n * grid.nt
+    else:
+        assert sum(folded) == n * grid.nt
 
 
 def test_grid_without_time_steps_keeps_row_zero(gauss_family):
