@@ -24,8 +24,8 @@ the stored values alone:
   * complementarity residuals with a centred-in-x, backward-in-t stencil,
     which is deliberately *not* the scheme's own update stencil so the
     report measures genuine discretization error instead of zeros.
-The same kernel rescans a stored full-row surface for the complementarity
-check.  A solve holds O(n * CHUNK_ROWS * nx) values besides its kept rows.
+`complementarity_check` reports these records; nothing recomputes them.
+A solve holds O(n * CHUNK_ROWS * nx) values besides its kept rows.
 
 Row m of layer j is the same float function of row m-1 and of row m of
 layer j-1, with fixed Dirichlet edges.  So once two consecutive rows of a
@@ -95,8 +95,6 @@ class ValueSurface:
     region_nodes: np.ndarray           # (n,) node count at/after the first hit
     layer_stats: list
     tol: float
-    full_rows: bool                    # True when every time row is kept
-    resid_mask: np.ndarray             # interior columns used for residual maxima
 
     @property
     def n(self) -> int:
@@ -152,16 +150,20 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
                  keep_times=None) -> ValueSurface:
     """March the layered obstacle scheme across all marginal layers.
 
-    keep_times: time values whose rows are retained in the result (None keeps
-    every row).  Layer j at row m reads only (j, m-1) and (j-1, m), so the
-    sweep runs over the anti-diagonals d = j + m and advances every active
-    layer of a diagonal in one array step.  The rows of the last CHUNK_ROWS
-    + 1 diagonals of every layer live in a rolling buffer; after each block
-    of CHUNK_ROWS diagonals, each layer's new rows are folded into its
-    records (`ScanKernel.fold`) and its kept rows are copied out.  Then a
-    layer whose last two rows are equal bit for bit, with every layer below
-    it frozen, is frozen too: its remaining rows repeat its last row, so
-    they are kept and folded once and the sweep skips them (see the module
+    keep_times: time values whose rows are retained in the result; None
+    keeps every row, for library callers (at most 150,000,000 nodes, else
+    GridBudgetError before any sweep).  The records cover every row either
+    way, and `complementarity_check` reports them.
+
+    Layer j at row m reads only (j, m-1) and (j-1, m), so the sweep runs
+    over the anti-diagonals d = j + m and advances every active layer of a
+    diagonal in one array step.  The rows of the last CHUNK_ROWS + 1
+    diagonals of every layer live in a rolling buffer; after each block of
+    CHUNK_ROWS diagonals, each layer's new rows are folded into its records
+    (`ScanKernel.fold`) and its kept rows are copied out.  Then a layer
+    whose last two rows are equal bit for bit, with every layer below it
+    frozen, is frozen too: its remaining rows repeat its last row, so they
+    are kept and folded once and the sweep skips them (see the module
     notes).  Memory is O(n * CHUNK_ROWS * nx) plus the kept rows.  The
     recorded statistics use the complementarity tolerance
     `scheme_tolerance(grid)`.
@@ -295,12 +297,14 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
         buf[:, 0] = buf[:, E - D]
         D = E
 
-    stop_first, flagged, region, stats = _stack_scans(scans, nt)
+    stop_first = np.stack([sc.first for sc in scans])
+    flagged = np.array([sc.flagged for sc in scans], dtype=np.int64)
+    region = np.where(stop_first == SENTINEL, 0, nt + 1 - stop_first).sum(axis=1)
     return ValueSurface(partition=partition, grid=grid, family_desc=family.descriptor(),
                         t_kept=grid.t_nodes()[kept_index], kept_index=kept_index,
                         layers=layers, du=du, stop_first=stop_first, flagged=flagged,
-                        region_nodes=region, layer_stats=stats, tol=tol,
-                        full_rows=kept_index.size == nt + 1, resid_mask=resid_mask)
+                        region_nodes=region, layer_stats=[sc.stats for sc in scans],
+                        tol=tol)
 
 
 @dataclass
@@ -329,10 +333,10 @@ class ScanKernel:
     increasing row order with no gap.  Every record is a first hit, a count,
     a max or a min, and `pde_loc` keeps the first occurrence of the maximum
     in (t, x) order, so the records do not depend on where the blocks are
-    cut.  One kernel serves a whole solve or rescan: its work arrays hold
-    one block of at most CHUNK_ROWS rows and are reused for every block,
-    since fresh temporaries per block more than doubled the kernel's time
-    on wide grids (nx ~ 1100).
+    cut.  One kernel serves a whole solve: its work arrays hold one block
+    of at most CHUNK_ROWS rows and are reused for every block, since fresh
+    temporaries per block more than doubled the kernel's time on wide grids
+    (nx ~ 1100).
     """
 
     def __init__(self, grid: SpaceTimeGrid, resid_mask: np.ndarray, tol: float):
@@ -428,44 +432,15 @@ class ScanKernel:
             st.pde_loc = ((c + m) * dt, float(self.xs[col + 1]))
 
 
-def _stack_scans(scans: list, nt: int):
-    """Per-layer LayerScan records as (stop_first, flagged, region_nodes, stats)."""
-    stop_first = np.stack([sc.first for sc in scans])
-    flagged = np.array([sc.flagged for sc in scans], dtype=np.int64)
-    region = np.where(stop_first == SENTINEL, 0, nt + 1 - stop_first).sum(axis=1)
-    return stop_first, flagged, region, [sc.stats for sc in scans]
-
-
-def rescan(surface: ValueSurface):
-    """Fold the stored layers of a full-row surface through `ScanKernel`.
-
-    Returns (stop_first, flagged, region_nodes, stats) as solve_layers
-    records them, recomputed from the stored values, so corrupted values
-    show up in the statistics.
-    """
-    if not surface.full_rows:
-        raise ValidationError("rescanning needs a surface with all rows kept")
-    pts, u, nt = surface.partition.points, surface.layers, surface.grid.nt
-    kernel = ScanKernel(surface.grid, surface.resid_mask, surface.tol)
-    scans = []
-    for j in range(1, surface.n + 1):
-        rec = kernel.start(u[j, 0], surface.du[j - 1], float(pts[j - 1]), float(pts[j]))
-        for a in range(1, nt + 1, CHUNK_ROWS):
-            b = min(a + CHUNK_ROWS, nt + 1)
-            kernel.fold(rec, u[j, a - 1:b], u[j - 1, a:b], a)
-        scans.append(rec)
-    return _stack_scans(scans, nt)
-
-
 def complementarity_check(surface: ValueSurface) -> ComplementarityReport:
     """Discrete complementarity diagnostics at the solve's tolerance.
 
-    With every time row present the statistics are rescanned from the stored
-    values (so injected corruption is caught); otherwise the statistics
-    gathered during the solve are used.  Layer 0 carries prescribed data and
-    is excluded.
+    The report is always the solve's: it aggregates the records
+    `solve_layers` folded over every row (`layer_stats`), whether the
+    surface keeps every row (keep_times=None) or a few, and reads no stored
+    value.  Layer 0 carries prescribed data and is excluded.
     """
-    per_layer = rescan(surface)[3] if surface.full_rows else surface.layer_stats
+    per_layer = surface.layer_stats
     max_heat = max((st.max_heat_unstopped for st in per_layer), default=0.0)
     max_viol = max((max(0.0, -st.min_gap) for st in per_layer), default=0.0)
     max_minres = max((st.max_min_residual for st in per_layer), default=0.0)

@@ -3,8 +3,8 @@
 perfbench/ is kept unchanged between benchmark revisions, so a change to the
 package that drops or renames one of these names would fail benchmark
 operations instead of a test.  This enters the tracing instrumentation, which
-looks up every wrapped function, method and class, and builds the inputs of
-every workload.
+looks up every wrapped function, method and class, builds the inputs of every
+workload and runs one operation of each.
 """
 
 import inspect
@@ -37,6 +37,13 @@ def test_instrumentation_and_workload_inputs(perfbench, tmp_path):
     with probes.instrument(probes.Recorder(), tracing=True):
         for name, workload in workloads.WORKLOADS.items():
             assert workload.build(1, tmp_path), name
+    # one untraced operation of each workload, as the benchmark runs it
+    rec = probes.Recorder()
+    with probes.instrument(rec, tracing=False):
+        for name, workload in workloads.WORKLOADS.items():
+            rec.begin_op(0, tracing=False)
+            outcome = workload.run(workload.build(1, tmp_path), tmp_path / name)
+            assert outcome.failures == [], name
 
 
 def test_names_the_workloads_call():

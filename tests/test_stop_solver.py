@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from oracles import rule_count, tree_oracle
 from rootsep.errors import ConvexOrderError, GridBudgetError, ValidationError
 from rootsep.marginals import gaussian_potential, make_stream
 from rootsep.stop_solver import (CHUNK_ROWS, SENTINEL, LayerStats, ScanKernel, grid_atoms,
-                                 rescan, scheme_tolerance)
+                                 scheme_tolerance)
 from rootsep.tolerances import INTERIOR_T_FRACTION, KINK_GUARD
 
 SQRT_3_OVER_PI = math.sqrt(3.0 / math.pi)
@@ -191,6 +192,8 @@ def test_complementarity_gaussian(gauss_n1_fine):
 
 
 def test_complementarity_detects_corruption(gauss_family):
+    # the solve's records cannot see a value changed after it; the report of
+    # the corrupted rows comes from the full-panel reference scan
     part = rs.make_partition(1, "uniform")
     grid = rs.make_grid(gauss_family, 0.5, 0.1)
     surf = rs.solve_layers(gauss_family, part, grid)
@@ -198,26 +201,14 @@ def test_complementarity_detects_corruption(gauss_family):
     assert clean.passed
     mid_t = surf.layers.shape[1] // 2
     mid_x = surf.layers.shape[2] // 2
-    surf.layers[1][mid_t, mid_x] += 0.1
-    rep = rs.complementarity_check(surf)
+    layers = surf.layers.copy()
+    layers[1][mid_t, mid_x] += 0.1
+    mask, pts = residual_mask(gauss_family, part, grid), part.points
+    stats = [reference_scan(layers[j], layers[j - 1], surf.du[j - 1], grid, mask, surf.tol,
+                            float(pts[j - 1]), float(pts[j]))[2] for j in range(1, part.n + 1)]
+    rep = rs.complementarity_check(dataclasses.replace(surf, layers=layers, layer_stats=stats))
     assert not rep.passed
     assert rep.max_min_residual > clean.max_min_residual + 0.05
-
-
-@pytest.mark.parametrize("fixture", ["gauss_surface_small", "two_atom_surface"])
-def test_complementarity_rescan_matches_solve_stats(request, fixture):
-    surf = request.getfixturevalue(fixture)
-    assert surf.full_rows
-    assert rs.complementarity_check(surf).per_layer == surf.layer_stats
-
-
-@pytest.mark.parametrize("fixture", ["gauss_surface_small", "two_atom_surface"])
-def test_rescan_reproduces_stop_records(request, fixture):
-    surf = request.getfixturevalue(fixture)
-    stop_first, flagged, region_nodes, _ = rescan(surf)
-    assert np.array_equal(stop_first, surf.stop_first)
-    assert np.array_equal(flagged, surf.flagged)
-    assert np.array_equal(region_nodes, surf.region_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +262,15 @@ def reference_scan(u, u_prev, duj, grid, resid_mask, tol, s_prev, s_val):
     return first, flagged, st
 
 
+def residual_mask(family, partition, grid):
+    """Interior columns outside the guard band of every atom column."""
+    xs = grid.x_nodes()
+    mask = np.ones(grid.nx - 1, dtype=bool)
+    for p in grid_atoms(family, partition.points, grid):
+        mask[np.abs(xs[1:-1] - p) <= max(KINK_GUARD, 6 * grid.dx)] = False
+    return mask
+
+
 def row_reference(family, partition, grid, keep_times=None):
     """(layers, stop_first, flagged, region_nodes, layer_stats) of the
     layered scheme marched one layer and one row at a time."""
@@ -281,9 +281,7 @@ def row_reference(family, partition, grid, keep_times=None):
     du = pots[1:] - pots[:-1]
     kept = np.arange(nt + 1) if keep_times is None else \
         np.unique(np.round(np.asarray(keep_times) / grid.dt).astype(int))
-    resid_mask = np.ones(nx - 1, dtype=bool)
-    for p in grid_atoms(family, svals, grid):
-        resid_mask[np.abs(xs[1:-1] - p) <= max(KINK_GUARD, 6 * grid.dx)] = False
+    resid_mask = residual_mask(family, partition, grid)
     tol = scheme_tolerance(grid)
     layers = np.empty((partition.n + 1, kept.size, nx + 1))
     layers[0] = pots[0]
@@ -347,12 +345,6 @@ def assert_matches_row_reference(family, part, grid, keep):
     assert np.array_equal(surf.flagged, flagged)
     assert np.array_equal(surf.region_nodes, region)
     assert surf.layer_stats == stats
-    if surf.full_rows:
-        again = rescan(surf)
-        assert np.array_equal(again[0], stop_first)
-        assert np.array_equal(again[1], flagged)
-        assert np.array_equal(again[2], region)
-        assert again[3] == stats
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
@@ -361,6 +353,18 @@ def test_sweep_matches_row_reference(request, case):
     family = request.getfixturevalue(fam_name)
     assert_matches_row_reference(family, rs.make_partition(n, style),
                                  rs.make_grid(family, T, dx), keep)
+
+
+def spy_on_fold(monkeypatch):
+    """The row count of every later ScanKernel.fold call, in call order."""
+    fold, folded = ScanKernel.fold, []
+
+    def spy(self, rec, u, u_prev, *args, **kwargs):
+        folded.append(u_prev.shape[0])
+        return fold(self, rec, u, u_prev, *args, **kwargs)
+
+    monkeypatch.setattr(ScanKernel, "fold", spy)
+    return folded
 
 
 @pytest.mark.parametrize("case, settles", [("constant_n3", True), ("constant_n3_kept", True),
@@ -373,13 +377,7 @@ def test_settled_layers_fold_their_rows_once(request, monkeypatch, case, settles
     fam_name, n, style, T, dx, keep = SWEEP_CASES[case]
     family = request.getfixturevalue(fam_name)
     grid = rs.make_grid(family, T, dx)
-    fold, folded = ScanKernel.fold, []
-
-    def spy(self, rec, u, u_prev, *args, **kwargs):
-        folded.append(u_prev.shape[0])
-        return fold(self, rec, u, u_prev, *args, **kwargs)
-
-    monkeypatch.setattr(ScanKernel, "fold", spy)
+    folded = spy_on_fold(monkeypatch)
     rs.solve_layers(family, rs.make_partition(n, style), grid, keep_times=keep)
     if settles:
         assert sum(folded) < n * grid.nt
@@ -540,13 +538,30 @@ def test_lower_bound_rules(gauss_surface_small, gauss_family):
     assert abs(est - ref) <= 3.0 * se + 2.0 * math.sqrt(h)
 
 
-def test_kept_row_stats_use_the_solve_tolerance(gauss_family):
+def test_kept_row_stats_use_the_solve_tolerance(gauss_family, monkeypatch):
     part = rs.make_partition(2, "uniform")
     grid = rs.make_grid(gauss_family, 1.25, 0.1)
-    full = rs.complementarity_check(rs.solve_layers(gauss_family, part, grid))
-    kept = rs.complementarity_check(
-        rs.solve_layers(gauss_family, part, grid, keep_times=[0.0, grid.T]))
+    full_surf = rs.solve_layers(gauss_family, part, grid)
+    kept_surf = rs.solve_layers(gauss_family, part, grid, keep_times=[0.0, grid.T])
+    folded = spy_on_fold(monkeypatch)
+    full = rs.complementarity_check(full_surf)
+    kept = rs.complementarity_check(kept_surf)
+    # both reports read the solve's records; neither folds a row again
+    assert folded == []
     assert full.tol == kept.tol == scheme_tolerance(grid)
-    # the kept-row report reads the solve's records, the full-row one rescans
     assert kept.per_layer == full.per_layer
     assert kept.frac_both_exceed == full.frac_both_exceed
+
+
+def test_full_surface_budget_fails_before_the_sweep(monkeypatch):
+    # 3 layers x 500,001 rows x 101 columns is above the 150,000,000-node
+    # budget of keep_times=None
+    family = rs.GaussianShiftFamily(1.0)
+    grid = rs.SpaceTimeGrid(T=5000.0, dt=0.01, L=5.0, dx=0.1)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(ScanKernel, "__init__", no_sweep)
+    with pytest.raises(GridBudgetError, match="pass keep_times"):
+        rs.solve_layers(family, rs.make_partition(2), grid)
