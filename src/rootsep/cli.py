@@ -233,8 +233,10 @@ class Run:
             for part, grid in ladder_levels(self.family, **self.ladder, style=style)[1]:
                 grid_atoms(self.family, part.points, grid)
 
-    def finish(self, out: Path, produced: list, t_start: float) -> None:
-        """Echo the resolved config, hash the artifacts, record the run info."""
+    def finish(self, out: Path, produced: list, t_start: float, failures: list) -> int:
+        """Echo the resolved config, hash the artifacts, record the run info;
+        then print the failed checks on one line, and return the exit code:
+        2 if any check failed, else 0."""
         lines = []
         for section in _SCHEMA:
             lines.append(f"[{section}]")
@@ -249,6 +251,9 @@ class Run:
                         "versions": {"numpy": np.__version__,
                                      "python": sys.version.split()[0]}},
                        out / "run_info.json")
+        if failures:
+            print("; ".join(failures))
+        return 2 if failures else 0
 
 
 def cmd_solve(run: Run, out: Path) -> int:
@@ -271,12 +276,9 @@ def cmd_solve(run: Run, out: Path) -> int:
             "csv_sha256": {"surface.csv": art.sha256_file(out / "surface.csv"),
                            "barriers.csv": art.sha256_file(out / "barriers.csv")}}
     art.write_json(art.jsonable(meta), out / "surface.meta.json")
-    run.finish(out, ["surface.csv", "barriers.csv", "surface.meta.json"], t0)
-    if not report.passed:
-        print(f"complementarity check failed: max residual "
-              f"{report.max_min_residual:.3e} > tol {report.tol:.3e}")
-        return 2
-    return 0
+    failures = [] if report.passed else [
+        f"complementarity residual {report.max_min_residual:.3e} > tol {report.tol:.3e}"]
+    return run.finish(out, ["surface.csv", "barriers.csv", "surface.meta.json"], t0, failures)
 
 
 def cmd_limit(run: Run, out: Path) -> int:
@@ -303,8 +305,6 @@ def cmd_limit(run: Run, out: Path) -> int:
     art.write_json(art.jsonable({"level_runtimes_ms":
                                  [h["runtime_ms"] for h in limit.history]}),
                    out / "level_runtimes.json")
-    run.finish(out, ["limit.csv", "convergence.json"], t0)
-
     failed = []
     # the residual and independence claims are underwritten by the standing
     # assumption on the index derivative; outside it they are report-only
@@ -316,10 +316,7 @@ def cmd_limit(run: Run, out: Path) -> int:
                 f"partition dependence {indep['sup_distance']:.3e} > {indep['bound']:.3e}")
     if not bounds["passed"]:
         failed.append(f"bounds violation {bounds['max_violation']:.3e}")
-    if failed:
-        print("; ".join(failed))
-        return 2
-    return 0
+    return run.finish(out, ["limit.csv", "convergence.json"], t0, failed)
 
 
 def cmd_verify(run: Run, out: Path) -> int:
@@ -390,11 +387,7 @@ def cmd_verify(run: Run, out: Path) -> int:
     if run.dump_raw:
         art.write_paths_csv(ensemble, out / "paths.csv")
         produced.append("paths.csv")
-    run.finish(out, produced, t0)
-    if failures:
-        print("verification failures: " + "; ".join(failures))
-        return 2
-    return 0
+    return run.finish(out, produced, t0, failures)
 
 
 def cmd_all(run: Run, out: Path) -> int:

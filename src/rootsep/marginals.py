@@ -7,13 +7,12 @@ non-decreasing in convex order is given through
 
 which is concave, 1-Lipschitz in x, and pointwise non-increasing in s.
 A family kind defines `law`, `potential_ds` and `descriptor`.  `law(s)`
-describes mu_s as atoms plus a centred Gaussian part, and every kind here
-is all Gaussian or all atomic; the potential, support radius, CDF,
-Gaussian floor and initial sampling derive from it in closed form,
-as do the grid's damping default, the solver's kink guard and off-grid
-rule, and the simulator's fit metric.  Operations are pure, families
-immutable, and sampling takes an explicit (seed, stream) pair so parallel
-callers never share generator state.
+describes mu_s as atoms or as a centred normal law, never both; the
+potential, support radius, CDF, Gaussian floor and initial sampling
+derive from it in closed form, as do the grid's damping default, the
+solver's kink guard and off-grid rule, and the simulator's fit metric.
+Operations are pure, families immutable, and sampling takes an explicit
+(seed, stream) pair so parallel callers never share generator state.
 """
 
 from __future__ import annotations
@@ -75,11 +74,8 @@ def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Law:
-    """One marginal mu_s as atoms plus a centred Gaussian part.
-
-    The atoms carry `weights` at `positions`; the remaining mass
-    1 - sum(weights) is N(0, normal_var).
-    """
+    """One marginal mu_s: atoms carrying `weights` at `positions`, or, with
+    no atoms, the normal law N(0, normal_var)."""
 
     positions: np.ndarray = ()
     weights: np.ndarray = ()
@@ -88,24 +84,18 @@ class Law:
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
-    @property
-    def normal_mass(self) -> float:
-        """Mass of the continuous part; 0 for a purely atomic law."""
-        rest = 1.0 - float(self.weights.sum())
-        return rest if rest > WEIGHT_TOL else 0.0
+        if self.positions.size and self.normal_var != 0.0:
+            raise ValidationError("a law is atoms or a normal law, not both")
 
     def support_radius(self) -> float:
         """Smallest radius leaving at most TAIL_MASS/2 outside on each side:
-        the quantile of the cumulative atom weights, and the normal quantile
-        of the Gaussian part; the larger of the two for a mixed law."""
-        r = math.sqrt(self.normal_var) * _NORMAL_RADIUS if self.normal_mass else 0.0
-        if self.positions.size:
-            cum = np.cumsum(self.weights)
-            ends = [np.searchsorted(cum, TAIL_MASS / 2.0, side="right"),
-                    np.searchsorted(cum, 1.0 - TAIL_MASS / 2.0, side="left")]
-            r = max(r, float(np.abs(self.positions[np.clip(ends, 0, cum.size - 1)]).max()))
-        return r
+        the quantile of the cumulative atom weights, or the normal quantile."""
+        if not self.positions.size:
+            return math.sqrt(self.normal_var) * _NORMAL_RADIUS
+        cum = np.cumsum(self.weights)
+        ends = [np.searchsorted(cum, TAIL_MASS / 2.0, side="right"),
+                np.searchsorted(cum, 1.0 - TAIL_MASS / 2.0, side="left")]
+        return float(np.abs(self.positions[np.clip(ends, 0, cum.size - 1)]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +125,19 @@ class MarginalFamily:
     def potentials(self, s_values, x) -> np.ndarray:
         """Row k: -E|Y - x| for Y ~ mu_(s_values[k]), vectorized over x.
 
-        Each law's atoms add -sum_i w_i |x - p_i| to its row, and the
-        Gaussian parts of all rows are evaluated in one call.
+        Atomic rows are -sum_i w_i |x - p_i|, and the normal rows are
+        evaluated in one call.
         """
         laws = [self.law(float(s)) for s in s_values]
         x = np.asarray(x, dtype=float)
-        # -0.0, the negated sum over no atoms, for rows without atoms
-        out = np.full((len(laws),) + x.shape, -0.0)
+        out = np.empty((len(laws),) + x.shape)
         for k, law in enumerate(laws):
             if law.positions.size:
                 out[k] = -(np.abs(x[..., None] - law.positions) @ law.weights)
-        mass = np.array([law.normal_mass for law in laws])
-        rows = np.flatnonzero(mass)
-        if rows.size:
-            column = (-1,) + (1,) * x.ndim
-            var = np.array([laws[k].normal_var for k in rows]).reshape(column)
-            out[rows] += mass[rows].reshape(column) * gaussian_potential(var, x)
+        rows = [k for k, law in enumerate(laws) if not law.positions.size]
+        if rows:
+            var = np.array([laws[k].normal_var for k in rows])
+            out[rows] = gaussian_potential(var.reshape((-1,) + (1,) * x.ndim), x)
         return out
 
     def support_radius(self, s: float) -> float:
@@ -163,37 +150,30 @@ class MarginalFamily:
 
     def sample_initial_rng(self, rng: np.random.Generator, count: int) -> np.ndarray:
         law = self.law(0.0)
-        if law.normal_mass == 0.0:
-            cum = np.cumsum(law.weights)
-            idx = np.searchsorted(cum, rng.random(count), side="right")
-            return law.positions[idx.clip(0, len(cum) - 1)]
-        if law.positions.size:
-            raise ValidationError(f"{self.kind}: no sampler for the initial law")
-        return math.sqrt(law.normal_var) * rng.standard_normal(count)
+        if not law.positions.size:
+            return math.sqrt(law.normal_var) * rng.standard_normal(count)
+        cum = np.cumsum(law.weights)
+        idx = np.searchsorted(cum, rng.random(count), side="right")
+        return law.positions[idx.clip(0, len(cum) - 1)]
 
     def cdf(self, s: float, x) -> np.ndarray:
         """Right-continuous distribution function of mu_s."""
         law = self.law(s)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = (x[..., None] >= law.positions) @ law.weights
-        if law.normal_mass:
-            out = out + law.normal_mass * ndtr(x / math.sqrt(law.normal_var))
-        return out
+        if not law.positions.size:
+            return ndtr(x / math.sqrt(law.normal_var))
+        return (x[..., None] >= law.positions) @ law.weights
 
     def initial_gaussian_floor(self, t: float, x) -> np.ndarray:
-        """Potential of mu_0 * N(0, t), the Jensen floor for running values.
-
-        Each atom p spreads to N(p, t) and the Gaussian part to
-        N(0, normal_var + t); a law without atoms gives the plain Gaussian
-        potential.
-        """
+        """Potential of mu_0 * N(0, t), the Jensen floor for running values:
+        each atom p spreads to N(p, t), a normal law N(0, v) to N(0, v + t)."""
         law = self.law(0.0)
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not law.positions.size:
+            return gaussian_potential(law.normal_var + t, x)
         out = np.zeros_like(x)
         for p, w in zip(law.positions, law.weights):
             out += w * gaussian_potential(t, x - p)
-        if law.normal_mass:
-            out += law.normal_mass * gaussian_potential(law.normal_var + t, x)
         return out
 
     def descriptor(self) -> dict:

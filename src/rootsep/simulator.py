@@ -317,16 +317,13 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
 
 
 def _onto_nodes(barrier_family: BarrierFamily, x):
-    """x, with every position within LATTICE_TOL of a grid node put on it,
-    and the cell positions of the result."""
-    nodes = barrier_family.x_nodes
+    """x, with every position that `cell_position` puts on an interior grid
+    node moved onto that node, and the cell positions.  The edge nodes are
+    left out, as `cell_position` clips there: every x below the grid reads
+    0, and no x reads the last node's index."""
     pos = barrier_family.cell_position(x)
-    i = np.rint(pos)
-    near = nodes[i.astype(np.int64)]
-    on = np.abs(x - near) <= LATTICE_TOL
-    # a node's cell position is its index, clipped as `cell_position` clips
-    return (np.where(on, near, x),
-            np.where(on, np.minimum(i, nodes.size - 1.000001), pos))
+    i = pos.astype(np.int64)
+    return np.where((pos == i) & (i > 0), barrier_family.x_nodes[i], x), pos
 
 
 def _reach(barrier_family, j, pos, w, cap, s):
@@ -617,8 +614,8 @@ class EmbeddingResult:
 def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily) -> EmbeddingResult:
     """Per-marginal goodness of fit of the stopped values.
 
-    Purely atomic laws are scored by nearest-atom masses; every other law by
-    the one-sample KS distance against its CDF.  Both also report the
+    Atomic laws are scored by nearest-atom masses, normal laws by the
+    one-sample KS distance against their CDF.  Both also report the
     sup distance between empirical and exact potentials on 17 probe points
     spanning the support radius plus one.
     """
@@ -636,7 +633,7 @@ def marginal_fit(ensemble: PathEnsemble, family: MarginalFamily) -> EmbeddingRes
         entry["potential_curve"] = {"x": probes.tolist(), "empirical": emp.tolist(),
                                     "exact": np.asarray(ref).tolist()}
         pot_ok = entry["potential_distance"] <= POTENTIAL_THRESHOLD
-        if law.normal_mass == 0.0:
+        if law.positions.size:
             nearest = np.argmin(np.abs(vals[:, None] - law.positions[None, :]), axis=1)
             masses = np.bincount(nearest, minlength=len(law.positions)) / vals.size
             entry["atom_masses"] = masses.tolist()

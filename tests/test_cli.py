@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -499,11 +501,69 @@ def test_ladder_atoms_checked_before_any_solve(tmp_path, monkeypatch, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("config", ["gaussian.ini", "three_point.ini", "two_atom.ini"])
+# the first 16 hex digits of the SHA-256 of each command's hashes.json, in
+# the order solve, limit, verify (numpy 2.4.6, Python 3.11.7)
+SHIPPED_HASHES = {
+    "gaussian.ini": ("e05fd6d88ddfd675", "631d9a3c7941a79c", "e7f02172a5fecc2f"),
+    "three_point.ini": ("559858f815a42f7a", "cbd134a63cf1aff2", "96eaf4b6bd3d164b"),
+    "two_atom.ini": ("6d017d39dc5909da", "bb1a914eff3d3a6c", "ba2d0d649f7a85de"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(SHIPPED_HASHES))
 def test_shipped_config_verdict(tmp_path, config):
+    """Each shipped config passes, and writes the pinned artifact bytes.
+
+    A change that moves a random stream or a computed value moves these
+    pins: update them with it, and say why in CHANGES.md."""
     path = Path(__file__).parents[1] / "configs" / config
-    assert main(["all", "--config", str(path), "--out", str(tmp_path / "o"),
-                 "--threads", "2"]) == 0
+    out = tmp_path / "o"
+    assert main(["all", "--config", str(path), "--out", str(out), "--threads", "2"]) == 0
+    digests = tuple(hashlib.sha256((out / sub / "hashes.json").read_bytes()).hexdigest()[:16]
+                    for sub in ("solve", "limit", "verify"))
+    assert digests == SHIPPED_HASHES[config]
+
+
+def _first_marginal_failed(fit):
+    fit.marginals[0]["passed"] = False
+    return fit
+
+
+# per command: the check that `_fail` spoils, how, and what the verdict names
+FAILED_CHECKS = {
+    "solve": ("complementarity_check",
+              lambda report: dataclasses.replace(report, max_min_residual=2.0 * report.tol),
+              "complementarity residual"),
+    "limit": ("bounds_check", lambda bounds: {**bounds, "passed": False}, "bounds violation"),
+    "verify": ("marginal_fit", _first_marginal_failed, "marginal fit at j=1"),
+}
+
+
+def _fail(monkeypatch, command):
+    """Make `command`'s check fail, and return what its verdict names."""
+    name, spoil, check = FAILED_CHECKS[command]
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: spoil(real(*args, **kwargs)))
+    return check
+
+
+@pytest.mark.parametrize("command", sorted(FAILED_CHECKS))
+def test_failed_check_exits_two(gauss_config, tmp_path, monkeypatch, capsys, command):
+    # a failed run still writes its artifacts, hashes and run info
+    check = _fail(monkeypatch, command)
+    out = tmp_path / command
+    assert main([command, "--config", str(gauss_config), "--out", str(out)]) == 2
+    assert check in capsys.readouterr().out.splitlines()[-1]
+    assert (out / "hashes.json").exists() and (out / "run_info.json").exists()
+
+
+def test_failed_check_in_all_exits_two(gauss_config, tmp_path, monkeypatch, capsys):
+    check = _fail(monkeypatch, "limit")
+    out = tmp_path / "all"
+    assert main(["all", "--config", str(gauss_config), "--out", str(out)]) == 2
+    assert check in capsys.readouterr().out
+    for sub in ("solve", "limit", "verify"):
+        assert (out / sub / "hashes.json").exists(), sub
 
 
 def test_readme_key_block_matches_the_schema():

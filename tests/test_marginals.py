@@ -9,7 +9,7 @@ from scipy import integrate, stats
 import rootsep as rs
 from oracles import call_price
 from rootsep.errors import SingularityError, ValidationError
-from rootsep.marginals import gaussian_potential, make_stream
+from rootsep.marginals import WEIGHT_TOL, gaussian_potential, make_stream
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -340,6 +340,23 @@ CLOSED_FORMS = {
     "two_atom": _three_point_closed_form(0.0, 0.5),
     "atomic_table": (_table_closed_form, lambda s: 0.0 if s < 0.5 else 2.0),
 }
+
+
+def test_law_is_atoms_or_a_normal_law():
+    with pytest.raises(ValidationError, match="atoms or a normal law"):
+        rs.Law([0.0], [1.0], normal_var=1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(LAW_FAMILIES))
+def test_every_family_law_is_atoms_or_a_normal_law(kind):
+    fam = LAW_FAMILIES[kind]()
+    for s in LAW_S:
+        law = fam.law(s)
+        if law.positions.size:
+            assert abs(float(law.weights.sum()) - 1.0) <= WEIGHT_TOL, s
+            assert law.normal_var == 0.0, s
+        else:
+            assert law.weights.size == 0 and law.normal_var > 0.0, s
 
 
 @pytest.mark.parametrize("kind", sorted(LAW_FAMILIES))

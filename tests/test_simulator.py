@@ -313,6 +313,41 @@ def test_box_steps_stop_exactly_on_the_levels(two_atom_family, two_atom_surface)
         assert np.all(np.abs(snap[ens.sigma[1] > t]) < 1.0)
 
 
+def _former_onto_nodes(barrier_family, x):
+    """The former node snap, which tested the distance to the nearest node
+    again and clipped the position again: the reference for `_onto_nodes`."""
+    nodes = barrier_family.x_nodes
+    pos = barrier_family.cell_position(x)
+    i = np.rint(pos)
+    near = nodes[i.astype(np.int64)]
+    on = np.abs(x - near) <= 1e-9
+    return (np.where(on, near, x),
+            np.where(on, np.minimum(i, nodes.size - 1.000001), pos))
+
+
+def test_onto_nodes_matches_the_former_rule():
+    # the grid of dx = 0.1, L = 25 that holds x = -23.7, whose quotient
+    # x / dx misses its node by an ulp
+    xs = (np.arange(501) - 250) * 0.1
+    barrier = BarrierFamily(s_values=np.array([1.0]), x_nodes=xs, r=np.ones((1, xs.size)),
+                            flagged=np.zeros(1, dtype=int), region_nodes=np.ones(1, dtype=int),
+                            grid_desc={"dt": 0.01, "T": 1.0, "dx": 0.1, "L": 25.0})
+    inner = xs[1:-1]
+    cases = [inner + 0.5e-9, inner - 0.5e-9, xs + 2e-9, xs - 2e-9, np.array([-23.7]),
+             xs[[0, -1]], np.array([xs[0] - 5.3, xs[-1] + 5.3]),
+             np.random.default_rng(5).uniform(xs[0], xs[-1], 100_000)]
+    for x in cases:
+        got, want = sim._onto_nodes(barrier, x), _former_onto_nodes(barrier, x)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    # within 1e-9 of an edge node, where `cell_position` clips, the path
+    # keeps its place; the former rule moved it onto the node
+    x = np.array([xs[0] - 0.5e-9, xs[0] + 0.5e-9, xs[-1] - 0.5e-9, xs[-1] + 0.5e-9])
+    got, want = sim._onto_nodes(barrier, x), _former_onto_nodes(barrier, x)
+    assert np.array_equal(got[0], x) and np.array_equal(want[0], xs[[0, 0, -1, -1]])
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # the squeeze bounds of the box step, and the box step without them
 
