@@ -75,7 +75,10 @@ def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class Law:
     """One marginal mu_s: atoms carrying `weights` at `positions`, or, with
-    no atoms, the normal law N(0, normal_var)."""
+    no atoms, the normal law N(0, normal_var); Law() and Law([], []) are
+    N(0, 0).  Atoms are checked when the law is built: finite, strictly
+    increasing positions with positive weights summing to 1 within
+    WEIGHT_TOL, centred within MEAN_TOL."""
 
     positions: np.ndarray = ()
     weights: np.ndarray = ()
@@ -86,6 +89,8 @@ class Law:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.positions.size and self.normal_var != 0.0:
             raise ValidationError("a law is atoms or a normal law, not both")
+        if self.positions.size or self.weights.size:
+            _check_atoms(self.positions, self.weights)
 
     def support_radius(self) -> float:
         """Smallest radius leaving at most TAIL_MASS/2 outside on each side:
@@ -271,8 +276,8 @@ class ThreePointFamily(MarginalFamily):
 class AtomicTableFamily(MarginalFamily):
     """Piecewise-constant (cadlag) family of atomic laws indexed by s.
 
-    Each entry is (s, Law) with a finite centred atomic law: strictly
-    increasing positions and positive weights summing to 1.
+    Each entry is (s, Law) with at least one atom (`Law` checks the
+    atoms).
     """
 
     kind = "atomic_table"
@@ -287,8 +292,8 @@ class AtomicTableFamily(MarginalFamily):
             raise ValidationError("atomic table s values must lie in [0, 1]")
         if svals[0] > 0.0:
             raise ValidationError("atomic table must define the s = 0 marginal")
-        for _, law in entries:
-            _check_atomic(law)
+        if not all(law.positions.size for _, law in entries):
+            raise ValidationError(_ATOMS_SHAPE)
         self.entries = [(float(s), law) for s, law in entries]
 
     def law(self, s):
@@ -313,21 +318,25 @@ class AtomicTableFamily(MarginalFamily):
                              "weights": law.weights.tolist()} for s, law in self.entries]}
 
 
-def _check_atomic(law: Law) -> None:
-    pos, w = law.positions, law.weights
-    if pos.ndim != 1 or w.shape != pos.shape or pos.size == 0:
-        raise ValidationError("atoms must be a non-empty 1-d list of (position, weight)")
-    if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(w)):
+_ATOMS_SHAPE = "atoms must be a non-empty 1-d list of (position, weight)"
+
+
+def _check_atoms(pos: np.ndarray, w: np.ndarray) -> None:
+    # array methods, not np.all / np.diff: every atomic `law` call runs this
+    if pos.ndim != 1 or w.shape != pos.shape:
+        raise ValidationError(_ATOMS_SHAPE)
+    if not (np.isfinite(pos).all() and np.isfinite(w).all()):
         raise ValidationError("non-finite atom data")
-    if np.any(np.diff(pos) <= 0):
+    if (pos[1:] <= pos[:-1]).any():
         raise ValidationError("atom positions must be strictly increasing")
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise ValidationError("atom weights must be positive")
-    if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-        raise ValidationError(f"atom weights sum to {w.sum()!r}, not 1")
-    scale = max(1.0, float(np.abs(pos).max()))
-    if abs(float(w @ pos)) > MEAN_TOL * scale:
-        raise ValidationError(f"atomic law not centred (mean {w @ pos!r})")
+    total = float(w.sum())
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValidationError(f"atom weights sum to {total!r}, not 1")
+    mean = float(w @ pos)
+    if abs(mean) > MEAN_TOL * max(1.0, float(np.abs(pos).max())):
+        raise ValidationError(f"atomic law not centred (mean {mean!r})")
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,17 @@ first time each layer's region holds them (see `simulate_root`).  Each path
 keeps its own clock and moves by exact box steps: the exit time of a box
 that no region point lies inside and the position at its window's end are
 drawn from their laws.  A window may end exactly when the region first
-reaches the box, and a box edge may sit exactly on a level of the region,
-so those stops carry no bias; near the sloped cells of an interpolated
-barrier, a walk on moving spheres stops a path within SHELL * dx of the
-moving boundary, the only O(SHELL * dx) bias.  Box steps evaluate their
-exit and acceptance series only where cheap bounds leave a test open
-(`_squeeze`); decisions and draws are unchanged.  A snapshot at time t holds
-B_(t ^ sigma_n), taken at exactly the requested t; h_sim monitors nothing and
-only sets the verification allowance (`PathEnsemble.allowance`).  The
-randomized alternative embedding takes no time steps: its stopping time and
-stopped value are sampled exactly, from one normal and one uniform draw per
-path.
+reaches the box, a box edge may sit exactly on a level of the region, and
+next to a sloped cell of an interpolated barrier a box may move with the
+region's moving boundary, its near edge on it, its law made exact by a
+Girsanov reweighting; so every stop is exact, on the region's boundary.
+Box steps evaluate their exit and acceptance series only where cheap
+bounds leave a test open (`_squeeze`); decisions and draws are unchanged.
+A snapshot at time t holds B_(t ^ sigma_n), taken at exactly the requested
+t; h_sim monitors nothing and only sets the verification allowance
+(`PathEnsemble.allowance`).  The randomized alternative embedding takes no
+time steps: its stopping time and stopped value are sampled exactly, from
+one normal and one uniform draw per path.
 Paths are processed in fixed-size blocks, each block on its own
 counter-based stream keyed by (seed, block index); results are therefore
 bit-identical for any thread count.  Threads share the blocks as runs of
@@ -41,9 +41,10 @@ from .special import erfc_big, erfc_small
 from .tolerances import CENSOR_FRACTION, LATTICE_TOL
 
 BLOCK_SIZE = 1 << 14
-# paths within SHELL * dx of a moving stretch of their region's boundary
-# stop on it (see simulate_root)
-SHELL = 1e-6
+# a box of radius d moving at velocity v has |v| d <= MOVING_REACH and a
+# window of at most MOVING_WINDOW d^2, which 99% of its paths leave (`_box`)
+MOVING_REACH = 1.0
+MOVING_WINDOW = 4.0
 KS_THRESHOLD = 0.01
 POTENTIAL_THRESHOLD = 0.02
 ATOM_MASS_THRESHOLD = 0.01
@@ -189,18 +190,17 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
       on);
     - a box edge may sit exactly on a level node, so an exit through it at
       or after the node's first hit is a stop with B_sigma on the level;
-    - near a sloped cell, where the interpolated boundary moves, the box
-      edge sits where the boundary will be at the window's end (a walk on
-      moving spheres), and a path within SHELL * dx of the moving boundary
-      stops on it at once.  That shell is the method's only bias: stopped
-      values move by at most SHELL * dx and stop times by the time the
-      boundary takes to cross that distance, so O(SHELL * dx) in every
-      stopped law; the other stops are exact.
+    - near a sloped cell, where the interpolated boundary moves at a
+      constant rate, a box may move with it, its near edge on the boundary
+      (`_box`), so an exit through that edge is a stop with B_sigma on the
+      boundary at sigma, b(sigma).
+    Every stop is exact: no stopped law carries a bias from the stepping.
     Windows also end at every snapshot time and at the horizon T of the
-    grid the barriers came from, and last at most d^2 for a box of radius
-    d.  A box step gathers and scatters through index arrays only where
-    they select fewer than all rows (`_rows`): identity gathers are
-    skipped, with the same floats and the same draws.  At each stop the
+    grid the barriers came from, and last at most d^2 for a fixed box of
+    radius d, MOVING_WINDOW d^2 for a moving one.  A box step gathers and
+    scatters through index arrays only where they select fewer than all
+    rows (`_rows`): identity gathers are skipped, with the same floats and
+    the same draws.  At each stop the
     next layers are tried, in increasing order, at the same point, so
     sigma_1 <= ... <= sigma_n.  The snapshot at time t
     is B_(t ^ sigma_n): the running position, or B_sigma_n for a path that
@@ -287,22 +287,13 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
             if rows.size < narrow:
                 return rows, x, pos, t, j, r
             limit = bounds[np.searchsorted(bounds, t, side="right")]
-            d, u, w, shell = _box(barrier_family, j, x, pos, r, t, limit)
-            free = np.isnan(shell)
-            go, near = np.nonzero(free)[0], np.nonzero(~free)[0]
-            if near.size:
-                # inside the shell: stop on the moving boundary
-                x[near] = shell[near]
-                pos[near] = barrier_family.cell_position(x[near])
-                stop(near)
-                settle(near)
-            sub = _rows(go, x.size)
-            x[sub], t[sub] = _cross_boxes(streams, rows[sub], x[sub], t[sub], d[sub], u[sub],
-                                          w[sub])
-            x[sub], pos[sub] = _onto_nodes(barrier_family, x[sub])
-            settle(go)
+            d, u, w, v = _box(barrier_family, j, x, pos, r, t, limit)
+            x, t = _cross_boxes(streams, rows, x, t, d, u, w, v)
+            x, pos = _onto_nodes(barrier_family, x)
+            every = np.arange(rows.size)
+            settle(every)
             if snap_at.size:
-                record(go)
+                record(every)
 
     _run_blocks(run_paths, M, seed, threads)
     # B_(t ^ sigma_n): a path stopped by a snapshot time keeps its stop value
@@ -382,8 +373,9 @@ def _window(full, rate, r_e, t):
 
 
 def _box(barrier_family, j, x, pos, r, t, limit):
-    """Radius d, window length u and end w of the box of each path, at x
-    (cell position pos) in its layer j, whose barrier time there is r.
+    """Radius d, window length u, window end w and velocity v of the box of
+    each path, at x (cell position pos) in its layer j, whose barrier time
+    there is r.
 
     The window ends at most at w_c, the earlier of `limit` and r.  The
     first screen reads `range_min` over the box of radius 4 sqrt(w_c - t):
@@ -391,10 +383,19 @@ def _box(barrier_family, j, x, pos, r, t, limit):
     narrowed to 4 sqrt(w - t) is free until w (w_c at best), its window
     ends there and the path leaves early only with probability
     P(tau_1 < 1/16) = 1.3e-4.  Otherwise the region is already
-    at the box: `_reach` scans both sides for a window ending by w_c, the
-    window is the longest that both reaches support, and the radius the
-    smaller reach at its end.  Paths within SHELL * dx of a moving boundary
-    get its position now in `shell` (nan elsewhere) and take no box.
+    at the box: `_reach` scans both sides for a window ending by w_c.
+
+    Where the nearer side's reach is a moving edge (a sloped cell whose
+    first node is already hit, see `_reach`) at most MOVING_REACH / rate
+    away, and at most half as far as the other side's, the box moves with
+    it: radius d the gap, velocity v = -s * rate toward the path, s the
+    side, so that [x - d + v (t' - t), x + d + v (t' - t)] has its near
+    edge on the region's boundary.  Its window is at most MOVING_WINDOW d^2,
+    and short enough that the far edge, moving away at rate, stays within
+    the far side's reach.  It ends by w_c, which is at most the first hit of
+    the edge cell's inner node, so the edge keeps one slope.  Every other
+    box is fixed (v = 0): its window is the longest, at most d^2, that both
+    reaches support, and its radius the smaller reach at its end.
     """
     dx = float(barrier_family.grid_desc["dx"])
     w_c = np.minimum(limit, r)
@@ -403,7 +404,7 @@ def _box(barrier_family, j, x, pos, r, t, limit):
     w = np.minimum(w_c, barrier_family.range_min(j, x - d, x + d))
     u = w - t
     d = 4.0 * np.sqrt(np.maximum(u, 0.0))
-    shell = np.full(x.size, np.nan)
+    v = np.zeros(x.size)
     slow = np.nonzero(u <= 0.0)[0]
     if slow.size:
         # the box of the paths `slow`, for a window ending by w_c
@@ -415,41 +416,80 @@ def _box(barrier_family, j, x, pos, r, t, limit):
         w[slow] = np.where(u[slow] < end - ts, ts + u[slow], end)
         d[slow] = np.minimum(*[full - rate * np.maximum(w[slow] - r_e, 0.0)
                                for full, rate, r_e in sides])
-        for s, (full, rate, r_e) in zip((-1, 1), sides):
-            gap = full - rate * (ts - r_e)
-            inside = (rate > 0.0) & (r_e <= ts) & (gap <= SHELL * dx)
-            shell[slow[inside]] = x[slow[inside]] + s * np.maximum(gap[inside], 0.0)
-    return d, u, w, shell
+        # each side's (full, rate, r_e, gap now); the nearer side is the
+        # right one on the rows where `right`
+        ends = [(full, rate, r_e, full - rate * np.maximum(ts - r_e, 0.0))
+                for full, rate, r_e in sides]
+        right = ends[1][3] < ends[0][3]
+        _, rate, r_e, gap = [np.where(right, b, a) for a, b in zip(*ends)]
+        far = [np.where(right, a, b) for a, b in zip(*ends)]
+        # a box of radius gap moves with the nearer side's edge
+        k = np.flatnonzero((rate > 0.0) & (r_e <= ts) & (rate * gap <= MOVING_REACH)
+                           & (gap <= 0.5 * far[3]))
+        if k.size:
+            rate, dk, (ff, cf, ef, _), tk, ek = rate[k], gap[k], [a[k] for a in far], ts[k], end[k]
+            # the far edge, at distance dk + rate (t' - t), stays within the
+            # far reach ff - cf max(t' - ef, 0) up to the window's end
+            room = np.minimum((ff - dk) / rate, (ff - dk + cf * (ef - tk)) / (rate + cf))
+            uk = np.minimum(np.minimum(MOVING_WINDOW * dk * dk, ek - tk), room)
+            m = slow[k]
+            d[m], u[m], w[m] = dk, uk, np.where(uk < ek - tk, tk + uk, ek)
+            v[m] = np.where(right[k], -rate, rate)
+    return d, u, w, v
 
 
-def _cross_boxes(streams, rows, x, t, d, u, w):
-    """One exact step of Brownian paths across their boxes [x - d, x + d].
+def _cross_boxes(streams, rows, x, t, d, u, w, v):
+    """One exact step of Brownian paths across their boxes.
 
-    Path i (row rows[i]) is at x[i] at time t[i], and its box window
-    has length u[i] <= d[i]^2 and ends at w[i] (the length is passed on its
-    own, since t + u may round to t).  The path leaves the box after
-    tau = d^2 tau_1 on a fair side, tau_1 the exit time of [-1, 1]:
-    v < P(tau_1 < u / d^2) tells whether it leaves within the window, and
-    only then is tau drawn, by inverting the CDF at v (evaluated only for v
-    below `_exit_ceiling`, see `_squeeze`).  A path that leaves is on the
-    box edge at t + tau.  Any other path is at time w, at its endpoint given
-    that it stayed in the box.  Returns the new positions and times.  Each
-    block draws two uniforms per path, then the endpoint proposals.
+    Path i (row rows[i]) is at x[i] at time t[i].  Its box is [x - d, x + d]
+    moving at velocity v (shifted by v (t' - t) at t'), and its window has
+    length u[i] and ends at w[i] (the length is passed on its own, since
+    t + u may round to t).  In the box's frame the path is a Brownian
+    motion with drift -v.  The proposal is driftless but for its exit side:
+    the path leaves the box after tau = d^2 tau_1, tau_1 the exit time of
+    [-1, 1], if p < P(tau_1 < u / d^2), and only then is tau drawn, by
+    inverting the CDF at p (evaluated only for p below `_exit_ceiling`, see
+    `_squeeze`); it leaves by W = -d with probability 1 / (1 + exp(-2 v d)),
+    1/2 where v = 0, else by W = d.  A path that stays moves by W, its
+    endpoint given that it stayed in the box, in time tau = u.  Girsanov's
+    weight of the drifted law over the driftless one, exp(-v W - v^2 tau /
+    2), then leaves cosh(v d) exp(-v^2 tau / 2) for an exit and the whole
+    weight for a stay, which are accepted over their bound c = max(cosh(v d),
+    exp(|v| d - v^2 u / 2)): 1 / c of the proposals on average, at least
+    exp(-|v| d).  A rejected path stays where it is, at time t, and draws
+    again at its next step, which takes the same box from the same state.
+    A path that leaves is on the box edge at t + tau, any other at time w.
+    Returns the new positions and times.  Each block draws two uniforms per
+    path, then the endpoint proposals, then one uniform per moving box; a
+    fixed box (v = 0) takes the driftless step and draws nothing more.
     """
-    v = streams.draw(rows, lambda rng, k: rng.random((2, k)))
+    p = streams.draw(rows, lambda rng, k: rng.random((2, k)))
     r = u / (d * d)
-    leave = _squeeze(v[0], 0.0, _exit_ceiling(r), exit_time_cdf, r)
+    leave = _squeeze(p[0], 0.0, _exit_ceiling(r), exit_time_cdf, r)
     # index arrays are faster to reuse than masks
     left, stay = np.flatnonzero(leave), _rows(np.flatnonzero(~leave), x.size)
+    tau = u.copy()
+    z = np.empty_like(x)
     new_t = w.copy()
-    new_x = np.empty_like(x)
     if left.size:
         dl = d[left]
-        tau = dl ** 2 * exit_time_quantile(v[0, left])
-        new_t[left] = np.minimum(t[left] + tau, w[left])
-        new_x[left] = x[left] + np.where(v[1, left] < 0.5, -dl, dl)
-    new_x[stay] = x[stay] + _endpoint_in_box(streams, rows[stay], d[stay], u[stay])
-    return new_x, new_t
+        tau[left] = dl ** 2 * exit_time_quantile(p[0, left])
+        new_t[left] = np.minimum(t[left] + tau[left], w[left])
+        z[left] = np.where(p[1, left] < 1.0 / (1.0 + np.exp(-2.0 * v[left] * dl)), -dl, dl)
+    z[stay] = _endpoint_in_box(streams, rows[stay], d[stay], u[stay])
+    moving = np.flatnonzero(v)
+    if moving.size:
+        vk, dk, tk = v[moving], d[moving], tau[moving]
+        a = np.abs(vk) * dk
+        drift = 0.5 * vk * vk
+        bound = np.maximum(np.cosh(a), np.exp(a - drift * u[moving]))
+        weight = np.where(leave[moving], np.cosh(a) * np.exp(-drift * tk),
+                          np.exp(-vk * z[moving] - drift * tk))
+        # the box's own motion over the step; a rejected path stays put
+        z[moving] += vk * tk
+        back = moving[streams.draw(rows[moving], _uniforms) * bound >= weight]
+        z[back], new_t[back] = 0.0, t[back]
+    return x + z, new_t
 
 
 def _rows(k, size):
@@ -532,7 +572,8 @@ def _eigen_acceptance(theta, r):
 
 
 def _endpoint_in_box(streams, rows, d, t):
-    """B_t - B_0 for Brownian motions that stay in (-d, d) up to t <= d^2.
+    """B_t - B_0 for Brownian motions that stay in (-d, d) up to t, at most
+    MOVING_WINDOW d^2.
 
     Rejection sampling of the killed transition density.  Below t = d^2 / 2
     the proposal is normal with variance t, accepted with the bridge

@@ -504,7 +504,7 @@ def test_ladder_atoms_checked_before_any_solve(tmp_path, monkeypatch, capsys):
 # the first 16 hex digits of the SHA-256 of each command's hashes.json, in
 # the order solve, limit, verify (numpy 2.4.6, Python 3.11.7)
 SHIPPED_HASHES = {
-    "gaussian.ini": ("e05fd6d88ddfd675", "631d9a3c7941a79c", "e7f02172a5fecc2f"),
+    "gaussian.ini": ("e05fd6d88ddfd675", "631d9a3c7941a79c", "27afa2380f199d67"),
     "three_point.ini": ("559858f815a42f7a", "cbd134a63cf1aff2", "96eaf4b6bd3d164b"),
     "two_atom.ini": ("6d017d39dc5909da", "bb1a914eff3d3a6c", "ba2d0d649f7a85de"),
 }

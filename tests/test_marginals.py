@@ -249,6 +249,20 @@ def test_atomic_measure_validation():
         with pytest.raises(ValidationError, match=rule):
             rs.AtomicTableFamily([(0.0, rs.Law([0.0], [1.0])),
                                   (0.5, rs.Law(positions, weights))])
+        # the law itself refuses bad atoms; the empty law is N(0, 0), and
+        # only the atomic table refuses it
+        if positions or weights:
+            with pytest.raises(ValidationError, match=rule):
+                rs.Law(positions, weights)
+
+
+def test_law_checks_its_atoms():
+    # half an atom is not a law: unchecked, its potential would be -0.5 |x|
+    with pytest.raises(ValidationError, match="sum to"):
+        rs.Law([0.0], [0.5])
+    empty = rs.Law([], [])
+    assert empty.normal_var == 0.0 and not empty.positions.size
+    assert empty.support_radius() == 0.0
 
 
 def test_csv_loader_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from rootsep import simulator as sim
 from rootsep.barriers import BarrierFamily
 from rootsep.errors import HorizonError, ValidationError
 from rootsep.marginals import make_stream
-from rootsep.tolerances import CENSOR_FRACTION
+from rootsep.tolerances import CENSOR_FRACTION, LATTICE_TOL
 
 
 @pytest.fixture(scope="module")
@@ -184,18 +184,83 @@ def test_one_run_starts_no_pool(monkeypatch):
 
 def test_gaussian_stops_lie_on_the_region_boundary(gauss_run):
     # every stop is in the region, and on its boundary: either the region
-    # reached B_sigma at sigma itself (a window ending on a face), or a point
-    # within the shell width of B_sigma is still outside it (an edge on a
-    # node that had just switched on, or a stop in the shell)
+    # reached B_sigma at sigma itself (a window ending on a face, or an exit
+    # through a moving edge), or a position beside B_sigma is still outside
+    # it (an edge on a node that had just switched on).  Beside means
+    # 2 LATTICE_TOL away: `cell_position` reads a position within LATTICE_TOL
+    # of a node as the node, so an exit through a moving edge that close to
+    # a node stops on the node
     _, barrier, ens = gauss_run
-    eps = sim.SHELL * float(barrier.grid_desc["dx"])
+    r, beside = barrier.r, 2.0 * LATTICE_TOL / float(barrier.grid_desc["dx"])
+    moving = 0
     for j in range(1, ens.n + 1):
         b, stop = ens.b_sigma[j], ens.sigma[j]
-        reach = barrier.lookup(j, b)
+        pos = barrier.cell_position(b)
+        reach = barrier.lookup(j, b, pos=pos)
         assert np.all(stop + 1e-12 >= reach), j
         on_face = stop <= reach + 1e-12
-        near_edge = (barrier.lookup(j, b - eps) > stop) | (barrier.lookup(j, b + eps) > stop)
+        near_edge = ((barrier.lookup(j, b, pos=pos - beside) > stop)
+                     | (barrier.lookup(j, b, pos=pos + beside) > stop))
         assert np.all(on_face | near_edge), j
+        # inside a sloped cell the boundary moves, and a stop there, through
+        # a moving edge or on the face at a window's end, is on b(sigma)
+        i = pos.astype(np.int64)
+        ends = r[j - 1, i], r[j - 1, i + 1]
+        sloped = (pos != i) & np.isfinite(ends[0]) & np.isfinite(ends[1]) & (ends[0] != ends[1])
+        assert np.all(np.abs(reach[sloped] - stop[sloped]) <= 1e-12), j
+        moving += np.count_nonzero(sloped & (stop > np.minimum(*ends)) & (stop < np.maximum(*ends)))
+    assert moving > 1000
+
+
+def linear_ramp(x0: float, c: float, horizon: float) -> BarrierFamily:
+    """One layer whose region at time t is x <= x0 + c t: r = (x - x0) / c
+    right of x0, 0 left of it, linear across every cell on the right."""
+    xs = np.arange(-200, 201) * 0.05
+    return BarrierFamily(s_values=np.array([1.0]), x_nodes=xs,
+                         r=np.maximum((xs - x0) / c, 0.0)[None, :],
+                         flagged=np.zeros(1, dtype=int), region_nodes=np.ones(1, dtype=int),
+                         grid_desc={"dt": 0.0025, "T": horizon, "dx": 0.05, "L": 10.0})
+
+
+def test_linear_ramp_stop_follows_the_drifted_first_passage_law():
+    # from 0 the boundary b(t) = x0 + c t reaches the path when c t - B_t,
+    # a Brownian motion with drift c, first hits a = -x0: the Bachelier-Levy
+    # law P(sigma <= t) = N((c t - a) / sqrt t) + exp(2 c a) N(-(c t + a) / sqrt t).
+    # Moving boxes stop the paths on the moving edge; KS over the
+    # uncensored stops with the censored ones above the horizon
+    x0, c = -0.2, 20.0
+    ens = rs.simulate_root(rs.ScaledFamily(0.0), linear_ramp(x0, c, 1.0), 100_000, 0.0025,
+                           seed=1)
+    done = ~ens.censored
+    stops, values = ens.sigma[1][done], ens.b_sigma[1][done]
+    assert np.all(np.abs(values - (x0 + c * stops)) <= 1e-12)
+    a = -x0
+    t = np.sort(stops)
+    cdf = ndtr((c * t - a) / np.sqrt(t)) + np.exp(2.0 * c * a) * ndtr(-(c * t + a) / np.sqrt(t))
+    rank = np.arange(1, t.size + 1) / ens.M
+    ks = max(float(np.max(rank - cdf)), float(np.max(cdf - rank + 1.0 / ens.M)))
+    assert stats.kstwo.sf(ks, ens.M) > 1e-3, ks
+
+
+def test_gaussian_box_work_stays_bounded(gauss_family, gauss_surface_small, monkeypatch):
+    # the paths next to the one-dt ramps of the Gaussian barrier stop in a
+    # few moving-box steps: 20 box-step rounds and 5.53 box steps per path
+    # here (a rejected moving-box proposal counts as a step), against 51 and
+    # 6.54 for a walk on moving spheres that stops paths within 1e-6 dx of
+    # the moving boundary
+    real, rounds, steps = sim._box, [], []
+
+    def spy(barrier_family, j, x, *args):
+        rounds.append(1)
+        steps.append(x.size)
+        return real(barrier_family, j, x, *args)
+
+    monkeypatch.setattr(sim, "_box", spy)
+    M = 20_000
+    rs.simulate_root(gauss_family, rs.extract(gauss_surface_small), M,
+                     gauss_surface_small.grid.dt, seed=3)
+    assert len(rounds) <= 25, len(rounds)
+    assert sum(steps) / M <= 6.0, sum(steps) / M
 
 
 def test_two_atom_stop_time_follows_the_exit_law(two_atom_million):
@@ -278,8 +343,9 @@ def _killed_cdf(z, d, t):
     return mass / (1.0 - sim.exit_time_cdf(t / d ** 2)[0])
 
 
-@pytest.mark.parametrize("d, t", [(1.0, 1.0), (1.0, 0.3), (0.2, 0.01)])
+@pytest.mark.parametrize("d, t", [(1.0, 1.0), (1.0, 0.3), (0.2, 0.01), (0.5, 1.0)])
 def test_box_endpoints_follow_the_killed_density(d, t):
+    # t = 4 d^2 (0.5, 1.0) is the longest window of a moving box
     z = sim._endpoint_in_box(sim._Streams(8, 1), np.arange(50_000), np.full(50_000, d),
                              np.full(50_000, t))
     assert np.all(np.abs(z) < d)
@@ -492,15 +558,15 @@ BOX_ROW_SETS = {"mixed": [1.0 / 16.0, 0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), 0.7
 
 
 def _adversarial_box_rows(seed, row_set="mixed"):
-    """Rows of a run of three blocks and their boxes, with the window
-    lengths of BOX_ROW_SETS[row_set]."""
+    """Rows of a run of three blocks and their fixed boxes (velocity 0),
+    with the window lengths of BOX_ROW_SETS[row_set]."""
     rng = make_stream(seed, 99)
     rows = np.sort(rng.choice(3 * sim.BLOCK_SIZE, 12_000, replace=False))
     d = 10.0 ** rng.uniform(-3.0, 0.5, rows.size)
     frac = np.array(BOX_ROW_SETS[row_set])
     u = d * d * frac[np.arange(rows.size) % frac.size]
     x, t = rng.uniform(-3.0, 3.0, rows.size), rng.uniform(0.0, 2.0, rows.size)
-    return rows, x, t, d, u, t + u
+    return rows, x, t, d, u, t + u, np.zeros(rows.size)
 
 
 def _next_draws(streams):
@@ -510,10 +576,10 @@ def _next_draws(streams):
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_squeezed_box_step_matches_the_reference(seed):
-    rows, x, t, d, u, w = _adversarial_box_rows(seed)
+    rows, x, t, d, u, w, v = _adversarial_box_rows(seed)
     mine, ref = sim._Streams(seed, 3), sim._Streams(seed, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = sim._cross_boxes(mine, rows, x, t, d, u, w)
+        got = sim._cross_boxes(mine, rows, x, t, d, u, w, v)
         want = reference_cross_boxes(ref, rows, x, t, d, u, w)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert np.array_equal(_next_draws(mine), _next_draws(ref))
@@ -521,7 +587,7 @@ def test_squeezed_box_step_matches_the_reference(seed):
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_squeezed_endpoints_match_the_reference(seed):
-    rows, _, _, d, u, _ = _adversarial_box_rows(seed)
+    rows, _, _, d, u, _, _ = _adversarial_box_rows(seed)
     mine, ref = sim._Streams(seed, 3), sim._Streams(seed, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
         got = sim._endpoint_in_box(mine, rows, d, u)
@@ -533,20 +599,35 @@ def test_squeezed_endpoints_match_the_reference(seed):
 # seed 7 draws no exit among the 12,000 fast boxes (P(none) is about 0.2)
 @pytest.mark.parametrize("row_set, seed", [("fast", 7), ("long", 3), ("long", 17)])
 def test_whole_array_box_rounds_match_the_reference(row_set, seed):
-    rows, x, t, d, u, w = _adversarial_box_rows(seed, row_set)
+    rows, x, t, d, u, w, v = _adversarial_box_rows(seed, row_set)
     if row_set == "fast":
         # the precondition of the whole-array rounds: no path leaves its box,
         # and every endpoint window is positive and short
-        v = sim._Streams(seed, 3).draw(rows, lambda rng, k: rng.random((2, k)))
-        assert not np.any(v[0] < sim.exit_time_cdf(u / (d * d)))
+        p = sim._Streams(seed, 3).draw(rows, lambda rng, k: rng.random((2, k)))
+        assert not np.any(p[0] < sim.exit_time_cdf(u / (d * d)))
         assert np.all((u > 0.0) & (u < sim._EIGEN_FROM * d * d))
-    for step, reference, args in ((sim._cross_boxes, reference_cross_boxes, (rows, x, t, d, u, w)),
-                                  (sim._endpoint_in_box, reference_endpoint_in_box, (rows, d, u))):
+    for step, reference, args in (
+            (lambda *a: sim._cross_boxes(*a, v), reference_cross_boxes, (rows, x, t, d, u, w)),
+            (sim._endpoint_in_box, reference_endpoint_in_box, (rows, d, u))):
         mine, ref = sim._Streams(seed, 3), sim._Streams(seed, 3)
         with np.errstate(divide="ignore", invalid="ignore"):
             got, want = step(mine, *args), reference(ref, *args)
         assert np.array_equal(np.asarray(got), np.asarray(want))
         assert np.array_equal(_next_draws(mine), _next_draws(ref))
+
+
+@pytest.mark.parametrize("row_set", sorted(BOX_ROW_SETS))
+def test_fixed_boxes_match_the_reference(row_set):
+    # v = 0 on every row: no acceptance draw, a fair exit side, and the
+    # driftless step of the reference, bit for bit and draw for draw
+    rows, x, t, d, u, w, v = _adversarial_box_rows(5, row_set)
+    mine, ref = sim._Streams(5, 3), sim._Streams(5, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = sim._cross_boxes(mine, rows, x, t, d, u, w, v)
+        want = reference_cross_boxes(ref, rows, x, t, d, u, w)
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+    assert np.array_equal(_next_draws(mine), _next_draws(ref))
 
 
 def test_negative_snapshot_times_rejected():
