@@ -19,7 +19,7 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -74,7 +74,8 @@ _NUMBERS = (lambda v: [_finite(p) for p in v.split(",")] if v else [],
             "a comma-separated list of finite numbers")
 
 # section -> key -> (default, type); a default of None marks a required
-# key, and a key whose default is "" may stay empty, which reads as None
+# key, and a key whose default is "" may stay empty, which reads as None;
+# an omitted probe_times takes the dt-lattice times nearest its default (`Run`)
 _SCHEMA = {
     "family": {"kind": (None, _TEXT), "t0": ("1.0", _NUMBER), "s0": ("0.0", _NUMBER),
                "p0": ("0.1", _NUMBER), "p1": ("0.3", _NUMBER), "path": ("", _TEXT)},
@@ -95,6 +96,7 @@ class RunConfig:
     values: dict    # section -> key -> that text as its schema type
     base_dir: Path
     family: object = None
+    omitted: set = field(default_factory=set)   # (section, key) that took the default
 
 
 def load_config(path) -> RunConfig:
@@ -115,7 +117,7 @@ def load_config(path) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             raw[section][key] = value.strip()
-    values = {}
+    values, omitted = {}, set()
     for section, keys in _SCHEMA.items():
         raw.setdefault(section, {})
         values[section] = {}
@@ -124,13 +126,14 @@ def load_config(path) -> RunConfig:
                 if default is None:
                     raise ConfigError(f"missing required key '{key}' in [{section}]")
                 raw[section][key] = default
+                omitted.add((section, key))
             text = raw[section][key]
             try:
                 values[section][key] = (None if text == "" and default == ""
                                         else convert(text))
             except ValueError:
                 raise ConfigError(f"[{section}] {key}: not {what}: {text!r}") from None
-    cfg = RunConfig(raw=raw, values=values, base_dir=path.parent)
+    cfg = RunConfig(raw=raw, values=values, base_dir=path.parent, omitted=omitted)
     cfg.family = _build_family(cfg)
     return cfg
 
@@ -178,6 +181,12 @@ class Run:
         self.ladder = {"T": grid["t_horizon"], "dx": grid["dx"],
                        "n0": partition["n0"], "levels": partition["levels"]}
         self.sim = cfg.values["simulation"]
+        if ("simulation", "probe_times") in cfg.omitted:
+            # the default times on the dt lattice, echoed in config.resolved.ini
+            dt, nt = self.grid.dt, self.grid.nt
+            rows = np.unique(np.minimum(np.rint(np.array(self.sim["probe_times"]) / dt), nt))
+            self.sim["probe_times"] = [float(f"{t:.12g}") for t in rows * dt]
+            cfg.raw["simulation"]["probe_times"] = ",".join(map(repr, self.sim["probe_times"]))
 
     @cached_property
     def grid(self):

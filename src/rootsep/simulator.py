@@ -9,6 +9,8 @@ reaches the box, a box edge may sit exactly on a level of the region, and
 next to a sloped cell of an interpolated barrier a box may move with the
 region's moving boundary, its near edge on it, its law made exact by a
 Girsanov reweighting; so every stop is exact, on the region's boundary.
+A fixed box between levels or free ends lasts until the region can reach
+it: a path between two atoms' levels stops in one box step.
 Box steps evaluate their exit and acceptance series only where cheap
 bounds leave a test open (`_squeeze`); decisions and draws are unchanged.
 A snapshot at time t holds B_(t ^ sigma_n), taken at exactly the requested
@@ -20,8 +22,9 @@ Paths are processed in fixed-size blocks, each block on its own
 counter-based stream keyed by (seed, block index); results are therefore
 bit-identical for any thread count.  Threads share the blocks as runs of
 consecutive blocks balanced by path count; each run steps on its own thread
-while it holds at least a block's worth of live paths, and the calling
-thread finishes the narrow tails of all runs in one loop (`_run_blocks`).
+while it holds at least a block's worth of live paths (a run of one block,
+a share of its own), and the calling thread finishes the narrow tails of
+all runs in one loop (`_run_blocks`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ BLOCK_SIZE = 1 << 14
 # window of at most MOVING_WINDOW d^2, which 99% of its paths leave (`_box`)
 MOVING_REACH = 1.0
 MOVING_WINDOW = 4.0
+# a run of one block steps on its own thread while it holds at least this
+# share of its paths (`_run_blocks`)
+ONE_BLOCK_SHARE = 8
 KS_THRESHOLD = 0.01
 POTENTIAL_THRESHOLD = 0.02
 ATOM_MASS_THRESHOLD = 0.01
@@ -141,8 +147,10 @@ def _run_blocks(run, M: int, seed: int, threads: int) -> None:
 
     A single run (one thread, or M <= BLOCK_SIZE) runs on the calling thread
     with narrow = 1 and finishes every path.  Several runs each run on their
-    own thread while they hold at least narrow = BLOCK_SIZE live paths, and
-    then return their live state, a tuple of arrays whose first holds the
+    own thread while they hold at least narrow live paths: BLOCK_SIZE for a
+    run of several blocks, and 1 / ONE_BLOCK_SHARE of its own paths for a
+    run of one block, which would otherwise hand off at its first stop.
+    They then return their live state, a tuple of arrays whose first holds the
     paths' rows (None for a run that finishes its paths at once).  The
     states are joined in run order, so the rows stay sorted, and
     run(streams, 0, M, 1, state) finishes all of them on the calling
@@ -158,12 +166,14 @@ def _run_blocks(run, M: int, seed: int, threads: int) -> None:
     runs = _runs(M, threads)
     streams = _Streams(seed, runs[-1][1])
 
-    def one(k, narrow=BLOCK_SIZE):
+    def one(k):
         first, last = runs[k]
-        return run(streams, first * BLOCK_SIZE, min(last * BLOCK_SIZE, M), narrow)
+        lo, hi = first * BLOCK_SIZE, min(last * BLOCK_SIZE, M)
+        narrow = BLOCK_SIZE if last - first > 1 else max(1, (hi - lo) // ONE_BLOCK_SHARE)
+        return run(streams, lo, hi, narrow)
 
     if len(runs) == 1:
-        one(0, narrow=1)
+        run(streams, 0, M, 1)
         return
     with ThreadPoolExecutor(max_workers=len(runs)) as pool:
         states = list(pool.map(one, range(len(runs))))
@@ -196,8 +206,10 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
       boundary at sigma, b(sigma).
     Every stop is exact: no stopped law carries a bias from the stepping.
     Windows also end at every snapshot time and at the horizon T of the
-    grid the barriers came from, and last at most d^2 for a fixed box of
-    radius d, MOVING_WINDOW d^2 for a moving one.  A box step gathers and
+    grid the barriers came from.  A fixed box of radius d whose sides are
+    levels or free ends keeps its window until then, however many d^2
+    that is; a sloped side cuts it to what the side's reach allows, and a
+    moving box's window lasts at most MOVING_WINDOW d^2.  A box step gathers and
     scatters through index arrays only where they select fewer than all
     rows (`_rows`): identity gathers are skipped, with the same floats and
     the same draws.  At each stop the
@@ -363,13 +375,14 @@ def _reach(barrier_family, j, pos, w, cap, s):
 
 
 def _window(full, rate, r_e, t):
-    """Longest window u with u <= reach(t + u)^2 on one side (see `_reach`):
-    full^2 while that ends by r_e, else the root of u = (a - rate u)^2 with
-    a = full + rate (r_e - t)."""
+    """Longest window u that one side (see `_reach`) allows.  A level or a
+    free end (rate 0) stays where it is, so it sets no limit: inf.  A
+    sloped side allows u <= reach(t + u)^2: full^2 while that ends by r_e,
+    else the root of u = (a - rate u)^2 with a = full + rate (r_e - t)."""
     a = full + rate * (r_e - t)
     ar = a * rate
     root = 2.0 * a * a / (2.0 * ar + 1.0 + np.sqrt(4.0 * ar + 1.0))
-    return np.where(t + full * full <= r_e, full * full, root)
+    return np.where(rate == 0.0, np.inf, np.where(t + full * full <= r_e, full * full, root))
 
 
 def _box(barrier_family, j, x, pos, r, t, limit):
@@ -394,8 +407,11 @@ def _box(barrier_family, j, x, pos, r, t, limit):
     and short enough that the far edge, moving away at rate, stays within
     the far side's reach.  It ends by w_c, which is at most the first hit of
     the edge cell's inner node, so the edge keeps one slope.  Every other
-    box is fixed (v = 0): its window is the longest, at most d^2, that both
-    reaches support, and its radius the smaller reach at its end.
+    box is fixed (v = 0): its window is the longest that both reaches
+    support (`_window`), and its radius the smaller reach at its end.  A
+    level or a free end stays put, so a box between two of them runs until
+    w_c, its window any number of d^2: `_reach` found every node inside it
+    free until then.
     """
     dx = float(barrier_family.grid_desc["dx"])
     w_c = np.minimum(limit, r)
@@ -553,8 +569,9 @@ def _survival_floor(z, d, t):
 # of exp(-n^2 pi^2 t / (8 d^2)) cos(n theta), theta = pi z / (2 d).  Since
 # |cos(n theta) / cos(theta)| <= n, the terms past n = 1 change the n = 1
 # term by a factor within 1 +- eps(t / d^2), eps(r) = sum n exp(-(n^2 - 1)
-# pi^2 r / 8), which is below 0.022 from t = d^2 / 2 on, where the terms
-# past n = 9 are below 1e-19; so the acceptance is at least _EIGEN_FLOOR.
+# pi^2 r / 8).  eps falls with r, so it is below 0.022 for every t >= d^2 / 2,
+# however long, and the terms past n = 9 are below 1e-19 there; so the
+# acceptance is at least _EIGEN_FLOOR.
 # Its float error, at most 1e-9 (where cos(theta) is 2e-8, the uniform
 # 2^-53 from 0 or 1), is within the slack from eps(1/2) = 0.0216 to 0.022.
 _EIGEN_N = np.arange(3.0, 11.0, 2.0)
@@ -572,15 +589,16 @@ def _eigen_acceptance(theta, r):
 
 
 def _endpoint_in_box(streams, rows, d, t):
-    """B_t - B_0 for Brownian motions that stay in (-d, d) up to t, at most
-    MOVING_WINDOW d^2.
+    """B_t - B_0 for Brownian motions that stay in (-d, d) up to t, any
+    t >= 0.
 
     Rejection sampling of the killed transition density.  Below t = d^2 / 2
     the proposal is normal with variance t, accepted with the bridge
     survival probability (acceptance P(tau_1 > t / d^2) >= 0.80); from
     there on it is the density's first eigenfunction cos(pi z / (2 d)),
     drawn as z = (2 d / pi) arcsin(2 v - 1) and accepted with the ratio of
-    the full eigenfunction series to it (acceptance above 0.95).  Each
+    the full eigenfunction series to it (acceptance above 0.95, nearer 1
+    the longer t).  Each
     round, each block draws one normal and then two uniforms per pending
     path (rows `rows`).  The series are evaluated only where
     `_survival_floor`, _EIGEN_FLOOR and |z| < d leave a test open (`_squeeze`).
@@ -744,6 +762,8 @@ def optimality_functional(ensemble: PathEnsemble, f: MonotonePiecewisePoly):
 _EXIT_SWITCH = 1.0
 _REFLECTION_K = np.arange(4)
 _THETA_K = np.arange(3)
+_THETA_ODD = 2.0 * _THETA_K + 1.0
+_THETA_C = _THETA_ODD * _THETA_ODD * (math.pi ** 2 / 8.0)     # term k decays as exp(-c_k t)
 
 
 def _reflection_series(t: np.ndarray, density: bool = False):
@@ -771,9 +791,8 @@ def _theta_series(t: np.ndarray, density: bool = False):
     """Exit-time CDF from the theta series (t >= 1), as a tuple, with
     `density` followed by its first two derivatives; all share each term's
     decay exp(-c t), c = (2k+1)^2 pi^2 / 8."""
-    odd = 2.0 * _THETA_K + 1.0
+    odd, c = _THETA_ODD, _THETA_C
     sign = (-1.0) ** _THETA_K
-    c = odd * odd * (math.pi ** 2 / 8.0)
     decay = np.exp(-c * t[:, None])
     cdf = 1.0 - (4.0 / math.pi) * (sign / odd * decay).sum(axis=1)
     if not density:
@@ -797,25 +816,46 @@ def exit_time_cdf(t):
     return _exit_series(np.atleast_1d(np.asarray(t, dtype=float)))
 
 
-# One Halley step from a table of 4096 log-t nodes, for u from 2^-53 to
-# 1 - 2^-53 (quantiles in [0.014, 30]).  Against 40-digit roots, the largest
-# relative error on 1500 draws was 2.6e-15 for u uniform, 4.8e-13 for
-# u = 2^-U and U uniform on [10, 53], 4.4e-12 for 1 - u uniform on
-# [0, 2^-10]; it nears 1e-2 as 1 - u nears 2^-53, where the theta series'
-# 1 - sum resolves tau by only the few ulps between u and 1.
+# Up to u = exit_time_cdf(1), one Halley step from a table of nodes evenly
+# spaced in log t from 0.01 to the first past 1 (quantiles in [0.014, 1]).
+# Against 40-digit roots, the largest relative error on 1500 draws was
+# 2.6e-15 for u uniform and 4.8e-13 for u = 2^-U, U uniform on [10, 53].
+# Above it the theta series' CDF 1 - sum would resolve tau only by the ulps
+# between u and 1, so `_theta_quantile` solves for the survival 1 - u
+# instead, which is exact for u >= 1/2.
 _EXIT_LOG_T = np.linspace(math.log(0.01), math.log(32.0), 1 << 12)
+_EXIT_LOG_T = _EXIT_LOG_T[:np.searchsorted(_EXIT_LOG_T, 0.0) + 1]
 _EXIT_TABLE = exit_time_cdf(np.exp(_EXIT_LOG_T))
-_EXIT_ROWS = np.concatenate([[True], np.diff(_EXIT_TABLE) > 0])
-_EXIT_LOG_T, _EXIT_TABLE = _EXIT_LOG_T[_EXIT_ROWS], _EXIT_TABLE[_EXIT_ROWS]
+_EXIT_AT_SWITCH = float(exit_time_cdf(_EXIT_SWITCH)[0])
+
+
+def _theta_quantile(q):
+    """The tau >= 1 with P(tau_1 > tau) = q.  The theta series gives the
+    survival as (4/pi) exp(-c_0 tau) (1 + rest(tau)), so tau = (log(4 / (pi
+    q)) + log1p(rest(tau))) / c_0, iterated from the first term's root
+    (rest = 0).  For tau >= 1 the map contracts by |rest'| / c_0 < 1.5e-4
+    and the start is within 1.5e-5, so three steps reach rounding level."""
+    c = _THETA_C
+    weight = (-1.0) ** _THETA_K[1:] / _THETA_ODD[1:]
+    lead = np.log(4.0 / (math.pi * q))
+    tau = lead / c[0]
+    for _ in range(3):
+        rest = (weight * np.exp(-(c[1:] - c[0]) * tau[:, None])).sum(axis=1)
+        tau = (lead + np.log1p(rest)) / c[0]
+    return tau
 
 
 def exit_time_quantile(u):
     """Inverse exit-time CDF: the tau with P(tau_1 <= tau) = u, for u in [0, 1)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    tau = np.exp(np.interp(u, _EXIT_TABLE, _EXIT_LOG_T))
-    cdf, density, slope = _exit_series(tau, True)
-    miss = cdf - u
-    tau -= 2.0 * miss * density / (2.0 * density * density - miss * slope)
+    tau = np.empty(u.size)
+    tail = u > _EXIT_AT_SWITCH
+    tau[tail] = _theta_quantile(1.0 - u[tail])
+    head = u[~tail]
+    start = np.exp(np.interp(head, _EXIT_TABLE, _EXIT_LOG_T))
+    cdf, density, slope = _exit_series(start, True)
+    miss = cdf - head
+    tau[~tail] = start - 2.0 * miss * density / (2.0 * density * density - miss * slope)
     return np.where(u > 0.0, tau, 0.0)
 
 

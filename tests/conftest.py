@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 import rootsep as rs
+from rootsep import simulator as sim
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +25,22 @@ def three_point_family():
 @pytest.fixture(scope="session")
 def constant_family():
     return rs.AtomicTableFamily([(0.0, rs.Law([-1.0, 1.0], [0.5, 0.5]))])
+
+
+@pytest.fixture
+def box_work(monkeypatch):
+    """The box-step rounds and box steps that `simulate_root` takes while
+    the test runs, counted by wrapping `simulator._box`: one round per
+    call, one step per path in it."""
+    work, real = SimpleNamespace(rounds=0, steps=0), sim._box
+
+    def counted(barrier_family, j, x, *args):
+        work.rounds += 1
+        work.steps += x.size
+        return real(barrier_family, j, x, *args)
+
+    monkeypatch.setattr(sim, "_box", counted)
+    return work
 
 
 @pytest.fixture(scope="session")

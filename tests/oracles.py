@@ -3,7 +3,8 @@
 None of these runs in a `rootsep` pipeline: each recomputes a quantity by
 a route the package does not take (exhaustive enumeration of stopping
 rules, barrier ordering and analytic comparisons, the call price of a
-centred law), so agreement is evidence rather than a restatement.
+centred law, the exit-time survival by bisection), so agreement is
+evidence rather than a restatement.
 Test modules import it as `from oracles import ...`.
 """
 
@@ -26,6 +27,25 @@ def call_price(family: MarginalFamily, s: float, x) -> np.ndarray:
     """E (Y - x)+ for Y ~ mu_s; equals -(potential + x)/2 for centred laws."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return -(family.potential(s, x) + x) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# exit-time survival
+
+def exit_time_survival_root(q) -> np.ndarray:
+    """The t with P(tau_1 > t) = q, tau_1 the exit time of [-1, 1] from 0,
+    for q in [2^-53, P(tau_1 > 1/2)]: bisection on [1/2, 60] of ten terms of
+    the theta series (4/pi) sum_k (-1)^k / (2k+1) exp(-(2k+1)^2 pi^2 t / 8),
+    run until the bracket stops shrinking."""
+    q = np.asarray(q, dtype=float)
+    odd = 2.0 * np.arange(10.0) + 1.0
+    weight = (4.0 / np.pi) * (-1.0) ** np.arange(10.0) / odd
+    lo, hi = np.full(q.shape, 0.5), np.full(q.shape, 60.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = (weight * np.exp(-odd ** 2 * (np.pi ** 2 / 8.0) * mid[..., None])).sum(-1) > q
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

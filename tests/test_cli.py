@@ -280,6 +280,46 @@ def test_probe_times_need_not_be_multiples_of_h_sim(tmp_path):
     run.check_simulation()
 
 
+# an atomic family at dx = 0.1 has dt = 0.8 dx^2 = 0.008, so the schema's
+# default probe times 0.25 and 0.5 are off its dt lattice
+COARSE_THREE_POINT = """
+[family]
+kind = three_point
+p0 = 0.1
+p1 = 0.3
+
+[grid]
+t_horizon = 3.0
+dx = 0.1
+
+[partition]
+n0 = 4
+levels = 2
+"""
+
+
+def test_omitted_probe_times_sit_on_the_dt_lattice(tmp_path):
+    # the nearest lattice times are used and echoed, and the echoed config
+    # verifies to the same embedding
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(COARSE_THREE_POINT, encoding="utf-8")
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    resolved = tmp_path / "o" / "verify" / "config.resolved.ini"
+    assert "\nprobe_times = 0.248,0.496,1.0\n" in resolved.read_text(encoding="utf-8")
+    again = tmp_path / "again"
+    assert main(["verify", "--config", str(resolved), "--out", str(again)]) == 0
+    assert ((again / "embedding.json").read_bytes()
+            == (tmp_path / "o" / "verify" / "embedding.json").read_bytes())
+
+
+def test_given_probe_times_off_the_dt_lattice_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(COARSE_THREE_POINT + "\n[simulation]\nprobe_times = 0.25,0.5,1.0\n",
+                   encoding="utf-8")
+    assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "probe time=0.25 is off the grid (dt=0.008)" in capsys.readouterr().err
+
+
 def test_alternative_embedding_run(tmp_path, monkeypatch):
     # the alternative gets the config's h_sim, so its allowance is the Root one's
     allowances, real = [], cli.alternative_embedding
@@ -505,8 +545,8 @@ def test_ladder_atoms_checked_before_any_solve(tmp_path, monkeypatch, capsys):
 # the order solve, limit, verify (numpy 2.4.6, Python 3.11.7)
 SHIPPED_HASHES = {
     "gaussian.ini": ("e05fd6d88ddfd675", "631d9a3c7941a79c", "27afa2380f199d67"),
-    "three_point.ini": ("559858f815a42f7a", "cbd134a63cf1aff2", "96eaf4b6bd3d164b"),
-    "two_atom.ini": ("6d017d39dc5909da", "bb1a914eff3d3a6c", "ba2d0d649f7a85de"),
+    "three_point.ini": ("559858f815a42f7a", "cbd134a63cf1aff2", "d292ae9038cdfd81"),
+    "two_atom.ini": ("6d017d39dc5909da", "bb1a914eff3d3a6c", "13e8f4b84df384e3"),
 }
 
 

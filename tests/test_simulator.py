@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 import rootsep as rs
+from oracles import exit_time_survival_root
 from rootsep import simulator as sim
 from rootsep.barriers import BarrierFamily
 from rootsep.errors import HorizonError, ValidationError
@@ -122,11 +123,9 @@ def test_determinism_and_threads(gauss_family, gauss_run):
     assert not np.array_equal(ens.sigma, different.sigma)
 
 
-def test_determinism_across_the_handoff(gauss_family, gauss_run, monkeypatch):
-    # five blocks: every run of 2 or 3 threads starts with at least
-    # BLOCK_SIZE live paths and hands its narrow tail to the calling thread
-    surf, barrier, _ = gauss_run
-    M = 4 * sim.BLOCK_SIZE + 123
+def _handoff_tails(monkeypatch):
+    """Spy on `_run_blocks`: the returned list gets, for each threaded call,
+    the number of live paths the runs hand to the calling thread."""
     real, tails = sim._run_blocks, []
 
     def spy(run, M, seed, threads):
@@ -137,17 +136,55 @@ def test_determinism_across_the_handoff(gauss_family, gauss_run, monkeypatch):
         return real(spied, M, seed, threads)
 
     monkeypatch.setattr(sim, "_run_blocks", spy)
+    return tails
+
+
+def _assert_same_ensembles(a, b):
+    assert np.array_equal(a.x0, b.x0)
+    assert np.array_equal(a.sigma, b.sigma)
+    assert np.array_equal(a.b_sigma, b.b_sigma, equal_nan=True)
+    assert list(a.snapshots) == list(b.snapshots)
+    for k in a.snapshots:
+        assert np.array_equal(a.snapshots[k], b.snapshots[k])
+
+
+def test_determinism_across_the_handoff(gauss_family, gauss_run, monkeypatch):
+    # five blocks: every run of 2 or 3 threads starts with at least
+    # BLOCK_SIZE live paths and hands its narrow tail to the calling thread
+    surf, barrier, _ = gauss_run
+    M = 4 * sim.BLOCK_SIZE + 123
+    tails = _handoff_tails(monkeypatch)
     ens = {threads: rs.simulate_root(gauss_family, barrier, M, surf.grid.dt, seed=13,
                                      snapshot_times=[0.0, 0.25, 0.5, 1.0], threads=threads)
            for threads in (1, 2, 3)}
     assert len(tails) == 2 and all(0 < k < sim.BLOCK_SIZE * 3 for k in tails)
     for other in (ens[2], ens[3]):
-        assert np.array_equal(ens[1].x0, other.x0)
-        assert np.array_equal(ens[1].sigma, other.sigma)
-        assert np.array_equal(ens[1].b_sigma, other.b_sigma, equal_nan=True)
-        assert list(ens[1].snapshots) == list(other.snapshots)
-        for k in ens[1].snapshots:
-            assert np.array_equal(ens[1].snapshots[k], other.snapshots[k])
+        _assert_same_ensembles(ens[1], other)
+
+
+def test_one_block_runs_keep_their_threads(gauss_family, gauss_run, monkeypatch):
+    # three blocks: at 8 threads each is a run of one block, at 2 the first
+    # is.  A run of one block holds fewer than BLOCK_SIZE live paths from its
+    # first stop on; it steps on its own thread until it holds fewer than
+    # 1 / ONE_BLOCK_SHARE of its paths.  A share of 1 hands it off at its
+    # first stop, as the BLOCK_SIZE rule did
+    surf, barrier, _ = gauss_run
+    M, share = 2 * sim.BLOCK_SIZE + 123, sim.ONE_BLOCK_SHARE
+    tails = _handoff_tails(monkeypatch)
+
+    def simulate(threads):
+        return rs.simulate_root(gauss_family, barrier, M, surf.grid.dt, seed=13,
+                                snapshot_times=[0.0, 0.25, 0.5, 1.0], threads=threads)
+
+    ens = {threads: simulate(threads) for threads in (1, 2, 8)}
+    monkeypatch.setattr(sim, "ONE_BLOCK_SHARE", 1)
+    at_first_stop = simulate(8)
+    assert len(tails) == 3
+    at_2, at_8, before = tails
+    assert 0 < at_8 <= M // share < before, tails
+    assert 0 < at_2 < M, tails
+    for other in (ens[2], ens[8], at_first_stop):
+        _assert_same_ensembles(ens[1], other)
 
 
 @pytest.mark.parametrize("M", [1, sim.BLOCK_SIZE, 100_000, 1_000_000])
@@ -242,37 +279,48 @@ def test_linear_ramp_stop_follows_the_drifted_first_passage_law():
     assert stats.kstwo.sf(ks, ens.M) > 1e-3, ks
 
 
-def test_gaussian_box_work_stays_bounded(gauss_family, gauss_surface_small, monkeypatch):
+def test_gaussian_box_work_stays_bounded(gauss_family, gauss_surface_small, box_work):
     # the paths next to the one-dt ramps of the Gaussian barrier stop in a
     # few moving-box steps: 20 box-step rounds and 5.53 box steps per path
     # here (a rejected moving-box proposal counts as a step), against 51 and
     # 6.54 for a walk on moving spheres that stops paths within 1e-6 dx of
     # the moving boundary
-    real, rounds, steps = sim._box, [], []
-
-    def spy(barrier_family, j, x, *args):
-        rounds.append(1)
-        steps.append(x.size)
-        return real(barrier_family, j, x, *args)
-
-    monkeypatch.setattr(sim, "_box", spy)
     M = 20_000
     rs.simulate_root(gauss_family, rs.extract(gauss_surface_small), M,
                      gauss_surface_small.grid.dt, seed=3)
-    assert len(rounds) <= 25, len(rounds)
-    assert sum(steps) / M <= 6.0, sum(steps) / M
+    assert box_work.rounds <= 25, box_work.rounds
+    assert box_work.steps / M <= 6.0, box_work.steps / M
 
 
-def test_two_atom_stop_time_follows_the_exit_law(two_atom_million):
-    # sigma is the exit time of [-1, 1]: one-sample KS against exit_time_cdf
-    # over the uncensored stops, with the censored paths counted above the
-    # horizon; the sup then runs over t <= T only, so kstwo is conservative
-    ens = two_atom_million
+def _exit_law_ks(ens):
+    """One-sample KS distance of sigma_1 from exit_time_cdf over the
+    uncensored stops, with the censored paths counted above the horizon;
+    the sup then runs over t <= T only, so kstwo is conservative."""
     stops = np.sort(ens.sigma[1][~ens.censored])
     cdf = sim.exit_time_cdf(stops)
     rank = np.arange(1, stops.size + 1) / ens.M
-    ks = max(float(np.max(rank - cdf)), float(np.max(cdf - rank + 1.0 / ens.M)))
-    assert stats.kstwo.sf(ks, ens.M) > 1e-3, ks
+    return max(float(np.max(rank - cdf)), float(np.max(cdf - rank + 1.0 / ens.M)))
+
+
+def test_two_atom_stop_time_follows_the_exit_law(two_atom_million):
+    # sigma is the exit time of [-1, 1]
+    ks = _exit_law_ks(two_atom_million)
+    assert stats.kstwo.sf(ks, two_atom_million.M) > 1e-3, ks
+
+
+def test_two_atom_paths_stop_in_one_round(two_atom_family, two_atom_surface, box_work):
+    # the box (-1, 1) between the two levels is free until the horizon, so
+    # each path takes one box step: it stops on a level at its exit time, or
+    # is censored at T = 7.  sigma follows the exit law, and the censored
+    # share is P(tau_1 > 7) = 2.26e-4 within 3 standard errors
+    M = 100_000
+    ens = rs.simulate_root(two_atom_family, rs.extract(two_atom_surface), M, 1e-3, seed=11)
+    assert (box_work.rounds, box_work.steps) == (1, M)
+    ks = _exit_law_ks(ens)
+    assert stats.kstwo.sf(ks, M) > 1e-3, ks
+    tail = 1.0 - sim.exit_time_cdf(ens.horizon)[0]
+    assert abs(ens.censored_fraction - tail) <= 3.0 * math.sqrt(tail * (1.0 - tail) / M), \
+        (ens.censored_fraction, tail)
 
 
 def test_two_atom_stops_exactly_on_the_atoms(two_atom_million):
@@ -335,17 +383,20 @@ def test_bridge_survival_matches_fine_monte_carlo():
 
 
 def _killed_cdf(z, d, t):
-    """CDF of B_t given no exit from (-d, d) by t, from B_0 = 0 (image series)."""
-    k = np.arange(-6, 7)[:, None]
+    """CDF of B_t given no exit from (-d, d) by t, from B_0 = 0 (image series).
+    Images up to +-20 keep it within 1e-11 of the eigenfunction series, as a
+    share of the surviving mass, for t <= 8 d^2; +-6 missed by 6% at 8 d^2."""
+    k = np.arange(-20, 21)[:, None]
     sign = (-1.0) ** k
     mass = (sign * (ndtr((z - 2 * k * d) / math.sqrt(t))
                     - ndtr((-d - 2 * k * d) / math.sqrt(t)))).sum(axis=0)
     return mass / (1.0 - sim.exit_time_cdf(t / d ** 2)[0])
 
 
-@pytest.mark.parametrize("d, t", [(1.0, 1.0), (1.0, 0.3), (0.2, 0.01), (0.5, 1.0)])
+@pytest.mark.parametrize("d, t", [(1.0, 1.0), (1.0, 0.3), (0.2, 0.01), (0.5, 1.0), (0.5, 2.0)])
 def test_box_endpoints_follow_the_killed_density(d, t):
-    # t = 4 d^2 (0.5, 1.0) is the longest window of a moving box
+    # t = 4 d^2 (0.5, 1.0) is the longest window of a moving box; a fixed
+    # box between levels may run longer, t = 8 d^2 (0.5, 2.0)
     z = sim._endpoint_in_box(sim._Streams(8, 1), np.arange(50_000), np.full(50_000, d),
                              np.full(50_000, t))
     assert np.all(np.abs(z) < d)
@@ -550,11 +601,13 @@ def test_squeezed_exit_test_decides_as_the_full_cdf():
 # 16), u = 0, u = d^2, windows at and just below d^2 / 2 (where proposals fall
 # near +-d), long windows and windows short enough to underflow; fast: fast
 # boxes only, every window positive and short, so the box step's rounds read
-# their arrays whole; long: long windows only
+# their arrays whole; long: long windows only; static: the windows past d^2
+# of a box between levels or free ends, up to one whose exit CDF rounds to 1
 BOX_ROW_SETS = {"mixed": [1.0 / 16.0, 0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), 0.75, 1e-4,
                           1.0 / 1600.0],
                 "fast": [1.0 / 16.0],
-                "long": [0.5, 0.75, 1.0]}
+                "long": [0.5, 0.75, 1.0],
+                "static": [2.0, 8.0, 64.0]}
 
 
 def _adversarial_box_rows(seed, row_set="mixed"):
@@ -576,13 +629,14 @@ def _next_draws(streams):
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_squeezed_box_step_matches_the_reference(seed):
-    rows, x, t, d, u, w, v = _adversarial_box_rows(seed)
-    mine, ref = sim._Streams(seed, 3), sim._Streams(seed, 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        got = sim._cross_boxes(mine, rows, x, t, d, u, w, v)
-        want = reference_cross_boxes(ref, rows, x, t, d, u, w)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert np.array_equal(_next_draws(mine), _next_draws(ref))
+    for row_set in ("mixed", "static"):
+        rows, x, t, d, u, w, v = _adversarial_box_rows(seed, row_set)
+        mine, ref = sim._Streams(seed, 3), sim._Streams(seed, 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = sim._cross_boxes(mine, rows, x, t, d, u, w, v)
+            want = reference_cross_boxes(ref, rows, x, t, d, u, w)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), row_set
+        assert np.array_equal(_next_draws(mine), _next_draws(ref)), row_set
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -902,6 +956,21 @@ def test_exit_time_quantile_is_converged(regime, bound):
         cdf, density, _ = sim._exit_series(polished, True)
         polished -= (cdf - u) / density
     assert np.max(np.abs(tau - polished) / polished) <= bound
+
+
+def test_exit_time_quantile_solves_the_survival_near_one():
+    # above exit_time_cdf(1) the quantile solves P(tau_1 > tau) = 1 - u,
+    # exact there, against a bisection oracle: 1 - u = 2^-U, U uniform on
+    # [10, 53], with both ends, and u uniform up to 1 - 2^-10; measured
+    # below 7e-16 (inverting the CDF reached 9.4e-3 at 1 - u = 2^-53)
+    rng = make_stream(19, 0)
+    u = np.concatenate([1.0 - np.exp2(-rng.uniform(10.0, 53.0, 20_000)),
+                        [1.0 - 2.0 ** -10, 1.0 - 2.0 ** -53],
+                        rng.uniform(np.nextafter(sim.exit_time_cdf(1.0)[0], 1.0),
+                                    1.0 - 2.0 ** -10, 20_000)])
+    tau = sim.exit_time_quantile(u)
+    want = exit_time_survival_root(1.0 - u)
+    assert np.max(np.abs(tau - want) / want) <= 1e-12
 
 
 def test_exit_time_moments():
