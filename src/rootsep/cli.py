@@ -19,7 +19,7 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -75,7 +75,8 @@ _NUMBERS = (lambda v: [_finite(p) for p in v.split(",")] if v else [],
 
 # section -> key -> (default, type); a default of None marks a required
 # key, and a key whose default is "" may stay empty, which reads as None;
-# an omitted probe_times takes the dt-lattice times nearest its default (`Run`)
+# an omitted probe_times takes the dt-lattice times nearest its default
+# (`Run.probe_times`)
 _SCHEMA = {
     "family": {"kind": (None, _TEXT), "t0": ("1.0", _NUMBER), "s0": ("0.0", _NUMBER),
                "p0": ("0.1", _NUMBER), "p1": ("0.3", _NUMBER), "path": ("", _TEXT)},
@@ -96,7 +97,7 @@ class RunConfig:
     values: dict    # section -> key -> that text as its schema type
     base_dir: Path
     family: object = None
-    omitted: set = field(default_factory=set)   # (section, key) that took the default
+    probe_times_given: bool = True
 
 
 def load_config(path) -> RunConfig:
@@ -117,7 +118,8 @@ def load_config(path) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             raw[section][key] = value.strip()
-    values, omitted = {}, set()
+    probe_times_given = "probe_times" in raw.get("simulation", {})
+    values = {}
     for section, keys in _SCHEMA.items():
         raw.setdefault(section, {})
         values[section] = {}
@@ -126,14 +128,14 @@ def load_config(path) -> RunConfig:
                 if default is None:
                     raise ConfigError(f"missing required key '{key}' in [{section}]")
                 raw[section][key] = default
-                omitted.add((section, key))
             text = raw[section][key]
             try:
                 values[section][key] = (None if text == "" and default == ""
                                         else convert(text))
             except ValueError:
                 raise ConfigError(f"[{section}] {key}: not {what}: {text!r}") from None
-    cfg = RunConfig(raw=raw, values=values, base_dir=path.parent, omitted=omitted)
+    cfg = RunConfig(raw=raw, values=values, base_dir=path.parent,
+                    probe_times_given=probe_times_given)
     cfg.family = _build_family(cfg)
     return cfg
 
@@ -181,12 +183,6 @@ class Run:
         self.ladder = {"T": grid["t_horizon"], "dx": grid["dx"],
                        "n0": partition["n0"], "levels": partition["levels"]}
         self.sim = cfg.values["simulation"]
-        if ("simulation", "probe_times") in cfg.omitted:
-            # the default times on the dt lattice, echoed in config.resolved.ini
-            dt, nt = self.grid.dt, self.grid.nt
-            rows = np.unique(np.minimum(np.rint(np.array(self.sim["probe_times"]) / dt), nt))
-            self.sim["probe_times"] = [float(f"{t:.12g}") for t in rows * dt]
-            cfg.raw["simulation"]["probe_times"] = ",".join(map(repr, self.sim["probe_times"]))
 
     @cached_property
     def grid(self):
@@ -197,9 +193,21 @@ class Run:
         return make_partition(self.ladder["n0"], self.layer_style)
 
     @cached_property
+    def probe_times(self) -> list:
+        """The configured probe times; when the config omits them, the
+        dt-lattice times nearest the schema's defaults, at most T, which
+        `finish` echoes in config.resolved.ini."""
+        times = self.sim["probe_times"]
+        if self.cfg.probe_times_given:
+            return times
+        dt, nt = self.grid.dt, self.grid.nt
+        rows = np.unique(np.minimum(np.rint(np.array(times) / dt), nt))
+        return [float(f"{t:.12g}") for t in rows * dt]
+
+    @cached_property
     def surface(self):
         grid = self.grid
-        rows = lattice_index(self.sim["probe_times"], grid.dt, 0.0, grid.nt,
+        rows = lattice_index(self.probe_times, grid.dt, 0.0, grid.nt,
                              "probe time", "dt")
         return solve_layers(self.family, self.partition, grid,
                             keep_times=np.union1d(grid.eighth_rows(), rows) * grid.dt)
@@ -230,7 +238,7 @@ class Run:
             raise ConfigError(f"h_sim={h_sim} must be positive")
         if h_sim > grid.dt + 1e-15:
             raise ConfigError(f"h_sim={h_sim} exceeds the solver step {grid.dt}")
-        lattice_index(self.sim["probe_times"], grid.dt, 0.0, grid.nt, "probe time", "dt")
+        lattice_index(self.probe_times, grid.dt, 0.0, grid.nt, "probe time", "dt")
         lattice_index(self.sim["probe_x"], grid.dx, grid.x_nodes()[0], grid.nx, "probe x")
 
     def check_ladder(self) -> None:
@@ -246,10 +254,14 @@ class Run:
         """Echo the resolved config, hash the artifacts, record the run info;
         then print the failed checks on one line, and return the exit code:
         2 if any check failed, else 0."""
+        raw = self.cfg.raw
+        if not self.cfg.probe_times_given:
+            raw = {**raw, "simulation": {**raw["simulation"],
+                                         "probe_times": ",".join(map(repr, self.probe_times))}}
         lines = []
         for section in _SCHEMA:
             lines.append(f"[{section}]")
-            lines.extend(f"{key} = {self.cfg.raw[section][key]}" for key in _SCHEMA[section])
+            lines.extend(f"{key} = {raw[section][key]}" for key in _SCHEMA[section])
             lines.append("")
         (out / "config.resolved.ini").write_text("\n".join(lines), encoding="utf-8")
         produced = sorted(["config.resolved.ini", *produced])
@@ -333,7 +345,7 @@ def cmd_verify(run: Run, out: Path) -> int:
     run.check_simulation()
     threads, h_sim = run.threads, run.h_sim
     M, seed = run.sim["paths"], run.sim["seed"]
-    probe_t = run.sim["probe_times"]
+    probe_t = run.probe_times
     probe_x = np.array(run.sim["probe_x"])
     surface = run.surface
 

@@ -22,9 +22,8 @@ Paths are processed in fixed-size blocks, each block on its own
 counter-based stream keyed by (seed, block index); results are therefore
 bit-identical for any thread count.  Threads share the blocks as runs of
 consecutive blocks balanced by path count; each run steps on its own thread
-while it holds at least a block's worth of live paths (a run of one block,
-a share of its own), and the calling thread finishes the narrow tails of
-all runs in one loop (`_run_blocks`).
+while it holds at least a block's worth of live paths, and the calling
+thread finishes the narrow tails of all runs in one loop (`_run_blocks`).
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ BLOCK_SIZE = 1 << 14
 # window of at most MOVING_WINDOW d^2, which 99% of its paths leave (`_box`)
 MOVING_REACH = 1.0
 MOVING_WINDOW = 4.0
-# a run of one block steps on its own thread while it holds at least this
-# share of its paths (`_run_blocks`)
-ONE_BLOCK_SHARE = 8
 KS_THRESHOLD = 0.01
 POTENTIAL_THRESHOLD = 0.02
 ATOM_MASS_THRESHOLD = 0.01
@@ -147,10 +143,8 @@ def _run_blocks(run, M: int, seed: int, threads: int) -> None:
 
     A single run (one thread, or M <= BLOCK_SIZE) runs on the calling thread
     with narrow = 1 and finishes every path.  Several runs each run on their
-    own thread while they hold at least narrow live paths: BLOCK_SIZE for a
-    run of several blocks, and 1 / ONE_BLOCK_SHARE of its own paths for a
-    run of one block, which would otherwise hand off at its first stop.
-    They then return their live state, a tuple of arrays whose first holds the
+    own thread while they hold at least narrow = BLOCK_SIZE live paths, and
+    then return their live state, a tuple of arrays whose first holds the
     paths' rows (None for a run that finishes its paths at once).  The
     states are joined in run order, so the rows stay sorted, and
     run(streams, 0, M, 1, state) finishes all of them on the calling
@@ -166,14 +160,12 @@ def _run_blocks(run, M: int, seed: int, threads: int) -> None:
     runs = _runs(M, threads)
     streams = _Streams(seed, runs[-1][1])
 
-    def one(k):
+    def one(k, narrow=BLOCK_SIZE):
         first, last = runs[k]
-        lo, hi = first * BLOCK_SIZE, min(last * BLOCK_SIZE, M)
-        narrow = BLOCK_SIZE if last - first > 1 else max(1, (hi - lo) // ONE_BLOCK_SHARE)
-        return run(streams, lo, hi, narrow)
+        return run(streams, first * BLOCK_SIZE, min(last * BLOCK_SIZE, M), narrow)
 
     if len(runs) == 1:
-        run(streams, 0, M, 1)
+        one(0, narrow=1)
         return
     with ThreadPoolExecutor(max_workers=len(runs)) as pool:
         states = list(pool.map(one, range(len(runs))))

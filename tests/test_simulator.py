@@ -123,9 +123,11 @@ def test_determinism_and_threads(gauss_family, gauss_run):
     assert not np.array_equal(ens.sigma, different.sigma)
 
 
-def _handoff_tails(monkeypatch):
-    """Spy on `_run_blocks`: the returned list gets, for each threaded call,
-    the number of live paths the runs hand to the calling thread."""
+def test_determinism_across_the_handoff(gauss_family, gauss_run, monkeypatch):
+    # five blocks: every run of 2 or 3 threads starts with at least
+    # BLOCK_SIZE live paths and hands its narrow tail to the calling thread
+    surf, barrier, _ = gauss_run
+    M = 4 * sim.BLOCK_SIZE + 123
     real, tails = sim._run_blocks, []
 
     def spy(run, M, seed, threads):
@@ -136,55 +138,17 @@ def _handoff_tails(monkeypatch):
         return real(spied, M, seed, threads)
 
     monkeypatch.setattr(sim, "_run_blocks", spy)
-    return tails
-
-
-def _assert_same_ensembles(a, b):
-    assert np.array_equal(a.x0, b.x0)
-    assert np.array_equal(a.sigma, b.sigma)
-    assert np.array_equal(a.b_sigma, b.b_sigma, equal_nan=True)
-    assert list(a.snapshots) == list(b.snapshots)
-    for k in a.snapshots:
-        assert np.array_equal(a.snapshots[k], b.snapshots[k])
-
-
-def test_determinism_across_the_handoff(gauss_family, gauss_run, monkeypatch):
-    # five blocks: every run of 2 or 3 threads starts with at least
-    # BLOCK_SIZE live paths and hands its narrow tail to the calling thread
-    surf, barrier, _ = gauss_run
-    M = 4 * sim.BLOCK_SIZE + 123
-    tails = _handoff_tails(monkeypatch)
     ens = {threads: rs.simulate_root(gauss_family, barrier, M, surf.grid.dt, seed=13,
                                      snapshot_times=[0.0, 0.25, 0.5, 1.0], threads=threads)
            for threads in (1, 2, 3)}
     assert len(tails) == 2 and all(0 < k < sim.BLOCK_SIZE * 3 for k in tails)
     for other in (ens[2], ens[3]):
-        _assert_same_ensembles(ens[1], other)
-
-
-def test_one_block_runs_keep_their_threads(gauss_family, gauss_run, monkeypatch):
-    # three blocks: at 8 threads each is a run of one block, at 2 the first
-    # is.  A run of one block holds fewer than BLOCK_SIZE live paths from its
-    # first stop on; it steps on its own thread until it holds fewer than
-    # 1 / ONE_BLOCK_SHARE of its paths.  A share of 1 hands it off at its
-    # first stop, as the BLOCK_SIZE rule did
-    surf, barrier, _ = gauss_run
-    M, share = 2 * sim.BLOCK_SIZE + 123, sim.ONE_BLOCK_SHARE
-    tails = _handoff_tails(monkeypatch)
-
-    def simulate(threads):
-        return rs.simulate_root(gauss_family, barrier, M, surf.grid.dt, seed=13,
-                                snapshot_times=[0.0, 0.25, 0.5, 1.0], threads=threads)
-
-    ens = {threads: simulate(threads) for threads in (1, 2, 8)}
-    monkeypatch.setattr(sim, "ONE_BLOCK_SHARE", 1)
-    at_first_stop = simulate(8)
-    assert len(tails) == 3
-    at_2, at_8, before = tails
-    assert 0 < at_8 <= M // share < before, tails
-    assert 0 < at_2 < M, tails
-    for other in (ens[2], ens[8], at_first_stop):
-        _assert_same_ensembles(ens[1], other)
+        assert np.array_equal(ens[1].x0, other.x0)
+        assert np.array_equal(ens[1].sigma, other.sigma)
+        assert np.array_equal(ens[1].b_sigma, other.b_sigma, equal_nan=True)
+        assert list(ens[1].snapshots) == list(other.snapshots)
+        for k in ens[1].snapshots:
+            assert np.array_equal(ens[1].snapshots[k], other.snapshots[k])
 
 
 @pytest.mark.parametrize("M", [1, sim.BLOCK_SIZE, 100_000, 1_000_000])
