@@ -11,13 +11,15 @@ region's moving boundary, its near edge on it, its law made exact by a
 Girsanov reweighting; so every stop is exact, on the region's boundary.
 A fixed box between levels or free ends lasts until the region can reach
 it: a path between two atoms' levels stops in one box step.
-Box steps evaluate their exit and acceptance series only where cheap
-bounds leave a test open (`_squeeze`); decisions and draws are unchanged.
+A box's exit time is a scaled exit time of [-1, 1], drawn exactly by
+Devroye's alternating-series method (`_exit_within`); its endpoint
+acceptance series run only where cheap bounds leave a test open
+(`_squeeze`), with decisions and draws unchanged.
 A snapshot at time t holds B_(t ^ sigma_n), taken at exactly the requested
 t; h_sim monitors nothing and only sets the verification allowance
 (`PathEnsemble.allowance`).  The randomized alternative embedding takes no
 time steps: its stopping time and stopped value are sampled exactly, from
-one normal and one uniform draw per path.
+one normal and one exit-time draw (`_exit_time`) per path.
 Paths are processed in fixed-size blocks, each block on its own
 counter-based stream keyed by (seed, block index); results are therefore
 bit-identical for any thread count.  Threads share the blocks as runs of
@@ -29,6 +31,7 @@ thread finishes the narrow tails of all runs in one loop (`_run_blocks`).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,7 +42,6 @@ from numpy.polynomial.polynomial import polyint, polyval
 from .barriers import BarrierFamily
 from .errors import HorizonError, ValidationError
 from .marginals import MarginalFamily, make_stream
-from .special import erfc_big, erfc_small
 from .tolerances import CENSOR_FRACTION, LATTICE_TOL
 
 BLOCK_SIZE = 1 << 14
@@ -108,20 +110,22 @@ class _Streams:
     """The random streams of consecutive BLOCK_SIZE path blocks.
 
     Block b of the M paths draws from its own counter-based stream keyed by
-    (seed, b).  `draw` calls fn(rng, k) on the stream of every block with k
-    of the given sorted rows (path indices) and joins the results along
-    their last axis, so a block's draws do not depend on the other blocks.
+    (seed, b).  `draw` calls fn(rng, k, *parts) on the stream of every block
+    with k of the given sorted rows (path indices), parts the block's slices
+    of the per-row arrays args, and joins the results along their last
+    axis, so a block's draws do not depend on the other blocks.
     """
 
     def __init__(self, seed: int, blocks: int):
         self.rngs = [make_stream(seed, b) for b in range(blocks)]
         self._starts = np.arange(1, blocks) * BLOCK_SIZE
 
-    def draw(self, rows, fn):
+    def draw(self, rows, fn, *args):
         cuts = [0, *np.searchsorted(rows, self._starts).tolist(), rows.size]
-        parts = [fn(rng, b - a) for rng, a, b in zip(self.rngs, cuts, cuts[1:]) if b > a]
+        parts = [fn(rng, b - a, *(arg[a:b] for arg in args))
+                 for rng, a, b in zip(self.rngs, cuts, cuts[1:]) if b > a]
         if not parts:
-            return fn(self.rngs[0], 0)
+            return fn(self.rngs[0], 0, *args)
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
@@ -137,27 +141,36 @@ def _runs(M: int, threads: int) -> list:
     return list(zip([0, *ends[:-1]], ends))
 
 
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # not every platform has it
+        return os.cpu_count() or 1
+
+
 def _run_blocks(run, M: int, seed: int, threads: int) -> None:
     """Call run(streams, lo, hi, narrow) on the runs of consecutive
-    BLOCK_SIZE blocks of the M paths (`_runs`), paths lo..hi - 1.
+    BLOCK_SIZE blocks of the M paths (`_runs`), paths lo..hi - 1, at most
+    `threads` runs and no more than the process has cores (`_cores`).
 
-    A single run (one thread, or M <= BLOCK_SIZE) runs on the calling thread
-    with narrow = 1 and finishes every path.  Several runs each run on their
-    own thread while they hold at least narrow = BLOCK_SIZE live paths, and
-    then return their live state, a tuple of arrays whose first holds the
-    paths' rows (None for a run that finishes its paths at once).  The
-    states are joined in run order, so the rows stay sorted, and
-    run(streams, 0, M, 1, state) finishes all of them on the calling
-    thread.  Narrow tails make many small numpy calls that hold the
-    interpreter lock, so one thread finishing them all wastes none of the
-    other's time.
+    A single run (one thread or core, or M <= BLOCK_SIZE) runs on the
+    calling thread with narrow = 1 and finishes every path.  Several runs
+    each run on their own thread while they hold at least narrow =
+    BLOCK_SIZE live paths, and then return their live state, a tuple of
+    arrays whose first holds the paths' rows (None for a run that finishes
+    its paths at once).  The states are joined in run order, so the rows
+    stay sorted, and run(streams, 0, M, 1, state) finishes all of them on
+    the calling thread.  Narrow tails make many small numpy calls that hold
+    the interpreter lock, so one thread finishing them all wastes none of
+    the other's time.
 
     All runs share one `_Streams`: each block draws from its own stream,
     only in the run that holds its rows, and its live rows draw in sorted
     order whichever run or thread holds them, so the results do not depend
     on how many threads share the blocks.
     """
-    runs = _runs(M, threads)
+    runs = _runs(M, min(threads, _cores()))
     streams = _Streams(seed, runs[-1][1])
 
     def one(k, narrow=BLOCK_SIZE):
@@ -455,9 +468,8 @@ def _cross_boxes(streams, rows, x, t, d, u, w, v):
     t + u may round to t).  In the box's frame the path is a Brownian
     motion with drift -v.  The proposal is driftless but for its exit side:
     the path leaves the box after tau = d^2 tau_1, tau_1 the exit time of
-    [-1, 1], if p < P(tau_1 < u / d^2), and only then is tau drawn, by
-    inverting the CDF at p (evaluated only for p below `_exit_ceiling`, see
-    `_squeeze`); it leaves by W = -d with probability 1 / (1 + exp(-2 v d)),
+    [-1, 1], when the exit time that `_exit_within` draws falls below
+    r = u / d^2; it leaves by W = -d with probability 1 / (1 + exp(-2 v d)),
     1/2 where v = 0, else by W = d.  A path that stays moves by W, its
     endpoint given that it stayed in the box, in time tau = u.  Girsanov's
     weight of the drifted law over the driftless one, exp(-v W - v^2 tau /
@@ -467,13 +479,13 @@ def _cross_boxes(streams, rows, x, t, d, u, w, v):
     exp(-|v| d).  A rejected path stays where it is, at time t, and draws
     again at its next step, which takes the same box from the same state.
     A path that leaves is on the box edge at t + tau, any other at time w.
-    Returns the new positions and times.  Each block draws two uniforms per
-    path, then the endpoint proposals, then one uniform per moving box; a
-    fixed box (v = 0) takes the driftless step and draws nothing more.
+    Returns the new positions and times.  Each block draws the exit times
+    (`_exit_within`), then one uniform per leaving path for its side, then
+    the endpoint proposals, then one uniform per moving box; a fixed box
+    (v = 0) takes the driftless step and draws nothing more.
     """
-    p = streams.draw(rows, lambda rng, k: rng.random((2, k)))
-    r = u / (d * d)
-    leave = _squeeze(p[0], 0.0, _exit_ceiling(r), exit_time_cdf, r)
+    tau1 = streams.draw(rows, _exit_within, u / (d * d))
+    leave = tau1 < np.inf
     # index arrays are faster to reuse than masks
     left, stay = np.flatnonzero(leave), _rows(np.flatnonzero(~leave), x.size)
     tau = u.copy()
@@ -481,9 +493,10 @@ def _cross_boxes(streams, rows, x, t, d, u, w, v):
     new_t = w.copy()
     if left.size:
         dl = d[left]
-        tau[left] = dl ** 2 * exit_time_quantile(p[0, left])
+        tau[left] = dl ** 2 * tau1[left]
         new_t[left] = np.minimum(t[left] + tau[left], w[left])
-        z[left] = np.where(p[1, left] < 1.0 / (1.0 + np.exp(-2.0 * v[left] * dl)), -dl, dl)
+        side = streams.draw(rows[left], _uniforms)
+        z[left] = np.where(side < 1.0 / (1.0 + np.exp(-2.0 * v[left] * dl)), -dl, dl)
     z[stay] = _endpoint_in_box(streams, rows[stay], d[stay], u[stay])
     moving = np.flatnonzero(v)
     if moving.size:
@@ -516,18 +529,6 @@ def _squeeze(v, floor, ceiling, exact, *args):
     if open_.size:
         out[open_] = v[open_] < exact(*(a[open_] for a in args))
     return out
-
-
-def _exit_ceiling(r):
-    """Upper bound of exit_time_cdf(r) as evaluated, r in [0, 1] (else inf).
-    Its alternating series gives P(tau_1 <= r) <= 2 erfc(a) <= 2 exp(-a^2) /
-    (a sqrt(pi)), a^2 = 1 / (2 r), and so does its partial sum, evaluated to
-    1e-12 relative; widened by 1e-9, and raised to the 2^-53 grain of the
-    uniforms, so that underflow (or r = 0) leaves only v = 0 open."""
-    with np.errstate(all="ignore"):
-        q = 0.5 / r
-        bound = (2.0 + 2e-9) * np.exp(-q) / np.sqrt(math.pi * q)
-    return np.where((r >= 0.0) & (r <= _EXIT_SWITCH), np.maximum(bound, 2.0 ** -53), np.inf)
 
 
 # Survival of a Brownian bridge from 0 to z over time t inside (-d, d): the
@@ -632,6 +633,85 @@ def _normals(rng, k):
 
 def _uniforms(rng, k):
     return rng.random(k)
+
+
+# The exit time tau_1 of [-1, 1] from 0 has the law of J*(1, 0), Laplace
+# transform 1 / cosh sqrt(2 lambda), drawn exactly by Devroye's alternating
+# series (Statist. Probab. Lett. 2009; Polson, Scott & Windle, JASA 2013).
+# Its density is sum_n (-1)^n a_n(x), a_n = pi (n + 1/2) times exp(-(n +
+# 1/2)^2 pi^2 x / 2) past the split t = 0.64 and (2 / (pi x))^(3/2)
+# exp(-2 (n + 1/2)^2 / x) up to it, so a_n / a_0 = (2n + 1) exp(-n (n + 1)
+# c), c = pi^2 x / 2 or 2 / x, falls with n on each side.  The envelope a_0
+# is an exponential of rate pi^2 / 8 past t, of mass (4 / pi) exp(-pi^2 t /
+# 8), and up to t twice the Levy density of 1 / Z^2, Z standard normal.
+# That piece is proposed by Marsaglia's tail method, |Z| = sqrt(a^2 + 2 E)
+# beyond a = 1 / sqrt(t), E exponential, so 1 / Z^2 = t / (1 + 2 t E); its
+# acceptance a / |Z| = sqrt(x / t) joins the series' acceptance, and its
+# proposals have mass 4 phi(a) / a (`_levy_mass`).
+_EXIT_SPLIT = 0.64
+_EXIT_RATE = math.pi ** 2 / 8.0
+# the terms n = 1..4 of the ratio a_n / a_0: n as a column, (-1)^n (2n + 1)
+_EXIT_N = np.arange(1.0, 5.0)[:, None]
+_EXIT_SIGNED_ODD = (-1.0) ** _EXIT_N * (2.0 * _EXIT_N + 1.0)
+
+
+def _levy_mass(r):
+    """The mass of the Levy piece's proposals below r, 4 phi(a) / a with
+    a = 1 / sqrt(r), phi the normal density: at most 0.58 for r <=
+    _EXIT_SPLIT, 1.3e-4 at r = 1/16 and 0 at r = 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return (4.0 / math.sqrt(2.0 * math.pi)) * np.sqrt(r) * np.exp(-0.5 / r)
+
+
+_EXIT_TAIL = (4.0 / math.pi) * math.exp(-_EXIT_RATE * _EXIT_SPLIT)
+_EXIT_TAIL_SHARE = _EXIT_TAIL / (_EXIT_TAIL + float(_levy_mass(_EXIT_SPLIT)))
+
+
+def _exit_accepts(rng, x, weight):
+    """Accept each proposal x with probability weight times density / a_0 =
+    sum_n (-1)^n a_n / a_0, one uniform per row.  c > 3.1, so the terms past
+    n = 4 sum to below 1e-39, under the 2^-53 grain of the uniform."""
+    c = np.where(x <= _EXIT_SPLIT, 2.0 / x, 4.0 * _EXIT_RATE * x)
+    terms = _EXIT_SIGNED_ODD * np.exp(-_EXIT_N * (_EXIT_N + 1.0) * c)
+    return rng.random(x.size) < weight * (1.0 + terms.sum(axis=0))
+
+
+def _exit_time(rng, k):
+    """k draws of tau_1.  Each round picks a piece of the envelope per
+    pending row by its mass, draws the proposal and accepts it; a rejected
+    row starts over.  A round draws, per row, a uniform for the piece, an
+    exponential for the proposal and a uniform for its acceptance."""
+    tau = np.empty(k)
+    todo = np.arange(k)
+    while todo.size:
+        tail = rng.random(todo.size) < _EXIT_TAIL_SHARE
+        e = rng.standard_exponential(todo.size)
+        x = np.where(tail, _EXIT_SPLIT + e / _EXIT_RATE, _EXIT_SPLIT / (1.0 + 2.0 * _EXIT_SPLIT * e))
+        ok = _exit_accepts(rng, x, np.where(tail, 1.0, np.sqrt(x / _EXIT_SPLIT)))
+        tau[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    return tau
+
+
+def _exit_within(rng, k, r):
+    """tau_1 on the k rows where it falls below r, else inf (r = nan too).
+    Each row draws a uniform p.  A row with r <= _EXIT_SPLIT draws a Levy
+    proposal below r only where p < `_levy_mass(r)` (at most 1), which is
+    accepted (an exit) or not (a stay), so an exit before r has the density
+    itself.  A longer row takes a whole `_exit_time`.  The draws come in
+    that order."""
+    tau = np.full(k, np.inf)
+    hit = np.flatnonzero((rng.random(k) < _levy_mass(r)) & (r <= _EXIT_SPLIT))
+    if hit.size:
+        rh = r[hit]
+        x = rh / (1.0 + 2.0 * rh * rng.standard_exponential(hit.size))
+        ok = _exit_accepts(rng, x, np.sqrt(x / rh))
+        tau[hit[ok]] = x[ok]
+    long = np.flatnonzero(r > _EXIT_SPLIT)
+    if long.size:
+        x = _exit_time(rng, long.size)
+        tau[long] = np.where(x < r[long], x, np.inf)
+    return tau
 
 
 def empirical_potential(ensemble: PathEnsemble, j: int, t: float, x_probes):
@@ -747,110 +827,6 @@ def optimality_functional(ensemble: PathEnsemble, f: MonotonePiecewisePoly):
     return est, stderr
 
 
-# Exit time tau_1 of [-1, 1] by a Brownian motion from 0.  Its CDF is the
-# reflection series 2 sum_k (-1)^k erfc((2k+1)/sqrt(2t)) for t <= 1 and the
-# theta series 1 - (4/pi) sum_k (-1)^k/(2k+1) exp(-(2k+1)^2 pi^2 t/8) above;
-# the first omitted term is below 1e-18 on each side of the switch.
-_EXIT_SWITCH = 1.0
-_REFLECTION_K = np.arange(4)
-_THETA_K = np.arange(3)
-_THETA_ODD = 2.0 * _THETA_K + 1.0
-_THETA_C = _THETA_ODD * _THETA_ODD * (math.pi ** 2 / 8.0)     # term k decays as exp(-c_k t)
-
-
-def _reflection_series(t: np.ndarray, density: bool = False):
-    """Exit-time CDF from the reflection series (t <= 1), as a tuple, with
-    `density` followed by its first two derivatives; term k's erfc and
-    derivatives share a = (2k+1)/sqrt(2t) and exp(-a^2)."""
-    a = (2.0 * _REFLECTION_K + 1.0)[:, None] / np.sqrt(2.0 * t)
-    with np.errstate(over="ignore"):
-        e = np.exp(-a * a)
-    terms = erfc_big(a.ravel(), e.ravel()).reshape(a.shape)
-    # only the first term reaches a < 1 (t > 1/2), where erfc is 1 - erf;
-    # erfc_big's value is discarded there, and erfc_small's elsewhere
-    terms[0] = np.where(a[0] < 1.0, erfc_small(np.minimum(a[0], 1.0)), terms[0])
-    sign = (-1.0) ** _REFLECTION_K[:, None]
-    cdf = 2.0 * (sign * terms).sum(axis=0)
-    if not density:
-        return (cdf,)
-    # d/dt erfc(a) = a e / (sqrt(pi) t), and d/dt (a e / t) = a e (a^2 - 3/2) / t^2
-    ae = sign * a * e
-    scale = 2.0 / (math.sqrt(math.pi) * t)
-    return cdf, scale * ae.sum(axis=0), scale / t * (ae * (a * a - 1.5)).sum(axis=0)
-
-
-def _theta_series(t: np.ndarray, density: bool = False):
-    """Exit-time CDF from the theta series (t >= 1), as a tuple, with
-    `density` followed by its first two derivatives; all share each term's
-    decay exp(-c t), c = (2k+1)^2 pi^2 / 8."""
-    odd, c = _THETA_ODD, _THETA_C
-    sign = (-1.0) ** _THETA_K
-    decay = np.exp(-c * t[:, None])
-    cdf = 1.0 - (4.0 / math.pi) * (sign / odd * decay).sum(axis=1)
-    if not density:
-        return (cdf,)
-    term = sign * odd * decay
-    return cdf, (math.pi / 2.0) * term.sum(axis=1), -(math.pi / 2.0) * (c * term).sum(axis=1)
-
-
-def _exit_series(t: np.ndarray, density: bool = False):
-    """Exit-time CDF at t, or with `density` the rows CDF, density and the
-    density's derivative."""
-    out = np.empty((3 if density else 1, t.size))
-    small = t <= _EXIT_SWITCH
-    out[:, small] = _reflection_series(t[small], density)
-    out[:, ~small] = _theta_series(t[~small], density)
-    return out if density else out[0]
-
-
-def exit_time_cdf(t):
-    """P(tau_1 <= t), tau_1 the exit time of [-1, 1] from 0."""
-    return _exit_series(np.atleast_1d(np.asarray(t, dtype=float)))
-
-
-# Up to u = exit_time_cdf(1), one Halley step from a table of nodes evenly
-# spaced in log t from 0.01 to the first past 1 (quantiles in [0.014, 1]).
-# Against 40-digit roots, the largest relative error on 1500 draws was
-# 2.6e-15 for u uniform and 4.8e-13 for u = 2^-U, U uniform on [10, 53].
-# Above it the theta series' CDF 1 - sum would resolve tau only by the ulps
-# between u and 1, so `_theta_quantile` solves for the survival 1 - u
-# instead, which is exact for u >= 1/2.
-_EXIT_LOG_T = np.linspace(math.log(0.01), math.log(32.0), 1 << 12)
-_EXIT_LOG_T = _EXIT_LOG_T[:np.searchsorted(_EXIT_LOG_T, 0.0) + 1]
-_EXIT_TABLE = exit_time_cdf(np.exp(_EXIT_LOG_T))
-_EXIT_AT_SWITCH = float(exit_time_cdf(_EXIT_SWITCH)[0])
-
-
-def _theta_quantile(q):
-    """The tau >= 1 with P(tau_1 > tau) = q.  The theta series gives the
-    survival as (4/pi) exp(-c_0 tau) (1 + rest(tau)), so tau = (log(4 / (pi
-    q)) + log1p(rest(tau))) / c_0, iterated from the first term's root
-    (rest = 0).  For tau >= 1 the map contracts by |rest'| / c_0 < 1.5e-4
-    and the start is within 1.5e-5, so three steps reach rounding level."""
-    c = _THETA_C
-    weight = (-1.0) ** _THETA_K[1:] / _THETA_ODD[1:]
-    lead = np.log(4.0 / (math.pi * q))
-    tau = lead / c[0]
-    for _ in range(3):
-        rest = (weight * np.exp(-(c[1:] - c[0]) * tau[:, None])).sum(axis=1)
-        tau = (lead + np.log1p(rest)) / c[0]
-    return tau
-
-
-def exit_time_quantile(u):
-    """Inverse exit-time CDF: the tau with P(tau_1 <= tau) = u, for u in [0, 1)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    tau = np.empty(u.size)
-    tail = u > _EXIT_AT_SWITCH
-    tau[tail] = _theta_quantile(1.0 - u[tail])
-    head = u[~tail]
-    start = np.exp(np.interp(head, _EXIT_TABLE, _EXIT_LOG_T))
-    cdf, density, slope = _exit_series(start, True)
-    miss = cdf - head
-    tau[~tail] = start - 2.0 * miss * density / (2.0 * density * density - miss * slope)
-    return np.where(u > 0.0, tau, 0.0)
-
-
 def alternative_embedding(M: int, seed: int, h_sim: float,
                           horizon: float = 25.0, threads: int = 1) -> PathEnsemble:
     """Randomized non-barrier embedding of N(0,1) from a point start.
@@ -861,10 +837,10 @@ def alternative_embedding(M: int, seed: int, h_sim: float,
     weights.
 
     The stop is sampled exactly, without time steps.  By Brownian scaling
-    sigma = G^2 tau_1, with tau_1 the exit time of [-1, 1] from 0, drawn by
-    inverting its CDF.  The exit side is a fair sign independent of |G| and
-    of tau_1, so sign(G) serves for it and B_sigma = G.  Each block draws its
-    normals and then its uniforms from its own stream.  Paths with
+    sigma = G^2 tau_1, with tau_1 the exit time of [-1, 1] from 0, drawn
+    exactly (`_exit_time`).  The exit side is a fair sign independent of |G|
+    and of tau_1, so sign(G) serves for it and B_sigma = G.  Each block draws
+    its normals and then its exit times from its own stream.  Paths with
     sigma > horizon are censored.  h_sim only sets the ensemble's
     verification allowance (`PathEnsemble.allowance`).  Requires M >= 2, as
     `simulate_root` does.
@@ -878,7 +854,7 @@ def alternative_embedding(M: int, seed: int, h_sim: float,
         # no step loop: every path of the run finishes here
         every = np.arange(lo, hi)
         level = streams.draw(every, _normals)
-        stop = level * level * exit_time_quantile(streams.draw(every, _uniforms))
+        stop = level * level * streams.draw(every, _exit_time)
         inside = stop <= horizon
         sigma[1, lo:hi] = np.where(inside, stop, np.inf)
         b_sigma[1, lo:hi] = np.where(inside, level, np.nan)

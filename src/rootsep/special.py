@@ -1,13 +1,13 @@
-"""The complementary error function's branches and the standard normal CDF,
-in numpy.
+"""The standard normal CDF, and the complementary error function for
+x >= 1, in numpy.
 
 Cephes' rational approximations (S. L. Moshier, *Methods and Programs for
 Mathematical Functions*, 1989, `ndtr.c`), evaluated with the same branches,
-cut-offs and operation order: erf on |x| < 1 from a (4, 5) rational function
-of x^2, and erfc on 1 <= |x| < 8 and |x| >= 8 from exp(-x^2) times an (8, 8)
-and a (5, 6) rational function of |x|.  erfc(x) is exactly 0 past x^2 =
-MAXLOG (x about 26.64), as in Cephes, and so is ndtr below about -37.7; nan
-gives nan.  Only exp(-x^2) may differ from Cephes' value, by numpy's
+cut-offs and operation order: ndtr from erf on |z| < 1, z = x / sqrt(2), a
+(4, 5) rational function of z^2, and from erfc on 1 <= |z| < 8 and |z| >= 8,
+exp(-z^2) times an (8, 8) and a (5, 6) rational function of |z|.  erfc(x)
+is exactly 0 past x^2 = MAXLOG (x about 26.64), as in Cephes, and so is ndtr
+below about -37.7; nan gives nan.  Only exp(-x^2) may differ from Cephes' value, by numpy's
 rounding of exp.
 """
 
@@ -52,11 +52,6 @@ def _erf(x):
     """erf(x) for |x| < 1."""
     z = x * x
     return x * _polevl(z, _T) / _polevl(z, _U, monic=True)
-
-
-def erfc_small(x):
-    """erfc(x) for |x| < 1: 1 - erf(x)."""
-    return 1.0 - _erf(x)
 
 
 def erfc_big(a, e=None):

@@ -3,8 +3,8 @@
 None of these runs in a `rootsep` pipeline: each recomputes a quantity by
 a route the package does not take (exhaustive enumeration of stopping
 rules, barrier ordering and analytic comparisons, the call price of a
-centred law, the exit-time survival by bisection), so agreement is
-evidence rather than a restatement.
+centred law, the exit-time CDF from its two series with scipy's erfc),
+so agreement is evidence rather than a restatement.
 Test modules import it as `from oracles import ...`.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
 from rootsep.barriers import BarrierFamily
 from rootsep.errors import GridBudgetError, ValidationError
@@ -30,22 +31,36 @@ def call_price(family: MarginalFamily, s: float, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exit-time survival
+# exit-time law
 
-def exit_time_survival_root(q) -> np.ndarray:
-    """The t with P(tau_1 > t) = q, tau_1 the exit time of [-1, 1] from 0,
-    for q in [2^-53, P(tau_1 > 1/2)]: bisection on [1/2, 60] of ten terms of
-    the theta series (4/pi) sum_k (-1)^k / (2k+1) exp(-(2k+1)^2 pi^2 t / 8),
-    run until the bracket stops shrinking."""
-    q = np.asarray(q, dtype=float)
-    odd = 2.0 * np.arange(10.0) + 1.0
-    weight = (4.0 / np.pi) * (-1.0) ** np.arange(10.0) / odd
-    lo, hi = np.full(q.shape, 0.5), np.full(q.shape, 60.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        above = (weight * np.exp(-odd ** 2 * (np.pi ** 2 / 8.0) * mid[..., None])).sum(-1) > q
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+# Ten terms of each series: the first omitted one is below 1e-40 for t <= 2
+# (reflection) and for t >= 1/2 (theta).
+_EXIT_TERMS = np.arange(10.0)
+
+
+def reflection_cdf(t) -> np.ndarray:
+    """P(tau_1 <= t), tau_1 the exit time of [-1, 1] from 0, by the
+    reflection series 2 sum_k (-1)^k erfc((2k+1) / sqrt(2t)), with scipy's
+    erfc, for t <= 2."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    odd = 2.0 * _EXIT_TERMS[:, None] + 1.0
+    return 2.0 * ((-1.0) ** _EXIT_TERMS[:, None] * erfc(odd / np.sqrt(2.0 * t))).sum(axis=0)
+
+
+def theta_cdf(t) -> np.ndarray:
+    """The same CDF by the theta series 1 - (4/pi) sum_k (-1)^k / (2k+1)
+    exp(-(2k+1)^2 pi^2 t / 8), for t >= 1/2."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    odd = 2.0 * _EXIT_TERMS[:, None] + 1.0
+    terms = (-1.0) ** _EXIT_TERMS[:, None] / odd * np.exp(-odd * odd * (np.pi ** 2 / 8.0) * t)
+    return 1.0 - (4.0 / np.pi) * terms.sum(axis=0)
+
+
+def exit_time_cdf(t) -> np.ndarray:
+    """P(tau_1 <= t): the reflection series up to t = 1, the theta series
+    above."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return np.where(t <= 1.0, reflection_cdf(np.minimum(t, 1.0)), theta_cdf(np.maximum(t, 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -544,9 +544,9 @@ def test_ladder_atoms_checked_before_any_solve(tmp_path, monkeypatch, capsys):
 # the first 16 hex digits of the SHA-256 of each command's hashes.json, in
 # the order solve, limit, verify (numpy 2.4.6, Python 3.11.7)
 SHIPPED_HASHES = {
-    "gaussian.ini": ("e05fd6d88ddfd675", "631d9a3c7941a79c", "27afa2380f199d67"),
-    "three_point.ini": ("559858f815a42f7a", "cbd134a63cf1aff2", "d292ae9038cdfd81"),
-    "two_atom.ini": ("6d017d39dc5909da", "bb1a914eff3d3a6c", "13e8f4b84df384e3"),
+    "gaussian.ini": ("e05fd6d88ddfd675", "631d9a3c7941a79c", "6fdd1e8c144cc38b"),
+    "three_point.ini": ("559858f815a42f7a", "cbd134a63cf1aff2", "6addf8b1f8d44553"),
+    "two_atom.ini": ("6d017d39dc5909da", "bb1a914eff3d3a6c", "5dd08522e6e1ee4d"),
 }
 
 

@@ -9,7 +9,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 import rootsep as rs
-from oracles import exit_time_survival_root
+from oracles import exit_time_cdf, reflection_cdf, theta_cdf
 from rootsep import simulator as sim
 from rootsep.barriers import BarrierFamily
 from rootsep.errors import HorizonError, ValidationError
@@ -107,7 +107,14 @@ def test_two_atom_stop_values(two_atom_family, two_atom_surface):
     assert mean_sigma == pytest.approx(1.0, abs=0.05)
 
 
-def test_determinism_and_threads(gauss_family, gauss_run):
+@pytest.fixture
+def many_cores(monkeypatch):
+    """Eight cores for `_run_blocks`, whatever the host has, so the thread
+    tests start the runs they ask for."""
+    monkeypatch.setattr(sim, "_cores", lambda: 8)
+
+
+def test_determinism_and_threads(gauss_family, gauss_run, many_cores):
     surf, barrier, ens = gauss_run
     again = rs.simulate_root(gauss_family, barrier, 40_000, surf.grid.dt, seed=7,
                              snapshot_times=[0.0, 0.25, 0.5, 1.0])
@@ -123,7 +130,7 @@ def test_determinism_and_threads(gauss_family, gauss_run):
     assert not np.array_equal(ens.sigma, different.sigma)
 
 
-def test_determinism_across_the_handoff(gauss_family, gauss_run, monkeypatch):
+def test_determinism_across_the_handoff(gauss_family, gauss_run, monkeypatch, many_cores):
     # five blocks: every run of 2 or 3 threads starts with at least
     # BLOCK_SIZE live paths and hands its narrow tail to the calling thread
     surf, barrier, _ = gauss_run
@@ -166,7 +173,7 @@ def test_runs_cover_the_blocks_balanced_by_paths(M):
     assert sim._runs(100_000, 2) == [(0, 3), (3, 7)]
 
 
-def test_one_run_starts_no_pool(monkeypatch):
+def test_one_run_starts_no_pool(monkeypatch, many_cores):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single run started a thread pool")
 
@@ -178,6 +185,27 @@ def test_one_run_starts_no_pool(monkeypatch):
     rs.alternative_embedding(2 * sim.BLOCK_SIZE, seed=5, h_sim=h, threads=1)
     with pytest.raises(AssertionError, match="thread pool"):
         rs.simulate_root(rs.ScaledFamily(0.0), barrier, sim.BLOCK_SIZE + 1, h, seed=5, threads=2)
+
+
+def test_runs_never_outnumber_the_cores(monkeypatch):
+    # --threads 8 on two cores starts two runs, and on one core none on a
+    # pool; the paths are the same, since every block has its own stream
+    pools, real = [], sim.ThreadPoolExecutor
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", pool)
+    barrier = linear_ramp(-0.2, 20.0, 1.0)
+    ens = {}
+    for cores in (2, 1):
+        monkeypatch.setattr(sim, "_cores", lambda c=cores: c)
+        ens[cores] = rs.simulate_root(rs.ScaledFamily(0.0), barrier, 5 * sim.BLOCK_SIZE, 0.0025,
+                                      seed=3, threads=8)
+    assert pools == [2]
+    assert np.array_equal(ens[1].sigma, ens[2].sigma)
+    assert np.array_equal(ens[1].b_sigma, ens[2].b_sigma, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +285,11 @@ def test_gaussian_box_work_stays_bounded(gauss_family, gauss_surface_small, box_
 
 
 def _exit_law_ks(ens):
-    """One-sample KS distance of sigma_1 from exit_time_cdf over the
+    """One-sample KS distance of sigma_1 from the exit-time law over the
     uncensored stops, with the censored paths counted above the horizon;
     the sup then runs over t <= T only, so kstwo is conservative."""
     stops = np.sort(ens.sigma[1][~ens.censored])
-    cdf = sim.exit_time_cdf(stops)
+    cdf = exit_time_cdf(stops)
     rank = np.arange(1, stops.size + 1) / ens.M
     return max(float(np.max(rank - cdf)), float(np.max(cdf - rank + 1.0 / ens.M)))
 
@@ -282,7 +310,7 @@ def test_two_atom_paths_stop_in_one_round(two_atom_family, two_atom_surface, box
     assert (box_work.rounds, box_work.steps) == (1, M)
     ks = _exit_law_ks(ens)
     assert stats.kstwo.sf(ks, M) > 1e-3, ks
-    tail = 1.0 - sim.exit_time_cdf(ens.horizon)[0]
+    tail = 1.0 - exit_time_cdf(ens.horizon)[0]
     assert abs(ens.censored_fraction - tail) <= 3.0 * math.sqrt(tail * (1.0 - tail) / M), \
         (ens.censored_fraction, tail)
 
@@ -354,7 +382,7 @@ def _killed_cdf(z, d, t):
     sign = (-1.0) ** k
     mass = (sign * (ndtr((z - 2 * k * d) / math.sqrt(t))
                     - ndtr((-d - 2 * k * d) / math.sqrt(t)))).sum(axis=0)
-    return mass / (1.0 - sim.exit_time_cdf(t / d ** 2)[0])
+    return mass / (1.0 - exit_time_cdf(t / d ** 2)[0])
 
 
 @pytest.mark.parametrize("d, t", [(1.0, 1.0), (1.0, 0.3), (0.2, 0.01), (0.5, 1.0), (0.5, 2.0)])
@@ -433,14 +461,15 @@ def test_onto_nodes_matches_the_former_rule():
 # the squeeze bounds of the box step, and the box step without them
 
 def reference_cross_boxes(streams, rows, x, t, d, u, w):
-    """`_cross_boxes` evaluating the exit-time CDF on every row."""
-    v = streams.draw(rows, lambda rng, k: rng.random((2, k)))
-    left = v[0] < sim.exit_time_cdf(u / (d * d))
-    tau = d[left] ** 2 * sim.exit_time_quantile(v[0, left])
+    """`_cross_boxes` on fixed boxes, by masks, with every stay's endpoint
+    from `reference_endpoint_in_box`."""
+    tau1 = streams.draw(rows, sim._exit_within, u / (d * d))
+    left = np.isfinite(tau1)
     new_t = w.copy()
-    new_t[left] = np.minimum(t[left] + tau, w[left])
+    new_t[left] = np.minimum(t[left] + d[left] ** 2 * tau1[left], w[left])
+    side = streams.draw(rows[left], sim._uniforms)
     new_x = np.empty_like(x)
-    new_x[left] = x[left] + np.where(v[1, left] < 0.5, -d[left], d[left])
+    new_x[left] = x[left] + np.where(side < 0.5, -d[left], d[left])
     stay = ~left
     new_x[stay] = x[stay] + reference_endpoint_in_box(streams, rows[stay], d[stay], u[stay])
     return new_x, new_t
@@ -465,32 +494,6 @@ def reference_endpoint_in_box(streams, rows, d, t):
         z[todo[ok]] = prop[ok]
         todo = todo[~ok]
     return z
-
-
-# exit-time arguments: the edges, the usual 1/16 of a fast box, dense grids,
-# and the short windows where the bound underflows (r below 1/1490)
-EXIT_R = np.concatenate([[0.0, 1.0 / 16.0, 0.5, 1.0, 1e-300, 5e-324],
-                         np.linspace(0.0, 1.0, 20_001), np.logspace(-6.0, 0.0, 20_001),
-                         np.linspace(1.0 / 2000.0, 1.0 / 1000.0, 20_001)])
-
-
-def test_exit_ceiling_dominates_the_exit_cdf():
-    with np.errstate(divide="ignore"):
-        cdf = sim.exit_time_cdf(EXIT_R)
-    ceiling = sim._exit_ceiling(EXIT_R)
-    assert np.all(ceiling >= cdf)
-    assert np.all(ceiling >= 2.0 ** -53)
-    # tight where the box step needs it: at r = 1/16 within 6%
-    assert sim._exit_ceiling(np.array([1.0 / 16.0]))[0] <= 1.06 * sim.exit_time_cdf(1.0 / 16.0)[0]
-    # outside [0, 1] the CDF decides every row
-    assert np.all(np.isinf(sim._exit_ceiling(np.array([np.nan, -0.5, np.nextafter(1.0, 2.0)]))))
-
-
-@given(r=st.floats(0.0, 1.0))
-@settings(max_examples=300, deadline=None)
-def test_exit_ceiling_dominates_the_exit_cdf_anywhere(r):
-    with np.errstate(divide="ignore"):
-        assert sim._exit_ceiling(np.array([r]))[0] >= sim.exit_time_cdf(r)[0]
 
 
 def _survival_cases(d):
@@ -545,20 +548,6 @@ def test_eigen_floor_is_below_the_eigen_acceptance():
 def test_eigen_floor_is_below_the_eigen_acceptance_anywhere(v, r):
     theta = np.arcsin(np.array([2.0 * v - 1.0]))
     assert sim._EIGEN_FLOOR <= sim._eigen_acceptance(theta, np.array([r]))[0]
-
-
-def test_squeezed_exit_test_decides_as_the_full_cdf():
-    # uniforms at the grain's edges and on either side of both values
-    r = np.repeat(np.concatenate([EXIT_R[:6], [np.nan, 1.0 / 1600.0]]), 7)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cdf = sim.exit_time_cdf(r)
-    ceiling = sim._exit_ceiling(r)
-    v = np.stack([np.zeros(r.size), np.full(r.size, 2.0 ** -53),
-                  np.nan_to_num(cdf), np.nextafter(np.nan_to_num(cdf), 0.0),
-                  np.minimum(ceiling, 0.5), np.nextafter(np.minimum(ceiling, 0.5), 0.0),
-                  np.full(r.size, 1.0 - 2.0 ** -53)])[np.arange(r.size) % 7, np.arange(r.size)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert np.array_equal(sim._squeeze(v, 0.0, ceiling, sim.exit_time_cdf, r), v < cdf)
 
 
 # window lengths u / d^2 of the box row sets.  mixed: fast boxes (u = d^2 /
@@ -621,8 +610,8 @@ def test_whole_array_box_rounds_match_the_reference(row_set, seed):
     if row_set == "fast":
         # the precondition of the whole-array rounds: no path leaves its box,
         # and every endpoint window is positive and short
-        p = sim._Streams(seed, 3).draw(rows, lambda rng, k: rng.random((2, k)))
-        assert not np.any(p[0] < sim.exit_time_cdf(u / (d * d)))
+        tau1 = sim._Streams(seed, 3).draw(rows, sim._exit_within, u / (d * d))
+        assert not np.any(np.isfinite(tau1))
         assert np.all((u > 0.0) & (u < sim._EIGEN_FROM * d * d))
     for step, reference, args in (
             (lambda *a: sim._cross_boxes(*a, v), reference_cross_boxes, (rows, x, t, d, u, w)),
@@ -874,81 +863,9 @@ def test_alternative_embedding_smoke():
     assert np.array_equal(ens.b_sigma, again.b_sigma, equal_nan=True)
 
 
-def test_exit_time_series_agree_at_the_switch():
-    # the CDF, its density and the density's derivative, all three returned
-    # with density=True; without it the CDF alone
-    t = np.array([1.0])
-    reflection, theta = sim._reflection_series(t, True), sim._theta_series(t, True)
-    assert len(reflection) == len(theta) == 3
-    for a, b in zip(reflection, theta):
-        assert abs(float(a[0] - b[0])) <= 1e-14
-    assert sim._reflection_series(t) == (reflection[0],)
-    assert sim._theta_series(t) == (theta[0],)
-
-
-@pytest.mark.parametrize("series, times", [(sim._reflection_series, (0.05, 0.3, 0.7, 1.0)),
-                                           (sim._theta_series, (1.0, 2.0, 5.0))])
-def test_exit_time_series_derivatives(series, times):
-    # central differences of the CDF and of the density
-    t, h = np.array(times), 1e-5
-    _, density, slope = series(t, True)
-    up, down = series(t + h, True), series(t - h, True)
-    assert np.allclose((up[0] - down[0]) / (2 * h), density, rtol=1e-6, atol=0.0)
-    assert np.allclose((up[1] - down[1]) / (2 * h), slope, rtol=1e-6, atol=0.0)
-
-
-def test_exit_time_quantile_inverts_the_cdf():
-    u = np.concatenate([np.logspace(-12, -1, 500), np.linspace(0.1, 0.9, 500),
-                        1.0 - np.logspace(-1, -12, 500)])
-    tau = sim.exit_time_quantile(u)
-    assert np.all(np.diff(tau) >= 0.0)
-    assert np.abs(sim.exit_time_cdf(tau) - u).max() <= 1e-13
-
-
-@pytest.mark.parametrize("regime, bound", [("uniform", 2e-14), ("small", 1e-12)])
-def test_exit_time_quantile_is_converged(regime, bound):
-    # one Halley step from the table start against four more Newton steps on
-    # the same CDF: u uniform on [2^-10, 1 - 2^-10] measured below 6e-15,
-    # u = 2^-U, U uniform on [10, 53], below 5e-13 (two Newton steps from the
-    # 1024-node start reached 2.4e-11 there)
-    rng = make_stream(17, 0)
-    u = (rng.uniform(2.0 ** -10, 1.0 - 2.0 ** -10, 20_000) if regime == "uniform"
-         else np.exp2(-rng.uniform(10.0, 53.0, 20_000)))
-    tau = sim.exit_time_quantile(u)
-    polished = tau.copy()
-    for _ in range(4):
-        cdf, density, _ = sim._exit_series(polished, True)
-        polished -= (cdf - u) / density
-    assert np.max(np.abs(tau - polished) / polished) <= bound
-
-
-def test_exit_time_quantile_solves_the_survival_near_one():
-    # above exit_time_cdf(1) the quantile solves P(tau_1 > tau) = 1 - u,
-    # exact there, against a bisection oracle: 1 - u = 2^-U, U uniform on
-    # [10, 53], with both ends, and u uniform up to 1 - 2^-10; measured
-    # below 7e-16 (inverting the CDF reached 9.4e-3 at 1 - u = 2^-53)
-    rng = make_stream(19, 0)
-    u = np.concatenate([1.0 - np.exp2(-rng.uniform(10.0, 53.0, 20_000)),
-                        [1.0 - 2.0 ** -10, 1.0 - 2.0 ** -53],
-                        rng.uniform(np.nextafter(sim.exit_time_cdf(1.0)[0], 1.0),
-                                    1.0 - 2.0 ** -10, 20_000)])
-    tau = sim.exit_time_quantile(u)
-    want = exit_time_survival_root(1.0 - u)
-    assert np.max(np.abs(tau - want) / want) <= 1e-12
-
-
-def test_exit_time_moments():
-    # E tau_1 = 1 and E tau_1^2 = 5/3 for the exit time of [-1, 1]
-    tau = sim.exit_time_quantile(make_stream(5, 0).random(1_000_000))
-    for k, exact in ((1, 1.0), (2, 5.0 / 3.0)):
-        moment = tau ** k
-        se = float(moment.std(ddof=1)) / math.sqrt(tau.size)
-        assert abs(float(moment.mean()) - exact) <= 5.0 * se, k
-
-
 def test_alternative_stops_at_the_drawn_level():
-    # block b draws its levels G and then its uniforms from stream (seed, b);
-    # sigma = G^2 tau_1(u) and B_sigma = G on every uncensored path
+    # block b draws its levels G and then its exit times from stream (seed,
+    # b); sigma = G^2 tau_1 and B_sigma = G on every uncensored path
     M, block, seed, horizon = 20_000, sim.BLOCK_SIZE, 4, 25.0
     ens = rs.alternative_embedding(M, seed, h_sim=1e-3, horizon=horizon)
     level, tau = np.empty(M), np.empty(M)
@@ -956,12 +873,65 @@ def test_alternative_stops_at_the_drawn_level():
         rng = make_stream(seed, b)
         hi = min(lo + block, M)
         level[lo:hi] = rng.standard_normal(hi - lo)
-        tau[lo:hi] = sim.exit_time_quantile(rng.random(hi - lo))
+        tau[lo:hi] = sim._exit_time(rng, hi - lo)
     done = ~ens.censored
     assert 0 < np.count_nonzero(ens.censored) <= CENSOR_FRACTION * M
     assert np.array_equal(ens.b_sigma[1][done], level[done])
     assert np.array_equal(ens.sigma[1][done], (level * level * tau)[done])
     assert np.all((level * level * tau)[ens.censored] > horizon)
+
+
+# ---------------------------------------------------------------------------
+# exact exit times
+
+def test_exit_time_series_agree_at_the_switch():
+    # the oracle's two routes to the exit-time CDF, around t = 1 where it
+    # switches from one to the other
+    t = np.linspace(0.5, 2.0, 301)
+    assert np.abs(reflection_cdf(t) - theta_cdf(t)).max() <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def exit_times():
+    return sim._exit_time(make_stream(5, 0), 1_000_000)
+
+
+def test_exit_time_draws_follow_the_exit_law(exit_times):
+    # a rejected proposal goes back to the choice of envelope piece, so the
+    # draws follow the law itself, tail and head alike
+    ks = sim.ks_statistic(exit_time_cdf(np.sort(exit_times)))
+    assert stats.kstwo.sf(ks, exit_times.size) > 1e-3, ks
+
+
+def test_exit_time_moments(exit_times):
+    # E tau_1 = 1 and E tau_1^2 = 5/3 for the exit time of [-1, 1]
+    for k, exact in ((1, 1.0), (2, 5.0 / 3.0)):
+        moment = exit_times ** k
+        se = float(moment.std(ddof=1)) / math.sqrt(exit_times.size)
+        assert abs(float(moment.mean()) - exact) <= 4.0 * se, k
+
+
+# short windows (one uniform per row, a Levy proposal under its mass), up to
+# the split 0.64, and long windows (a whole draw)
+@pytest.mark.parametrize("r", [1.0 / 16.0, 0.3, 0.55, 0.64, 0.65, 2.0, 7.0])
+def test_exit_within_leaves_with_the_exit_probability(r):
+    # the share of rows that leave is P(tau_1 < r) within 4 standard errors,
+    # and the exit times given a leave follow the law conditioned on it
+    M = 1_000_000
+    tau = sim._exit_within(make_stream(11, 0), M, np.full(M, r))
+    leave = np.isfinite(tau)
+    p = float(exit_time_cdf(r)[0])
+    assert abs(leave.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / M), (leave.mean(), p)
+    assert np.all(tau[leave] < r)
+    ks = sim.ks_statistic(exit_time_cdf(np.sort(tau[leave])) / p)
+    assert stats.kstwo.sf(ks, np.count_nonzero(leave)) > 1e-3, ks
+
+
+def test_exit_within_stays_without_a_window():
+    # r = 0 (no time) and r = nan (a box of radius 0 and no time) stay, and
+    # so does a window too short to leave in as a float
+    tau = sim._exit_within(make_stream(3, 0), 4, np.array([0.0, np.nan, 5e-324, 1e-300]))
+    assert np.all(np.isinf(tau))
 
 
 # ---------------------------------------------------------------------------
