@@ -33,7 +33,7 @@ from .limit_solver import (bounds_check, ladder_levels, partition_independence,
                            pde_residual, regularity_report, solve_limit)
 from .marginals import (GaussianShiftFamily, ScaledFamily, ThreePointFamily,
                         load_atomic_family_csv)
-from .simulator import (MonotonePiecewisePoly, alternative_embedding,
+from .simulator import (MonotonePiecewisePoly, alternative_embedding, check_h_sim,
                         empirical_potential, marginal_fit, optimality_functional,
                         simulate_root)
 from .stop_solver import complementarity_check, grid_atoms, solve_layers
@@ -163,6 +163,15 @@ def _threads(text: str) -> int:
     return n
 
 
+def _out_dir(text: str) -> Path:
+    # checked before any work: the commands create it only when they write
+    out = Path(text)
+    for path in (out, *out.parents):
+        if (path.exists() or path.is_symlink()) and not path.is_dir():
+            raise argparse.ArgumentTypeError(f"{path} is not a directory")
+    return out
+
+
 class Run:
     """One pass of the pipeline over a config.
 
@@ -227,17 +236,13 @@ class Run:
 
     def check_simulation(self) -> None:
         """Reject the simulation settings that need the grid, or that the
-        simulators would refuse only after the solve: an h_sim that is not
-        positive or is coarser than the solver's step (it sets the
-        verification allowance), and probe times and points off the
+        simulators would refuse only after the solve: an h_sim outside
+        `check_h_sim`'s bounds, and probe times and points off the
         solver's grid, where `value_at` cannot read the surface.
         `load_config` has already read every value as its type, within its
         bounds."""
-        grid, h_sim = self.grid, self.h_sim
-        if not h_sim > 0:
-            raise ConfigError(f"h_sim={h_sim} must be positive")
-        if h_sim > grid.dt + 1e-15:
-            raise ConfigError(f"h_sim={h_sim} exceeds the solver step {grid.dt}")
+        grid = self.grid
+        check_h_sim(self.h_sim, grid.dt)
         lattice_index(self.probe_times, grid.dt, 0.0, grid.nt, "probe time", "dt")
         lattice_index(self.sim["probe_x"], grid.dx, grid.x_nodes()[0], grid.nx, "probe x")
 
@@ -296,7 +301,7 @@ def cmd_solve(run: Run, out: Path) -> int:
             "barrier": barrier.descriptor(),
             "csv_sha256": {"surface.csv": art.sha256_file(out / "surface.csv"),
                            "barriers.csv": art.sha256_file(out / "barriers.csv")}}
-    art.write_json(art.jsonable(meta), out / "surface.meta.json")
+    art.write_json(meta, out / "surface.meta.json")
     failures = [] if report.passed else [
         f"complementarity residual {report.max_min_residual:.3e} > tol {report.tol:.3e}"]
     return run.finish(out, ["surface.csv", "barriers.csv", "surface.meta.json"], t0, failures)
@@ -322,9 +327,8 @@ def cmd_limit(run: Run, out: Path) -> int:
             "partition_independence": None if indep is None else
             {"sup_distance": indep["sup_distance"], "bound": indep["bound"],
              "passed": indep["passed"]}}
-    art.write_json(art.jsonable(conv), out / "convergence.json")
-    art.write_json(art.jsonable({"level_runtimes_ms":
-                                 [h["runtime_ms"] for h in limit.history]}),
+    art.write_json(conv, out / "convergence.json")
+    art.write_json({"level_runtimes_ms": [h["runtime_ms"] for h in limit.history]},
                    out / "level_runtimes.json")
     failed = []
     # the residual and independence claims are underwritten by the standing
@@ -343,14 +347,14 @@ def cmd_limit(run: Run, out: Path) -> int:
 def cmd_verify(run: Run, out: Path) -> int:
     t0 = time.time()
     run.check_simulation()
-    threads, h_sim = run.threads, run.h_sim
+    h_sim = run.h_sim
     M, seed = run.sim["paths"], run.sim["seed"]
     probe_t = run.probe_times
     probe_x = np.array(run.sim["probe_x"])
     surface = run.surface
 
     ensemble = simulate_root(run.family, run.barrier, M, h_sim, seed,
-                             snapshot_times=probe_t, threads=threads)
+                             snapshot_times=probe_t, threads=run.threads)
     failures = []
 
     repr_rows = []
@@ -384,7 +388,7 @@ def cmd_verify(run: Run, out: Path) -> int:
 
     alternative = None
     if run.sim["alternative"]:
-        alt = alternative_embedding(M, seed + 1, h_sim, threads=threads)
+        alt = alternative_embedding(M, seed + 1, h_sim)
         alt_fit = marginal_fit(alt, ScaledFamily(0.0))
         # its UI proxy is reported only: no gate reads it
         alternative = {"marginals": alt_fit.marginals, "ui_proxy": alt_fit.ui_proxy,
@@ -403,7 +407,7 @@ def cmd_verify(run: Run, out: Path) -> int:
                "marginals": fit.marginals, "ui_proxy": fit.ui_proxy,
                "functionals": functionals, "alternative": alternative,
                "failures": failures}
-    art.write_json(art.jsonable(payload), out / "embedding.json")
+    art.write_json(payload, out / "embedding.json")
     produced = ["embedding.json"]
     if run.dump_raw:
         art.write_paths_csv(ensemble, out / "paths.csv")
@@ -428,7 +432,8 @@ def main(argv=None) -> int:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=["solve", "limit", "verify", "all"])
     parser.add_argument("--config", required=True, help="path to the run config (INI)")
-    parser.add_argument("--out", required=True, help="artifact output directory")
+    parser.add_argument("--out", required=True, type=_out_dir,
+                        help="artifact output directory")
     parser.add_argument("--threads", type=_threads, default=1)
     parser.add_argument("--dump-raw", action="store_true",
                         help="also write per-path stopping data (large)")
@@ -437,7 +442,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         fn = {"solve": cmd_solve, "limit": cmd_limit,
               "verify": cmd_verify, "all": cmd_all}[args.command]
-        return fn(Run(cfg, threads=args.threads, dump_raw=args.dump_raw), Path(args.out))
+        return fn(Run(cfg, threads=args.threads, dump_raw=args.dump_raw), args.out)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -58,8 +58,9 @@ def write_paths_csv(ensemble, path) -> None:
 
 
 def write_json(obj, path) -> None:
+    """obj, made JSON-safe (`_jsonable`), as sorted, indented JSON."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=True)
+        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2, allow_nan=True)
         fh.write("\n")
 
 
@@ -71,14 +72,14 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def jsonable(obj):
+def _jsonable(obj):
     """Recursively convert numpy scalars/arrays for JSON output."""
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         if np.isinf(v):

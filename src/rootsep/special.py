@@ -54,10 +54,9 @@ def _erf(x):
     return x * _polevl(z, _T) / _polevl(z, _U, monic=True)
 
 
-def erfc_big(a, e=None):
+def erfc_big(a):
     """erfc(a) for a >= 1 or nan, a 1-d array: exp(-a^2) times a rational
-    function of a, or 0 past a^2 = MAXLOG.  e, when given, is exp(-a * a)
-    as the caller evaluated it."""
+    function of a, or 0 past a^2 = MAXLOG."""
     # past the cut the rational function is not needed, and at inf it would
     # give inf / inf; and c * c cannot overflow
     c = np.minimum(a, 27.0)
@@ -65,7 +64,7 @@ def erfc_big(a, e=None):
     far = np.flatnonzero(c >= 8.0)
     if far.size:
         p[far], q[far] = _polevl(c[far], _R), _polevl(c[far], _S, monic=True)
-    y = (np.exp(-c * c) if e is None else e) * p
+    y = np.exp(-c * c) * p
     y /= q
     if far.size:
         y[far[c[far] * c[far] > MAXLOG]] = 0.0

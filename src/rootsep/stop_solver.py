@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConvexOrderError, GridBudgetError, ValidationError
 from .grid import Partition, SpaceTimeGrid, lattice_index
-from .marginals import MarginalFamily, convex_order_error, convex_order_validate
+from .marginals import MarginalFamily, convex_order_validate
 from .tolerances import INTERIOR_T_FRACTION, KINK_GUARD, SCHEME_C
 
 SENTINEL = np.iinfo(np.int32).max
@@ -168,13 +168,10 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     recorded statistics use the complementarity tolerance
     `scheme_tolerance(grid)`.
 
-    Every atom of the partition's marginal laws must sit on an x-node
-    (`grid_atoms`).
+    The partition's potentials must fall in s at every x-node, the one
+    convex-order check of a solve (`convex_order_validate`), and every
+    atom of its marginal laws must sit on an x-node (`grid_atoms`).
     """
-    report = convex_order_validate(family, s_probes=partition.points)
-    if not report.passed:
-        raise convex_order_error(report)
-
     xs = grid.x_nodes()
     nt, nx = grid.nt, grid.nx
     dt, dx = grid.dt, grid.dx
@@ -182,13 +179,12 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
 
     svals = partition.points
     n = partition.n
-    pots = family.potentials(svals, xs)
-    du = pots[1:] - pots[:-1]
-    worst = float(du.max(initial=-np.inf))
-    if worst > 1e-9:
-        k = np.unravel_index(int(du.argmax()), du.shape)
+    order = convex_order_validate(family, svals, xs)
+    if not order.passed:
         raise ConvexOrderError(
-            f"obstacle increment positive ({worst:.3e}) at layer {k[0] + 1}, x={xs[k[1]]:.4g}")
+            f"convex order violated: drop {order.worst_violation:.3e} at {order.where}")
+    pots = order.potentials
+    du = pots[1:] - pots[:-1]
 
     if keep_times is None:
         if (n + 1) * (nt + 1) * (nx + 1) > 150_000_000:

@@ -81,7 +81,7 @@ def root_ensemble():
 def alternative_ensemble():
     # at 4e6 paths the 0.05 gate on E sigma^2/2 is about 5.4 stderr and the
     # 0.01 gate on E sigma about 10; at 1e5 the first was 0.9 stderr
-    return rs.alternative_embedding(4_000_000, 12, h_sim=5e-5, horizon=120.0, threads=4)
+    return rs.alternative_embedding(4_000_000, 12, h_sim=5e-5, horizon=120.0)
 
 
 @pytest.fixture(scope="module")

@@ -71,3 +71,23 @@ def test_ensemble_attributes_the_benchmark_reads():
     alt = simulator.alternative_embedding(300, 2, h_sim=grid.dt, horizon=120.0)
     assert (alt.M, alt.n, alt.h_sim, alt.horizon) == (300, 1, grid.dt, 120.0)
     assert alt.censored.shape == (300,) and alt.snapshots == {}
+
+
+def test_traced_operations_observe_the_expected_metrics(perfbench, tmp_path):
+    # a package change that stops calling a wrapped name reads 0 in the
+    # benchmark's self-test; here it fails a test instead
+    probes, workloads = perfbench
+    import run
+    import selftest
+
+    workloads.load_rootsep()
+    # cli.Run solves each surface once, so pipeline never repeats a solve
+    known = {"stop_solver.solve_layers.repeat_calls"}
+    rec = probes.Recorder()
+    for index, (name, workload) in enumerate(workloads.WORKLOADS.items()):
+        with probes.instrument(rec, tracing=True):
+            op = run.run_op(workload, 1, tmp_path, rec, index, tracing=True)
+        assert op["failures"] == [], name
+        metrics = run.layer_metrics(rec.op_spans(index), op)
+        unseen = [m for m in selftest.EXPECTED[name] if not metrics.get(m)]
+        assert set(unseen) <= known, (name, unseen)

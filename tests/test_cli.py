@@ -270,6 +270,25 @@ def test_simulation_inputs_rejected_before_solve(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "all"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub", "dangling", "dangling/sub"])
+def test_out_that_is_no_directory_rejected_before_solve(gauss_config, tmp_path, monkeypatch,
+                                                        capsys, command, out):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before --out was checked")
+
+    monkeypatch.setattr(cli, "solve_layers", no_solve)
+    monkeypatch.setattr(cli, "solve_limit", no_solve)
+    (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(gauss_config), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept\n"
+
+
 def test_probe_times_need_not_be_multiples_of_h_sim(tmp_path):
     # snapshots are taken at the probe times themselves: 0.25 is not a
     # multiple of h_sim = 0.004, only of the solver step dt = 0.01

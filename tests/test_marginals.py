@@ -142,8 +142,15 @@ def test_potential_one_lipschitz(s, x1, x2):
 
 S_PROBES = np.linspace(0.0, 1.0, 21)
 
+
+def probe_x(family):
+    """41 points across the support of mu_1, at least [-1, 1]."""
+    r = max(family.support_radius(1.0), 1.0)
+    return np.linspace(-r, r, 41)
+
+
 def test_convex_order_gaussian(gauss_family):
-    assert rs.convex_order_validate(gauss_family, S_PROBES).passed
+    assert rs.convex_order_validate(gauss_family, S_PROBES, probe_x(gauss_family)).passed
 
 
 class _ReversedGauss(rs.MarginalFamily):
@@ -157,13 +164,14 @@ class _ReversedGauss(rs.MarginalFamily):
 
 
 def test_convex_order_reversed_fails():
-    rep = rs.convex_order_validate(_ReversedGauss(1.0), S_PROBES)
+    fam = _ReversedGauss(1.0)
+    rep = rs.convex_order_validate(fam, S_PROBES, probe_x(fam))
     assert not rep.passed
     assert rep.worst_violation < 0
 
 
 def test_convex_order_constant_equality(constant_family):
-    rep = rs.convex_order_validate(constant_family, S_PROBES)
+    rep = rs.convex_order_validate(constant_family, S_PROBES, probe_x(constant_family))
     assert rep.passed
     assert rep.worst_violation == pytest.approx(0.0, abs=1e-15)
 
@@ -274,7 +282,7 @@ def test_csv_loader_round_trip(tmp_path):
     fam = rs.load_atomic_family_csv(p)
     assert fam.potential(0.0, 2.0) == -2.0
     assert fam.potential(1.0, 0.0) == -1.0
-    assert rs.convex_order_validate(fam, S_PROBES).passed
+    assert rs.convex_order_validate(fam, S_PROBES, probe_x(fam)).passed
 
 
 @pytest.mark.parametrize("body", [

@@ -182,7 +182,7 @@ def test_one_run_starts_no_pool(monkeypatch, many_cores):
     barrier = analytic_vertical_barrier(0.3, h, 1.5)
     rs.simulate_root(rs.ScaledFamily(0.0), barrier, 2 * sim.BLOCK_SIZE, h, seed=5, threads=1)
     rs.simulate_root(rs.ScaledFamily(0.0), barrier, sim.BLOCK_SIZE, h, seed=5, threads=4)
-    rs.alternative_embedding(2 * sim.BLOCK_SIZE, seed=5, h_sim=h, threads=1)
+    rs.alternative_embedding(2 * sim.BLOCK_SIZE, seed=5, h_sim=h)
     with pytest.raises(AssertionError, match="thread pool"):
         rs.simulate_root(rs.ScaledFamily(0.0), barrier, sim.BLOCK_SIZE + 1, h, seed=5, threads=2)
 
@@ -858,7 +858,7 @@ def test_alternative_embedding_smoke():
     assert est == pytest.approx(1.0, abs=5 * se + 0.1)
     est_t, se_t = rs.optimality_functional(ens, rs.MonotonePiecewisePoly.poly(0.0, 1.0))
     assert est_t == pytest.approx(2.5, abs=5 * se_t + 0.3)
-    again = rs.alternative_embedding(4000, seed=21, h_sim=1e-3, horizon=120.0, threads=4)
+    again = rs.alternative_embedding(4000, seed=21, h_sim=1e-3, horizon=120.0)
     assert np.array_equal(ens.sigma, again.sigma)
     assert np.array_equal(ens.b_sigma, again.b_sigma, equal_nan=True)
 

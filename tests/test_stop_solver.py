@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +145,35 @@ def test_convex_order_gate():
     grid = rs.SpaceTimeGrid(T=0.5, dt=0.01, L=9.0, dx=0.1)
     with pytest.raises(ConvexOrderError):
         rs.solve_layers(Reversed(), part, grid)
+
+
+def test_convex_order_violation_reported_at_a_grid_node():
+    # the potentials' worst rise is at mu_1's median 0.45, between the
+    # x-nodes 0.4 and 0.5: the solve checks, and reports, the nodes it reads
+    w = 0.45 / 1.45
+    family = rs.AtomicTableFamily([(0.0, rs.Law([-3.0, 3.0], [0.5, 0.5])),
+                                   (1.0, rs.Law([-1.0, 0.45], [w, 1.0 - w]))])
+    grid = rs.SpaceTimeGrid(T=0.5, dt=0.01, L=4.0, dx=0.1)
+    with pytest.raises(ConvexOrderError) as err:
+        rs.solve_layers(family, rs.make_partition(1), grid)
+    where = re.search(r" at (\(.*\))$", str(err.value)).group(1)
+    s_lo, s_hi, x = ast.literal_eval(where)
+    assert (s_lo, s_hi) == (0.0, 1.0)
+    assert x in grid.x_nodes().tolist()
+
+
+def test_solve_evaluates_the_potentials_once(gauss_family, monkeypatch):
+    # the convex-order check's potentials are the ones the solve uses
+    calls, real = [], rs.MarginalFamily.potentials
+
+    def spy(self, s_values, x):
+        calls.append(len(s_values))
+        return real(self, s_values, x)
+
+    monkeypatch.setattr(rs.MarginalFamily, "potentials", spy)
+    rs.solve_layers(gauss_family, rs.make_partition(2), rs.make_grid(gauss_family, 0.5, 0.1),
+                    keep_times=[0.5])
+    assert calls == [3]
 
 
 def test_keep_times_validation(gauss_family):
