@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionUnstableError
+from .grid import SpaceTimeGrid
 from .io import _fmt_all
 from .stop_solver import SENTINEL, ValueSurface
 from .tolerances import EXTRACT_FLAG_FRACTION, LATTICE_TOL
@@ -21,14 +22,12 @@ from .tolerances import EXTRACT_FLAG_FRACTION, LATTICE_TOL
 
 @dataclass
 class BarrierFamily:
-    """Per-layer first-stopped times r_j on the space nodes (inf: beyond horizon)."""
+    """Per-layer first-stopped times r_j on the space nodes of the solve's
+    grid (inf: beyond horizon)."""
 
     s_values: np.ndarray          # layer indices s_1..s_n
-    x_nodes: np.ndarray
+    grid: SpaceTimeGrid
     r: np.ndarray                 # (n, nx+1), +inf sentinel
-    flagged: np.ndarray
-    region_nodes: np.ndarray
-    grid_desc: dict
 
     _HUGE = 1e18   # stands in for the +inf sentinel during interpolation
 
@@ -37,8 +36,9 @@ class BarrierFamily:
         return len(self.s_values)
 
     def __post_init__(self):
-        self._dx = float(self.grid_desc["dx"])
-        self._center = (len(self.x_nodes) - 1) // 2
+        self.x_nodes = self.grid.x_nodes()      # the nodes r is given on
+        self._dx = self.grid.dx
+        self._center = self.grid.nx // 2
         # the sparse range-min tables T[j - 1, k, i] = min of layer j's
         # clamped times over nodes i .. i + 2^k - 1, whose rows k = 0 are the
         # interpolation tables, flattened; and per layer the nearest finite
@@ -136,10 +136,6 @@ class BarrierFamily:
         out += r0
         return out
 
-    def descriptor(self) -> dict:
-        return {"flagged": self.flagged.tolist(),
-                "region_nodes": self.region_nodes.tolist()}
-
 
 def extract(surface: ValueSurface) -> BarrierFamily:
     """Extract the per-layer stopping regions from a solved surface.
@@ -148,11 +144,9 @@ def extract(surface: ValueSurface) -> BarrierFamily:
     the obstacle branch (ties stop), as the solve recorded it; this matches
     the region definition without a resolution-dependent threshold.
     """
-    grid = surface.grid
-    ts = grid.t_nodes()
+    ts = surface.grid.t_nodes()
     first = surface.stop_first
-    flagged = surface.flagged.copy()
-    region = surface.region_nodes.copy()
+    flagged, region = surface.flagged, surface.region_nodes
     r = np.where(first == SENTINEL, np.inf, ts[np.minimum(first, len(ts) - 1)])
     # boundary columns inherit their interior neighbour: the Dirichlet rows
     # are prescribed data, not a stopping decision
@@ -165,8 +159,7 @@ def extract(surface: ValueSurface) -> BarrierFamily:
             f"layer {worst + 1}: {flagged[worst]} non-monotone nodes over "
             f"{region[worst]} region nodes ({frac[worst]:.2%}); grid too coarse")
     return BarrierFamily(s_values=surface.partition.points[1:].copy(),
-                         x_nodes=surface.x_nodes(), r=r, flagged=flagged,
-                         region_nodes=region, grid_desc=grid.descriptor())
+                         grid=surface.grid, r=r)
 
 
 def write_barriers_csv(barrier_family: BarrierFamily, path) -> None:

@@ -36,7 +36,7 @@ from .marginals import (GaussianShiftFamily, ScaledFamily, ThreePointFamily,
 from .simulator import (MonotonePiecewisePoly, alternative_embedding, check_h_sim,
                         empirical_potential, marginal_fit, optimality_functional,
                         simulate_root)
-from .stop_solver import complementarity_check, grid_atoms, solve_layers
+from .stop_solver import check_solve_budget, complementarity_check, grid_atoms, solve_layers
 
 def _finite(text: str) -> float:
     v = float(text)
@@ -95,18 +95,19 @@ _SCHEMA = {
 class RunConfig:
     raw: dict       # section -> key -> text, echoed to config.resolved.ini
     values: dict    # section -> key -> that text as its schema type
-    base_dir: Path
-    family: object = None
-    probe_times_given: bool = True
+    family: object
+    probe_times_given: bool
 
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
     raw = {}
@@ -134,14 +135,12 @@ def load_config(path) -> RunConfig:
                                         else convert(text))
             except ValueError:
                 raise ConfigError(f"[{section}] {key}: not {what}: {text!r}") from None
-    cfg = RunConfig(raw=raw, values=values, base_dir=path.parent,
-                    probe_times_given=probe_times_given)
-    cfg.family = _build_family(cfg)
-    return cfg
+    return RunConfig(raw=raw, values=values, family=_build_family(values, path.parent),
+                     probe_times_given=probe_times_given)
 
 
-def _build_family(cfg: RunConfig):
-    v = cfg.values["family"]
+def _build_family(values: dict, base_dir: Path):
+    v = values["family"]
     kind = v["kind"]
     if kind == "gaussian_shift":
         return GaussianShiftFamily(v["t0"])
@@ -152,7 +151,7 @@ def _build_family(cfg: RunConfig):
     if kind == "atomic_csv":
         if v["path"] is None:
             raise ConfigError("atomic_csv family needs 'path'")
-        return load_atomic_family_csv(cfg.base_dir / v["path"])
+        return load_atomic_family_csv(base_dir / v["path"])
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -247,12 +246,15 @@ class Run:
         lattice_index(self.sim["probe_x"], grid.dx, grid.x_nodes()[0], grid.nx, "probe x")
 
     def check_ladder(self) -> None:
-        """Reject atoms that a refinement ladder grid misses, before any
-        solve: the ladder refines dx with the partition, so its coarsest
-        step dx 2^(levels-1) can miss atoms that the configured dx holds."""
+        """Reject, before any solve, a ladder level over the solve budget
+        (keeping the lattice's rows) or whose grid misses an atom: the ladder
+        refines dx with the partition, so its coarsest step dx 2^(levels-1)
+        can miss atoms that the configured dx holds."""
         styles = ("uniform", "geometric") if self.style == "both" else (self.style,)
         for style in styles:
-            for part, grid in ladder_levels(self.family, **self.ladder, style=style)[1]:
+            coarse, levels = ladder_levels(self.family, **self.ladder, style=style)
+            for part, grid in levels:
+                check_solve_budget(part.n, coarse.eighth_rows().size, grid.nx)
                 grid_atoms(self.family, part.points, grid)
 
     def finish(self, out: Path, produced: list, t_start: float, failures: list) -> int:
@@ -298,7 +300,8 @@ def cmd_solve(run: Run, out: Path) -> int:
                                 "frac_both_exceed": report.frac_both_exceed,
                                 "max_min_residual": report.max_min_residual,
                                 "passed": report.passed},
-            "barrier": barrier.descriptor(),
+            "barrier": {"flagged": surface.flagged.tolist(),
+                        "region_nodes": surface.region_nodes.tolist()},
             "csv_sha256": {"surface.csv": art.sha256_file(out / "surface.csv"),
                            "barriers.csv": art.sha256_file(out / "barriers.csv")}}
     art.write_json(meta, out / "surface.meta.json")

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
-from .grid import Partition, SpaceTimeGrid, lattice_index, make_grid, make_partition, refine
-from .marginals import MarginalFamily, assumption_check
-from .stop_solver import ValueSurface, scheme_tolerance, solve_layers
+from .grid import SpaceTimeGrid, lattice_index, make_grid, make_partition, refine
+from .marginals import AssumptionReport, MarginalFamily, assumption_check
+from .stop_solver import ValueSurface, solve_layers
 from .tolerances import PDE_C
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -36,12 +35,13 @@ class LimitSurface:
     history: list                   # per-level refinement records
     style: str
     family_desc: dict
-    outside_assumptions: bool
-    finest_partition: Partition
-    finest_grid: SpaceTimeGrid
     ladder: dict                    # solve_limit arguments that fix the levels
-    finest_stats: list = field(default_factory=list)
-    assumption: Optional[object] = None
+    finest: ValueSurface            # the finest level's solve
+    assumption: AssumptionReport
+
+    @property
+    def outside_assumptions(self) -> bool:
+        return not self.assumption.satisfied
 
     @property
     def cauchy_history(self) -> list:
@@ -49,7 +49,7 @@ class LimitSurface:
 
     @property
     def tol(self) -> float:
-        return scheme_tolerance(self.finest_grid)
+        return self.finest.tol
 
 
 def _extension_index(points: np.ndarray, s: float) -> int:
@@ -115,12 +115,10 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
     """
     grid_coarse, ladder = ladder_levels(family, T, dx, n0, levels, style)
     report = assumption_check(family)
-    outside = not report.satisfied
     lattice_s, lattice_t, lattice_x = default_lattice(grid_coarse, n0)
 
     history = []
     prev_vals = None
-    finest_surface = None
 
     for part, grid_k in ladder:
         t0 = time.perf_counter()
@@ -145,16 +143,12 @@ def solve_limit(family: MarginalFamily, T: float, dx: float, n0: int, levels: in
                 raise NonConvergenceError(
                     f"cauchy difference stalled: {prev_c:.3e} -> {cauchy:.3e} at n={part.n}")
         prev_vals = vals
-        finest_surface = surface
 
     return LimitSurface(lattice_s=lattice_s, lattice_t=lattice_t, lattice_x=lattice_x,
                         values=prev_vals, history=history, style=style,
-                        family_desc=family.descriptor(), outside_assumptions=outside,
-                        finest_partition=finest_surface.partition,
-                        finest_grid=finest_surface.grid,
+                        family_desc=family.descriptor(),
                         ladder={"T": T, "dx": dx, "n0": n0, "levels": levels},
-                        finest_stats=finest_surface.layer_stats,
-                        assumption=report)
+                        finest=surface, assumption=report)
 
 
 def pde_residual(limit: LimitSurface) -> dict:
@@ -163,12 +157,13 @@ def pde_residual(limit: LimitSurface) -> dict:
     per_level = [h["pde_residual_max"] for h in limit.history]
     worst = 0.0
     loc = (0.0, 0.0, 0.0)
-    for st in limit.finest_stats:
+    finest = limit.finest
+    for st in finest.layer_stats:
         if st.pde_max > worst:
             worst = st.pde_max
             loc = (st.s_val, *st.pde_loc)
-    g = limit.finest_grid
-    bound = PDE_C * (g.dx + g.dt + limit.finest_partition.mesh)
+    g = finest.grid
+    bound = PDE_C * (g.dx + g.dt + finest.partition.mesh)
     return {"max": worst, "location": loc, "per_level": per_level,
             "bound": bound, "passed": worst <= bound}
 
@@ -223,7 +218,7 @@ def regularity_report(limit: LimitSurface) -> dict:
         s_rate = np.abs(u[1:] - u[:-1]) / ds[:, None, None]
         s_rate_max = float(s_rate.max())
         report = limit.assumption
-        if report is not None and report.growth_degree is not None:
+        if report.growth_degree is not None:
             envelope = report.envelope_constant * (1.0 + np.abs(x) ** report.growth_degree)
             env_ok = bool(np.all(s_rate.max(axis=(0, 1)) <= envelope + 1e-9))
         else:

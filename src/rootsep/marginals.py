@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -371,7 +371,6 @@ class AssumptionReport:
     continuous: bool
     growth_degree: Optional[int]
     envelope_constant: float
-    detail: dict = field(default_factory=dict)
 
     @property
     def satisfied(self) -> bool:
@@ -392,7 +391,6 @@ def assumption_check(family: MarginalFamily) -> AssumptionReport:
     anchors = np.linspace(0.0, 1.0, 21)
     delta = 1e-6
     continuous = True
-    singular_at = []
     x_small = np.linspace(-8.0, 8.0, 9)
     for s in anchors:
         lo = min(float(s), 1.0 - delta)
@@ -401,11 +399,10 @@ def assumption_check(family: MarginalFamily) -> AssumptionReport:
             b = family.potential_ds(lo + delta, x_small)
         except SingularityError:
             continuous = False
-            singular_at.append(float(s))
-            continue
+            break
         if np.max(np.abs(a - b)) > 1e-3:
             continuous = False
-            singular_at.append(float(s))
+            break
 
     g = np.zeros_like(x_probes)        # sup over 41 anchors of |dU/ds|
     for s in np.linspace(0.0, 1.0, 41):
@@ -429,8 +426,7 @@ def assumption_check(family: MarginalFamily) -> AssumptionReport:
             constant = float(ratio.max())
             break
     return AssumptionReport(continuous=continuous, growth_degree=degree,
-                            envelope_constant=constant,
-                            detail={"singular_anchors": singular_at})
+                            envelope_constant=constant)
 
 
 def load_atomic_family_csv(path) -> AtomicTableFamily:

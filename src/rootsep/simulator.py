@@ -239,8 +239,8 @@ def simulate_root(family: MarginalFamily, barrier_family: BarrierFamily,
     Raises HorizonError when more than the tolerated fraction of paths fails
     to complete all stops before T.
     """
-    check_h_sim(h_sim, float(barrier_family.grid_desc["dt"]))
-    T = float(barrier_family.grid_desc["T"])
+    check_h_sim(h_sim, barrier_family.grid.dt)
+    T = barrier_family.grid.T
     if M < 2:
         raise ValidationError(f"M={M} paths; a standard error needs at least 2")
     requested = np.asarray(snapshot_times, dtype=float).ravel()
@@ -356,7 +356,7 @@ def _reach(barrier_family, j, pos, w, cap, s):
     Returns the distance `full` to node e (or the last node), and that
     retreat rate and r_e (both 0 on levels and free ends).
     """
-    dx = float(barrier_family.grid_desc["dx"])
+    dx = barrier_family.grid.dx
     start = (np.floor(pos) + 1 if s > 0 else np.ceil(pos) - 1).astype(np.int64)
     f = barrier_family.first_finite(j, start, s)
     m = s * (f - start)
@@ -422,7 +422,7 @@ def _box(barrier_family, j, x, pos, r, t, limit):
     w_c, its window any number of d^2: `_reach` found every node inside it
     free until then.
     """
-    dx = float(barrier_family.grid_desc["dx"])
+    dx = barrier_family.grid.dx
     w_c = np.minimum(limit, r)
     d = 4.0 * np.sqrt(w_c - t)
     # that box, narrowed to 4 sqrt(w - t), touches no node hit before w

@@ -45,7 +45,7 @@ closed sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,10 +60,24 @@ SENTINEL = np.iinfo(np.int32).max
 # rolling buffer; bounds both to O(rows * nx) per layer
 CHUNK_ROWS = 64
 
+SOLVE_BUDGET = 150_000_000     # values a solve may hold (1.2 GB of doubles)
+
 
 def scheme_tolerance(grid: SpaceTimeGrid) -> float:
     """Frozen complementarity tolerance c (dx + dt)."""
     return SCHEME_C * (grid.dx + grid.dt)
+
+
+def check_solve_budget(n: int, kept_rows: int, nx: int) -> None:
+    """Raise GridBudgetError when a solve of n layers on nx + 1 x-nodes would
+    hold more than SOLVE_BUDGET values: kept_rows kept rows and a rolling
+    buffer of CHUNK_ROWS + 1 rows, for each of the layers 0..n."""
+    held = (n + 1) * (kept_rows + CHUNK_ROWS + 1) * (nx + 1)
+    if held > SOLVE_BUDGET:
+        raise GridBudgetError(
+            f"a solve of {n} layers on {nx + 1} x-nodes keeping {kept_rows} rows would "
+            f"hold {held} values, budget {SOLVE_BUDGET}; use fewer layers or nodes, "
+            f"or pass keep_times with fewer rows")
 
 
 @dataclass
@@ -124,7 +138,6 @@ class ComplementarityReport:
     frac_both_exceed: float
     max_min_residual: float
     tol: float
-    per_layer: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -151,9 +164,10 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
     """March the layered obstacle scheme across all marginal layers.
 
     keep_times: time values whose rows are retained in the result; None
-    keeps every row, for library callers (at most 150,000,000 nodes, else
-    GridBudgetError before any sweep).  The records cover every row either
-    way, and `complementarity_check` reports them.
+    keeps every row, for library callers.  The records cover every row
+    either way, and `complementarity_check` reports them.  A solve that
+    would hold more than SOLVE_BUDGET values raises GridBudgetError before
+    it allocates or sweeps anything (`check_solve_budget`).
 
     Layer j at row m reads only (j, m-1) and (j-1, m), so the sweep runs
     over the anti-diagonals d = j + m and advances every active layer of a
@@ -179,20 +193,15 @@ def solve_layers(family: MarginalFamily, partition: Partition, grid: SpaceTimeGr
 
     svals = partition.points
     n = partition.n
+    kept_index = (np.arange(nt + 1) if keep_times is None else
+                  np.unique(lattice_index(keep_times, dt, 0.0, nt, "keep time", "dt")))
+    check_solve_budget(n, kept_index.size, nx)
     order = convex_order_validate(family, svals, xs)
     if not order.passed:
         raise ConvexOrderError(
             f"convex order violated: drop {order.worst_violation:.3e} at {order.where}")
     pots = order.potentials
     du = pots[1:] - pots[:-1]
-
-    if keep_times is None:
-        if (n + 1) * (nt + 1) * (nx + 1) > 150_000_000:
-            raise GridBudgetError(
-                "full-surface storage would exceed the memory budget; pass keep_times")
-        kept_index = np.arange(nt + 1)
-    else:
-        kept_index = np.unique(lattice_index(keep_times, dt, 0.0, nt, "keep time", "dt"))
 
     tol = scheme_tolerance(grid)
     U0 = pots[0]
@@ -445,5 +454,4 @@ def complementarity_check(surface: ValueSurface) -> ComplementarityReport:
     return ComplementarityReport(max_heat_unstopped=max_heat,
                                  max_obstacle_violation=max_viol,
                                  frac_both_exceed=both / total if total else 0.0,
-                                 max_min_residual=max_minres,
-                                 tol=surface.tol, per_layer=per_layer)
+                                 max_min_residual=max_minres, tol=surface.tol)

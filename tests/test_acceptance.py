@@ -69,11 +69,8 @@ def root_ensemble():
     # t = 1 and every path stops there deterministically
     fam = rs.ScaledFamily(0.0)
     h = 0.0025
-    xs = np.arange(-200, 201) * 0.05
-    barrier = BarrierFamily(s_values=np.array([1.0]), x_nodes=xs,
-                            r=np.ones((1, xs.size)), flagged=np.zeros(1, dtype=int),
-                            region_nodes=np.ones(1, dtype=int),
-                            grid_desc={"dt": h, "T": 1.5, "dx": 0.05, "L": 10.0})
+    grid = rs.SpaceTimeGrid(T=1.5, dt=h, L=10.0, dx=0.05)
+    barrier = BarrierFamily(s_values=np.array([1.0]), grid=grid, r=np.ones((1, grid.nx + 1)))
     return fam, rs.simulate_root(fam, barrier, 100_000, h, SEED)
 
 
@@ -120,7 +117,7 @@ def two_atom_limit():
 def test_criterion_1_gaussian_closed_form(gauss_independence):
     lim = gauss_independence["uniform"]
     assert lim.history[-1]["n"] == 32
-    assert lim.finest_grid.dx == pytest.approx(0.02)
+    assert lim.finest.grid.dx == pytest.approx(0.02)
     err = 0.0
     for a, s in enumerate(lim.lattice_s):
         for b, t in enumerate(lim.lattice_t):

@@ -17,9 +17,15 @@ def gauss_barriers(gauss_surface_small):
 # ---------------------------------------------------------------------------
 # extraction structure
 
-def test_no_monotonicity_flags_on_fixtures(gauss_barriers, two_atom_surface):
-    assert int(gauss_barriers.flagged.sum()) == 0
-    assert int(rs.extract(two_atom_surface).flagged.sum()) == 0
+def test_no_monotonicity_flags_on_fixtures(gauss_surface_small, two_atom_surface):
+    assert int(gauss_surface_small.flagged.sum()) == 0
+    assert int(two_atom_surface.flagged.sum()) == 0
+
+
+def test_barriers_carry_the_solve_grid(gauss_barriers, gauss_surface_small):
+    assert gauss_barriers.grid is gauss_surface_small.grid
+    assert np.array_equal(gauss_barriers.x_nodes, gauss_surface_small.x_nodes())
+    assert [f.name for f in dataclasses.fields(BarrierFamily)] == ["s_values", "grid", "r"]
 
 
 def test_gaussian_vertical_barriers(gauss_barriers, gauss_surface_small):
@@ -53,7 +59,6 @@ def test_extraction_deterministic(gauss_surface_small):
     a = rs.extract(gauss_surface_small)
     b = rs.extract(gauss_surface_small)
     assert np.array_equal(a.r, b.r)
-    assert np.array_equal(a.flagged, b.flagged)
 
 
 def test_flag_fraction_gate(gauss_surface_small):
@@ -159,9 +164,7 @@ def test_lookup_reads_every_node_exactly():
     grid = rs.SpaceTimeGrid(T=1.0, dt=0.01, L=24.0, dx=0.1)
     xs = grid.x_nodes()
     r = np.where(np.arange(xs.size) % 2 == 0, 0.25, np.inf)[None, :]
-    b = BarrierFamily(s_values=np.array([1.0]), x_nodes=xs, r=r,
-                      flagged=np.zeros(1, dtype=int), region_nodes=np.ones(1, dtype=int),
-                      grid_desc=grid.descriptor())
+    b = BarrierFamily(s_values=np.array([1.0]), grid=grid, r=r)
     assert np.array_equal(b.cell_position(xs[:-1]), np.arange(xs.size - 1))
     assert np.array_equal(b.lookup(1, xs[:-1:2]), r[0, :-1:2])
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rootsep import GaussianShiftFamily, cli, limit_solver, solve_limit
+from rootsep import GaussianShiftFamily, cli, limit_solver, solve_limit, stop_solver
 from rootsep.cli import load_config, main
 from rootsep.errors import ConfigError
 
@@ -205,6 +205,22 @@ def test_unreadable_atomic_csv_rejected(tmp_path, capsys, problem):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(fam) in err, err
+
+
+@pytest.mark.parametrize("problem", ["missing", "directory", "not utf-8"])
+def test_unreadable_config_rejected(tmp_path, capsys, problem):
+    # one error line naming the file: no traceback, and no complaint about
+    # keys of a file that was never read
+    cfg = tmp_path / "run.ini"
+    if problem == "directory":
+        cfg.mkdir()
+    elif problem == "not utf-8":
+        cfg.write_bytes((SMALL_GAUSS + "; \xe9cart\n").encode("latin-1"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_resolved_config_echo(gauss_config, tmp_path):
@@ -557,6 +573,31 @@ def test_ladder_atoms_checked_before_any_solve(tmp_path, monkeypatch, capsys):
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert "off the grid (dx=0.4)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n0, commands", [(20000, ("solve", "limit", "verify", "all")),
+                                          (2000, ("limit", "all"))])
+def test_over_budget_solves_rejected_before_any_solve(tmp_path, monkeypatch, capsys, n0,
+                                                      commands):
+    # gaussian.ini at n0 = 20000 would hold a 4.2 GB rolling buffer for its
+    # own solve; at n0 = 2000 its own solve fits, but not the finest ladder
+    # level of 8000 layers
+    text = (Path(__file__).parents[1] / "configs" / "gaussian.ini").read_text(encoding="utf-8")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("n0 = 4", f"n0 = {n0}"), encoding="utf-8")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(stop_solver, "convex_order_validate", no_solve)
+    monkeypatch.setattr(stop_solver, "ScanKernel", no_solve)
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a solve of ") and err.count("\n") == 1, err
+        assert "budget 150000000" in err
         assert not out.exists()
 
 

@@ -1,9 +1,12 @@
-"""The package exports only what the program runs.
+"""The package exports only what the program runs, and keeps only what it
+reads.
 
 A name that `rootsep/__init__.py` imports must be used by the package
 itself, outside its own definition, or by the benchmark in perfbench/.
 Code that only the tests call belongs in the test suite (tests/oracles.py).
-The check reads the source text; it imports nothing.
+Every field of a package dataclass must be read as `.name` by the package
+or the benchmark: a result keeps no field that nothing reads.
+The checks read the source text; they import nothing.
 """
 
 import ast
@@ -37,3 +40,26 @@ def test_every_export_is_used_by_the_program():
     names = _exported()
     assert names, "no exports found"
     assert [name for name in names if not _used(name)] == []
+
+
+def _dataclass_fields() -> list:
+    """(class, field) for every annotated field of a @dataclass in the package."""
+    fields = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                fields.extend((node.name, stmt.target.id) for stmt in node.body
+                              if isinstance(stmt, ast.AnnAssign)
+                              and isinstance(stmt.target, ast.Name))
+    return fields
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    fields = _dataclass_fields()
+    assert fields, "no dataclass fields found"
+    text = "\n".join(path.read_text(encoding="utf-8")
+                     for path in [*sorted(PACKAGE.glob("*.py")),
+                                  *sorted((ROOT / "perfbench").glob("*.py"))])
+    assert [f"{cls}.{name}" for cls, name in fields
+            if not re.search(rf"\.{name}\b", text)] == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,28 @@ def test_outside_assumptions_flag():
     assert lim.outside_assumptions
     lim_ok = rs.solve_limit(rs.GaussianShiftFamily(0.5), 1.0, 0.1, 2, 2)
     assert not lim_ok.outside_assumptions
+
+
+def test_limit_keeps_its_finest_solve(gauss_limit):
+    # n0 = 2, levels = 3: the finest level solves 8 layers on dx = 0.05
+    finest = gauss_limit.finest
+    assert finest.partition.n == 2 * 2 ** (3 - 1)
+    assert finest.grid.dx == 0.05
+    assert gauss_limit.history[-1]["n"] == finest.partition.n
+    assert gauss_limit.tol == finest.tol
+    assert np.array_equal(finest.t_kept, gauss_limit.lattice_t)
+
+
+def test_outside_assumptions_reads_the_assumption_report():
+    families = (rs.ScaledFamily(0.0), rs.GaussianShiftFamily(0.5))
+    lims = [rs.solve_limit(family, 1.0, 0.1, 2, 2) for family in families]
+    assert [lim.outside_assumptions for lim in lims] == [True, False]
+    for lim, other, family in zip(lims, lims[::-1], families):
+        assert lim.assumption == rs.assumption_check(family)
+        assert lim.outside_assumptions == (not lim.assumption.satisfied)
+        # derived from the report, not stored beside it
+        swapped = dataclasses.replace(lim, assumption=other.assumption)
+        assert swapped.outside_assumptions == other.outside_assumptions
 
 
 def test_partition_independence_small(gauss_family):

@@ -188,7 +188,6 @@ def test_assumption_scaled_positive_offset():
 def test_assumption_scaled_zero_offset_discontinuous():
     rep = rs.assumption_check(rs.ScaledFamily(0.0))
     assert not rep.continuous
-    assert 0.0 in rep.detail["singular_anchors"]
 
 
 class _CubicGrowth(rs.MarginalFamily):

@@ -31,12 +31,9 @@ def gauss_run(gauss_family):
 
 def analytic_vertical_barrier(level_time: float, h: float, horizon: float,
                               layers: int = 1) -> BarrierFamily:
-    xs = (np.arange(-200, 201)) * 0.05
-    return BarrierFamily(s_values=np.arange(1, layers + 1) / layers, x_nodes=xs,
-                         r=np.full((layers, xs.size), level_time),
-                         flagged=np.zeros(layers, dtype=int),
-                         region_nodes=np.ones(layers, dtype=int),
-                         grid_desc={"dt": h, "T": horizon, "dx": 0.05, "L": 10.0})
+    grid = rs.SpaceTimeGrid(T=horizon, dt=h, L=10.0, dx=0.05)
+    return BarrierFamily(s_values=np.arange(1, layers + 1) / layers, grid=grid,
+                         r=np.full((layers, grid.nx + 1), level_time))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +69,7 @@ def three_point_barrier(three_point_family):
 @pytest.fixture(scope="module")
 def three_point_run(three_point_family, three_point_barrier):
     return rs.simulate_root(three_point_family, three_point_barrier, 20_000,
-                            float(three_point_barrier.grid_desc["dt"]), seed=2)
+                            three_point_barrier.grid.dt, seed=2)
 
 
 @pytest.mark.parametrize("atom", [1.0, -1.0])
@@ -220,7 +217,7 @@ def test_gaussian_stops_lie_on_the_region_boundary(gauss_run):
     # of a node as the node, so an exit through a moving edge that close to
     # a node stops on the node
     _, barrier, ens = gauss_run
-    r, beside = barrier.r, 2.0 * LATTICE_TOL / float(barrier.grid_desc["dx"])
+    r, beside = barrier.r, 2.0 * LATTICE_TOL / barrier.grid.dx
     moving = 0
     for j in range(1, ens.n + 1):
         b, stop = ens.b_sigma[j], ens.sigma[j]
@@ -244,11 +241,9 @@ def test_gaussian_stops_lie_on_the_region_boundary(gauss_run):
 def linear_ramp(x0: float, c: float, horizon: float) -> BarrierFamily:
     """One layer whose region at time t is x <= x0 + c t: r = (x - x0) / c
     right of x0, 0 left of it, linear across every cell on the right."""
-    xs = np.arange(-200, 201) * 0.05
-    return BarrierFamily(s_values=np.array([1.0]), x_nodes=xs,
-                         r=np.maximum((xs - x0) / c, 0.0)[None, :],
-                         flagged=np.zeros(1, dtype=int), region_nodes=np.ones(1, dtype=int),
-                         grid_desc={"dt": 0.0025, "T": horizon, "dx": 0.05, "L": 10.0})
+    grid = rs.SpaceTimeGrid(T=horizon, dt=0.0025, L=10.0, dx=0.05)
+    return BarrierFamily(s_values=np.array([1.0]), grid=grid,
+                         r=np.maximum((grid.x_nodes() - x0) / c, 0.0)[None, :])
 
 
 def test_linear_ramp_stop_follows_the_drifted_first_passage_law():
@@ -437,10 +432,9 @@ def _former_onto_nodes(barrier_family, x):
 def test_onto_nodes_matches_the_former_rule():
     # the grid of dx = 0.1, L = 25 that holds x = -23.7, whose quotient
     # x / dx misses its node by an ulp
-    xs = (np.arange(501) - 250) * 0.1
-    barrier = BarrierFamily(s_values=np.array([1.0]), x_nodes=xs, r=np.ones((1, xs.size)),
-                            flagged=np.zeros(1, dtype=int), region_nodes=np.ones(1, dtype=int),
-                            grid_desc={"dt": 0.01, "T": 1.0, "dx": 0.1, "L": 25.0})
+    grid = rs.SpaceTimeGrid(T=1.0, dt=0.01, L=25.0, dx=0.1)
+    xs = grid.x_nodes()
+    barrier = BarrierFamily(s_values=np.array([1.0]), grid=grid, r=np.ones((1, xs.size)))
     inner = xs[1:-1]
     cases = [inner + 0.5e-9, inner - 0.5e-9, xs + 2e-9, xs - 2e-9, np.array([-23.7]),
              xs[[0, -1]], np.array([xs[0] - 5.3, xs[-1] + 5.3]),

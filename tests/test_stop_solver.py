@@ -219,7 +219,7 @@ def test_complementarity_gaussian(gauss_n1_fine):
     assert rep.max_obstacle_violation <= 1e-12
     assert rep.frac_both_exceed == 0.0
     assert rep.passed
-    assert len(rep.per_layer) == gauss_n1_fine.n   # layer 0 excluded
+    assert len(gauss_n1_fine.layer_stats) == gauss_n1_fine.n   # layer 0 excluded
 
 
 def test_complementarity_detects_corruption(gauss_family):
@@ -580,7 +580,7 @@ def test_kept_row_stats_use_the_solve_tolerance(gauss_family, monkeypatch):
     # both reports read the solve's records; neither folds a row again
     assert folded == []
     assert full.tol == kept.tol == scheme_tolerance(grid)
-    assert kept.per_layer == full.per_layer
+    assert kept_surf.layer_stats == full_surf.layer_stats
     assert kept.frac_both_exceed == full.frac_both_exceed
 
 
