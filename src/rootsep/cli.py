@@ -91,6 +91,14 @@ _SCHEMA = {
 }
 
 
+# each kind's family and the [family] keys it is built from; any other key
+# may hold only its default text, as config.resolved.ini echoes every key
+_FAMILIES = {"gaussian_shift": (GaussianShiftFamily, ("t0",)),
+             "scaled": (ScaledFamily, ("s0",)),
+             "three_point": (ThreePointFamily, ("p0", "p1")),
+             "atomic_csv": (load_atomic_family_csv, ("path",))}
+
+
 @dataclass
 class RunConfig:
     raw: dict       # section -> key -> text, echoed to config.resolved.ini
@@ -120,6 +128,7 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             raw[section][key] = value.strip()
     probe_times_given = "probe_times" in raw.get("simulation", {})
+    given = dict(raw.get("family", {}))     # before the defaults fill in
     values = {}
     for section, keys in _SCHEMA.items():
         raw.setdefault(section, {})
@@ -135,24 +144,25 @@ def load_config(path) -> RunConfig:
                                         else convert(text))
             except ValueError:
                 raise ConfigError(f"[{section}] {key}: not {what}: {text!r}") from None
-    return RunConfig(raw=raw, values=values, family=_build_family(values, path.parent),
+    return RunConfig(raw=raw, values=values, family=_build_family(values, given, path.parent),
                      probe_times_given=probe_times_given)
 
 
-def _build_family(values: dict, base_dir: Path):
+def _build_family(values: dict, given: dict, base_dir: Path):
     v = values["family"]
     kind = v["kind"]
-    if kind == "gaussian_shift":
-        return GaussianShiftFamily(v["t0"])
-    if kind == "scaled":
-        return ScaledFamily(v["s0"])
-    if kind == "three_point":
-        return ThreePointFamily(v["p0"], v["p1"])
-    if kind == "atomic_csv":
-        if v["path"] is None:
-            raise ConfigError("atomic_csv family needs 'path'")
-        return load_atomic_family_csv(base_dir / v["path"])
-    raise ConfigError(f"unknown family kind {kind!r}")
+    if kind not in _FAMILIES:
+        raise ConfigError(f"unknown family kind {kind!r}")
+    make, keys = _FAMILIES[kind]
+    unread = [key for key, text in given.items()
+              if key not in ("kind", *keys) and text != _SCHEMA["family"][key][0]]
+    if unread:
+        raise ConfigError(f"[family] kind {kind} does not read {', '.join(unread)}")
+    if kind != "atomic_csv":
+        return make(*(v[key] for key in keys))
+    if v["path"] is None:
+        raise ConfigError("atomic_csv family needs 'path'")
+    return make(base_dir / v["path"])
 
 
 def _threads(text: str) -> int:
@@ -249,7 +259,10 @@ class Run:
         """Reject, before any solve, a ladder level over the solve budget
         (keeping the lattice's rows) or whose grid misses an atom: the ladder
         refines dx with the partition, so its coarsest step dx 2^(levels-1)
-        can miss atoms that the configured dx holds."""
+        can miss atoms that the configured dx holds; and style both with one
+        level, where no ladder has a Cauchy difference to bound with."""
+        if self.style == "both" and self.ladder["levels"] < 2:
+            raise ConfigError("style = both needs levels >= 2")
         styles = ("uniform", "geometric") if self.style == "both" else (self.style,)
         for style in styles:
             coarse, levels = ladder_levels(self.family, **self.ladder, style=style)

@@ -12,9 +12,9 @@ Girsanov reweighting; so every stop is exact, on the region's boundary.
 A fixed box between levels or free ends lasts until the region can reach
 it: a path between two atoms' levels stops in one box step.
 A box's exit time is a scaled exit time of [-1, 1], drawn exactly by
-Devroye's alternating-series method (`_exit_within`); its endpoint
-acceptance series run only where cheap bounds leave a test open
-(`_squeeze`), with decisions and draws unchanged.
+Devroye's alternating-series method (`_exit_within`); a short window's
+endpoint acceptance series runs only where a cheap bound leaves its test
+open (`_survival_floor`), with decisions and draws unchanged.
 A snapshot at time t holds B_(t ^ sigma_n), taken at exactly the requested
 t; h_sim monitors nothing and only sets the verification allowance
 (`PathEnsemble.allowance`, bounded by `check_h_sim`).  The randomized
@@ -524,17 +524,6 @@ def _rows(k, size):
     return slice(None) if k.size == size else k
 
 
-def _squeeze(v, floor, ceiling, exact, *args):
-    """v < exact(*args) row by row, given floor <= exact <= ceiling as
-    evaluated: rows below the floor or at or above the ceiling are decided
-    without `exact` (Devroye's squeeze), which runs row-wise on the rest."""
-    out = v < floor
-    open_ = np.nonzero(~out & (v < ceiling))[0]
-    if open_.size:
-        out[open_] = v[open_] < exact(*(a[open_] for a in args))
-    return out
-
-
 # Survival of a Brownian bridge from 0 to z over time t inside (-d, d): the
 # image series sum_k (-1)^k exp(-2 k d (k d - z) / t) over all integers k.
 # For |z| < d and t <= d^2 the pair +-k is at most 2 exp(-2 k (k - 1)), so
@@ -568,12 +557,9 @@ def _survival_floor(z, d, t):
 # term by a factor within 1 +- eps(t / d^2), eps(r) = sum n exp(-(n^2 - 1)
 # pi^2 r / 8).  eps falls with r, so it is below 0.022 for every t >= d^2 / 2,
 # however long, and the terms past n = 9 are below 1e-19 there; so the
-# acceptance is at least _EIGEN_FLOOR.
-# Its float error, at most 1e-9 (where cos(theta) is 2e-8, the uniform
-# 2^-53 from 0 or 1), is within the slack from eps(1/2) = 0.0216 to 0.022.
+# acceptance is above 0.95.
 _EIGEN_N = np.arange(3.0, 11.0, 2.0)
 _EIGEN_FROM = 0.5
-_EIGEN_FLOOR = (1.0 - 0.022) / (1.0 + 0.022) - 1e-12
 
 
 def _eigen_acceptance(theta, r):
@@ -595,10 +581,9 @@ def _endpoint_in_box(streams, rows, d, t):
     there on it is the density's first eigenfunction cos(pi z / (2 d)),
     drawn as z = (2 d / pi) arcsin(2 v - 1) and accepted with the ratio of
     the full eigenfunction series to it (acceptance above 0.95, nearer 1
-    the longer t).  Each
-    round, each block draws one normal and then two uniforms per pending
-    path (rows `rows`).  The series are evaluated only where
-    `_survival_floor`, _EIGEN_FLOOR and |z| < d leave a test open (`_squeeze`).
+    the longer t).  Each round, each block draws one normal and then two
+    uniforms per pending path (rows `rows`).  The survival series runs only
+    where `_survival_floor` leaves a test open (Devroye's squeeze).
     A path with t = 0 does not move and draws nothing.
     """
     z = np.zeros(d.size)
@@ -614,15 +599,16 @@ def _endpoint_in_box(streams, rows, d, t):
         below = t < _EIGEN_FROM * d * d
         short, long = np.flatnonzero(below), np.flatnonzero(~below)
         sub = _rows(short, todo.size)
-        zs, ds, ts = prop[sub], d[sub], t[sub]
-        ok[sub] = _squeeze(v[1, sub], _survival_floor(zs, ds, ts),
-                           np.where(np.abs(zs) < ds, np.inf, 0.0), _bridge_survival, zs, ds, ts)
+        zs, ds, ts, vs = prop[sub], d[sub], t[sub], v[1, sub]
+        keep = vs < _survival_floor(zs, ds, ts)
+        open_ = np.flatnonzero(~keep)
+        if open_.size:
+            keep[open_] = vs[open_] < _bridge_survival(zs[open_], ds[open_], ts[open_])
+        ok[sub] = keep
         theta = np.arcsin(2.0 * v[0, long] - 1.0)
         dl = d[long]
         prop[long] = (2.0 / math.pi) * dl * theta
-        r = t[long] / (dl * dl)
-        ok[long] = _squeeze(v[1, long], np.where(r >= _EIGEN_FROM, _EIGEN_FLOOR, 0.0), np.inf,
-                            _eigen_acceptance, theta, r)
+        ok[long] = v[1, long] < _eigen_acceptance(theta, t[long] / (dl * dl))
         # a rejected proposal is overwritten in a later round
         z[sel] = prop
         again = np.flatnonzero(~ok)

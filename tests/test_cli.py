@@ -576,6 +576,48 @@ def test_ladder_atoms_checked_before_any_solve(tmp_path, monkeypatch, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, read, unread", [
+    ("three_point", "p0 = 0.1\np1 = 0.3", "t0 = 5"),
+    ("gaussian_shift", "t0 = 1.0", "p0 = 0.4"),
+    ("three_point", "p0 = 0.1\np1 = 0.3", "path = nowhere.csv"),
+])
+def test_family_keys_the_kind_does_not_read_rejected(tmp_path, monkeypatch, capsys, kind, read,
+                                                      unread):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the family keys were checked")
+
+    monkeypatch.setattr(cli, "solve_layers", no_solve)
+    monkeypatch.setattr(cli, "solve_limit", no_solve)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_GAUSS.replace("kind = gaussian_shift\nt0 = 1.0",
+                                       f"kind = {kind}\n{read}\n{unread}"), encoding="utf-8")
+    key = unread.split(" = ")[0]
+    for command in ("solve", "all"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [family] kind {kind} does not read {key}\n", err
+        assert not out.exists()
+
+
+def test_both_styles_need_two_levels_before_any_solve(tmp_path, monkeypatch, capsys):
+    # with one level neither ladder has a Cauchy difference, so the
+    # independence bound would be the scheme tolerance alone
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the ladder was checked")
+
+    monkeypatch.setattr(cli, "solve_layers", no_solve)
+    monkeypatch.setattr(limit_solver, "solve_layers", no_solve)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_GAUSS.replace("levels = 2", "levels = 1\nstyle = both"),
+                   encoding="utf-8")
+    for command in ("limit", "all"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: style = both needs levels >= 2\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("n0, commands", [(20000, ("solve", "limit", "verify", "all")),
                                           (2000, ("limit", "all"))])
 def test_over_budget_solves_rejected_before_any_solve(tmp_path, monkeypatch, capsys, n0,

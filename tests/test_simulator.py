@@ -523,27 +523,6 @@ def test_survival_floor_is_below_the_bridge_survival_anywhere(d, fz, ft):
             assert sim._survival_floor(z, dd, t)[0] <= sim._bridge_survival(z, dd, t)[0]
 
 
-def test_eigen_floor_is_below_the_eigen_acceptance():
-    # the uniforms that drive theta, with the extremes 0, 2^-53 and 1 - 2^-53
-    v = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
-                        np.linspace(0.0, 1.0, 4001)[:-1], 1.0 - np.logspace(-15, -1, 200),
-                        np.logspace(-15, -1, 200)])
-    theta = np.arcsin(2.0 * v - 1.0)
-    for r in np.concatenate([[0.5, np.nextafter(0.5, 1.0)], np.linspace(0.5, 4.0, 50), [1e3]]):
-        accept = sim._eigen_acceptance(theta, np.full(theta.size, r))
-        assert np.all(sim._EIGEN_FLOOR <= accept), r
-    # near the edges at r = 1/2 the acceptance comes within 1e-3 of the floor
-    edge = sim._eigen_acceptance(theta[:1], np.array([0.5]))[0]
-    assert edge - sim._EIGEN_FLOOR <= 1e-3
-
-
-@given(v=st.floats(0.0, 1.0, exclude_max=True), r=st.floats(0.5, 50.0))
-@settings(max_examples=300, deadline=None)
-def test_eigen_floor_is_below_the_eigen_acceptance_anywhere(v, r):
-    theta = np.arcsin(np.array([2.0 * v - 1.0]))
-    assert sim._EIGEN_FLOOR <= sim._eigen_acceptance(theta, np.array([r]))[0]
-
-
 # window lengths u / d^2 of the box row sets.  mixed: fast boxes (u = d^2 /
 # 16), u = 0, u = d^2, windows at and just below d^2 / 2 (where proposals fall
 # near +-d), long windows and windows short enough to underflow; fast: fast
@@ -567,6 +546,29 @@ def _adversarial_box_rows(seed, row_set="mixed"):
     u = d * d * frac[np.arange(rows.size) % frac.size]
     x, t = rng.uniform(-3.0, 3.0, rows.size), rng.uniform(0.0, 2.0, rows.size)
     return rows, x, t, d, u, t + u, np.zeros(rows.size)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_survival_floor_leaves_few_tests_to_the_series(seed, monkeypatch):
+    # the floor keeps the box step cheap: on fast boxes it leaves about 1e-4
+    # of the proposals to `_bridge_survival` (configs/gaussian.ini: 0.4%)
+    rows, _, _, d, u, _, _ = _adversarial_box_rows(seed, "fast")
+    proposals, series = [], []
+    normals, survival = sim._normals, sim._bridge_survival
+
+    def count_normals(rng, k):
+        proposals.append(k)
+        return normals(rng, k)
+
+    def count_survival(z, dd, t):
+        series.append(z.size)
+        return survival(z, dd, t)
+
+    monkeypatch.setattr(sim, "_normals", count_normals)
+    monkeypatch.setattr(sim, "_bridge_survival", count_survival)
+    sim._endpoint_in_box(sim._Streams(seed, 3), rows, d, u)
+    assert sum(proposals) >= rows.size
+    assert 0 < sum(series) <= 0.01 * sum(proposals)
 
 
 def _next_draws(streams):
